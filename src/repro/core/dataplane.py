@@ -282,7 +282,8 @@ class NetCacheDataplane:
         ``(position, key)`` pairs so the caller can schedule each at its
         packet's arrival time.
         """
-        keys = list(keys)
+        if not isinstance(keys, list):
+            keys = list(keys)
         if not keys:
             return ReadBatchResult(np.zeros(0, dtype=bool), [])
         stats = self.stats

@@ -34,6 +34,8 @@ asks its layout only for geometry decisions.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,7 +51,7 @@ from repro.constants import (
     VALUE_SLOT_SIZE,
 )
 from repro.core.lookup import CacheLookupTable, LookupResult
-from repro.core.memory import Allocation, SwitchMemoryManager
+from repro.core.memory import SwitchMemoryManager
 from repro.core.primitives import RegisterArray
 from repro.core.status import CacheStatusModule
 from repro.core.values import ValueStore
@@ -69,6 +71,10 @@ __all__ = [
     "UpdateBudget",
     "run_policy",
 ]
+
+
+#: the lookup table's action data a read needs, in column order.
+_ACTION_DATA = operator.itemgetter("key_index", "egress_port", "bitmap")
 
 
 class LayoutHit:
@@ -299,30 +305,46 @@ class PaperLayout(CacheLayout):
         return applied
 
     def classify_reads(self, keys: Sequence[bytes], read_values: bool):
-        probe = self.lookup.probe
-        status = self.status
-        values = self.values
-        ports_per_pipe = self.ports_per_pipe
-        num_pipes = self.num_pipes
+        """Batch probe of the match-action table.
+
+        Equivalent to looping :meth:`lookup_hit` (plus :meth:`read_value`
+        per valid hit when *read_values*).  One dict probe per key — the
+        table is its own memo, nothing to invalidate — then one live
+        validity gather per egress pipe (writes flip the bits between
+        batches, never inside one) and, from the hits' bitmaps, one read
+        total per value register array.
+        """
         hit_mask = np.zeros(len(keys), dtype=bool)
         hit_indexes: List[int] = []
-        miss_keys: List[bytes] = []
-        miss_pos: List[int] = []
-        for j, key in enumerate(keys):
-            entry = probe(key)
-            if entry is not None:
-                key_index = entry["key_index"]
-                pipe = (entry["egress_port"] // ports_per_pipe) % num_pipes
-                if status[pipe].is_valid(key_index):
-                    hit_mask[j] = True
-                    hit_indexes.append(key_index)
-                    if read_values:
-                        values[pipe].read(Allocation(
-                            index=entry["value_index"],
-                            bitmap=entry["bitmap"]))
-                    continue
-            miss_keys.append(key)
-            miss_pos.append(j)
+        entries = self.lookup.probe_batch(keys)
+        found_pos = [j for j, entry in enumerate(entries)
+                     if entry is not None]
+        if found_pos:
+            nf = len(found_pos)
+            key_index, ports, bitmaps = np.fromiter(
+                itertools.chain.from_iterable(
+                    _ACTION_DATA(entries[j]) for j in found_pos),
+                dtype=np.int64, count=3 * nf).reshape(nf, 3).T
+            pipes = (ports // self.ports_per_pipe) % self.num_pipes
+            valid = np.zeros(nf, dtype=bool)
+            for pipe in np.flatnonzero(np.bincount(pipes)).tolist():
+                sel = np.flatnonzero(pipes == pipe)
+                ok = self.status[pipe].valid.read_int_batch(
+                    key_index[sel]) != 0
+                valid[sel] = ok
+                if read_values:
+                    # The scalar path reads (and discards) each valid
+                    # hit's chunks; only the register accounting is
+                    # observable.
+                    arrays = self.values[pipe].arrays
+                    reads = ((bitmaps[sel[ok], None]
+                              >> np.arange(len(arrays))) & 1).sum(axis=0)
+                    for array, count in zip(arrays, reads.tolist()):
+                        array.note_batch_reads(count)
+            hit_mask[np.asarray(found_pos)[valid]] = True
+            hit_indexes = key_index[valid].tolist()
+        miss_pos = np.flatnonzero(~hit_mask).tolist()
+        miss_keys = [keys[p] for p in miss_pos]
         return hit_mask, hit_indexes, miss_keys, miss_pos, None
 
     # -- control plane ------------------------------------------------------------

@@ -77,6 +77,10 @@ class CacheLookupTable:
         """
         return self.table.lookup(key)
 
+    def probe_batch(self, keys) -> List[Optional[dict]]:
+        """:meth:`probe` once per key, in order."""
+        return self.table.lookup_batch(keys)
+
     # -- control plane -----------------------------------------------------------
 
     def insert(self, key: bytes, alloc: Allocation, egress_port: int) -> int:

@@ -214,6 +214,16 @@ class MatchActionTable:
             self.hits += 1
         return entry
 
+    def lookup_batch(self, matches) -> List[Optional[Dict[str, Any]]]:
+        """:meth:`lookup` once per element of *matches*, in order — one
+        dict probe each, the hit/miss accounting applied as totals."""
+        get = self._entries.get
+        found = [get(match) for match in matches]
+        misses = found.count(None)
+        self.misses += misses
+        self.hits += len(found) - misses
+        return found
+
     def entries(self) -> Dict[bytes, Dict[str, Any]]:
         """Copy of the current entries (control-plane read)."""
         return {k: dict(v) for k, v in self._entries.items()}

@@ -90,23 +90,28 @@ class HashTable:
         for key, value in old:
             self.put(key, value)
 
-    def _maybe_grow(self) -> None:
-        if self._occupied + 1 > int(self._capacity * self._max_load):
-            # Double if genuinely full; same size rebuild clears tombstones.
-            if self._size + 1 > int(self._capacity * self._max_load * 0.75):
-                self._resize(self._capacity * 2)
-            else:
-                self._resize(self._capacity)
+    def _grow(self) -> None:
+        # Double if genuinely full; same size rebuild clears tombstones.
+        if self._size + 1 > int(self._capacity * self._max_load * 0.75):
+            self._resize(self._capacity * 2)
+        else:
+            self._resize(self._capacity)
 
     # -- public API ------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> bool:
         """Insert or overwrite; returns True if the key was new."""
-        self._maybe_grow()
+        stats = self.total_probes, self.total_lookups
         idx, found = self._find(key)
         if found:
             self._values[idx] = value
             return False
+        if self._occupied + 1 > int(self._capacity * self._max_load):
+            # The rebuild moves every slot: find again afterwards, and
+            # charge this put that second lookup only.
+            self.total_probes, self.total_lookups = stats
+            self._grow()
+            idx, _ = self._find(key)
         if self._states[idx] != _TOMBSTONE:
             self._occupied += 1
         self._states[idx] = _FULL

@@ -8,7 +8,9 @@ paper's servers use Receive Side Scaling / Flow Director to shard keys over
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.constants import MAX_VALUE_SIZE
 from repro.errors import ConfigurationError, ValueFormatError
@@ -24,6 +26,30 @@ BACKENDS = {
     "open": HashTable,
     "chained": ChainedHashTable,
 }
+
+
+class ReadColumns:
+    """What a read of each key of a fixed key universe costs its store, as
+    numpy columns indexed by key id (the position of the key in *keys*).
+
+    :meth:`KVStore.get_batch` resolves an id on first touch — core and
+    probe length of the scalar lookup — and trusts the row for as long as
+    ``stamp`` equals the store's structural version of that core, which
+    moves when the core's shard gains a key (and so may resize) or loses
+    one, never on an overwrite.  One set of columns serves every store of
+    a rack, because a key id is only ever read through the store that
+    owns the key.
+    """
+
+    __slots__ = ("keys", "core", "probes", "stamp")
+
+    def __init__(self, keys: Sequence[bytes]):
+        n = len(keys)
+        self.keys = keys
+        self.core = np.zeros(n, dtype=np.int32)
+        self.probes = np.zeros(n, dtype=np.int32)
+        #: structural version the row was resolved at; -1 = never.
+        self.stamp = np.full(n, -1, dtype=np.int64)
 
 
 class KVStore:
@@ -59,6 +85,8 @@ class KVStore:
             table_cls(seed=_CORE_SEED + i) for i in range(num_cores)
         ]
         self.core_ops: List[int] = [0] * num_cores
+        #: per core, how often a key's probe length may have changed.
+        self._structure = np.zeros(num_cores, dtype=np.int64)
         self.gets = 0
         self.puts = 0
         self.deletes = 0
@@ -78,6 +106,54 @@ class KVStore:
         self.gets += 1
         return self._shard(key).get(key)
 
+    def get_batch(self, ids: np.ndarray, columns: ReadColumns) -> None:
+        """Read the keys ``columns.keys[i] for i in ids`` (with repeats)
+        and discard the values.
+
+        Equivalent to calling :meth:`get` once per id in stream order —
+        same ``gets``, ``core_ops`` and per-shard ``total_probes`` /
+        ``total_lookups`` — with the hashing and probing paid once per key
+        (see :class:`ReadColumns`) and the counters applied as per-core
+        totals.
+        """
+        shards = self._shards
+        core = columns.core[ids]
+        stale = columns.stamp[ids] != self._structure[core]
+        if stale.any():
+            self._resolve(columns, np.unique(ids[stale]))
+            core = columns.core[ids]
+        lookups = np.bincount(core, minlength=self.num_cores)
+        # float64 weights: exact below 2**53 probes per call.
+        probes = np.bincount(core, weights=columns.probes[ids],
+                             minlength=self.num_cores)
+        self.gets += len(ids)
+        core_ops = self.core_ops
+        for c in np.flatnonzero(lookups).tolist():
+            k = int(lookups[c])
+            core_ops[c] += k
+            shards[c].total_lookups += k
+            shards[c].total_probes += int(probes[c])
+
+    def _resolve(self, columns: ReadColumns, ids: np.ndarray) -> None:
+        """(Re)compute the rows of *ids* with the scalar hash and probe."""
+        keys = columns.keys
+        shards = self._shards
+        rows = []
+        for i in ids.tolist():
+            key = keys[i]
+            core = self._core_of(key)
+            shard = shards[core]
+            # One scalar lookup, measured and taken back off the shard's
+            # statistics.
+            before = shard.total_probes, shard.total_lookups
+            shard.contains(key)
+            rows.append((core, shard.total_probes - before[0]))
+            shard.total_probes, shard.total_lookups = before
+        core, probes = zip(*rows)
+        columns.core[ids] = core
+        columns.probes[ids] = probes
+        columns.stamp[ids] = self._structure[columns.core[ids]]
+
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite *key*."""
         if len(value) > self.max_value_size:
@@ -86,12 +162,20 @@ class KVStore:
                 f"{self.max_value_size}"
             )
         self.puts += 1
-        self._shard(key).put(key, value)
+        core = self._core_of(key)
+        self.core_ops[core] += 1
+        if self._shards[core].put(key, value):
+            self._structure[core] += 1
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; returns True if it existed."""
         self.deletes += 1
-        return self._shard(key).delete(key)
+        core = self._core_of(key)
+        self.core_ops[core] += 1
+        existed = self._shards[core].delete(key)
+        if existed:
+            self._structure[core] += 1
+        return existed
 
     def contains(self, key: bytes) -> bool:
         return self._shards[self._core_of(key)].contains(key)
@@ -111,6 +195,11 @@ class KVStore:
             return 1.0
         mean = total / self.num_cores
         return max(self.core_ops) / mean
+
+    def probe_totals(self) -> Tuple[int, int]:
+        """``(probes, lookups)`` summed over the shards."""
+        return (sum(s.total_probes for s in self._shards),
+                sum(s.total_lookups for s in self._shards))
 
     def stats(self) -> Dict[str, float]:
         return {

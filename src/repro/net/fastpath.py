@@ -101,6 +101,7 @@ from repro.client.api import WorkloadClient, _Outstanding
 from repro.constants import CLIENT_OVERHEAD
 from repro.core.switch import NetCacheSwitch
 from repro.errors import ConfigurationError
+from repro.kvstore.store import ReadColumns
 from repro.net.packet import Packet, make_get, make_put
 from repro.net.protocol import Op
 from repro.obs import runtime as _obs
@@ -280,6 +281,9 @@ class FastPathEngine:
             (clients[0].partitioner.server_for(k)
              for k in self._key_of_item),
             dtype=np.int64, count=keyspace.num_keys)
+        # Store-side (core, slot, probes) of each item, resolved lazily by
+        # the owner's KVStore.get_batch.
+        self._store_columns = ReadColumns(self._key_of_item)
 
         # Lanes.
         self._sw_arr = _Lane()
@@ -975,7 +979,8 @@ class FastPathEngine:
                         trace.note_batch(
                             t[sel], self._states[int(ci)].client.node_id,
                             self.tor_id, _GET, seqs[sel])
-            res = self.switch.process_read_batch([key_of[i] for i in items])
+            res = self.switch.process_read_batch(
+                [key_of[i] for i in items.tolist()])
             if handler is not None:
                 for p, key in res.hot:
                     self.events.schedule_abs(
@@ -1095,7 +1100,8 @@ class FastPathEngine:
                     trace.note_batch(t[sel],
                                      self._states[int(ci)].client.node_id,
                                      self.tor_id, _GET, seqs[sel])
-        res = self.switch.process_read_batch([key_of[i] for i in items])
+        res = self.switch.process_read_batch(
+            [key_of[i] for i in items.tolist()])
         if handler is not None:
             for pos, key in res.hot:
                 self.events.schedule_abs(
@@ -1359,15 +1365,12 @@ class FastPathEngine:
     def _complete_reads(self, server, sid: int, chunk, start: int,
                         stop: int) -> None:
         sim = self.sim
-        key_of = self._key_of_item
         t = chunk["t"][start:stop]
         items = chunk["items"][start:stop]
         n = stop - start
         # The shim serves the value regardless of reachability; only the
         # reply transmission can drop.
-        store_get = server.store.get
-        for i in items:
-            store_get(key_of[i])
+        server.store.get_batch(items, self._store_columns)
         if sid in sim._down_nodes:
             # send_reply(): transmit from a crashed source drops.
             sim.lost += n

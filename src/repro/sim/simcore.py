@@ -237,6 +237,9 @@ def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
         snap[f"server{sid}.store.gets"] = srv.store.gets
         snap[f"server{sid}.store.puts"] = srv.store.puts
         snap[f"server{sid}.store.core_ops"] = list(srv.store.core_ops)
+        # Probe accounting of the shards: the batch read charges it from
+        # resolved columns, so a stale column shows here.
+        snap[f"server{sid}.store.probes"] = srv.store.probe_totals()
     # Additional workload clients (client-0 keys keep their unprefixed
     # names so single-client goldens stay comparable across versions).
     extra = [c for c in cluster.clients

@@ -67,6 +67,23 @@ class TestResizing:
         # Capacity should not have ballooned from tombstone pressure alone.
         assert t.capacity <= 256
 
+    def test_overwrite_at_the_load_threshold_does_not_rebuild(self):
+        # 5 of 8 slots occupied is the last state below max_load=0.7; the
+        # next *new* key grows the table, an overwrite inserts nothing.
+        t = HashTable(initial_capacity=8, max_load=0.7)
+        for i in range(5):
+            t.put(str(i).encode(), b"v")
+        assert t.capacity == 8
+        assert t.put(b"0", b"again") is False
+        assert t.capacity == 8
+        assert t.get(b"0") == b"again"
+        lookups = t.total_lookups
+        assert t.put(b"new", b"v") is True
+        assert t.capacity == 16
+        # The growing put is charged the rebuild's five re-inserts plus
+        # one lookup of its own, not the find that preceded the rebuild.
+        assert t.total_lookups == lookups + 6
+
 
 class TestDeletionProbing:
     def test_lookup_past_tombstone(self):

@@ -150,3 +150,65 @@ def test_probe_of_empty_batch_is_a_noop(name):
     if hit_delays is not None:
         assert len(hit_delays) == 0
     assert register_totals(layout) == before
+
+
+# -- the paper layout's vectorised kernel, register by register -------------------
+
+
+def make_paper_twin():
+    """Two egress pipes, four value stages: keys land in either pipe and
+    1..64-byte values give every bitmap width."""
+    return PaperLayout(num_pipes=2, ports_per_pipe=2, entries=64,
+                       num_value_stages=4, value_slots=8, slot_bytes=16)
+
+
+def paper_registers(layout):
+    """Per-pipe valid-bit reads and per-array value reads."""
+    return [(status.valid.reads, [array.reads for array in values.arrays])
+            for status, values in zip(layout.status, layout.values)]
+
+
+def paper_operations():
+    keyed = [st.tuples(st.just(kind), st.integers(0, NUM_KEYS),
+                       st.integers(1, 64))
+             for kind in ("install", "evict", "write", "update")]
+    # Batches from empty to 48 keys, with repeats.
+    probe = st.tuples(st.just("probe"),
+                      st.lists(st.integers(0, NUM_KEYS), max_size=48),
+                      st.booleans())
+    return st.lists(st.one_of(probe, *keyed), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=paper_operations())
+def test_paper_batch_probe_matches_scalar_registers(ops):
+    """``PaperLayout.classify_reads`` against ``lookup_hit`` +
+    ``read_value`` per key: same split, same lookup hits/misses, same
+    ``valid.reads`` per pipe and ``reads`` per value array, with
+    invalidations, updates, installs and evictions between batches."""
+    batch, scalar = make_paper_twin(), make_paper_twin()
+    seq = 0
+    for kind, arg, extra in ops:
+        if kind == "probe":
+            keys = [key_of(n) for n in arg]
+            hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays = \
+                batch.classify_reads(keys, extra)
+            want = scalar_classify(scalar, keys, extra)
+            assert hit_mask.dtype == bool
+            assert (list(hit_mask), list(hit_indexes), list(miss_keys),
+                    list(miss_pos)) == want[:4]
+            assert hit_delays is None
+        else:
+            key, value = key_of(arg), value_of(arg, extra)
+            seq += 1
+            for layout in (batch, scalar):
+                if kind == "install":
+                    layout.install(key, value, egress_port=arg % 4)
+                elif kind == "evict":
+                    layout.evict(key)
+                elif kind == "write":
+                    layout.handle_write(key)
+                else:
+                    layout.apply_update(key, value, seq)
+        assert paper_registers(batch) == paper_registers(scalar)
+        assert batch.snapshot_fields() == scalar.snapshot_fields()

@@ -1,11 +1,14 @@
 """Property-based tests: both hash-table backends behave exactly like a
-dict under arbitrary operation sequences."""
+dict under arbitrary operation sequences, and the store's batch read is
+the scalar ``get`` loop on either of them."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kvstore.chained import ChainedHashTable
 from repro.kvstore.hashtable import HashTable
+from repro.kvstore.store import BACKENDS as STORE_BACKENDS, KVStore, ReadColumns
 
 keys = st.binary(min_size=1, max_size=12)
 values = st.binary(max_size=16)
@@ -61,3 +64,81 @@ def test_load_factor_invariant(key_list):
     for key in key_list:
         table.put(key, b"v")
         assert table.load_factor <= 0.7 + 1e-9
+
+
+# -- KVStore.get_batch is the scalar get loop ---------------------------------------
+
+#: small enough that puts collide, delete-then-reinsert recurs, and the
+#: 8-slot shards resize several times inside one example.
+UNIVERSE = [b"key%03d" % i for i in range(48)]
+key_ids = st.integers(0, len(UNIVERSE) - 1)
+
+
+def store_ops():
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), key_ids, values),
+            st.tuples(st.just("delete"), key_ids, st.just(b"")),
+            # Runs from empty to 40 ids, with repeats.
+            st.tuples(st.just("read"),
+                      st.lists(key_ids, max_size=40), st.just(b"")),
+        ),
+        max_size=60,
+    )
+
+
+def store_counters(store):
+    return (store.gets, list(store.core_ops),
+            [s.total_probes for s in store._shards],
+            [s.total_lookups for s in store._shards])
+
+
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
+@settings(max_examples=150, deadline=None)
+@given(op_list=store_ops())
+def test_store_batch_read_equals_the_scalar_get_loop(backend, op_list):
+    """Twin stores take the same put/overwrite/delete stream; one reads
+    through ``get_batch``, the other through ``get`` per key.  Values and
+    all four counters must agree after every op, including across a
+    resize and a delete-then-reinsert of the same key."""
+    batch = KVStore(num_cores=3, backend=backend)
+    scalar = KVStore(num_cores=3, backend=backend)
+    for store in (batch, scalar):
+        for shard in store._shards:
+            shard.clear()               # down to the 8-slot minimum
+    columns = ReadColumns(UNIVERSE)
+    for kind, arg, value in op_list:
+        if kind == "put":
+            batch.put(UNIVERSE[arg], value)
+            scalar.put(UNIVERSE[arg], value)
+        elif kind == "delete":
+            assert (batch.delete(UNIVERSE[arg])
+                    == scalar.delete(UNIVERSE[arg]))
+        else:
+            batch.get_batch(np.asarray(arg, dtype=np.int64), columns)
+            for i in arg:
+                scalar.get(UNIVERSE[i])
+            assert store_counters(batch) == store_counters(scalar)
+            # The batch read returns nothing; the values it passed over
+            # are read back with the scalar get, charged to both stores.
+            assert ([batch.get(UNIVERSE[i]) for i in arg]
+                    == [scalar.get(UNIVERSE[i]) for i in arg])
+        assert store_counters(batch) == store_counters(scalar)
+
+
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
+def test_overwrites_keep_the_read_columns(backend):
+    store = KVStore(num_cores=2, backend=backend)
+    for key in UNIVERSE:
+        store.put(key, b"old")
+    columns = ReadColumns(UNIVERSE)
+    ids = np.arange(len(UNIVERSE))
+    store.get_batch(ids, columns)
+    stamps = columns.stamp.copy()
+    for key in UNIVERSE:
+        store.put(key, b"new")
+    store.get_batch(ids, columns)
+    assert (columns.stamp == stamps).all()
+    store.delete(UNIVERSE[0])
+    store.get_batch(ids, columns)
+    assert (columns.stamp != stamps).any()

@@ -23,7 +23,9 @@ import numpy as np
 import pytest
 
 from repro.core import geometry
+from repro.core.primitives import RegisterArray
 from repro.core.status import CacheStatusModule
+from repro.kvstore.store import KVStore
 from repro.net import fastpath
 from repro.net.trace import DeliveryTrace
 from repro.sim.simcore import (
@@ -267,3 +269,88 @@ class TestGeometryKernelSabotage:
         assert diffs, "a dropped recirculation pass must not pass the gate"
         fields = {d.split(":")[0] for d in diffs}
         assert any(f.endswith(".latencies") for f in fields), diffs
+
+
+class TestReadPathKernelSabotage:
+    """Defects in the two batch read kernels — ``KVStore.get_batch`` and
+    ``PaperLayout.classify_reads`` — must be caught and named.
+
+    The scalar reference runs ``KVStore.get`` and ``lookup_hit`` and
+    never enters either kernel, and each sabotage is armed after the
+    reference run.
+    """
+
+    @staticmethod
+    def _resize_every_store(cluster, client):
+        """Mid-run, enough new keys on every server that all shards
+        rebuild: every probe length resolved before it is now wrong."""
+        def fill():
+            for server in cluster.servers.values():
+                for i in range(3000):
+                    server.store.put(b"filler%d" % i, b"x")
+        cluster.sim.events.schedule_at(0.02, fill)
+
+    def test_stale_store_columns_flag_the_probe_totals(self, monkeypatch):
+        cfg = tiny()
+        scalar = run_faulted(cfg, self._resize_every_store, batched=False)
+        # The structural versions stop moving: rows resolved before the
+        # rebuild keep passing as fresh.
+        orig = KVStore.put
+
+        def sabotaged(self, key, value):
+            versions = self._structure.copy()
+            orig(self, key, value)
+            self._structure[:] = versions
+
+        monkeypatch.setattr(KVStore, "put", sabotaged)
+        bad = run_faulted(cfg, self._resize_every_store, batched=True)
+        diffs = diff_snapshots(scalar, bad)
+        assert diffs, "stale store columns must not pass the gate"
+        fields = {d.split(":")[0] for d in diffs}
+        assert all(re.fullmatch(r"server\d+\.store\.probes", f)
+                   for f in fields), diffs
+
+    def test_unrefreshed_core_column_flags_core_ops(self, monkeypatch):
+        # The resolver stamps its rows but leaves the core column as it
+        # found it, so first-touch keys are all charged to core 0.
+        cfg = tiny()
+        scalar = run_scalar(cfg)
+        orig = KVStore._resolve
+
+        def sabotaged(self, columns, ids):
+            core = columns.core[ids].copy()
+            orig(self, columns, ids)
+            columns.core[ids] = core
+
+        monkeypatch.setattr(KVStore, "_resolve", sabotaged)
+        diffs = diff_snapshots(scalar, run_batched(cfg))
+        fields = {d.split(":")[0] for d in diffs}
+        assert any(re.fullmatch(r"server\d+\.store\.core_ops", f)
+                   for f in fields), diffs
+
+    def test_validity_bit_reused_across_a_write_flags_cache_hits(
+            self, monkeypatch):
+        # The kernel must read validity live: a write flips the bit
+        # between two batches.  Here each status slot's first answer is
+        # reused forever, so reads inside a key's invalid window are
+        # served by the switch instead of the server.  (4 MQPS keeps
+        # dozens of reads inside such windows.)
+        cfg = tiny(write_ratio=0.3, rate=4e6, duration=0.003, seed=5)
+        scalar = run_scalar(cfg)
+        orig = RegisterArray.read_int_batch
+        first_answer = {}
+
+        def sabotaged(self, indexes):
+            fresh = orig(self, indexes)
+            if not self.name.endswith("/cache_status"):
+                return fresh
+            return np.array(
+                [first_answer.setdefault((self.name, i), int(bit))
+                 for i, bit in zip(np.asarray(indexes).tolist(), fresh)],
+                dtype=fresh.dtype)
+
+        monkeypatch.setattr(RegisterArray, "read_int_batch", sabotaged)
+        diffs = diff_snapshots(scalar, run_batched(cfg))
+        assert diffs, "a reused validity bit must not pass the gate"
+        fields = {d.split(":")[0] for d in diffs}
+        assert "client.cache_hits" in fields, diffs
