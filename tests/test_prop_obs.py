@@ -14,7 +14,7 @@ import json
 import math
 import statistics
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.export import registry_from_jsonl, registry_to_jsonl
@@ -41,6 +41,7 @@ def _bucket_width_at(hist: Histogram, v: float) -> float:
 
 
 @given(data=values, q=quantile_points)
+@example(data=[0.0, 501.0, 500.5, 500.5], q=1 / 3)
 @settings(max_examples=200)
 def test_quantile_within_bucket_width_of_statistics(data, q):
     hist = Histogram("h", edges=EDGES)
@@ -51,11 +52,14 @@ def test_quantile_within_bucket_width_of_statistics(data, q):
     srt = sorted(data)
     n = len(srt)
     # statistics.quantiles(method="inclusive") interpolates between the
-    # order statistics bracketing position q*(n-1).
+    # order statistics bracketing position q*(n-1) — but it is read at q
+    # rounded to 1/1000, which can move that bracket by one order
+    # statistic, so the allowance spans both roundings of q*1000.
     exact = statistics.quantiles(srt, n=1000, method="inclusive")[
         max(0, min(998, round(q * 1000) - 1))]
-    j = math.floor(q * (n - 1))
-    bracket_gap = srt[min(j + 1, n - 1)] - srt[j]
+    lo = math.floor(math.floor(q * 1000) / 1000 * (n - 1))
+    hi = math.floor(math.ceil(q * 1000) / 1000 * (n - 1))
+    bracket_gap = srt[min(hi + 1, n - 1)] - srt[lo]
     tolerance = _bucket_width_at(hist, exact) + bracket_gap + 1e-9
     assert abs(est - exact) <= tolerance
 
