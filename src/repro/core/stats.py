@@ -13,7 +13,8 @@ fast the cache reacts to workload changes (§7.4 uses one second).
 
 All per-key derived indexes route through a :class:`~repro.sketch.digest.
 DigestTable`: the steady-state cost of one statistics pass is a dict probe
-plus a handful of array ops instead of ~8 hash computations.  The batch
+plus a handful of array ops instead of ~8 hash computations, and a batch
+hashes the keys it has not seen in one kernel call.  The batch
 entry points (:meth:`QueryStatistics.sample_batch`,
 :meth:`QueryStatistics.heavy_hitter_count_batch`,
 :meth:`QueryStatistics.cache_count_batch`) process whole sampled-query
@@ -110,17 +111,18 @@ class QueryStatistics:
     # -- batch data-plane operations ------------------------------------------
 
     def sample_batch(self, keys: Sequence[bytes],
-                     digests: Optional[List[KeyDigest]] = None) -> np.ndarray:
-        """Sampler decisions for a key batch (boolean mask, key order)."""
+                     rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sampler decisions for a key batch (boolean mask, key order).
+
+        *rows* are the keys' digest rows when the caller has already
+        looked them up (:meth:`DigestTable.get_batch`).
+        """
         sampler = self.sampler
         hashes = None
         if sampler.mode == "hash" and 0.0 < sampler.rate < 1.0:
-            if digests is None:
-                digests = self.digests.get_batch(keys)
-            epoch = sampler.epoch
-            sampler_hash = self.digests.sampler_hash
-            hashes = np.fromiter((sampler_hash(d, epoch) for d in digests),
-                                 dtype=np.uint64, count=len(digests))
+            if rows is None:
+                rows = self.digests.get_batch(keys)
+            hashes = self.digests.sampler_hashes(rows, sampler.epoch)
         return sampler.sample_batch(keys, hashes=hashes)
 
     def cache_count_batch(self, key_indexes: Sequence[int],
@@ -146,23 +148,24 @@ class QueryStatistics:
         *position* indexes into *keys* — the batched dataplane uses it to
         recover each report's arrival timestamp.
         """
-        digests = self.digests.get_batch(keys)
+        table = self.digests
+        rows = table.get_batch(keys)
         if decisions is None:
-            decisions = self.sample_batch(keys, digests=digests)
+            decisions = self.sample_batch(keys, rows=rows)
         sampled_pos = np.flatnonzero(np.asarray(decisions, dtype=bool))
         if not len(sampled_pos):
             return []
-        sampled = [digests[p] for p in sampled_pos]
-        idx_matrix = np.array([d.cm_indexes for d in sampled], dtype=np.int64)
-        estimates = self.sketch.update_batch(idx_matrix)
+        sampled_rows = rows[sampled_pos]
+        estimates = self.sketch.update_batch(table.cm[sampled_rows])
+        crossers = np.flatnonzero(estimates >= self.hot_threshold)
+        if not len(crossers):
+            return []
+        reported = self.bloom.add_at_batch(
+            table.bloom[sampled_rows[crossers]])
         hot: List = []
-        bloom_add = self.bloom.add_at
-        for j in np.flatnonzero(estimates >= self.hot_threshold):
-            digest = sampled[j]
-            if not bloom_add(digest.bloom_bits):
-                self.reports += 1
-                hot.append((int(sampled_pos[j]), digest.key)
-                           if with_positions else digest.key)
+        for p in sampled_pos[crossers[~reported]].tolist():
+            self.reports += 1
+            hot.append((p, keys[p]) if with_positions else keys[p])
         return hot
 
     # -- control-plane operations ----------------------------------------------

@@ -18,11 +18,14 @@ from repro.sketch.hashing import hash_bytes
 
 
 class _Node:
-    __slots__ = ("key", "value", "next")
+    __slots__ = ("key", "value", "hash", "next")
 
-    def __init__(self, key: bytes, value: bytes, next_node):
+    def __init__(self, key: bytes, value: bytes, h: int, next_node):
         self.key = key
         self.value = value
+        #: the key's 64-bit hash, so a rebuild re-masks instead of
+        #: re-hashing.
+        self.hash = h
         self.next = next_node
 
 
@@ -49,12 +52,14 @@ class ChainedHashTable:
 
     # -- internals -----------------------------------------------------------
 
-    def _bucket_of(self, key: bytes) -> int:
-        return hash_bytes(key, self._seed) & (len(self._buckets) - 1)
+    def _hash(self, key: bytes) -> int:
+        return hash_bytes(key, self._seed)
 
-    def _find(self, key: bytes) -> Tuple[int, Optional[_Node], Optional[_Node]]:
-        """(bucket index, node or None, predecessor or None)."""
-        idx = self._bucket_of(key)
+    def _find(self, key: bytes,
+              h: int) -> Tuple[int, Optional[_Node], Optional[_Node]]:
+        """(bucket index, node or None, predecessor or None) for *key*,
+        whose :meth:`_hash` is *h*."""
+        idx = h & (len(self._buckets) - 1)
         prev = None
         node = self._buckets[idx]
         probes = 0
@@ -67,34 +72,44 @@ class ChainedHashTable:
         self.total_lookups += 1
         return idx, node, prev
 
+    def _nodes(self) -> Iterator[_Node]:
+        for head in self._buckets:
+            node = head
+            while node is not None:
+                yield node
+                node = node.next
+
     def _maybe_grow(self) -> None:
         if self._size + 1 > self._max_chain * len(self._buckets):
-            old = list(self.items())
+            old = list(self._nodes())
             self._buckets = [None] * (len(self._buckets) * 2)
             self._size = 0
-            for key, value in old:
-                self.put(key, value)
+            for node in old:
+                self.put(node.key, node.value, node.hash)
 
     # -- public API ------------------------------------------------------------
 
-    def put(self, key: bytes, value: bytes) -> bool:
-        """Insert or overwrite; returns True if the key was new."""
-        idx, node, _ = self._find(key)
+    def put(self, key: bytes, value: bytes, h: Optional[int] = None) -> bool:
+        """Insert or overwrite; returns True if the key was new.  *h* is
+        the key's hash under this table's seed, for a caller that has it."""
+        if h is None:
+            h = self._hash(key)
+        idx, node, _ = self._find(key, h)
         if node is not None:
             node.value = value
             return False
         self._maybe_grow()
-        idx = self._bucket_of(key)  # buckets may have moved
-        self._buckets[idx] = _Node(key, value, self._buckets[idx])
+        idx = h & (len(self._buckets) - 1)  # buckets may have moved
+        self._buckets[idx] = _Node(key, value, h, self._buckets[idx])
         self._size += 1
         return True
 
     def get(self, key: bytes) -> Optional[bytes]:
-        _, node, _ = self._find(key)
+        _, node, _ = self._find(key, self._hash(key))
         return node.value if node is not None else None
 
     def delete(self, key: bytes) -> bool:
-        idx, node, prev = self._find(key)
+        idx, node, prev = self._find(key, self._hash(key))
         if node is None:
             return False
         if prev is None:
@@ -104,16 +119,14 @@ class ChainedHashTable:
         self._size -= 1
         return True
 
-    def contains(self, key: bytes) -> bool:
-        _, node, _ = self._find(key)
+    def contains(self, key: bytes, h: Optional[int] = None) -> bool:
+        """True if *key* is present; *h* as for :meth:`put`."""
+        _, node, _ = self._find(key, self._hash(key) if h is None else h)
         return node is not None
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        for head in self._buckets:
-            node = head
-            while node is not None:
-                yield node.key, node.value
-                node = node.next
+        for node in self._nodes():
+            yield node.key, node.value
 
     def keys(self) -> Iterator[bytes]:
         for key, _ in self.items():

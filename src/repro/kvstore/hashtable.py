@@ -11,6 +11,7 @@ statistics feed the server service-time model).
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -41,6 +42,9 @@ class HashTable:
         self._states: List[int] = [_EMPTY] * cap
         self._keys: List[Optional[bytes]] = [None] * cap
         self._values: List[Optional[bytes]] = [None] * cap
+        #: 64-bit hash of each FULL slot's key, so a rebuild re-masks
+        #: instead of re-hashing.
+        self._hashes = array("Q", bytes(8 * cap))
         self._size = 0
         self._occupied = 0  # FULL + TOMBSTONE
         self.total_probes = 0
@@ -48,13 +52,14 @@ class HashTable:
 
     # -- internals -----------------------------------------------------------
 
-    def _slot(self, key: bytes) -> int:
-        return hash_bytes(key, self._seed) & (self._capacity - 1)
+    def _hash(self, key: bytes) -> int:
+        return hash_bytes(key, self._seed)
 
-    def _find(self, key: bytes) -> Tuple[int, bool]:
-        """Return (slot, found).  If not found, slot is the insertion point
-        (first tombstone seen, else first empty)."""
-        idx = self._slot(key)
+    def _find(self, key: bytes, h: int) -> Tuple[int, bool]:
+        """Return (slot, found) for *key*, whose :meth:`_hash` is *h*.  If
+        not found, slot is the insertion point (first tombstone seen, else
+        first empty)."""
+        idx = h & (self._capacity - 1)
         first_tombstone = -1
         probes = 0
         while True:
@@ -77,7 +82,7 @@ class HashTable:
 
     def _resize(self, new_capacity: int) -> None:
         old = [
-            (self._keys[i], self._values[i])
+            (self._keys[i], self._values[i], self._hashes[i])
             for i in range(self._capacity)
             if self._states[i] == _FULL
         ]
@@ -85,10 +90,11 @@ class HashTable:
         self._states = [_EMPTY] * new_capacity
         self._keys = [None] * new_capacity
         self._values = [None] * new_capacity
+        self._hashes = array("Q", bytes(8 * new_capacity))
         self._size = 0
         self._occupied = 0
-        for key, value in old:
-            self.put(key, value)
+        for key, value, h in old:
+            self.put(key, value, h)
 
     def _grow(self) -> None:
         # Double if genuinely full; same size rebuild clears tombstones.
@@ -99,10 +105,14 @@ class HashTable:
 
     # -- public API ------------------------------------------------------------
 
-    def put(self, key: bytes, value: bytes) -> bool:
-        """Insert or overwrite; returns True if the key was new."""
+    def put(self, key: bytes, value: bytes, h: Optional[int] = None) -> bool:
+        """Insert or overwrite; returns True if the key was new.  *h* is
+        the key's hash under this table's seed, for a caller that has it
+        (bulk loads hash all their keys in one kernel call)."""
+        if h is None:
+            h = self._hash(key)
         stats = self.total_probes, self.total_lookups
-        idx, found = self._find(key)
+        idx, found = self._find(key, h)
         if found:
             self._values[idx] = value
             return False
@@ -111,23 +121,24 @@ class HashTable:
             # charge this put that second lookup only.
             self.total_probes, self.total_lookups = stats
             self._grow()
-            idx, _ = self._find(key)
+            idx, _ = self._find(key, h)
         if self._states[idx] != _TOMBSTONE:
             self._occupied += 1
         self._states[idx] = _FULL
         self._keys[idx] = key
         self._values[idx] = value
+        self._hashes[idx] = h
         self._size += 1
         return True
 
     def get(self, key: bytes) -> Optional[bytes]:
         """Return the value or None."""
-        idx, found = self._find(key)
+        idx, found = self._find(key, self._hash(key))
         return self._values[idx] if found else None
 
     def delete(self, key: bytes) -> bool:
         """Remove the key; returns True if it was present."""
-        idx, found = self._find(key)
+        idx, found = self._find(key, self._hash(key))
         if not found:
             return False
         self._states[idx] = _TOMBSTONE
@@ -136,8 +147,9 @@ class HashTable:
         self._size -= 1
         return True
 
-    def contains(self, key: bytes) -> bool:
-        _, found = self._find(key)
+    def contains(self, key: bytes, h: Optional[int] = None) -> bool:
+        """True if *key* is present; *h* as for :meth:`put`."""
+        _, found = self._find(key, self._hash(key) if h is None else h)
         return found
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
@@ -154,6 +166,7 @@ class HashTable:
         self._states = [_EMPTY] * self._capacity
         self._keys = [None] * self._capacity
         self._values = [None] * self._capacity
+        self._hashes = array("Q", bytes(8 * self._capacity))
         self._size = 0
         self._occupied = 0
 

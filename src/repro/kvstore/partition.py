@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, PartitionError
-from repro.sketch.hashing import hash_bytes
+from repro.sketch.hashing import hash_bytes, hash_bytes_batch
 
 PARTITION_SEED = 0x5EED
 
@@ -38,6 +40,11 @@ class HashPartitioner:
         """Partition index in [0, N) that owns *key*."""
         return hash_bytes(key, self.seed) % self.num_partitions
 
+    def partitions_of(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`partition_of` every key, hashed in one kernel call."""
+        hashes = hash_bytes_batch(keys, (self.seed,))[0]
+        return (hashes % np.uint64(self.num_partitions)).astype(np.int64)
+
     def server_for(self, key: bytes) -> int:
         """Node id of the server that owns *key*."""
         return self.server_ids[self.partition_of(key)]
@@ -59,6 +66,6 @@ class HashPartitioner:
     def split_keys(self, keys: Sequence[bytes]) -> Dict[int, List[bytes]]:
         """Group *keys* by owning partition index (load-analysis helper)."""
         out: Dict[int, List[bytes]] = {i: [] for i in range(self.num_partitions)}
-        for key in keys:
-            out[self.partition_of(key)].append(key)
+        for key, part in zip(keys, self.partitions_of(keys).tolist()):
+            out[part].append(key)
         return out

@@ -12,7 +12,7 @@ the paper's two methodologies:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.constants import SERVER_RATE
 from repro.errors import ConfigurationError
@@ -125,3 +125,14 @@ class StorageServer(Node):
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.processed * self.service_time / elapsed)
+
+
+def load_stores(servers: Dict[int, StorageServer], partitioner,
+                keys: Sequence[bytes],
+                value_for: Callable[[bytes], bytes]) -> None:
+    """Put ``value_for(key)`` under each of *keys* in the store of the
+    server that owns it: one kernel call partitions the keys, and each
+    store hashes its share in bulk."""
+    for part, owned in partitioner.split_keys(keys).items():
+        store = servers[partitioner.server_ids[part]].store
+        store.put_batch(owned, [value_for(key) for key in owned])

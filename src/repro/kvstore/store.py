@@ -16,7 +16,7 @@ from repro.constants import MAX_VALUE_SIZE
 from repro.errors import ConfigurationError, ValueFormatError
 from repro.kvstore.chained import ChainedHashTable
 from repro.kvstore.hashtable import HashTable
-from repro.sketch.hashing import hash_bytes
+from repro.sketch.hashing import hash_bytes, hash_bytes_batch
 
 _CORE_SEED = 0xC04E
 
@@ -28,25 +28,43 @@ BACKENDS = {
 }
 
 
+def _shard_seed(core):
+    """Hash seed of the shard of *core* (an int or an array of them)."""
+    return _CORE_SEED + core
+
+
+def _hash_columns(keys: Sequence[bytes],
+                  num_cores: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(core, slot hash)`` of each key in a store of *num_cores* shards,
+    two kernel calls: the core :meth:`KVStore._core_of` computes, and the
+    key's hash under that core's shard seed."""
+    core = (hash_bytes_batch(keys, (_CORE_SEED,))[0]
+            % np.uint64(num_cores)).astype(np.int32)
+    shard_seeds = _shard_seed(core).astype(np.uint64)[None, :]
+    return core, hash_bytes_batch(keys, shard_seeds)[0]
+
+
 class ReadColumns:
     """What a read of each key of a fixed key universe costs its store, as
     numpy columns indexed by key id (the position of the key in *keys*).
 
-    :meth:`KVStore.get_batch` resolves an id on first touch — core and
-    probe length of the scalar lookup — and trusts the row for as long as
-    ``stamp`` equals the store's structural version of that core, which
-    moves when the core's shard gains a key (and so may resize) or loses
-    one, never on an overwrite.  One set of columns serves every store of
-    a rack, because a key id is only ever read through the store that
-    owns the key.
+    ``core`` and ``slot_hash`` are pure functions of the key and of the
+    stores' shard count, hashed once here.  :meth:`KVStore.get_batch`
+    resolves the probe length of an id on first touch — a walk from the
+    stored hash — and trusts it for as long as ``stamp`` equals the
+    store's structural version of that core, which moves when the core's
+    shard gains a key (and so may resize) or loses one, never on an
+    overwrite.  One set of columns serves every store of a rack, because
+    a key id is only ever read through the store that owns the key.
     """
 
-    __slots__ = ("keys", "core", "probes", "stamp")
+    __slots__ = ("keys", "num_cores", "core", "slot_hash", "probes", "stamp")
 
-    def __init__(self, keys: Sequence[bytes]):
+    def __init__(self, keys: Sequence[bytes], num_cores: int):
         n = len(keys)
         self.keys = keys
-        self.core = np.zeros(n, dtype=np.int32)
+        self.num_cores = num_cores
+        self.core, self.slot_hash = _hash_columns(keys, num_cores)
         self.probes = np.zeros(n, dtype=np.int32)
         #: structural version the row was resolved at; -1 = never.
         self.stamp = np.full(n, -1, dtype=np.int64)
@@ -82,7 +100,7 @@ class KVStore:
         self.max_value_size = max_value_size
         self.backend = backend
         self._shards = [
-            table_cls(seed=_CORE_SEED + i) for i in range(num_cores)
+            table_cls(seed=_shard_seed(i)) for i in range(num_cores)
         ]
         self.core_ops: List[int] = [0] * num_cores
         #: per core, how often a key's probe length may have changed.
@@ -116,12 +134,15 @@ class KVStore:
         (see :class:`ReadColumns`) and the counters applied as per-core
         totals.
         """
+        if columns.num_cores != self.num_cores:
+            raise ConfigurationError(
+                f"columns hashed for {columns.num_cores} cores read "
+                f"through a store of {self.num_cores}")
         shards = self._shards
         core = columns.core[ids]
         stale = columns.stamp[ids] != self._structure[core]
         if stale.any():
             self._resolve(columns, np.unique(ids[stale]))
-            core = columns.core[ids]
         lookups = np.bincount(core, minlength=self.num_cores)
         # float64 weights: exact below 2**53 probes per call.
         probes = np.bincount(core, weights=columns.probes[ids],
@@ -135,37 +156,54 @@ class KVStore:
             shards[c].total_probes += int(probes[c])
 
     def _resolve(self, columns: ReadColumns, ids: np.ndarray) -> None:
-        """(Re)compute the rows of *ids* with the scalar hash and probe."""
+        """(Re)compute the probe lengths of *ids*: one probe walk each,
+        from the stored hash."""
         keys = columns.keys
         shards = self._shards
-        rows = []
-        for i in ids.tolist():
-            key = keys[i]
-            core = self._core_of(key)
-            shard = shards[core]
+        core = columns.core[ids]
+        probes = []
+        for i, c, h in zip(ids.tolist(), core.tolist(),
+                           columns.slot_hash[ids].tolist()):
+            shard = shards[c]
             # One scalar lookup, measured and taken back off the shard's
             # statistics.
             before = shard.total_probes, shard.total_lookups
-            shard.contains(key)
-            rows.append((core, shard.total_probes - before[0]))
+            shard.contains(keys[i], h)
+            probes.append(shard.total_probes - before[0])
             shard.total_probes, shard.total_lookups = before
-        core, probes = zip(*rows)
-        columns.core[ids] = core
         columns.probes[ids] = probes
-        columns.stamp[ids] = self._structure[columns.core[ids]]
+        columns.stamp[ids] = self._structure[core]
 
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or overwrite *key*."""
+    def _check_value(self, value: bytes) -> None:
         if len(value) > self.max_value_size:
             raise ValueFormatError(
                 f"value of {len(value)} bytes exceeds store limit "
                 f"{self.max_value_size}"
             )
+
+    def put(self, key: bytes, value: bytes) -> None:
+        """Insert or overwrite *key*."""
+        self._check_value(value)
         self.puts += 1
         core = self._core_of(key)
         self.core_ops[core] += 1
         if self._shards[core].put(key, value):
             self._structure[core] += 1
+
+    def put_batch(self, keys: Sequence[bytes],
+                  values: Sequence[bytes]) -> None:
+        """:meth:`put` for each ``(key, value)`` pair in order, with every
+        core and slot hash taken from two kernel calls (bulk loads)."""
+        cores, slot_hashes = _hash_columns(keys, self.num_cores)
+        shards, core_ops, structure = \
+            self._shards, self.core_ops, self._structure
+        for key, value, core, h in zip(keys, values, cores.tolist(),
+                                       slot_hashes.tolist()):
+            self._check_value(value)
+            self.puts += 1
+            core_ops[core] += 1
+            if shards[core].put(key, value, h):
+                structure[core] += 1
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; returns True if it existed."""

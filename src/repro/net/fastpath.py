@@ -277,13 +277,18 @@ class FastPathEngine:
         keyspace = self.workload.keyspace
         self._key_of_item = [keyspace.key(i)
                              for i in range(keyspace.num_keys)]
-        self._server_of_item = np.fromiter(
-            (clients[0].partitioner.server_for(k)
-             for k in self._key_of_item),
-            dtype=np.int64, count=keyspace.num_keys)
-        # Store-side (core, slot, probes) of each item, resolved lazily by
-        # the owner's KVStore.get_batch.
-        self._store_columns = ReadColumns(self._key_of_item)
+        partitioner = clients[0].partitioner
+        self._server_of_item = np.asarray(
+            partitioner.server_ids,
+            dtype=np.int64)[partitioner.partitions_of(self._key_of_item)]
+        # Store-side (core, slot hash, probes) of each item; the probes
+        # are resolved lazily by the owner's KVStore.get_batch.
+        num_cores = {srv.store.num_cores for srv in self._servers.values()}
+        if len(num_cores) != 1:
+            raise ConfigurationError(
+                "fast path needs one core count across servers")
+        self._store_columns = ReadColumns(self._key_of_item,
+                                          num_cores.pop())
 
         # Lanes.
         self._sw_arr = _Lane()

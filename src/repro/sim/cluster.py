@@ -24,7 +24,7 @@ from repro.core.controller import CacheController
 from repro.core.switch import NetCacheSwitch, PlainSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
-from repro.kvstore.server import StorageServer
+from repro.kvstore.server import StorageServer, load_stores
 from repro.net.simulator import Simulator
 from repro.net.topology import make_rack_plan
 from repro.reliability.retry import RetryPolicy
@@ -164,11 +164,9 @@ class Cluster:
 
     def load_workload_data(self, workload: Workload) -> None:
         """Preload every item into its owning server's store."""
-        spec = workload.spec
-        for item in range(spec.num_keys):
-            key = workload.keyspace.key(item)
-            server = self.servers[self.partitioner.server_for(key)]
-            server.store.put(key, workload.value_for(key))
+        load_stores(self.servers, self.partitioner,
+                    workload.keyspace.keys(range(workload.spec.num_keys)),
+                    workload.value_for)
 
     def warm_cache(self, workload: Workload,
                    items: Optional[int] = None) -> int:

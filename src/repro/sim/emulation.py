@@ -31,7 +31,7 @@ from repro.core.controller import CacheController
 from repro.core.switch import NetCacheSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
-from repro.kvstore.server import StorageServer
+from repro.kvstore.server import StorageServer, load_stores
 from repro.net.simulator import Simulator
 from repro.net.topology import make_rack_plan
 from repro.sim.ratesim import CacheContentsMask, RateSimConfig, simulate
@@ -163,11 +163,9 @@ class DynamicsEmulator:
         self._mask = CacheContentsMask(self.switch, self.workload.keyspace)
 
     def _load_stores(self) -> None:
-        keyspace = self.workload.keyspace
-        for item in range(self.config.num_keys):
-            key = keyspace.key(item)
-            self.servers[self.partitioner.server_for(key)].store.put(
-                key, self.workload.value_for(key))
+        load_stores(self.servers, self.partitioner,
+                    self.workload.keyspace.keys(range(self.config.num_keys)),
+                    self.workload.value_for)
 
     # -- pieces of one step ------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.core.controller import CacheController
 from repro.core.switch import NetCacheSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
-from repro.kvstore.server import StorageServer
+from repro.kvstore.server import StorageServer, load_stores
 from repro.net.simulator import Simulator
 from repro.net.topology import LeafSpinePlan, make_leaf_spine_plan
 
@@ -142,10 +142,9 @@ class Fabric:
     # -- setup helpers ----------------------------------------------------------
 
     def load_workload_data(self, workload: Workload) -> None:
-        for item in range(workload.spec.num_keys):
-            key = workload.keyspace.key(item)
-            self.servers[self.partitioner.server_for(key)].store.put(
-                key, workload.value_for(key))
+        load_stores(self.servers, self.partitioner,
+                    workload.keyspace.keys(range(workload.spec.num_keys)),
+                    workload.value_for)
 
     def warm_caches(self, workload: Workload) -> None:
         """Spine takes the globally hottest items; each leaf takes the

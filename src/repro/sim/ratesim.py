@@ -36,16 +36,12 @@ def partition_vector(num_keys: int, num_servers: int,
                      seed: int = 0x5EED) -> np.ndarray:
     """item id -> partition index, using the real hash partitioner.
 
-    Cached because hashing 10^5 keys in pure Python is the expensive part of
-    a sweep that calls the rate simulator dozens of times.  For large key
-    spaces prefer :func:`fast_partition_vector`.
+    Cached because a sweep calls the rate simulator dozens of times on the
+    same key space.  For large key spaces prefer
+    :func:`fast_partition_vector`.
     """
-    keyspace = KeySpace(num_keys)
     partitioner = HashPartitioner(list(range(num_servers)), seed=seed)
-    return np.fromiter(
-        (partitioner.partition_of(keyspace.key(i)) for i in range(num_keys)),
-        dtype=np.int64, count=num_keys,
-    )
+    return partitioner.partitions_of(KeySpace(num_keys).keys(range(num_keys)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -82,12 +78,8 @@ def partition_vector_for_servers(num_keys: int, server_ids: tuple,
     (unlike :func:`fast_partition_vector`, which is only statistically
     equivalent).
     """
-    keyspace = KeySpace(num_keys)
     partitioner = HashPartitioner(list(server_ids), seed=seed)
-    return np.fromiter(
-        (partitioner.partition_of(keyspace.key(i)) for i in range(num_keys)),
-        dtype=np.int64, count=num_keys,
-    )
+    return partitioner.partitions_of(KeySpace(num_keys).keys(range(num_keys)))
 
 
 class CacheContentsMask:

@@ -78,6 +78,22 @@ class BloomFilter:
             self.inserted += 1
         return present
 
+    def add_at_batch(self, positions: np.ndarray) -> np.ndarray:
+        """:meth:`add_at` for each row of an ``(n, num_hashes)`` position
+        matrix, in order; returns the ``n`` "already present" verdicts.
+
+        Bits are only ever set between resets, so a row whose bits are all
+        set when the batch starts is present whatever precedes it, and
+        :meth:`add_at` would leave the filter as it is: one vectorised
+        read settles those rows, and the sequential test-and-set runs
+        over the rest.
+        """
+        present = (self._stamps[np.arange(self.num_hashes), positions]
+                   == self._epoch).all(axis=1)
+        for j in np.flatnonzero(~present).tolist():
+            present[j] = self.add_at(positions[j].tolist())
+        return present
+
     def contains(self, key: bytes) -> bool:
         """Membership test without inserting."""
         return self.contains_at(self._positions(key))

@@ -1,63 +1,65 @@
 """Key-digest interning: compute every per-key derived index once.
 
-Each packet that reaches the query-statistics engine used to pay ~8
-independent :func:`~repro.sketch.hashing.hash_bytes` passes — one per
-Count-Min row, one per Bloom array, one for the hash-mode sampler — even
-though all of them are pure functions of the raw key bytes.  The Tofino
-computes these in parallel hash units at line rate; in Python they dominate
-the wall-clock cost of a run.
+Each packet that reaches the query-statistics engine needs ~8 independent
+hashes of its key — one per Count-Min row, one per Bloom array, a
+fingerprint, one for the hash-mode sampler — all of them pure functions of
+the raw key bytes.  The Tofino computes these in parallel hash units at
+line rate; in Python they dominate the wall-clock cost of a run.
 
-:class:`DigestTable` memoizes a :class:`KeyDigest` per key in a bounded
-FIFO table keyed by the raw key bytes, so the steady-state cost of the
-data-plane hot path drops to one dict probe.  The digests hold exactly the
+:class:`DigestTable` keeps them as numpy columns: a dict maps a key to a
+row, and row *r* of ``cm``, ``bloom`` and ``fingerprint`` holds exactly the
 values the scalar code would compute — same hash family, same seeds, same
 modular reduction — so cached and uncached lookups are bit-for-bit
-interchangeable (property-tested in ``tests/test_prop_digest.py``).
+interchangeable (property-tested in ``tests/test_prop_digest.py``).  The
+table is bounded; rows are recycled as a FIFO ring.  The batch path
+(:meth:`DigestTable.get_batch`) fills every missed row of a batch with one
+:func:`~repro.sketch.hashing.hash_bytes_batch` call; the scalar path
+(:meth:`DigestTable.get`, :meth:`DigestTable.compute`) hashes key by key
+with :func:`~repro.sketch.hashing.hash_bytes` and is the executable spec.
 
 The sampler hash is the one epoch-dependent derived value: hash mode seeds
-the key hash with ``seed ^ (epoch * 0x9E37)`` so decisions decorrelate
-across statistics intervals.  The digest caches it per epoch and recomputes
-lazily when the epoch moves, which keeps a statistics ``reset()`` O(1) with
-respect to the digest table as well.
+the key hash with ``seed ^ (epoch * SAMPLER_EPOCH_GAMMA)`` so decisions
+decorrelate across statistics intervals.  Its column carries the epoch it
+was computed at and is refreshed lazily when the epoch moves, which keeps a
+statistics ``reset()`` O(1) with respect to the digest table as well.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.sketch.hashing import HashFamily, hash_bytes
+from repro.sketch.hashing import HashFamily, hash_bytes, hash_bytes_batch
+from repro.sketch.sampler import SAMPLER_EPOCH_GAMMA
 
-#: epoch-mixing constant of the hash-mode sampler (see PacketSampler).
-SAMPLER_EPOCH_GAMMA = 0x9E37
-
-#: default bound on interned keys; at ~200 bytes per digest this caps the
-#: table around a dozen MB while comfortably covering the hot head plus the
-#: recently-seen tail of a Zipf stream.
+#: default bound on interned keys; at 80 bytes of columns per row this is
+#: 5 MB, comfortably covering the hot head plus the recently-seen tail of
+#: a Zipf stream.
 DEFAULT_CAPACITY = 64 * 1024
 
 
 class KeyDigest:
-    """All derived indexes of one key, computed once.
+    """All derived indexes of one key, as the scalar path hands them out.
 
     ``cm_indexes`` are the Count-Min slot indexes (one per row),
     ``bloom_bits`` the Bloom filter bit positions (one per array), and
     ``fingerprint`` the short collision-check fingerprint of hashed-key
-    mode.  ``sampler_hash`` is valid only while ``sampler_epoch`` matches
-    the sampler's current epoch.
+    mode.  ``row`` is the table row the key held when the digest was
+    read (-1 for a digest that was only computed).
     """
 
-    __slots__ = ("key", "cm_indexes", "bloom_bits", "fingerprint",
-                 "sampler_epoch", "sampler_hash")
+    __slots__ = ("key", "cm_indexes", "bloom_bits", "fingerprint", "row")
 
     def __init__(self, key: bytes, cm_indexes: Tuple[int, ...],
-                 bloom_bits: Tuple[int, ...], fingerprint: int):
+                 bloom_bits: Tuple[int, ...], fingerprint: int,
+                 row: int = -1):
         self.key = key
         self.cm_indexes = cm_indexes
         self.bloom_bits = bloom_bits
         self.fingerprint = fingerprint
-        self.sampler_epoch = -1
-        self.sampler_hash = 0
+        self.row = row
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeyDigest({self.key!r}, cm={self.cm_indexes}, "
@@ -65,12 +67,17 @@ class KeyDigest:
 
 
 class DigestTable:
-    """Bounded FIFO memo table of :class:`KeyDigest` entries.
+    """Bounded FIFO memo table of key digests, held as columns.
 
-    Eviction is FIFO over insertion order (Python dicts preserve it), which
-    keeps replays deterministic: the same key stream always produces the
-    same hit/miss/eviction sequence.  Correctness never depends on the
-    cache — an evicted key is simply recomputed to the identical digest.
+    Rows ``0 .. capacity-1`` are a ring: a new key takes the row after the
+    previous new key's, evicting the key that held it, so eviction is FIFO
+    over insertion order and replays are deterministic — the same key
+    stream always produces the same hit/miss/eviction sequence.
+    Correctness never depends on the cache: an evicted key is simply
+    recomputed to the identical digest.
+
+    Row ids are only good until the next :meth:`get` or :meth:`get_batch`:
+    read the columns first.
     """
 
     def __init__(self,
@@ -91,14 +98,34 @@ class DigestTable:
         self._sampler_seed = sampler_seed
         self._fp_shift = 64 - fingerprint_bits
         self._fp_seed = fingerprint_seed
+        #: one kernel call hashes a key under all of these.
+        self._seeds = np.array(
+            self._cm_seeds + self._bloom_seeds + (fingerprint_seed,),
+            dtype=np.uint64)
         self.capacity = capacity
-        self._table: Dict[bytes, KeyDigest] = {}
+        self._row_of: Dict[bytes, int] = {}
+        #: key held by each row that has been used so far.
+        self._key_of: List[bytes] = []
+        #: ring position: the row the next new key takes.
+        self._next = 0
+        # Uninitialised on purpose (zeroing would commit 5 MB per table
+        # up front): a row is written when a key takes it, before
+        # anything reads it.
+        self.cm = np.empty((capacity, len(self._cm_seeds)), dtype=np.int64)
+        self.bloom = np.empty((capacity, len(self._bloom_seeds)),
+                              dtype=np.int64)
+        self.fingerprint = np.empty(capacity, dtype=np.uint64)
+        self._sampler_hash = np.empty(capacity, dtype=np.uint64)
+        #: epoch ``_sampler_hash`` was computed at; -1 = not yet.
+        self._sampler_epoch = np.empty(capacity, dtype=np.int64)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._row_of)
+
+    # -- scalar path (executable spec) -------------------------------------------
 
     def compute(self, key: bytes) -> KeyDigest:
         """Build a digest without touching the memo table (reference path)."""
@@ -111,40 +138,131 @@ class DigestTable:
 
     def get(self, key: bytes) -> KeyDigest:
         """Memoized digest of *key* (computes and interns on miss)."""
-        d = self._table.get(key)
-        if d is not None:
+        row = self._row_of.get(key)
+        if row is not None:
             self.hits += 1
-            return d
+            return KeyDigest(key, tuple(self.cm[row].tolist()),
+                             tuple(self.bloom[row].tolist()),
+                             int(self.fingerprint[row]), row)
         self.misses += 1
-        d = self.compute(key)
-        table = self._table
-        if len(table) >= self.capacity:
-            # FIFO: drop the oldest interned key.
-            del table[next(iter(table))]
-            self.evictions += 1
-        table[key] = d
-        return d
-
-    def get_batch(self, keys: Sequence[bytes]) -> List[KeyDigest]:
-        """Digests for a key batch, preserving order (and FIFO eviction)."""
-        get = self.get
-        return [get(k) for k in keys]
+        digest = self.compute(key)
+        row = digest.row = self._admit(key)
+        self.cm[row] = digest.cm_indexes
+        self.bloom[row] = digest.bloom_bits
+        self.fingerprint[row] = digest.fingerprint
+        self._sampler_epoch[row] = -1
+        return digest
 
     def sampler_hash(self, digest: KeyDigest, epoch: int) -> int:
-        """Epoch-dependent sampler hash, memoized on the digest."""
-        if digest.sampler_epoch != epoch:
-            digest.sampler_hash = hash_bytes(
-                digest.key, self._sampler_seed ^ (epoch * SAMPLER_EPOCH_GAMMA))
-            digest.sampler_epoch = epoch
-        return digest.sampler_hash
+        """Epoch-dependent sampler hash of a digest from :meth:`get`,
+        memoized in its row for as long as the key holds it."""
+        row = digest.row
+        held = row >= 0 and self._key_of[row] == digest.key
+        if held and self._sampler_epoch[row] == epoch:
+            return int(self._sampler_hash[row])
+        h = hash_bytes(digest.key, self._epoch_seed(epoch))
+        if held:
+            self._sampler_hash[row] = h
+            self._sampler_epoch[row] = epoch
+        return h
 
-    def invalidate(self) -> None:
-        """Drop every interned digest (hash configuration changed)."""
-        self._table.clear()
+    def _epoch_seed(self, epoch: int) -> int:
+        return self._sampler_seed ^ (epoch * SAMPLER_EPOCH_GAMMA)
+
+    def _admit(self, key: bytes) -> int:
+        """Give *key* the next ring row, evicting the key that holds it."""
+        row = self._next
+        self._next = row + 1 if row + 1 < self.capacity else 0
+        key_of = self._key_of
+        if row == len(key_of):
+            key_of.append(key)
+        else:
+            del self._row_of[key_of[row]]
+            self.evictions += 1
+            key_of[row] = key
+        self._row_of[key] = row
+        return row
+
+    # -- batch path -----------------------------------------------------------------
+
+    def get_batch(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Row of every key of a batch, in order; equivalent to
+        :meth:`get` per key (same hits, misses, evictions, FIFO order)
+        with all missed rows hashed in one kernel call.
+
+        A position whose ring row is taken by a later miss of the same
+        batch — a hit on a key that is then evicted, or more misses than
+        the table has rows — is given a scratch row past ``capacity``
+        instead, so every returned row holds its own key's digest.
+        """
+        probe = self._row_of.get
+        admit = self._admit
+        first = self._next
+        rows = []
+        miss_pos = []
+        for key in keys:
+            row = probe(key)
+            if row is None:
+                miss_pos.append(len(rows))
+                row = admit(key)
+            rows.append(row)
+        rows = np.array(rows, dtype=np.intp)
+        self.hits += len(rows) - len(miss_pos)
+        if not miss_pos:
+            return rows
+        self.misses += len(miss_pos)
+        fill = miss_pos = np.array(miss_pos, dtype=np.intp)
+        # This batch's miss j took ring row first + j, so a position has
+        # lost its row if the last miss to take that row comes after it.
+        capacity = self.capacity
+        offset = (rows - first) % capacity
+        taken = np.flatnonzero(offset < len(miss_pos))
+        last = offset[taken]
+        last += (len(miss_pos) - 1 - last) // capacity * capacity
+        lost = taken[miss_pos[last] > taken]
+        if len(lost):
+            rows[lost] = self._scratch_rows(len(lost))
+            # A row is only lost once the ring has wrapped, so every ring
+            # row has a key and the scratch keys go right after them.
+            self._key_of[capacity:] = [keys[p] for p in lost.tolist()]
+            fill = np.union1d(miss_pos, lost)
+        fill_rows = rows[fill]
+        h = hash_bytes_batch([keys[p] for p in fill.tolist()], self._seeds)
+        depth = len(self._cm_seeds)
+        self.cm[fill_rows] = (h[:depth] % self._cm_width).T
+        self.bloom[fill_rows] = (h[depth:-1] % self._bloom_bits).T
+        self.fingerprint[fill_rows] = h[-1] >> self._fp_shift
+        self._sampler_epoch[fill_rows] = -1
+        return rows
+
+    def _scratch_rows(self, count: int) -> np.ndarray:
+        """Row ids of *count* scratch rows, growing the columns to hold
+        them; their contents last until the next batch."""
+        short = self.capacity + count - len(self.cm)
+        if short > 0:
+            for name in ("cm", "bloom", "fingerprint", "_sampler_hash",
+                         "_sampler_epoch"):
+                column = getattr(self, name)
+                pad = np.empty((short,) + column.shape[1:], column.dtype)
+                setattr(self, name, np.concatenate([column, pad]))
+        return np.arange(self.capacity, self.capacity + count)
+
+    def sampler_hashes(self, rows: np.ndarray, epoch: int) -> np.ndarray:
+        """Epoch-dependent sampler hash of each of *rows* (from
+        :meth:`get_batch`); rows last hashed at another epoch are
+        refreshed with one kernel call."""
+        stale = rows[self._sampler_epoch[rows] != epoch]
+        if len(stale):
+            key_of = self._key_of
+            self._sampler_hash[stale] = hash_bytes_batch(
+                [key_of[r] for r in stale.tolist()],
+                (self._epoch_seed(epoch),))[0]
+            self._sampler_epoch[stale] = epoch
+        return self._sampler_hash[rows]
 
     def stats(self) -> Dict[str, int]:
         """Telemetry snapshot (perf scenarios embed this)."""
-        return {"size": len(self._table), "capacity": self.capacity,
+        return {"size": len(self._row_of), "capacity": self.capacity,
                 "hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions}
 

@@ -25,10 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sketch.hashing import hash_bytes
+from repro.sketch.hashing import hash_bytes, hash_bytes_batch
 
-#: epoch-mixing constant (shared with repro.sketch.digest).
-_EPOCH_GAMMA = 0x9E37
+#: epoch-mixing constant of hash mode: the key hash at epoch ``e`` is
+#: seeded with ``seed ^ (e * SAMPLER_EPOCH_GAMMA)``.
+SAMPLER_EPOCH_GAMMA = 0x9E37
 
 
 class PacketSampler:
@@ -76,9 +77,12 @@ class PacketSampler:
         """Advance the hash-mode epoch (called on statistics reset)."""
         self._epoch += 1
 
+    def _epoch_seed(self) -> int:
+        return self._seed ^ (self._epoch * SAMPLER_EPOCH_GAMMA)
+
     def key_hash(self, key: bytes) -> int:
         """The hash-mode decision hash of *key* at the current epoch."""
-        return hash_bytes(key, self._seed ^ (self._epoch * _EPOCH_GAMMA))
+        return hash_bytes(key, self._epoch_seed())
 
     def sample(self, key: bytes, h: Optional[int] = None) -> bool:
         """Return True if this query should be counted by the statistics.
@@ -124,9 +128,7 @@ class PacketSampler:
                                dtype=bool, count=n)
         else:
             if hashes is None:
-                key_hash = self.key_hash
-                hashes = np.fromiter((key_hash(k) for k in keys),
-                                     dtype=np.uint64, count=n)
+                hashes = hash_bytes_batch(keys, (self._epoch_seed(),))[0]
             hits = hashes < np.uint64(self._threshold)
         self.sampled += int(np.count_nonzero(hits))
         return hits

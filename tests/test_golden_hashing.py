@@ -13,7 +13,12 @@ deliberately, not silently.
 import pytest
 
 from repro.sketch.digest import SAMPLER_EPOCH_GAMMA
-from repro.sketch.hashing import HashFamily, fingerprint, hash_bytes
+from repro.sketch.hashing import (
+    HashFamily,
+    fingerprint,
+    hash_bytes,
+    hash_bytes_batch,
+)
 from repro.sketch.sampler import PacketSampler
 
 #: key -> (hash_bytes seed 0, seed 1, seed 0xDEADBEEF)
@@ -82,6 +87,23 @@ def test_hash_bytes_is_pinned(key):
     assert hash_bytes(key, 0) == GOLDEN_HASHES[key][0]
     assert hash_bytes(key, 1) == GOLDEN_HASHES[key][1]
     assert hash_bytes(key, 0xDEADBEEF) == GOLDEN_HASHES[key][2]
+
+
+def test_hash_bytes_batch_is_pinned():
+    # The batched kernel on the whole corpus at once — lengths 0 to 16
+    # mixed in one call — against the same literals.
+    out = hash_bytes_batch(CORPUS, (0, 1, 0xDEADBEEF))
+    assert out.T.tolist() == [list(GOLDEN_HASHES[key]) for key in CORPUS]
+    cm = hash_bytes_batch(CORPUS, HashFamily(4, seed=0).seeds) % (64 * 1024)
+    assert cm.T.tolist() == [GOLDEN_CM_INDEXES[key] for key in CORPUS]
+    bloom = hash_bytes_batch(CORPUS,
+                             HashFamily(3, seed=1).seeds) % (256 * 1024)
+    assert bloom.T.tolist() == [GOLDEN_BLOOM_INDEXES[key] for key in CORPUS]
+    fp = hash_bytes_batch(CORPUS, (0xF1F1, 7))
+    assert (fp[0] >> 32).tolist() == \
+        [GOLDEN_FINGERPRINTS[key][0] for key in CORPUS]
+    assert (fp[1] >> 48).tolist() == \
+        [GOLDEN_FINGERPRINTS[key][1] for key in CORPUS]
 
 
 @pytest.mark.parametrize("key", CORPUS)

@@ -1,12 +1,16 @@
 """Tests for repro.sketch.hashing."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sketch.digest import SAMPLER_EPOCH_GAMMA
 from repro.sketch.hashing import (
     HashFamily,
     combined_hash,
     fingerprint,
     hash_bytes,
+    hash_bytes_batch,
     hash_key,
 )
 
@@ -108,3 +112,53 @@ class TestCombinedHash:
     def test_concatenation_differs(self):
         # ["ab"] and ["a", "b"] must not collide by construction.
         assert combined_hash([b"ab"]) != combined_hash([b"a", b"b"])
+
+
+# -- the batched kernel is hash_bytes, bit for bit --------------------------------
+
+#: lengths 0-40 cover the empty key, short tails, exact word multiples and
+#: five-word keys, mixed in one batch.
+BATCH_KEYS = st.lists(st.binary(min_size=0, max_size=40), max_size=40)
+SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.sampled_from([0, 1, 2 ** 63, 2 ** 64 - 1]))
+
+
+class TestHashBytesBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(keys=BATCH_KEYS, seeds=st.lists(SEEDS, min_size=1, max_size=9))
+    def test_shared_seeds_equal_scalar(self, keys, seeds):
+        out = hash_bytes_batch(keys, seeds)
+        assert out.dtype == np.uint64
+        assert out.shape == (len(seeds), len(keys))
+        assert out.tolist() == [[hash_bytes(k, s) for k in keys]
+                                for s in seeds]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.binary(min_size=0, max_size=40),
+                                    SEEDS, SEEDS), max_size=40))
+    def test_per_key_seeds_equal_scalar(self, pairs):
+        keys = [k for k, _, _ in pairs]
+        seeds = np.array([[a for _, a, _ in pairs],
+                          [b for _, _, b in pairs]],
+                         dtype=np.uint64).reshape(2, len(pairs))
+        assert hash_bytes_batch(keys, seeds).tolist() == [
+            [hash_bytes(k, a) for k, a, _ in pairs],
+            [hash_bytes(k, b) for k, _, b in pairs]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=BATCH_KEYS, seed=st.integers(0, 2 ** 32),
+           epochs=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4))
+    def test_epoch_mixed_sampler_seeds_equal_scalar(self, keys, seed,
+                                                    epochs):
+        seeds = [seed ^ (e * SAMPLER_EPOCH_GAMMA) for e in epochs]
+        assert hash_bytes_batch(keys, seeds).tolist() == [
+            [hash_bytes(k, s) for k in keys] for s in seeds]
+
+    def test_seeds_are_taken_modulo_2_64_like_the_scalar(self):
+        keys = [b"", b"abc", b"0123456789abcdef"]
+        for seed in (-1, 2 ** 64 + 5):
+            assert hash_bytes_batch(keys, [seed])[0].tolist() == \
+                [hash_bytes(k, seed) for k in keys]
+
+    def test_no_keys(self):
+        assert hash_bytes_batch([], [1, 2, 3]).shape == (3, 0)

@@ -3,7 +3,9 @@
 The digest cache is an optimization that must be invisible: a digest served
 from the table, a digest recomputed after FIFO eviction, and a digest built
 by the uncached reference path must be field-for-field identical, for any
-key stream and any capacity.  The second half checks the reset contract —
+key stream and any capacity.  The batch path is held to the scalar one as
+its twin: same rows' contents, same counters, same FIFO order, with
+capacities smaller than a batch.  The last part checks the reset contract —
 ``QueryStatistics.reset()`` clears counters/sketch/Bloom but must not
 invalidate a single interned digest.
 """
@@ -68,7 +70,7 @@ def test_eviction_is_fifo_and_recomputation_identical(stream, capacity):
         if len(fifo) >= capacity:
             fifo.pop(0)
         fifo.append(key)
-        assert list(table._table) == fifo
+        assert list(table._row_of) == fifo
         # Whatever later eviction does to this entry, recomputation (the
         # post-eviction path) yields the identical digest.
         snapshot = (first.cm_indexes, first.bloom_bits, first.fingerprint)
@@ -77,13 +79,52 @@ def test_eviction_is_fifo_and_recomputation_identical(stream, capacity):
                 again.fingerprint) == snapshot
 
 
+@settings(max_examples=150, deadline=None)
+@given(batches=st.lists(st.lists(st.binary(min_size=0, max_size=2),
+                                 max_size=24), min_size=1, max_size=5),
+       capacity=st.integers(1, 8), epochs=st.lists(st.integers(0, 3),
+                                                   min_size=5, max_size=5))
+def test_get_batch_is_sequential_get(batches, capacity, epochs):
+    """``get_batch`` against looping ``get`` on a twin table: every
+    returned row holds its own key's digest and sampler hash (also where a
+    later miss of the same batch recycled the row), and the counters and
+    the FIFO order agree after every batch — with fewer rows than keys in
+    a batch, and keys evicted and asked for again inside one batch."""
+    batch, scalar = make_table(capacity), make_table(capacity)
+    for keys, epoch in zip(batches, epochs):
+        rows = batch.get_batch(keys)
+        hashes = batch.sampler_hashes(rows, epoch)
+        served = [scalar.get(k) for k in keys]
+        assert rows.shape == (len(keys),)
+        assert batch.cm[rows].tolist() == \
+            [list(d.cm_indexes) for d in served]
+        assert batch.bloom[rows].tolist() == \
+            [list(d.bloom_bits) for d in served]
+        assert batch.fingerprint[rows].tolist() == \
+            [d.fingerprint for d in served]
+        assert hashes.tolist() == \
+            [hash_bytes(k, 7 ^ (epoch * 0x9E37)) for k in keys]
+        assert batch.stats() == scalar.stats()
+        assert list(batch._row_of.items()) == list(scalar._row_of.items())
+        # Scalar reads of the batch-filled table see the same digests.
+        for key in dict.fromkeys(keys):
+            if key in batch._row_of:
+                d = batch.get(key)
+                batch.hits -= 1
+                ref = batch.compute(key)
+                assert (d.cm_indexes, d.bloom_bits, d.fingerprint) == \
+                    (ref.cm_indexes, ref.bloom_bits, ref.fingerprint)
+                assert batch.sampler_hash(d, epoch) == \
+                    hash_bytes(key, 7 ^ (epoch * 0x9E37))
+
+
 @settings(max_examples=40, deadline=None)
 @given(keys=st.lists(KEYS, min_size=1, max_size=30, unique=True),
        resets=st.integers(1, 4))
 def test_stats_reset_invalidates_nothing_it_should_not(keys, resets):
-    """reset() clears the counting state and nothing else: interned digest
-    objects survive by identity, their epoch-independent fields are
-    untouched, and only the sampler hash re-derives at the new epoch."""
+    """reset() clears the counting state and nothing else: interned keys
+    keep their rows, their epoch-independent fields are untouched, and
+    only the sampler hash re-derives at the new epoch."""
     stats = QueryStatistics(entries=64, hot_threshold=2, sample_rate=0.5,
                             seed=3, sampler_mode="hash")
     for key in keys:
@@ -99,11 +140,11 @@ def test_stats_reset_invalidates_nothing_it_should_not(keys, resets):
             k: table.sampler_hash(before[k], epoch) for k in keys}
         size_before = len(table)
         stats.reset()
-        # Digest table untouched: same size, same objects, same fields.
+        # Digest table untouched: same size, same rows, same fields.
         assert len(table) == size_before
         for k in keys:
             d = table.get(k)
-            assert d is before[k]
+            assert d.row == before[k].row
             assert (d.cm_indexes, d.bloom_bits, d.fingerprint) == fields[k]
         # Counting state is gone...
         assert all(stats.read_counter(i) == 0 for i in range(64))

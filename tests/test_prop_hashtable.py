@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConfigurationError
 from repro.kvstore.chained import ChainedHashTable
 from repro.kvstore.hashtable import HashTable
 from repro.kvstore.store import BACKENDS as STORE_BACKENDS, KVStore, ReadColumns
@@ -82,13 +83,16 @@ def store_ops():
             # Runs from empty to 40 ids, with repeats.
             st.tuples(st.just("read"),
                       st.lists(key_ids, max_size=40), st.just(b"")),
+            # Bulk loads, with repeats (the later value wins).
+            st.tuples(st.just("load"),
+                      st.lists(key_ids, max_size=40), values),
         ),
         max_size=60,
     )
 
 
 def store_counters(store):
-    return (store.gets, list(store.core_ops),
+    return (store.gets, store.puts, list(store.core_ops),
             [s.total_probes for s in store._shards],
             [s.total_lookups for s in store._shards])
 
@@ -98,19 +102,25 @@ def store_counters(store):
 @given(op_list=store_ops())
 def test_store_batch_read_equals_the_scalar_get_loop(backend, op_list):
     """Twin stores take the same put/overwrite/delete stream; one reads
-    through ``get_batch``, the other through ``get`` per key.  Values and
-    all four counters must agree after every op, including across a
-    resize and a delete-then-reinsert of the same key."""
+    through ``get_batch`` and loads through ``put_batch``, the other
+    through ``get`` and ``put`` per key.  Values and all five counters
+    must agree after every op, including across a resize and a
+    delete-then-reinsert of the same key."""
     batch = KVStore(num_cores=3, backend=backend)
     scalar = KVStore(num_cores=3, backend=backend)
     for store in (batch, scalar):
         for shard in store._shards:
             shard.clear()               # down to the 8-slot minimum
-    columns = ReadColumns(UNIVERSE)
+    columns = ReadColumns(UNIVERSE, 3)
     for kind, arg, value in op_list:
         if kind == "put":
             batch.put(UNIVERSE[arg], value)
             scalar.put(UNIVERSE[arg], value)
+        elif kind == "load":
+            loaded = [value + b"%d" % j for j in range(len(arg))]
+            batch.put_batch([UNIVERSE[i] for i in arg], loaded)
+            for i, v in zip(arg, loaded):
+                scalar.put(UNIVERSE[i], v)
         elif kind == "delete":
             assert (batch.delete(UNIVERSE[arg])
                     == scalar.delete(UNIVERSE[arg]))
@@ -131,7 +141,7 @@ def test_overwrites_keep_the_read_columns(backend):
     store = KVStore(num_cores=2, backend=backend)
     for key in UNIVERSE:
         store.put(key, b"old")
-    columns = ReadColumns(UNIVERSE)
+    columns = ReadColumns(UNIVERSE, 2)
     ids = np.arange(len(UNIVERSE))
     store.get_batch(ids, columns)
     stamps = columns.stamp.copy()
@@ -142,3 +152,38 @@ def test_overwrites_keep_the_read_columns(backend):
     store.delete(UNIVERSE[0])
     store.get_batch(ids, columns)
     assert (columns.stamp != stamps).any()
+
+
+@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
+def test_hash_columns_are_the_scalar_hashes_across_a_resize(backend):
+    """``ReadColumns.core``/``slot_hash`` are what ``_core_of`` and the
+    owning shard's ``_hash`` compute key by key, and a lookup from the
+    stored hash walks the same probes as one that hashes — before and
+    after every shard has rebuilt."""
+    universe = [b"key%03d" % i for i in range(150)]
+    store = KVStore(num_cores=3, backend=backend)
+    columns = ReadColumns(universe, 3)
+    assert columns.core.tolist() == [store._core_of(k) for k in universe]
+    assert columns.slot_hash.tolist() == [
+        store._shards[store._core_of(k)]._hash(k) for k in universe]
+    for shard in store._shards:
+        shard.clear()
+    capacities = [shard.capacity for shard in store._shards]
+    for phase in range(2):
+        for key, core, h in zip(universe, columns.core.tolist(),
+                                columns.slot_hash.tolist()):
+            shard = store._shards[core]
+            before = shard.total_probes
+            found = shard.contains(key, h)
+            from_hash = shard.total_probes - before
+            assert found == shard.contains(key) == (phase == 1)
+            assert shard.total_probes - before == 2 * from_hash
+        store.put_batch(universe, [b"v"] * len(universe))
+    assert all(shard.capacity > cap
+               for shard, cap in zip(store._shards, capacities))
+
+
+def test_columns_of_another_core_count_are_refused():
+    store = KVStore(num_cores=4)
+    with pytest.raises(ConfigurationError):
+        store.get_batch(np.arange(3), ReadColumns(UNIVERSE, 3))

@@ -110,6 +110,32 @@ def test_bloom_matches_scalar_reference(ops):
             ref.reset()
 
 
+@settings(max_examples=100, deadline=None)
+@given(batches=st.lists(
+    st.one_of(st.lists(st.binary(min_size=1, max_size=1), max_size=30),
+              st.just("reset")), max_size=6))
+def test_bloom_add_at_batch_is_the_add_at_loop(batches):
+    """The vectorised pre-test plus the sequential test-and-set over the
+    rest, against ``add_at`` per row: same verdicts, same ``inserted``,
+    same bits — with the same key several times in one batch, and keys
+    that only look present because other keys of the batch set their
+    bits (32 bits for up to 256 keys)."""
+    batch = BloomFilter(bits=32, num_hashes=3, seed=11)
+    loop = BloomFilter(bits=32, num_hashes=3, seed=11)
+    for keys in batches:
+        if keys == "reset":
+            batch.reset()
+            loop.reset()
+            continue
+        positions = np.array([batch._positions(k) for k in keys],
+                             dtype=np.int64).reshape(len(keys), 3)
+        assert batch.add_at_batch(positions).tolist() == \
+            [loop.add_at(row) for row in positions.tolist()]
+        assert batch.inserted == loop.inserted
+        assert ((batch._stamps == batch._epoch)
+                == (loop._stamps == loop._epoch)).all()
+
+
 # -- the full statistics engine ----------------------------------------------------
 
 

@@ -25,9 +25,11 @@ import pytest
 from repro.core import geometry
 from repro.core.primitives import RegisterArray
 from repro.core.status import CacheStatusModule
-from repro.kvstore.store import KVStore
+from repro.kvstore.store import KVStore, ReadColumns
 from repro.net import fastpath
 from repro.net.trace import DeliveryTrace
+from repro.sketch import hashing
+from repro.sketch.digest import DigestTable, digest_table_for
 from repro.sim.simcore import (
     SimCoreConfig,
     SimCoreRunner,
@@ -311,18 +313,17 @@ class TestReadPathKernelSabotage:
                    for f in fields), diffs
 
     def test_unrefreshed_core_column_flags_core_ops(self, monkeypatch):
-        # The resolver stamps its rows but leaves the core column as it
-        # found it, so first-touch keys are all charged to core 0.
+        # The columns hash every key's slot but leave the core column as
+        # allocated, so every read is charged to core 0.
         cfg = tiny()
         scalar = run_scalar(cfg)
-        orig = KVStore._resolve
+        orig = ReadColumns.__init__
 
-        def sabotaged(self, columns, ids):
-            core = columns.core[ids].copy()
-            orig(self, columns, ids)
-            columns.core[ids] = core
+        def sabotaged(self, keys, num_cores):
+            orig(self, keys, num_cores)
+            self.core[:] = 0
 
-        monkeypatch.setattr(KVStore, "_resolve", sabotaged)
+        monkeypatch.setattr(ReadColumns, "__init__", sabotaged)
         diffs = diff_snapshots(scalar, run_batched(cfg))
         fields = {d.split(":")[0] for d in diffs}
         assert any(re.fullmatch(r"server\d+\.store\.core_ops", f)
@@ -354,3 +355,65 @@ class TestReadPathKernelSabotage:
         assert diffs, "a reused validity bit must not pass the gate"
         fields = {d.split(":")[0] for d in diffs}
         assert "client.cache_hits" in fields, diffs
+
+
+class TestHashKernelSabotage:
+    """Defects in ``hash_bytes_batch`` and in the digest columns it fills
+    must be caught and named.
+
+    The scalar reference hashes with ``hash_bytes`` and reads digests
+    through ``DigestTable.get``; it enters neither the kernel nor
+    ``get_batch``, and each sabotage is armed after the reference run.
+    """
+
+    #: fields a wrong digest or a wrong slot hash shows in.
+    FAMILY = re.compile(r"stats\.|digests\.|controller\.|"
+                        r"server\d+\.store\.probes")
+
+    def test_skipped_length_mix_flags_the_hashed_state(self, monkeypatch):
+        # The kernel forgets to mix the key length into the seed: every
+        # hash it produces is a valid-looking 64-bit value, and wrong.
+        cfg = tiny()
+        scalar = run_scalar(cfg)
+        orig = hashing._hash_same_length
+
+        def sabotaged(keys, length, seeds):
+            unmix = np.uint64(length * hashing._GAMMA & hashing._MASK64)
+            return orig(keys, length, seeds ^ unmix)
+
+        monkeypatch.setattr(hashing, "_hash_same_length", sabotaged)
+        diffs = diff_snapshots(scalar, run_batched(cfg))
+        assert diffs, "a kernel without the length mix must not pass"
+        fields = {d.split(":")[0] for d in diffs}
+        assert any(self.FAMILY.match(f) for f in fields), diffs
+
+    def test_recycled_row_served_unfilled_flags_the_reports(
+            self, monkeypatch):
+        # 48 digest rows for 500 keys, on both paths, so rows recycle all
+        # run long; the sabotaged table hands a recycled row out with the
+        # evicted key's indexes still in it.
+        cfg = tiny(warm=False, hot_threshold=3)
+
+        def small_table(cluster, client):
+            stats = cluster.switch.dataplane.stats
+            stats.digests = digest_table_for(
+                stats.sketch, stats.bloom, stats.sampler, capacity=48)
+
+        scalar = run_faulted(cfg, small_table, batched=False)
+        assert scalar["stats.reports"] > 0
+        orig = DigestTable.get_batch
+
+        def sabotaged(self, keys):
+            cm, bloom = self.cm[:48].copy(), self.bloom[:48].copy()
+            recycles = len(self) == 48
+            rows = orig(self, keys)
+            if recycles:
+                self.cm[:48], self.bloom[:48] = cm, bloom
+            return rows
+
+        monkeypatch.setattr(DigestTable, "get_batch", sabotaged)
+        bad = run_faulted(cfg, small_table, batched=True)
+        diffs = diff_snapshots(scalar, bad)
+        assert diffs, "a row served before its refill must not pass"
+        fields = {d.split(":")[0] for d in diffs}
+        assert "stats.reports" in fields, diffs
