@@ -124,7 +124,8 @@ class KVStore:
         self.gets += 1
         return self._shard(key).get(key)
 
-    def get_batch(self, ids: np.ndarray, columns: ReadColumns) -> None:
+    def get_batch(self, ids: np.ndarray, columns: ReadColumns,
+                  write_at: Sequence[int] = (), apply=None) -> None:
         """Read the keys ``columns.keys[i] for i in ids`` (with repeats)
         and discard the values.
 
@@ -133,16 +134,43 @@ class KVStore:
         ``total_lookups`` — with the hashing and probing paid once per key
         (see :class:`ReadColumns`) and the counters applied as per-core
         totals.
+
+        A slice that also writes passes *write_at* (ascending) and
+        *apply*: ``apply(j)`` performs the slice's j-th write on this
+        store, through whatever layer the caller runs writes, after the
+        first ``write_at[j]`` reads.  Every row is resolved ahead; only a
+        write that moves a structural version (a key came or went, so
+        probe lengths may have) makes the reads before it be charged as
+        resolved before it and the rest be resolved again.
         """
         if columns.num_cores != self.num_cores:
             raise ConfigurationError(
                 f"columns hashed for {columns.num_cores} cores read "
                 f"through a store of {self.num_cores}")
-        shards = self._shards
         core = columns.core[ids]
+        self._refresh(columns, ids, core)
+        done, version = 0, self._structure.sum()
+        for j, k in enumerate(write_at):
+            apply(j)
+            moved = self._structure.sum()
+            if moved != version:
+                version = moved
+                self._charge(columns, ids[done:k], core[done:k])
+                done = k
+                self._refresh(columns, ids[k:], core[k:])
+        self._charge(columns, ids[done:], core[done:])
+
+    def _refresh(self, columns: ReadColumns, ids: np.ndarray,
+                 core: np.ndarray) -> None:
+        """Resolve the rows of *ids* whose stamp is behind their core."""
         stale = columns.stamp[ids] != self._structure[core]
         if stale.any():
             self._resolve(columns, np.unique(ids[stale]))
+
+    def _charge(self, columns: ReadColumns, ids: np.ndarray,
+                core: np.ndarray) -> None:
+        """Count one read per id at the probe length its row holds."""
+        shards = self._shards
         lookups = np.bincount(core, minlength=self.num_cores)
         # float64 weights: exact below 2**53 probes per call.
         probes = np.bincount(core, weights=columns.probes[ids],

@@ -15,12 +15,13 @@ for the statistics path):
 * **Lanes.** In-flight requests are carried as numpy record chunks (time,
   item, seq, op, sent-at, client index) in per-hop FIFOs: client→switch
   arrivals, per-server arrivals, per-server completions, server→switch
-  replies, switch→client replies.  Between two event-queue boundaries the
-  engine bulk-generates every client's send times (the exact chained
-  ``now + 1/rate`` float recurrence of ``WorkloadClient._send_tick``),
-  k-way merges them into one time-ordered stream, then flushes the lanes
-  stage by stage, applying the same counter increments the scalar path
-  would, in the same stream order.
+  replies, switch→client replies, switch→controller hot-key reports.
+  Between two event-queue boundaries the engine bulk-generates every
+  client's send times (the exact chained ``now + 1/rate`` float
+  recurrence of ``WorkloadClient._send_tick``), k-way merges them into
+  one time-ordered stream, then flushes the lanes stage by stage,
+  applying the same counter increments the scalar path would, in the
+  same stream order.
 * **Write lanes.** Writes ride the same lanes as reads.  At the switch
   they take the real write pipeline (:meth:`NetCacheSwitch.
   process_write_packet` → ``_process_write``: lookup, cache-hit
@@ -31,6 +32,10 @@ for the statistics path):
   update/ack/drain loop then executes through unmodified switch and shim
   code.  Blocked writes register a real ``_outstanding`` entry and are
   answered by the eventual drain event, exactly like the scalar path.
+  A slice keeps one chunk per server and stage whatever its op mix: the
+  reads of a completion slice are charged to the store as one batch
+  around its writes (:meth:`KVStore.get_batch` stays sequential-exact
+  across a put that adds a key), and trace notes go per op class.
 * **Multiple clients.** Each client keeps its own pre-drawn query stream,
   seq counter, value counter, and analytic send clock; per-window send
   batches are merged by ``lexsort`` on (time, previous-send-time, client
@@ -40,14 +45,16 @@ for the statistics path):
   index).
 * **Retries.** A retry policy draws one RNG-backed timeout per attempt.
   The engine never pays per-send timers; instead it advances a *flag
-  horizon* in steps of the policy's minimum timeout and, at each step,
-  examines only the requests still in flight (the pipeline depth, not the
-  window).  An entry whose exact attempt-0 deadline falls inside the next
-  step is *scalarized*: its real ``_Outstanding`` (template, per-seq RNG,
-  timer at the exact scalar deadline) is registered and retransmissions
-  run as ordinary events, while the original packet keeps riding the
-  lanes and its reply is resolved per-entry.  Healthy traffic whose reply
-  beats the conservative deadline never leaves the bulk path.
+  horizon* in steps of the policy's minimum timeout and, at each step —
+  taken only once no event is left below it, so the window really is
+  flushed — examines only the requests still in flight (the pipeline
+  depth, not the window).  An entry whose exact attempt-0 deadline falls
+  inside the next step is *scalarized*: its real ``_Outstanding``
+  (template, per-seq RNG, timer at the exact scalar deadline) is
+  registered and retransmissions run as ordinary events, while the
+  original packet keeps riding the lanes and its reply is resolved
+  per-entry.  Healthy traffic whose reply beats the conservative deadline
+  never leaves the bulk path.
 * **Geometry lanes.** All three cache layouts run natively: the switch
   classification consumes each layout's vectorized batch probe
   (``CacheLayout.classify_reads`` — set-index + fingerprint kernels for
@@ -60,12 +67,18 @@ for the statistics path):
   events, events bound every flush, and the ``contents_version``-keyed
   item mask invalidates alongside them — mirroring how cache-hit writes
   are ordering barriers.
+* **Report lane.** A hot-key report only appends to controller-private
+  state (``CacheController.report_hot_key``), so it commutes with every
+  lane stage and bounds no flush: ``(arrival + report_latency, key)``
+  rides a lane of its own and is handed over strictly below the flush
+  limit — after every event at an earlier time, before every event at a
+  later one, which is all an update round can observe.
 * **Events stay authoritative.** Anything that is not lane traffic —
-  cache-update coherence, controller RPCs, retransmissions, hot-key
-  reports — runs as ordinary events.  The engine only flushes lane
-  entries strictly earlier than the next pending event, so scalar state
-  transitions (invalidations, insertions, statistics resets) interleave
-  with batched traffic exactly as they would with per-packet events.
+  cache-update coherence, controller RPCs, retransmissions — runs as
+  ordinary events.  The engine only flushes lane entries strictly
+  earlier than the next pending event, so scalar state transitions
+  (invalidations, insertions, statistics resets) interleave with batched
+  traffic exactly as they would with per-packet events.
 * **Fault windows fall back.** A window is *clean* when the rack links
   are deterministic (:meth:`Link.is_clean`), the switch and clients are
   up, and no observability session is active.  When a fault opens,
@@ -296,6 +309,8 @@ class FastPathEngine:
         self._srv_done: Dict[int, _Lane] = {s: _Lane() for s in self._servers}
         self._sw_rep: Dict[int, _Lane] = {s: _Lane() for s in self._servers}
         self._cli_rep = _Lane()
+        #: switch -> controller hot-key reports: (delivery time, key).
+        self._reports = _Lane()
 
         # Cached-set membership by item id, for the write-safe bound
         # (recomputed whenever the controller installs or evicts).
@@ -412,19 +427,20 @@ class FastPathEngine:
                     tgt, inclusive, capped = safe, False, True
             self._generate_sends(tgt, inclusive)
             self._flush_lanes(tgt, inclusive)
-            if capped:
-                # Everything below `tgt` is resolved; examine the
-                # survivors (the in-flight pipeline) and move the horizon.
-                self._advance_flag_horizon(tgt)
-                continue
-            # Flushing may have scheduled hot-key reports or retry timers
-            # inside the window — or cancelled the timer that set this
-            # boundary.  Step only events at or below the flushed
-            # boundary; anything later needs the boundary recomputed
-            # first (lanes must never lag a stepped event).
+            # Flushing may have scheduled cache updates or retry timers
+            # inside the window — and stopped at them — or cancelled the
+            # timer that set this boundary.  Step only events at or below
+            # the flushed boundary; anything later needs the boundary
+            # recomputed first (lanes must never lag a stepped event).
             nev = events.peek_time()
             if nev is not None and nev <= tgt:
                 events.step()
+                continue
+            if capped:
+                # No event is left below `tgt`, so everything below it is
+                # resolved; examine the survivors (the in-flight
+                # pipeline) and move the horizon.
+                self._advance_flag_horizon(tgt)
                 continue
             if not inclusive:
                 continue
@@ -433,8 +449,10 @@ class FastPathEngine:
             events.now = t_end
 
     def in_flight(self) -> int:
-        """Requests currently on the wire (lanes + scalar outstanding)."""
-        lanes = self._sw_arr.pending() + self._cli_rep.pending()
+        """Requests and hot-key reports currently on the wire (lanes +
+        scalar outstanding)."""
+        lanes = self._sw_arr.pending() + self._cli_rep.pending() \
+            + self._reports.pending()
         for group in (self._srv_arr, self._srv_done, self._sw_rep):
             lanes += sum(lane.pending() for lane in group.values())
         outst = sum(len(st.client._outstanding) for st in self._states)
@@ -886,6 +904,7 @@ class FastPathEngine:
             progressed |= self._flush_server_completions(eff, inc)
             progressed |= self._flush_switch_replies(eff, inc)
             progressed |= self._flush_client_replies(eff, inc)
+            progressed |= self._flush_reports(eff, inc)
             if not progressed:
                 break
 
@@ -959,58 +978,17 @@ class FastPathEngine:
             self._switch_arrival_reads(chunk, start, stop)
             return
         sim = self.sim
-        trace = self._trace
-        key_of = self._key_of_item
-        handler = self.switch.hot_key_handler
-        report_latency = self.switch.report_latency
         t_all, items_all = chunk["t"], chunk["items"]
         seqs_all, sent_all = chunk["seqs"], chunk["sent"]
         idx_all = chunk.get("idx")
         rpos = start + np.flatnonzero(~wsel)
         wpos = start + np.flatnonzero(wsel)
-        miss_pos = rpos[:0]
-        nr = len(rpos)
-        if nr:
-            t, items, seqs = t_all[rpos], items_all[rpos], seqs_all[rpos]
-            idx = idx_all[rpos] if idx_all is not None else None
-            sim.delivered += nr
-            if trace is not None:
-                if idx is None:
-                    trace.note_batch(t, self.client_id, self.tor_id,
-                                     _GET, seqs)
-                else:
-                    for ci in np.unique(idx):
-                        sel = idx == ci
-                        trace.note_batch(
-                            t[sel], self._states[int(ci)].client.node_id,
-                            self.tor_id, _GET, seqs[sel])
-            res = self.switch.process_read_batch(
-                [key_of[i] for i in items.tolist()])
-            if handler is not None:
-                for p, key in res.hot:
-                    self.events.schedule_abs(
-                        float(t[p]) + report_latency, handler, key)
-            hit = res.hit_mask
-            nh = int(hit.sum())
-            if nh:
-                clink = self._states[0].link
-                if idx is None:
-                    clink.transmitted += nh
-                else:
-                    counts = np.bincount(idx[hit],
-                                         minlength=len(self._states))
-                    for ci, k in enumerate(counts):
-                        if k:
-                            self._states[ci].link.transmitted += int(k)
-                cols = dict(seqs=seqs[hit], sent=sent_all[rpos][hit],
-                            items=items[hit], hit=True, w=False,
-                            rop=np.full(nh, _GET_REPLY, np.int16))
-                if idx is not None:
-                    cols["idx"] = idx[hit]
-                self._push_hit_replies(t[hit], res.hit_delays,
-                                       clink.latency, cols)
-            if nh < nr:
-                miss_pos = rpos[~hit]
+        miss_pos = rpos
+        if len(rpos):
+            hit = self._switch_read_batch(
+                t_all[rpos], items_all[rpos], seqs_all[rpos], sent_all[rpos],
+                idx_all[rpos] if idx_all is not None else None)
+            miss_pos = rpos[~hit]
         live_pos: List[int] = []
         live_op: List[int] = []
         for p in wpos:
@@ -1056,6 +1034,24 @@ class FastPathEngine:
                 cols["idx"] = idx_all[ppos]
             self._srv_arr[sid].push(t_all[ppos] + link.latency, **cols)
 
+    def _push_reports(self, t: np.ndarray, hot: List) -> None:
+        """Hot-key reports of a read batch arriving at *t*, onto their
+        lane: ``report_hot_key`` only appends to controller-private state,
+        so a report commutes with every lane stage and needs no event —
+        only its place among the events, which the flush limit keeps."""
+        handler = self.switch.hot_key_handler
+        if hot and handler is not None:
+            pos, keys = zip(*hot)
+            self._reports.push(t[list(pos)] + self.switch.report_latency,
+                               keys=keys, handler=handler)
+
+    def _flush_reports(self, limit: float, inclusive: bool) -> bool:
+        slices = self._reports.take(limit, inclusive)
+        for chunk, start, stop in slices:
+            for key in chunk["keys"][start:stop]:
+                chunk["handler"](key)
+        return bool(slices)
+
     def _push_hit_replies(self, t_hit: np.ndarray,
                           delays: Optional[np.ndarray],
                           latency: float, cols: dict) -> None:
@@ -1082,20 +1078,14 @@ class FastPathEngine:
             **{k: (v[order] if isinstance(v, np.ndarray) else v)
                for k, v in cols.items()})
 
-    def _switch_arrival_reads(self, chunk, start: int, stop: int) -> None:
-        sim = self.sim
+    def _switch_read_batch(self, t, items, seqs, sent, idx) -> np.ndarray:
+        """Reads arriving at the switch, in stream order: delivery
+        accounting, the read pipeline as one batch, hot-key reports and
+        cache-hit replies.  Returns the hit mask; forwarding the misses
+        stays with the caller."""
         trace = self._trace
         key_of = self._key_of_item
-        handler = self.switch.hot_key_handler
-        report_latency = self.switch.report_latency
-        t = chunk["t"][start:stop]
-        items = chunk["items"][start:stop]
-        seqs = chunk["seqs"][start:stop]
-        sent = chunk["sent"][start:stop]
-        idx = chunk.get("idx")
-        idx = idx[start:stop] if idx is not None else None
-        n = stop - start
-        sim.delivered += n
+        self.sim.delivered += len(t)
         if trace is not None:
             if idx is None:
                 trace.note_batch(t, self.client_id, self.tor_id, _GET, seqs)
@@ -1107,10 +1097,7 @@ class FastPathEngine:
                                      self.tor_id, _GET, seqs[sel])
         res = self.switch.process_read_batch(
             [key_of[i] for i in items.tolist()])
-        if handler is not None:
-            for pos, key in res.hot:
-                self.events.schedule_abs(
-                    float(t[pos]) + report_latency, handler, key)
+        self._push_reports(t, res.hot)
         hit = res.hit_mask
         nh = int(hit.sum())
         if nh:
@@ -1129,7 +1116,18 @@ class FastPathEngine:
                 cols["idx"] = idx[hit]
             self._push_hit_replies(t[hit], res.hit_delays,
                                    clink.latency, cols)
-        if nh < n:
+        return hit
+
+    def _switch_arrival_reads(self, chunk, start: int, stop: int) -> None:
+        sim = self.sim
+        t = chunk["t"][start:stop]
+        items = chunk["items"][start:stop]
+        seqs = chunk["seqs"][start:stop]
+        sent = chunk["sent"][start:stop]
+        idx = chunk.get("idx")
+        idx = idx[start:stop] if idx is not None else None
+        hit = self._switch_read_batch(t, items, seqs, sent, idx)
+        if not hit.all():
             miss = ~hit
             mt, mi = t[miss], items[miss]
             ms, msent = seqs[miss], sent[miss]
@@ -1255,18 +1253,12 @@ class FastPathEngine:
         server._busy_until = busy
         return comp
 
-    def _note_op_runs(self, t, seqs, ops, src: int, dst: int) -> None:
-        """Trace notes for a slice with a mixed op column, run by run."""
-        trace = self._trace
-        n = len(t)
-        i = 0
-        while i < n:
-            op = ops[i]
-            j = i + 1
-            while j < n and ops[j] == op:
-                j += 1
-            trace.note_batch(t[i:j], src, dst, int(op), seqs[i:j])
-            i = j
+    def _note_ops(self, t, src: int, dst: int, ops, seqs) -> None:
+        """Trace notes for a slice with a mixed op column, one per op
+        class (the digest is a multiset, so stream order is not noted)."""
+        for op in set(ops.tolist()):
+            sel = ops == op
+            self._trace.note_batch(t[sel], src, dst, op, seqs[sel])
 
     def _flush_server_arrivals(self, limit: float, inclusive: bool) -> bool:
         progressed = False
@@ -1304,8 +1296,8 @@ class FastPathEngine:
                     if not chunk["w"]:
                         trace.note_batch(t, self.tor_id, sid, _GET, seqs)
                     else:
-                        self._note_op_runs(t, seqs, chunk["op"][start:stop],
-                                           self.tor_id, sid)
+                        self._note_ops(t, self.tor_id, sid,
+                                       chunk["op"][start:stop], seqs)
                 server.received += n
                 comp = self._server_completions(server, t)
                 server._queued += n
@@ -1350,55 +1342,70 @@ class FastPathEngine:
                 # _complete() bookkeeping, order-independent per slice.
                 server._queued -= n
                 server.processed += n
-                if not chunk["w"]:
-                    self._complete_reads(server, sid, chunk, start, stop)
-                    continue
-                op = chunk["op"]
-                i = start
-                while i < stop:
-                    if op[i] == _GET:
-                        j = i
-                        while j < stop and op[j] == _GET:
-                            j += 1
-                        self._complete_reads(server, sid, chunk, i, j)
-                        i = j
-                    else:
-                        self._complete_write(server, sid, chunk, i)
-                        i += 1
+                if chunk["w"] and sid in self.sim._down_nodes:
+                    # Dropped replies scalarize their retry state in
+                    # strict stream order (equal-deadline timers
+                    # tie-break by heap insertion): entry by entry.
+                    for i in range(start, stop):
+                        self._complete_slice(server, sid, chunk, i, i + 1)
+                else:
+                    self._complete_slice(server, sid, chunk, start, stop)
         return progressed
 
-    def _complete_reads(self, server, sid: int, chunk, start: int,
+    def _complete_slice(self, server, sid: int, chunk, start: int,
                         stop: int) -> None:
+        """One server's completions below the limit, whatever the op mix:
+        the reads charged to the store as one batch around the writes,
+        which run through the real shim in stream order
+        (:meth:`KVStore.get_batch` keeps the counters sequential-exact),
+        then one reply chunk in completion order."""
         sim = self.sim
-        t = chunk["t"][start:stop]
-        items = chunk["items"][start:stop]
-        n = stop - start
+        rows = slice(start, stop)
+        rops = np.full(stop - start, _GET_REPLY, np.int16)
         # The shim serves the value regardless of reachability; only the
         # reply transmission can drop.
-        server.store.get_batch(items, self._store_columns)
+        if chunk["w"]:
+            reads = chunk["op"][rows] == _GET
+            wpos = np.flatnonzero(~reads)
+
+            def apply(j: int) -> None:
+                rops[wpos[j]] = self._complete_write(
+                    server, sid, chunk, start + int(wpos[j]))
+
+            server.store.get_batch(
+                chunk["items"][rows][reads], self._store_columns,
+                (wpos - np.arange(len(wpos))).tolist(), apply)
+            # Blocked and dropped writes get no lane reply.
+            live = rops >= 0
+            rows, rops = start + np.flatnonzero(live), rops[live]
+        else:
+            server.store.get_batch(chunk["items"][rows], self._store_columns)
+        idx = chunk.get("idx")
         if sid in sim._down_nodes:
-            # send_reply(): transmit from a crashed source drops.
-            sim.lost += n
-            sim.node_drops += n
+            # send_reply(): transmit from a crashed source drops (the
+            # writes were accounted one by one; what is left are reads).
+            sim.lost += len(rops)
+            sim.node_drops += len(rops)
             if self._tmin is not None:
-                idx = chunk.get("idx")
                 self._scalarize_dropped(
-                    chunkless_items=items, seqs=chunk["seqs"][start:stop],
-                    sent=chunk["sent"][start:stop],
-                    idx=idx[start:stop] if idx is not None else None,
+                    chunkless_items=chunk["items"][rows],
+                    seqs=chunk["seqs"][rows], sent=chunk["sent"][rows],
+                    idx=idx[rows] if idx is not None else None,
                     op=_GET, vals=None)
             return
         link = self._server_links[sid]
-        link.transmitted += n
-        cols = dict(items=items, seqs=chunk["seqs"][start:stop],
-                    sent=chunk["sent"][start:stop],
-                    rop=np.full(n, _GET_REPLY, np.int16), w=False)
-        if "idx" in chunk:
-            cols["idx"] = chunk["idx"][start:stop]
-        self._sw_rep[sid].push(t + link.latency, **cols)
+        link.transmitted += len(rops)
+        cols = dict(items=chunk["items"][rows], seqs=chunk["seqs"][rows],
+                    sent=chunk["sent"][rows], rop=rops, w=chunk["w"])
+        if chunk["w"]:
+            cols["val"] = chunk["val"][rows]
+        if idx is not None:
+            cols["idx"] = idx[rows]
+        self._sw_rep[sid].push(chunk["t"][rows] + link.latency, **cols)
 
-    def _complete_write(self, server, sid: int, chunk, i: int) -> None:
-        """One write completion through the *real* shim.
+    def _complete_write(self, server, sid: int, chunk, i: int) -> int:
+        """One write completion through the *real* shim; returns the op of
+        the reply that rides the lanes, ``-1`` when there is none.
 
         The server's transport is shimmed for the duration of the call:
         the immediate reply (applied or dedup'd) rides the lanes; a cache
@@ -1461,25 +1468,15 @@ class FastPathEngine:
             # real drain event will answer through the real transport.
             self._scalarize_entry(st, seq, item, sent, _PUT, value)
             self.write_scalarized += 1
-            return
-        reply = captured[0]
+            return -1
         if down:
             sim.lost += 1
             sim.node_drops += 1
             if st.policy is not None:
                 self._scalarize_entry(st, seq, item, sent, _PUT, value)
                 st.scalarized.discard(seq)
-            return
-        link = self._server_links[sid]
-        link.transmitted += 1
-        cols = dict(items=chunk["items"][i:i + 1],
-                    seqs=chunk["seqs"][i:i + 1],
-                    sent=chunk["sent"][i:i + 1],
-                    rop=np.array([int(reply.op)], np.int16), w=True,
-                    val=chunk["val"][i:i + 1])
-        if "idx" in chunk:
-            cols["idx"] = chunk["idx"][i:i + 1]
-        self._sw_rep[sid].push(chunk["t"][i:i + 1] + link.latency, **cols)
+            return -1
+        return int(captured[0].op)
 
     # .. server -> switch -> client ................................................
 
@@ -1502,9 +1499,8 @@ class FastPathEngine:
                         trace.note_batch(t, sid, self.tor_id,
                                          _GET_REPLY, seqs)
                     else:
-                        self._note_op_runs(t, seqs,
-                                           chunk["rop"][start:stop],
-                                           sid, self.tor_id)
+                        self._note_ops(t, sid, self.tor_id,
+                                       chunk["rop"][start:stop], seqs)
                 self.switch.process_reply_batch(n)
                 idx = chunk.get("idx")
                 clink = self._states[0].link
@@ -1556,10 +1552,7 @@ class FastPathEngine:
         if not self._multi:
             st = self._states[0]
             if trace is not None:
-                for op in np.unique(rop):
-                    sel = rop == op
-                    trace.note_batch(t[sel], self.tor_id,
-                                     st.client.node_id, int(op), seq[sel])
+                self._note_ops(t, self.tor_id, st.client.node_id, rop, seq)
             self._client_reply_batch(st, t, seq, sent, hit)
             return True
         for ci in range(len(self._states)):
@@ -1567,13 +1560,11 @@ class FastPathEngine:
             if not mask.any():
                 continue
             st = self._states[ci]
+            tc, sc = t[mask], seq[mask]
             if trace is not None:
-                for op in np.unique(rop[mask]):
-                    sel = mask & (rop == op)
-                    trace.note_batch(t[sel], self.tor_id,
-                                     st.client.node_id, int(op), seq[sel])
-            self._client_reply_batch(st, t[mask], seq[mask], sent[mask],
-                                     hit[mask])
+                self._note_ops(tc, self.tor_id, st.client.node_id,
+                               rop[mask], sc)
+            self._client_reply_batch(st, tc, sc, sent[mask], hit[mask])
         return True
 
     def _client_reply_batch(self, st: _ClientState, t, seq, sent,
@@ -1743,8 +1734,14 @@ class FastPathEngine:
                 sim.deliver_at(float(chunk["t"][i]), tor,
                                st.client.node_id, reply)
 
+        for chunk, start, stop in self._pending_slices(self._reports):
+            for i in range(start, stop):
+                self.events.schedule_abs(float(chunk["t"][i]),
+                                         chunk["handler"], chunk["keys"][i])
+
         self._sw_arr.clear()
         self._cli_rep.clear()
+        self._reports.clear()
         for group in (self._srv_arr, self._srv_done, self._sw_rep):
             for lane in group.values():
                 lane.clear()

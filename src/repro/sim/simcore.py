@@ -334,8 +334,9 @@ class SimCoreRunner:
       blocked writes (mixed workloads fast-forward through the
       write-ratio-aware equilibrium; an in-flight update round trip does
       not);
-    * the controller is quiet: no pending hot-key reports and the cache
-      contents unchanged for ``quiescent_epochs`` consecutive epochs.
+    * the controller is quiet: no hot-key reports pending or on their way
+      to it (the engine's report lane), and the cache contents unchanged
+      for ``quiescent_epochs`` consecutive epochs.
 
     A fast-forwarded epoch synthesizes the aggregate counters from the
     equilibrium (per-server load split by the real partition vector),
@@ -391,6 +392,8 @@ class SimCoreRunner:
         ctl = self.cluster.controller
         if ctl is not None and ctl.pending_reports() > 0:
             return False
+        if self.engine._reports.pending():
+            return False  # hot-key reports still on their lane
         hist = self._version_history
         k = self.quiescent_epochs
         if len(hist) < k:

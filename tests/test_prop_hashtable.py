@@ -86,6 +86,14 @@ def store_ops():
             # Bulk loads, with repeats (the later value wins).
             st.tuples(st.just("load"),
                       st.lists(key_ids, max_size=40), values),
+            # A mixed slice: reads around writes, the writes being puts
+            # (overwrites, or inserts when the key is absent) and
+            # delete-then-reinserts of one key.
+            st.tuples(st.just("slice"),
+                      st.lists(st.tuples(
+                          st.sampled_from(["get", "get", "get", "put",
+                                           "reinsert"]), key_ids),
+                          max_size=40), values),
         ),
         max_size=60,
     )
@@ -105,7 +113,8 @@ def test_store_batch_read_equals_the_scalar_get_loop(backend, op_list):
     through ``get_batch`` and loads through ``put_batch``, the other
     through ``get`` and ``put`` per key.  Values and all five counters
     must agree after every op, including across a resize and a
-    delete-then-reinsert of the same key."""
+    delete-then-reinsert of the same key — also when those happen inside
+    a slice whose reads ``get_batch`` charges around its writes."""
     batch = KVStore(num_cores=3, backend=backend)
     scalar = KVStore(num_cores=3, backend=backend)
     for store in (batch, scalar):
@@ -124,6 +133,30 @@ def test_store_batch_read_equals_the_scalar_get_loop(backend, op_list):
         elif kind == "delete":
             assert (batch.delete(UNIVERSE[arg])
                     == scalar.delete(UNIVERSE[arg]))
+        elif kind == "slice":
+            def write(store, how, i):
+                if how == "reinsert":
+                    store.delete(UNIVERSE[i])
+                store.put(UNIVERSE[i], value)
+
+            reads = [i for how, i in arg if how == "get"]
+            writes = [(how, i) for how, i in arg if how != "get"]
+            reads_before, seen = [], 0
+            for how, _ in arg:
+                if how == "get":
+                    seen += 1
+                else:
+                    reads_before.append(seen)
+            batch.get_batch(np.asarray(reads, dtype=np.int64), columns,
+                            reads_before,
+                            lambda j: write(batch, *writes[j]))
+            for how, i in arg:
+                if how == "get":
+                    scalar.get(UNIVERSE[i])
+                else:
+                    write(scalar, how, i)
+            assert batch.deletes == scalar.deletes
+            assert batch.probe_totals() == scalar.probe_totals()
         else:
             batch.get_batch(np.asarray(arg, dtype=np.int64), columns)
             for i in arg:

@@ -23,6 +23,8 @@ from repro.sim.simcore import (
 from repro.net.trace import DeliveryTrace
 
 DURATION = 0.03
+#: ``NetCacheSwitch.report_latency``: how long a report is in flight.
+REPORT_LATENCY = 50e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,8 +37,13 @@ class FaultPlan:
     burst_prob: float
     dup_window: bool       # one server link, 0.4 -> 0.7
     dup_prob: float
+    #: >= 0: a reordering window opens on the client link while this
+    #: hot-key report (counted from the run's first, modulo how many
+    #: there are) is half way to the controller, so the lanes engine
+    #: falls back with the report still in its lane; -1: no such window.
+    report_cut: int = -1
 
-    def apply(self, cluster, client):
+    def apply(self, cluster, client, report_times=()):
         ev = cluster.sim.events
         d = DURATION
         ids = cluster.plan.server_ids
@@ -52,6 +59,13 @@ class FaultPlan:
             link = cluster.link_to(ids[(self.victim + 1) % len(ids)])
             ev.schedule_at(0.4 * d, link.set_duplication, self.dup_prob)
             ev.schedule_at(0.7 * d, link.set_duplication, 0.0)
+        if self.report_cut >= 0 and report_times:
+            arrival = report_times[self.report_cut % len(report_times)]
+            link = cluster.link_to(client.node_id)
+            ev.schedule_at(arrival - REPORT_LATENCY / 2,
+                           link.set_reordering, 0.3)
+            ev.schedule_at(arrival + 2 * REPORT_LATENCY,
+                           link.set_reordering, 0.0)
 
 
 configs = st.builds(
@@ -86,31 +100,72 @@ plans = st.builds(
     burst_prob=st.sampled_from([0.2, 0.5]),
     dup_window=st.booleans(),
     dup_prob=st.sampled_from([0.2, 0.4]),
+    report_cut=st.integers(-1, 40),
 )
 
 
-def run_path(config, plan, batched):
+def report_arrivals(config, plan):
+    """When each hot-key report reaches the controller, from a scalar run
+    of the plan without its report cut.  The cut opens after the chosen
+    report left the switch, so that report still leaves at the same time
+    in the runs that have the cut."""
+    cluster, client, _ = build_rack(config)
+    assert cluster.switch.report_latency == REPORT_LATENCY
+    dataclasses.replace(plan, report_cut=-1).apply(cluster, client)
+    times = []
+    deliver = cluster.switch.hot_key_handler
+
+    def spy(key):
+        times.append(cluster.sim.now)
+        deliver(key)
+
+    cluster.switch.hot_key_handler = spy
+    cluster.sim.run_until(cluster.sim.now + config.duration)
+    return times
+
+
+def run_path(config, plan, batched, report_times=()):
     cluster, client, workload = build_rack(config)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
-    plan.apply(cluster, client)
+    plan.apply(cluster, client, report_times)
     if batched:
         runner = SimCoreRunner(cluster, client, workload, trace=trace)
+        engine = runner.engine
+        materialize, in_lane = engine._materialize, []
+
+        def spy():
+            in_lane.append(engine._reports.pending())
+            materialize()
+
+        engine._materialize = spy
         runner.run(config.duration)
-        return counters_snapshot(cluster, client, trace,
-                                 engine=runner.engine)
+        snap = counters_snapshot(cluster, client, trace, engine=engine)
+        snap["fastpath.reports_materialized"] = sum(in_lane)
+        return snap
     cluster.sim.run_until(cluster.sim.now + config.duration)
     return counters_snapshot(cluster, client, trace)
+
+
+def replay_both(config, plan):
+    times = report_arrivals(config, plan) if plan.report_cut >= 0 else ()
+    scalar = run_path(config, plan, False, times)
+    batched = run_path(config, plan, True, times)
+    assert diff_snapshots(scalar, batched) == []
+    if times and not (plan.flap_server or plan.loss_burst
+                      or plan.dup_window):
+        # Nothing else could have had the engine in scalar mode already:
+        # the cut found the report in its lane, and the empty diff says
+        # it reached the controller as an event at its original time.
+        assert batched["fastpath.reports_materialized"] >= 1
 
 
 @given(config=configs, plan=plans)
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_batched_replays_scalar_exactly(config, plan):
-    scalar = run_path(config, plan, batched=False)
-    batched = run_path(config, plan, batched=True)
-    assert diff_snapshots(scalar, batched) == []
+    replay_both(config, plan)
 
 
 @given(config=multi_client_configs(), plan=plans)
@@ -121,6 +176,4 @@ def test_kway_merge_replays_scalar_exactly(config, plan):
     exactly like k independent scalar clients racing on the event heap —
     per-client counters, per-link accounting, and the order-sensitive
     trace digest all byte-identical, faults and retries included."""
-    scalar = run_path(config, plan, batched=False)
-    batched = run_path(config, plan, batched=True)
-    assert diff_snapshots(scalar, batched) == []
+    replay_both(config, plan)

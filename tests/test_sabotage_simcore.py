@@ -417,3 +417,76 @@ class TestHashKernelSabotage:
         assert diffs, "a row served before its refill must not pass"
         fields = {d.split(":")[0] for d in diffs}
         assert "stats.reports" in fields, diffs
+
+
+class TestMixedLaneSabotage:
+    """Defects in the two mechanisms that keep mixed traffic in whole
+    lanes — the hot-key report lane and the completion slice whose reads
+    ``KVStore.get_batch`` charges around its writes — must be caught and
+    named.  The scalar reference delivers reports as events and reads
+    with ``KVStore.get``; it enters neither.
+    """
+
+    def test_report_delivered_a_step_late_flags_the_controller(self):
+        # A cold cache and a low threshold keep reports flowing into the
+        # first update round (10 ms); the run ends right after it.  The
+        # sabotaged lane hands every report over one retry step late, so
+        # the ones that cross the round miss their insertion.
+        cfg = tiny(warm=False, hot_threshold=3, retries=True,
+                   duration=0.0102)
+
+        def arm(engine):
+            late = engine._tmin
+
+            class LateLane(fastpath._Lane):
+                def push(self, t, **cols):
+                    super().push(t + late, **cols)
+
+            engine._reports = LateLane()
+
+        scalar = run_scalar(cfg)
+        assert scalar["controller.rounds"] == 1
+        bad = run_faulted(cfg, lambda cluster, client: None, batched=True,
+                          arm=arm)
+        diffs = diff_snapshots(scalar, bad)
+        assert diffs, "a report crossing an update round must not pass"
+        fields = {d.split(":")[0] for d in diffs}
+        assert "controller.insertions" in fields, diffs
+
+    def test_reads_charged_after_a_structural_put_flag_the_probe_totals(
+            self, monkeypatch):
+        # Every key leaves its store before the run, on both paths, so
+        # the first write of each key re-inserts it: a structural put in
+        # the middle of a completion slice, between reads that miss it
+        # and reads that find it.
+        cfg = tiny(write_ratio=0.3, seed=5)
+
+        def empty_the_stores(cluster, client):
+            keyspace = client.workload.keyspace
+            for item in range(keyspace.num_keys):
+                key = keyspace.key(item)
+                owner = client.partitioner.server_for(key)
+                cluster.servers[owner].store.delete(key)
+
+        scalar = run_faulted(cfg, empty_the_stores, batched=False)
+        healthy = run_faulted(cfg, empty_the_stores, batched=True)
+        assert diff_snapshots(scalar, healthy) == []
+        orig = KVStore.get_batch
+        structural = []
+
+        def sabotaged(self, ids, columns, write_at=(), apply=None):
+            # All of the slice's writes first, then all of its reads.
+            before = self._structure.sum()
+            for j in range(len(write_at)):
+                apply(j)
+            structural.append(self._structure.sum() != before)
+            orig(self, ids, columns)
+
+        monkeypatch.setattr(KVStore, "get_batch", sabotaged)
+        bad = run_faulted(cfg, empty_the_stores, batched=True)
+        assert any(structural), "scenario must put absent keys in slices"
+        diffs = diff_snapshots(scalar, bad)
+        assert diffs, "reads charged after the put must not pass the gate"
+        fields = {d.split(":")[0] for d in diffs}
+        assert all(re.fullmatch(r"server\d+\.store\.probes", f)
+                   for f in fields), diffs

@@ -284,6 +284,19 @@ class TestCoverage:
         assert engine.scalar_fallbacks == 0
         assert engine.fallback_reasons == {}
 
+    def test_retry_horizon_advances_only_over_flushed_windows(self):
+        # The benchmark's lanes_mixed rack at seed 1: healthy, so almost
+        # every reply beats its deadline.  A horizon that steps over a
+        # window cut short by a cache update's delivery event "examines"
+        # the sends still waiting to be flushed and scalarizes them by
+        # the thousand (5,792 here before the fix).
+        cfg = SimCoreConfig(rate=1e6, duration=0.1, write_ratio=0.05,
+                            num_clients=2, client_rates=(6e5, 4e5),
+                            retries=True, seed=1)
+        engine = self._run_engine(cfg)
+        assert engine.coverage() == 1.0
+        assert engine.retry_scalarized == 45
+
     def test_link_fault_fallback_counted(self):
         def script(cluster, client):
             link = cluster.link_to(client.node_id)
