@@ -29,12 +29,12 @@ def build():
 
 
 def show_entry(dp, key):
-    res = dp.lookup.lookup(key)
+    res = dp.layout.lookup.lookup(key)
     if res is None:
         print("    lookup: MISS")
         return
     pipe = dp.pipe_of_port(res.egress_port)
-    valid = dp.status[pipe].is_valid(res.key_index)
+    valid = dp.layout.status[pipe].is_valid(res.key_index)
     print(f"    lookup: HIT  bitmap={res.bitmap:#010b} "
           f"index={res.value_index} key_index={res.key_index} "
           f"egress_port={res.egress_port} valid={valid}")

@@ -32,7 +32,6 @@ from repro.constants import (
 from repro.core.geometry import (
     CacheLayout,
     LayoutHit,
-    PaperLayout,
     make_layout,
 )
 from repro.core.primitives import port_to_pipe
@@ -115,14 +114,6 @@ class NetCacheDataplane:
             slot_bytes=slot_bytes,
         )
         self.stats = stats or QueryStatistics(entries=entries)
-        if isinstance(self.layout, PaperLayout):
-            # Back-compat aliases into the paper geometry's internals;
-            # tests, fault invariants, and the resource report reach these
-            # directly.  Other layouts have their own state shapes.
-            self.lookup = self.layout.lookup
-            self.values = self.layout.values
-            self.status = self.layout.status
-            self.memory = self.layout.memory
         #: bumped on every install/evict so callers can cache derived views
         #: of the cache contents.
         self.contents_version = 0

@@ -188,7 +188,7 @@ class CounterMonotonicityInvariant(InvariantChecker):
             self._last.clear()
         current: Dict[bytes, Tuple[int, int]] = {}
         for key in dataplane.cached_keys():
-            index = dataplane.lookup.key_index_of(key)
+            index = dataplane.layout.key_index_of(key)
             if index is None:
                 continue
             count = stats.read_counter(index)

@@ -12,16 +12,28 @@ open-loop clients over a healthy rack — while keeping the scalar loop as
 the executable specification (the same pattern as ``sketch/reference.py``
 for the statistics path):
 
-* **Lanes.** In-flight requests are carried as numpy record chunks (time,
-  item, seq, op, sent-at, client index) in per-hop FIFOs: client→switch
-  arrivals, per-server arrivals, per-server completions, server→switch
-  replies, switch→client replies, switch→controller hot-key reports.
+* **Lanes.** In-flight requests are carried as numpy record chunks
+  (:class:`_Chunk`: time, item, seq, sent-at, op, and — only where they
+  mean something — client index, write payload, cache-hit mark) in
+  per-hop FIFOs: client→switch arrivals, per-server arrivals, per-server
+  completions, server→switch replies, switch→client replies,
+  switch→controller hot-key reports.
   Between two event-queue boundaries the engine bulk-generates every
   client's send times (the exact chained ``now + 1/rate`` float
   recurrence of ``WorkloadClient._send_tick``), k-way merges them into
   one time-ordered stream, then flushes the lanes stage by stage,
   applying the same counter increments the scalar path would, in the
   same stream order.
+* **Stages.** The five request hops are rows of one table
+  (``FastPathEngine._stages``, in pipeline order): the lanes of the hop
+  by server id, ``flush(sid, chunks)`` for the rows a flush takes, and
+  ``emit(sid, chunk, i)`` to turn one pending row back into the event
+  the scalar loop would hold.  Flushing, the in-flight count, the retry
+  scan and the fallback all walk the table, so a new hop is a new row.
+  A row that leaves the lanes for good (dropped at a crashed node,
+  blocked behind a cache update, materialized) passes through one hook,
+  ``_scalarize_rows``, which registers the ``_Outstanding`` the scalar
+  client would hold.
 * **Write lanes.** Writes ride the same lanes as reads.  At the switch
   they take the real write pipeline (:meth:`NetCacheSwitch.
   process_write_packet` → ``_process_write``: lookup, cache-hit
@@ -105,6 +117,7 @@ the ``simcore``/``simcore_mixed`` perf scenarios gate the contract.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Dict, List, Optional
 
@@ -115,7 +128,7 @@ from repro.constants import CLIENT_OVERHEAD
 from repro.core.switch import NetCacheSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.store import ReadColumns
-from repro.net.packet import Packet, make_get, make_put
+from repro.net.packet import Packet, make_get
 from repro.net.protocol import Op
 from repro.obs import runtime as _obs
 
@@ -132,53 +145,108 @@ _PUT_CACHED = int(Op.PUT_CACHED)
 _GET_REPLY = int(Op.GET_REPLY)
 
 
+class _Chunk:
+    """Lane records, one numpy column per field, rows in time order.
+
+    ``t`` is when the rows reach the next hop, ``sent`` when the client
+    sent them; ``op`` is the request op up to the server completion and
+    the reply op behind it.  ``idx`` (client index) stays ``None`` on a
+    single-client rack, ``val`` (write payloads) is carried only while
+    ``w`` (the chunk may hold a write), ``hit`` marks cache-hit replies.
+    ``pos`` is the prefix a lane has already handed on.
+    """
+
+    __slots__ = ("t", "items", "seqs", "sent", "op", "idx", "val", "w",
+                 "hit", "pos")
+
+    def __init__(self, t, items, seqs, sent, op, idx=None, val=None,
+                 w=False, hit=False):
+        self.t, self.items, self.seqs, self.sent, self.op = \
+            t, items, seqs, sent, op
+        self.idx, self.val, self.w, self.hit = idx, val, w, hit
+        self.pos = 0
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def rows(self, sel, t=None, op=None, w=None) -> "_Chunk":
+        """The rows *sel* (slice, mask or positions) as a chunk of their
+        own, optionally re-timed, with a new op column or a new ``w``.
+        The only place the optional columns are propagated."""
+        w = self.w if w is None else w
+        return _Chunk(self.t[sel] if t is None else t, self.items[sel],
+                      self.seqs[sel], self.sent[sel],
+                      self.op[sel] if op is None else op,
+                      None if self.idx is None else self.idx[sel],
+                      self.val[sel] if w else None, w, self.hit)
+
+
+class _Reports:
+    """Hot-key reports on their lane: delivery times and keys, with the
+    handler captured at send time like the scalar schedule."""
+
+    __slots__ = ("t", "keys", "handler", "pos")
+
+    def __init__(self, t, keys, handler):
+        self.t, self.keys, self.handler, self.pos = t, keys, handler, 0
+
+    def rows(self, sel: slice) -> "_Reports":
+        return _Reports(self.t[sel], self.keys[sel], self.handler)
+
+
 class _Lane:
     """FIFO of record chunks; a consumed prefix is tracked per chunk.
 
     Most lanes are globally time-ordered (chunks are appended in flush
     order and each chunk is internally monotone); the client-reply lane
-    has several producers (cache hits and miss/write replies) and is
-    merged by a stable time sort at flush instead.
+    has several producers (cache hits and miss/write replies), is built
+    ``monotone=False`` and is merged by a stable time sort at flush
+    instead.
     """
 
-    __slots__ = ("chunks",)
+    __slots__ = ("chunks", "monotone")
 
-    def __init__(self):
-        self.chunks: List[dict] = []
+    def __init__(self, monotone: bool = True):
+        self.chunks: list = []
+        self.monotone = monotone
 
-    def push(self, t: np.ndarray, **cols) -> None:
-        if len(t) == 0:
-            return
-        chunk = {"t": t, "pos": 0}
-        chunk.update(cols)
-        self.chunks.append(chunk)
+    def push(self, chunk) -> None:
+        if len(chunk.t):
+            self.chunks.append(chunk)
 
-    def take(self, limit: float, inclusive: bool, monotone: bool = True):
-        """Consume and return ``(chunk, start, stop)`` slices with
-        ``t < limit`` (``<=`` when *inclusive*)."""
+    def take(self, limit: float, inclusive: bool) -> list:
+        """Consume and return the rows with ``t < limit`` (``<=`` when
+        *inclusive*), one view per chunk; the consumer owns the views."""
         out = []
         side = "right" if inclusive else "left"
         for chunk in self.chunks:
-            pos = chunk["pos"]
-            t = chunk["t"]
-            if pos >= len(t):
-                continue
-            stop = int(np.searchsorted(t, limit, side=side))
+            pos = chunk.pos
+            stop = int(np.searchsorted(chunk.t, limit, side=side))
             if stop <= pos:
-                if monotone:
+                if self.monotone:
                     break
                 continue
-            chunk["pos"] = stop
-            out.append((chunk, pos, stop))
+            chunk.pos = stop
+            out.append(chunk.rows(slice(pos, stop)))
         if out:
-            self.chunks = [c for c in self.chunks if c["pos"] < len(c["t"])]
+            self.chunks = [c for c in self.chunks if c.pos < len(c.t)]
         return out
 
+    def rest(self) -> list:
+        """The unconsumed rows of every chunk, as views."""
+        return [c.rows(slice(c.pos, None)) for c in self.chunks]
+
     def pending(self) -> int:
-        return sum(len(c["t"]) - c["pos"] for c in self.chunks)
+        return sum(len(c.t) - c.pos for c in self.chunks)
 
     def clear(self) -> None:
         self.chunks = []
+
+
+#: One hop of the request pipeline: its lanes by server id (``None`` where
+#: the hop has one lane), ``flush(sid, chunks)`` for the rows a flush takes
+#: and ``emit(sid, chunk, i)`` to turn pending row *i* back into an event.
+_Stage = collections.namedtuple("_Stage", "lanes flush emit")
 
 
 class _ClientState:
@@ -220,18 +288,13 @@ class FastPathEngine:
         :class:`WorkloadClient` attached to it is taken over; none may
         have an AIMD controller (it would re-plan rates per interval,
         which only the scalar loop orders correctly).
-    client:
-        Optional: the first workload client, accepted for backward
-        compatibility with the single-client constructor; must be the
-        rack's first WorkloadClient when given.
     trace:
         Optional delivery-trace digest (:class:`repro.net.trace.
         DeliveryTrace`); it is registered as a delivery hook for scalar
         segments and fed directly by the lanes.
     """
 
-    def __init__(self, cluster, client: Optional[WorkloadClient] = None,
-                 trace=None):
+    def __init__(self, cluster, trace=None):
         switch = cluster.switch
         if not isinstance(switch, NetCacheSwitch):
             raise ConfigurationError("fast path needs a NetCacheSwitch rack")
@@ -239,9 +302,6 @@ class FastPathEngine:
                    if isinstance(c, WorkloadClient)]
         if not clients:
             raise ConfigurationError("fast path drives WorkloadClients")
-        if client is not None and client is not clients[0]:
-            raise ConfigurationError(
-                "client must be the rack's first WorkloadClient")
         for cl in clients:
             if cl.rate_controller is not None:
                 raise ConfigurationError(
@@ -254,11 +314,8 @@ class FastPathEngine:
         self.cluster = cluster
         self.sim = cluster.sim
         self.events = cluster.sim.events
-        self.client = clients[0]
-        self.workload = clients[0].workload
         self.switch = switch
         self.tor_id = switch.node_id
-        self.client_id = clients[0].node_id
         self._servers = dict(cluster.servers)
         self._trace = trace
 
@@ -270,24 +327,26 @@ class FastPathEngine:
         if len({st.link.latency for st in self._states}) != 1:
             raise ConfigurationError(
                 "fast path needs a uniform client link latency")
+        self._client_latency = self._states[0].link.latency
         self._server_links = {
             sid: sim.link_between(self.tor_id, sid) for sid in self._servers}
         self._watched_links = [st.link for st in self._states] + \
             list(self._server_links.values())
         # Zero-queueing lower bounds on a write's switch->update delivery
-        # lag, by pipeline stage (see _write_safe_limit).
-        self._write_lag_server = {
-            sid: self._server_links[sid].latency + srv.service_time
-            for sid, srv in self._servers.items()}
-        self._min_write_lag_switch = min(
-            2 * self._server_links[sid].latency + srv.service_time
-            for sid, srv in self._servers.items())
+        # lag, by server id, for the three stages ahead of the reply
+        # (see _write_safe_limit).
+        self._write_lags = (
+            {None: min(2 * self._server_links[sid].latency + srv.service_time
+                       for sid, srv in self._servers.items())},
+            {sid: self._server_links[sid].latency + srv.service_time
+             for sid, srv in self._servers.items()},
+            {sid: link.latency for sid, link in self._server_links.items()})
 
         num_keys = {cl.workload.keyspace.num_keys for cl in clients}
         if len(num_keys) != 1:
             raise ConfigurationError(
                 "fast path needs one shared keyspace across clients")
-        keyspace = self.workload.keyspace
+        keyspace = self._keyspace = clients[0].workload.keyspace
         self._key_of_item = [keyspace.key(i)
                              for i in range(keyspace.num_keys)]
         partitioner = clients[0].partitioner
@@ -303,13 +362,26 @@ class FastPathEngine:
         self._store_columns = ReadColumns(self._key_of_item,
                                           num_cores.pop())
 
-        # Lanes.
+        # Lanes, and the request pipeline as a table of stages.
         self._sw_arr = _Lane()
         self._srv_arr: Dict[int, _Lane] = {s: _Lane() for s in self._servers}
         self._srv_done: Dict[int, _Lane] = {s: _Lane() for s in self._servers}
         self._sw_rep: Dict[int, _Lane] = {s: _Lane() for s in self._servers}
-        self._cli_rep = _Lane()
-        #: switch -> controller hot-key reports: (delivery time, key).
+        self._cli_rep = _Lane(monotone=False)
+        self._stages = [
+            _Stage({None: self._sw_arr}, self._flush_switch_arrivals,
+                   self._emit_switch_arrival),
+            _Stage(self._srv_arr, self._flush_server_arrivals,
+                   self._emit_server_arrival),
+            _Stage(self._srv_done, self._flush_server_completions,
+                   self._emit_server_completion),
+            _Stage(self._sw_rep, self._flush_switch_replies,
+                   self._emit_switch_reply),
+            _Stage({None: self._cli_rep}, self._flush_client_replies,
+                   self._emit_client_reply)]
+        #: switch -> controller hot-key reports (:class:`_Reports`).  Not
+        #: a stage: a report is no request (no seq or client, nothing to
+        #: scalarize or answer), and tests swap this lane on a built engine.
         self._reports = _Lane()
 
         # Cached-set membership by item id, for the write-safe bound
@@ -348,9 +420,6 @@ class FastPathEngine:
     def fault_window_open(self) -> bool:
         """True while the rack is not eligible for batched windows."""
         return self._dirty_reason() is not None
-
-    def _rack_clean(self) -> bool:
-        return self._dirty_reason() is None
 
     def _dirty_reason(self) -> Optional[str]:
         """Why the rack is ineligible for batched windows (None = clean)."""
@@ -403,7 +472,7 @@ class FastPathEngine:
             self._flag_horizon = now
         while True:
             if self._mode is _SCALAR:
-                if self._rack_clean():
+                if not self.fault_window_open():
                     self._enter_fast()
                     continue
                 nev = events.peek_time()
@@ -451,10 +520,9 @@ class FastPathEngine:
     def in_flight(self) -> int:
         """Requests and hot-key reports currently on the wire (lanes +
         scalar outstanding)."""
-        lanes = self._sw_arr.pending() + self._cli_rep.pending() \
-            + self._reports.pending()
-        for group in (self._srv_arr, self._srv_done, self._sw_rep):
-            lanes += sum(lane.pending() for lane in group.values())
+        lanes = self._reports.pending() + sum(
+            lane.pending() for stage in self._stages
+            for lane in stage.lanes.values())
         outst = sum(len(st.client._outstanding) for st in self._states)
         return lanes + outst
 
@@ -490,50 +558,41 @@ class FastPathEngine:
     def _generate_sends(self, boundary: float, inclusive: bool) -> None:
         """Issue every client send in ``[next_send, boundary)`` (closed at
         *boundary* when *inclusive*) into the client→switch lane."""
-        if not self._multi:
-            st = self._states[0]
-            if st.client.running:
-                self._generate_single(st, boundary, inclusive)
-            return
-        batches = []
-        for st in self._states:
-            if not st.client.running:
-                continue
-            batch = self._collect_sends(st, boundary, inclusive)
-            if batch is not None:
-                batches.append(batch)
+        batches = [batch for batch in (
+            self._collect_sends(st, boundary, inclusive)
+            for st in self._states if st.client.running)
+            if batch is not None]
         if not batches:
             return
+        idx = None
         if len(batches) == 1:
             st, times, _prev, flags, items, seqs, vals = batches[0]
-            self._push_sends(times, items, seqs,
-                             flags.astype(np.int16) + 1, bool(flags.any()),
-                             vals, np.full(len(times), st.idx, np.int64))
-            return
-        times = np.concatenate([b[1] for b in batches])
-        prev = np.concatenate([b[2] for b in batches])
-        flags = np.concatenate([b[3] for b in batches])
-        items = np.concatenate([b[4] for b in batches])
-        seqs = np.concatenate([b[5] for b in batches])
-        idx = np.concatenate([np.full(len(b[1]), b[0].idx, np.int64)
-                              for b in batches])
-        vals = None
-        if any(b[6] is not None for b in batches):
-            vals = np.concatenate([
-                b[6] if b[6] is not None
-                else np.empty(len(b[1]), dtype=object) for b in batches])
-        # The scalar heap pops equal-time sends in event-seq order; seqs
-        # are assigned when the *previous* tick ran, so (t, prev, idx)
-        # reproduces the tie-break exactly (equal t and prev force equal
-        # rates, hence identical histories down to client start order).
-        order = np.lexsort((idx, prev, times))
-        times, items, seqs, idx = (times[order], items[order],
-                                   seqs[order], idx[order])
-        flags = flags[order]
-        if vals is not None:
-            vals = vals[order]
-        self._push_sends(times, items, seqs, flags.astype(np.int16) + 1,
-                         bool(flags.any()), vals, idx)
+            if self._multi:
+                idx = np.full(len(times), st.idx, np.int64)
+        else:
+            times = np.concatenate([b[1] for b in batches])
+            prev = np.concatenate([b[2] for b in batches])
+            idx = np.concatenate([np.full(len(b[1]), b[0].idx, np.int64)
+                                  for b in batches])
+            # The scalar heap pops equal-time sends in event-seq order;
+            # seqs are assigned when the *previous* tick ran, so
+            # (t, prev, idx) reproduces the tie-break exactly (equal t and
+            # prev force equal rates, hence identical histories down to
+            # client start order).
+            order = np.lexsort((idx, prev, times))
+            times, idx = times[order], idx[order]
+            flags = np.concatenate([b[3] for b in batches])[order]
+            items = np.concatenate([b[4] for b in batches])[order]
+            seqs = np.concatenate([b[5] for b in batches])[order]
+            vals = None
+            if any(b[6] is not None for b in batches):
+                vals = np.concatenate([
+                    b[6] if b[6] is not None
+                    else np.empty(len(b[1]), dtype=object)
+                    for b in batches])[order]
+        self._sw_arr.push(_Chunk(
+            times + self._client_latency, items, seqs, times,
+            flags.astype(np.int16) + 1, idx, vals, vals is not None))
 
     def _collect_sends(self, st: _ClientState, boundary: float,
                        inclusive: bool):
@@ -592,50 +651,6 @@ class FastPathEngine:
         for j in np.flatnonzero(flags):
             vals[j] = client._next_value(key_of[int(items[j])])
         return vals
-
-    def _generate_single(self, st: _ClientState, boundary: float,
-                         inclusive: bool) -> None:
-        """Single-client fast path: push per segment, no merge."""
-        client = st.client
-        while True:
-            t0 = st.next_send
-            if t0 > boundary or (t0 == boundary and not inclusive):
-                return
-            avail = self._ensure_queries(st)
-            est = int((boundary - t0) * client.rate) + 2
-            n = min(avail, est)
-            times = self._send_times(st, t0, n)
-            side = "right" if inclusive else "left"
-            count = int(np.searchsorted(times[:n], boundary, side=side))
-            if count == 0:
-                return
-            flags = st.q_flags[st.q_pos:st.q_pos + count]
-            items = st.q_items[st.q_pos:st.q_pos + count].copy()
-            t = times[:count].copy()
-            start = next(client._seq)
-            client._seq = itertools.count(start + count)
-            seqs = np.arange(start, start + count, dtype=np.int64)
-            client.sent += count
-            client._interval_sent += count
-            st.link.transmitted += count
-            st.lane_sends += count
-            vals = self._draw_values(st, flags, items)
-            self._push_sends(t, items, seqs, flags.astype(np.int16) + 1,
-                             vals is not None, vals, None)
-            st.q_pos += count
-            st.prev_send = float(t[-1])
-            st.next_send = float(times[count])
-            if count < n:
-                return  # boundary reached
-            # pre-drawn buffer exhausted mid-window: refill and continue
-
-    def _push_sends(self, times, items, seqs, op, has_write, vals, idx):
-        cols = dict(items=items, seqs=seqs, sent=times, op=op, w=has_write)
-        if vals is not None:
-            cols["val"] = vals
-        if idx is not None:
-            cols["idx"] = idx
-        self._sw_arr.push(times + self._states[0].link.latency, **cols)
 
     def _next_query(self, st: _ClientState):
         self._ensure_queries(st)
@@ -703,15 +718,44 @@ class FastPathEngine:
 
     # -- retry scalarization -------------------------------------------------------
 
-    def _state_of(self, chunk, i: int) -> _ClientState:
-        idx = chunk.get("idx")
-        return self._states[int(idx[i])] if idx is not None else \
-            self._states[0]
+    def _state_of(self, chunk: _Chunk, i: int) -> _ClientState:
+        return self._states[0 if chunk.idx is None else int(chunk.idx[i])]
 
-    def _scalarize_entry(self, st: _ClientState, seq: int, item: int,
-                         sent: float, op: int, value,
+    def _per_client(self, idx: Optional[np.ndarray]):
+        """``(state, selector)`` for every client with rows in *idx*, in
+        client order (the whole column on a single-client rack)."""
+        if idx is None:
+            yield self._states[0], slice(None)
+            return
+        for st in self._states:
+            sel = idx == st.idx
+            if sel.any():
+                yield st, sel
+
+    def _request_packet(self, chunk: _Chunk, i: int,
+                        op: Optional[int] = None) -> Packet:
+        """Rebuild the concrete request packet row *i* stands for (with
+        *op* in place of the row's own, for the client's original)."""
+        st = self._state_of(chunk, i)
+        item = int(chunk.items[i])
+        key = self._key_of_item[item]
+        owner = int(self._server_of_item[item])
+        seq = int(chunk.seqs[i])
+        op = int(chunk.op[i]) if op is None else op
+        if op == _GET:
+            pkt = make_get(st.client.node_id, owner, key, seq=seq)
+        else:
+            pkt = Packet(src=st.client.node_id, dst=owner, op=Op(op),
+                         seq=seq, key=key, value=chunk.val[i], udp=False)
+            if st.policy is not None:
+                pkt.token = seq
+        pkt.created_at = float(chunk.sent[i])
+        return pkt
+
+    def _scalarize_entry(self, st: _ClientState, chunk: _Chunk, i: int,
                          track: bool = False) -> None:
-        """Register the real ``_Outstanding`` the scalar path would hold.
+        """Register the real ``_Outstanding`` the scalar path would hold
+        for row *i*.
 
         Replicates ``WorkloadClient._send`` exactly: same template fields,
         same per-seq RNG stream (one delay drawn for the attempt-0 timer),
@@ -724,25 +768,18 @@ class FastPathEngine:
         be tracked or the set would leak.
         """
         client = st.client
-        seq = int(seq)
+        seq = int(chunk.seqs[i])
         if seq in st.scalarized or seq in client._outstanding:
             return
-        item = int(item)
-        key = self._key_of_item[item]
-        owner = int(self._server_of_item[item])
-        sent = float(sent)
-        if op == _GET:
-            pkt = make_get(client.node_id, owner, key, seq=seq)
-            entry = _Outstanding(Op.GET, key, sent, None)
-        else:
-            pkt = make_put(client.node_id, owner, key, value, seq=seq)
-            entry = _Outstanding(Op.PUT, key, sent, None)
-        pkt.created_at = sent
+        # The client's own op: a reply stands for its request, a
+        # PUT_CACHED rewrite for the PUT that was sent.
+        op = _GET if chunk.op[i] in (_GET, _GET_REPLY) else _PUT
+        sent = float(chunk.sent[i])
+        entry = _Outstanding(Op(op), self._key_of_item[int(chunk.items[i])],
+                             sent, None)
         policy = st.policy
         if policy is not None:
-            if op != _GET:
-                pkt.token = seq
-            entry.template = pkt
+            entry.template = self._request_packet(chunk, i, op)
             entry.rng = policy.make_rng(seq)
             deadline = sent + policy.delay(0, entry.rng)
             entry.timer = self.events.schedule_abs(
@@ -752,16 +789,26 @@ class FastPathEngine:
         if track:
             st.scalarized.add(seq)
 
-    def _iter_pending(self):
-        """Every pending lane slice, with its op column name."""
-        yield self._sw_arr, "op"
-        for lane in self._srv_arr.values():
-            yield lane, "op"
-        for lane in self._srv_done.values():
-            yield lane, "op"
-        for lane in self._sw_rep.values():
-            yield lane, "rop"
-        yield self._cli_rep, "rop"
+    def _scalarize_rows(self, chunk: _Chunk, always: bool = False) -> None:
+        """The one exit from the lanes: rows that were dropped at a
+        crashed node, blocked behind a cache update or materialized keep
+        their scalar retry state alive.
+
+        The lane entry is gone, so a previously-tracked seq stops
+        expecting a lane reply (whatever answers it is a real event).
+        Without a retry policy the scalar client would still hold an
+        ``_Outstanding``, but nothing could ever read it — unless the row
+        itself becomes a real event whose reply looks its entry up:
+        that, and only that, is *always*.  Rows are walked in stream
+        order: equal-deadline retry timers tie-break by heap insertion.
+        """
+        if self._tmin is None and not always:
+            return
+        for i in range(len(chunk)):
+            st = self._state_of(chunk, i)
+            if always or st.policy is not None:
+                self._scalarize_entry(st, chunk, i)
+                st.scalarized.discard(int(chunk.seqs[i]))
 
     def _advance_flag_horizon(self, cursor: float) -> None:
         """Examine every in-flight entry; scalarize the ones whose exact
@@ -776,37 +823,27 @@ class FastPathEngine:
         """
         limit = cursor + self._tmin
         fresh: Dict[tuple, float] = {}
-        for lane, op_col in self._iter_pending():
-            for chunk in lane.chunks:
-                pos, t = chunk["pos"], chunk["t"]
-                if pos >= len(t):
-                    continue
-                seqs = chunk["seqs"]
-                sent = chunk["sent"]
-                items = chunk["items"]
-                ops = chunk[op_col]
-                vals = chunk.get("val")
-                for i in range(pos, len(t)):
-                    st = self._state_of(chunk, i)
-                    policy = st.policy
-                    if policy is None:
-                        continue
-                    seq = int(seqs[i])
-                    if seq in st.scalarized or seq in st.client._outstanding:
-                        continue
-                    dkey = (st.idx, seq)
-                    deadline = self._deadlines.get(dkey)
-                    if deadline is None:
-                        deadline = float(sent[i]) + policy.delay(
-                            0, policy.make_rng(seq))
-                    if deadline <= limit:
-                        opv = int(ops[i])
-                        orig = _GET if opv in (_GET, _GET_REPLY) else _PUT
-                        value = vals[i] if vals is not None else None
-                        self._scalarize_entry(st, seq, items[i], sent[i],
-                                              orig, value, track=True)
-                    else:
-                        fresh[dkey] = deadline
+        for stage in self._stages:
+            for lane in stage.lanes.values():
+                for chunk in lane.rest():
+                    for i in range(len(chunk)):
+                        st = self._state_of(chunk, i)
+                        policy = st.policy
+                        if policy is None:
+                            continue
+                        seq = int(chunk.seqs[i])
+                        if seq in st.scalarized \
+                                or seq in st.client._outstanding:
+                            continue
+                        dkey = (st.idx, seq)
+                        deadline = self._deadlines.get(dkey)
+                        if deadline is None:
+                            deadline = float(chunk.sent[i]) + policy.delay(
+                                0, policy.make_rng(seq))
+                        if deadline <= limit:
+                            self._scalarize_entry(st, chunk, i, track=True)
+                        else:
+                            fresh[dkey] = deadline
         self._deadlines = fresh
         self._flag_horizon = cursor
 
@@ -822,7 +859,7 @@ class FastPathEngine:
         dp = self.switch.dataplane
         if self._cached_mask_version != dp.contents_version:
             mask = np.zeros(len(self._key_of_item), dtype=bool)
-            item_of = self.workload.keyspace.item
+            item_of = self._keyspace.item
             for key in dp.cached_keys():
                 mask[item_of(key)] = True
             self._cached_mask = mask
@@ -845,36 +882,21 @@ class FastPathEngine:
         flight before the reply stage.
         """
         bound = np.inf
-        mask = None
-        for chunk in self._sw_arr.chunks:
-            if not chunk["w"]:
-                continue
-            if mask is None:
-                mask = self._cached_item_mask()
-            pos, t, op = chunk["pos"], chunk["t"], chunk["op"]
-            items = chunk["items"]
-            w = np.flatnonzero((op[pos:] != _GET) & mask[items[pos:]])
-            if len(w):
-                bound = min(bound,
-                            t[pos + w[0]] + self._min_write_lag_switch)
-        for sid, lane in self._srv_arr.items():
-            lag = self._write_lag_server[sid]
-            for chunk in lane.chunks:
-                if not chunk["w"]:
-                    continue
-                pos, t, op = chunk["pos"], chunk["t"], chunk["op"]
-                w = np.flatnonzero(op[pos:] == _PUT_CACHED)
-                if len(w):
-                    bound = min(bound, t[pos + w[0]] + lag)
-        for sid, lane in self._srv_done.items():
-            lag = self._server_links[sid].latency
-            for chunk in lane.chunks:
-                if not chunk["w"]:
-                    continue
-                pos, t, op = chunk["pos"], chunk["t"], chunk["op"]
-                w = np.flatnonzero(op[pos:] == _PUT_CACHED)
-                if len(w):
-                    bound = min(bound, t[pos + w[0]] + lag)
+        for stage, lags in zip(self._stages, self._write_lags):
+            for sid, lane in stage.lanes.items():
+                for chunk in lane.chunks:
+                    if not chunk.w:
+                        continue
+                    op = chunk.op[chunk.pos:]
+                    if lane is self._sw_arr:
+                        w = (op != _GET) & self._cached_item_mask()[
+                            chunk.items[chunk.pos:]]
+                    else:
+                        w = op == _PUT_CACHED
+                    w = np.flatnonzero(w)
+                    if len(w):
+                        bound = min(bound,
+                                    chunk.t[chunk.pos + w[0]] + lags[sid])
         return bound
 
     def _flush_lanes(self, limit: float, inclusive: bool) -> None:
@@ -899,70 +921,77 @@ class FastPathEngine:
             if wsafe < eff or (inc and wsafe == eff):
                 eff, inc = wsafe, False
             progressed = False
-            progressed |= self._flush_switch_arrivals(eff, inc)
-            progressed |= self._flush_server_arrivals(eff, inc)
-            progressed |= self._flush_server_completions(eff, inc)
-            progressed |= self._flush_switch_replies(eff, inc)
-            progressed |= self._flush_client_replies(eff, inc)
-            progressed |= self._flush_reports(eff, inc)
+            for stage in self._stages:
+                for sid, lane in stage.lanes.items():
+                    chunks = lane.take(eff, inc)
+                    if chunks:
+                        stage.flush(sid, chunks)
+                        progressed = True
+            for batch in self._reports.take(eff, inc):
+                for key in batch.keys:
+                    batch.handler(key)
+                progressed = True
             if not progressed:
                 break
 
+    def _note_ops(self, t, src: int, dst: int, ops, seqs,
+                  uniform: bool = False) -> None:
+        """Trace notes for rows with a mixed op column, one per op class
+        (the digest is a multiset, so stream order is not noted);
+        *uniform* says the column holds one op."""
+        trace = self._trace
+        if trace is None:
+            return
+        if uniform:
+            trace.note_batch(t, src, dst, int(ops[0]), seqs)
+            return
+        for op in set(ops.tolist()):
+            sel = ops == op
+            trace.note_batch(t[sel], src, dst, op, seqs[sel])
+
+    def _count_client_sends(self, chunk: _Chunk) -> None:
+        """Link counters for replies leaving the switch, per client."""
+        for st, sel in self._per_client(chunk.idx):
+            st.link.transmitted += len(chunk.t[sel])
+
     # .. client -> switch ..........................................................
 
-    def _flush_switch_arrivals(self, limit: float, inclusive: bool) -> bool:
-        slices = self._sw_arr.take(limit, inclusive)
-        if not slices:
-            return False
+    def _flush_switch_arrivals(self, _sid, chunks: List[_Chunk]) -> None:
         down = self.sim._down_nodes
-        for chunk, start, stop in slices:
-            if not chunk["w"]:
-                self._switch_arrival_reads(chunk, start, stop)
+        for chunk in chunks:
+            if not chunk.w:
+                self._switch_segment(chunk)
                 continue
-            osl = chunk["op"][start:stop]
-            if down and bool(np.isin(
-                    self._server_of_item[chunk["items"][start:stop]],
-                    list(down)).any()):
-                # A crashed owner in the slice: dropped entries must
-                # scalarize their retry state in exact stream order —
-                # equal-deadline retry timers tie-break by heap insertion,
-                # and a flipped GET/PUT pair completes with swapped times
-                # at the restarted server.  Walk op runs strictly, the
-                # order the contract was first proven with.
-                i = start
-                while i < stop:
-                    if osl[i - start] == _GET:
-                        j = i
-                        while j < stop and osl[j - start] == _GET:
-                            j += 1
-                        self._switch_arrival_reads(chunk, i, j)
-                        i = j
-                    else:
-                        self._switch_arrival_write(chunk, i)
-                        i += 1
-                continue
-            # Only cache-hit writes are ordering barriers at the switch:
-            # they invalidate a key that later reads must observe as
-            # invalid.  Writes to uncached keys commute with the
-            # surrounding reads (no sampler RNG, no read-visible switch
-            # state), so whole segments between barriers flush as one
-            # merged batch instead of one batch per read run.
-            mask = self._cached_item_mask()
-            barriers = np.flatnonzero(
-                (osl != _GET) & mask[chunk["items"][start:stop]])
-            seg = start
-            for b in barriers:
-                p = start + int(b)
+            # Writes that go through the switch alone, cutting the slice
+            # into segments.  With a crashed owner in the slice that is
+            # every write: dropped entries must scalarize their retry
+            # state in exact stream order — equal-deadline retry timers
+            # tie-break by heap insertion, and a flipped GET/PUT pair
+            # completes with swapped times at the restarted server — so
+            # op runs are walked strictly, the order the contract was
+            # first proven with.
+            alone = chunk.op != _GET
+            if not (down and bool(np.isin(
+                    self._server_of_item[chunk.items], list(down)).any())):
+                # Otherwise only cache-hit writes are ordering barriers:
+                # they invalidate a key that later reads must observe as
+                # invalid.  Writes to uncached keys commute with the
+                # surrounding reads (no sampler RNG, no read-visible
+                # switch state), so whole segments between barriers flush
+                # as one merged batch instead of one batch per read run.
+                alone &= self._cached_item_mask()[chunk.items]
+            seg = 0
+            for p in np.flatnonzero(alone).tolist():
                 if p > seg:
-                    self._switch_arrival_mixed(chunk, seg, p)
-                self._switch_arrival_write(chunk, p)
+                    self._switch_segment(chunk.rows(slice(seg, p)))
+                self._switch_segment(chunk.rows(slice(p, p + 1)))
                 seg = p + 1
-            if stop > seg:
-                self._switch_arrival_mixed(chunk, seg, stop)
-        return True
+            if seg < len(chunk):
+                self._switch_segment(chunk.rows(slice(seg, None)))
 
-    def _switch_arrival_mixed(self, chunk, start: int, stop: int) -> None:
-        """A barrier-free segment: reads plus writes to uncached keys.
+    def _switch_segment(self, chunk: _Chunk) -> None:
+        """A barrier-free segment (or one barrier write on its own):
+        reads plus writes to uncached keys.
 
         The reads go through the statistics pipeline as one batch in
         stream order; each write runs the real write pipeline; the
@@ -972,67 +1001,46 @@ class FastPathEngine:
         the trace digest is a multiset, every touched counter commutes,
         and an uncached write mutates nothing a read classifies against.
         """
-        osl = chunk["op"][start:stop]
-        wsel = osl != _GET
-        if not wsel.any():
-            self._switch_arrival_reads(chunk, start, stop)
-            return
+        ops = chunk.op
+        writes = ops != _GET if chunk.w else None
+        if writes is None or not writes.any():
+            live = ~self._switch_read_batch(chunk)
+        else:
+            ops = ops.copy()
+            live = writes.copy()
+            if not writes.all():
+                live[~writes] = ~self._switch_read_batch(chunk.rows(~writes))
+            for p in np.flatnonzero(writes).tolist():
+                fwd = self._switch_write(chunk, p)
+                if fwd is None:
+                    live[p] = False
+                else:
+                    ops[p] = fwd
+        if live.any():
+            self._forward(chunk.rows(live, op=ops[live]))
+
+    def _forward(self, chunk: _Chunk) -> None:
+        """Switch → owners: misses and forwarded writes onto their
+        servers' lanes, one chunk per owner."""
         sim = self.sim
-        t_all, items_all = chunk["t"], chunk["items"]
-        seqs_all, sent_all = chunk["seqs"], chunk["sent"]
-        idx_all = chunk.get("idx")
-        rpos = start + np.flatnonzero(~wsel)
-        wpos = start + np.flatnonzero(wsel)
-        miss_pos = rpos
-        if len(rpos):
-            hit = self._switch_read_batch(
-                t_all[rpos], items_all[rpos], seqs_all[rpos], sent_all[rpos],
-                idx_all[rpos] if idx_all is not None else None)
-            miss_pos = rpos[~hit]
-        live_pos: List[int] = []
-        live_op: List[int] = []
-        for p in wpos:
-            opv = self._switch_arrival_write_core(chunk, int(p))
-            if opv is not None:
-                live_pos.append(int(p))
-                live_op.append(opv)
-        if not len(miss_pos) and not live_pos:
-            return
-        pos = np.concatenate(
-            [miss_pos, np.asarray(live_pos, dtype=np.int64)])
-        ops = np.concatenate(
-            [np.full(len(miss_pos), _GET, np.int16),
-             np.asarray(live_op, dtype=np.int16)])
-        order = np.argsort(pos, kind="stable")
-        pos, ops = pos[order], ops[order]
-        owners = self._server_of_item[items_all[pos]]
-        for sid in np.unique(owners):
+        owners = self._server_of_item[chunk.items]
+        for sid in np.unique(owners).tolist():
             sel = owners == sid
-            sid = int(sid)
-            ppos = pos[sel]
-            k = len(ppos)
+            ops = chunk.op[sel]
+            rows = chunk.rows(
+                sel, op=ops, w=chunk.w and bool((ops != _GET).any()))
             if sid in sim._down_nodes:
-                # Only reads reach here: a write to a down owner was
-                # already dropped (and scalarized) by the write core.
-                sim.lost += k
-                sim.node_drops += k
-                self._scalarize_dropped(
-                    chunkless_items=items_all[ppos], seqs=seqs_all[ppos],
-                    sent=sent_all[ppos],
-                    idx=idx_all[ppos] if idx_all is not None else None,
-                    op=_GET, vals=None)
+                # transmit() drops at the node before touching the link:
+                # no link counter, no delivery.  (Only reads reach here:
+                # the write core already dropped a write to a down owner.)
+                sim.lost += len(rows)
+                sim.node_drops += len(rows)
+                self._scalarize_rows(rows)
                 continue
             link = self._server_links[sid]
-            link.transmitted += k
-            opsel = ops[sel]
-            anyw = bool((opsel != _GET).any())
-            cols = dict(items=items_all[ppos], seqs=seqs_all[ppos],
-                        sent=sent_all[ppos], op=opsel, w=anyw)
-            if anyw:
-                cols["val"] = chunk["val"][ppos]
-            if idx_all is not None:
-                cols["idx"] = idx_all[ppos]
-            self._srv_arr[sid].push(t_all[ppos] + link.latency, **cols)
+            link.transmitted += len(rows)
+            rows.t = rows.t + link.latency
+            self._srv_arr[sid].push(rows)
 
     def _push_reports(self, t: np.ndarray, hot: List) -> None:
         """Hot-key reports of a read batch arriving at *t*, onto their
@@ -1042,138 +1050,53 @@ class FastPathEngine:
         handler = self.switch.hot_key_handler
         if hot and handler is not None:
             pos, keys = zip(*hot)
-            self._reports.push(t[list(pos)] + self.switch.report_latency,
-                               keys=keys, handler=handler)
+            self._reports.push(_Reports(
+                t[list(pos)] + self.switch.report_latency, keys, handler))
 
-    def _flush_reports(self, limit: float, inclusive: bool) -> bool:
-        slices = self._reports.take(limit, inclusive)
-        for chunk, start, stop in slices:
-            for key in chunk["keys"][start:stop]:
-                chunk["handler"](key)
-        return bool(slices)
-
-    def _push_hit_replies(self, t_hit: np.ndarray,
-                          delays: Optional[np.ndarray],
-                          latency: float, cols: dict) -> None:
-        """Push cache-hit replies onto the client-reply lane, folding any
-        per-record recirculation delay into the delivery times.
-
-        The scalar path schedules a delayed ``_send_out`` event per
-        multi-pass hit, so its reply lands at ``(t + delay) + latency``
-        (left-associated floats); the vectorized form reproduces that
-        exactly.  Delays can reorder the hit stream, and the lane's
-        ``take`` binary-searches each chunk, so a delayed chunk is stable-
-        sorted by final delivery time before the push (stable = hit-stream
-        order on exact float ties, matching the scalar heap's scheduling
-        order).  All-zero delay arrays use the plain path: with positive
-        times ``(t + 0.0) + latency == t + latency`` bit-for-bit.
-        """
-        if delays is None or not delays.any():
-            self._cli_rep.push(t_hit + latency, **cols)
-            return
-        rt = (t_hit + delays) + latency
-        order = np.argsort(rt, kind="stable")
-        self._cli_rep.push(
-            rt[order],
-            **{k: (v[order] if isinstance(v, np.ndarray) else v)
-               for k, v in cols.items()})
-
-    def _switch_read_batch(self, t, items, seqs, sent, idx) -> np.ndarray:
+    def _switch_read_batch(self, chunk: _Chunk) -> np.ndarray:
         """Reads arriving at the switch, in stream order: delivery
         accounting, the read pipeline as one batch, hot-key reports and
         cache-hit replies.  Returns the hit mask; forwarding the misses
         stays with the caller."""
-        trace = self._trace
+        t = chunk.t
         key_of = self._key_of_item
         self.sim.delivered += len(t)
-        if trace is not None:
-            if idx is None:
-                trace.note_batch(t, self.client_id, self.tor_id, _GET, seqs)
-            else:
-                for ci in np.unique(idx):
-                    sel = idx == ci
-                    trace.note_batch(t[sel],
-                                     self._states[int(ci)].client.node_id,
-                                     self.tor_id, _GET, seqs[sel])
+        for st, sel in self._per_client(chunk.idx):
+            self._note_ops(t[sel], st.client.node_id, self.tor_id,
+                           chunk.op, chunk.seqs[sel], uniform=True)
         res = self.switch.process_read_batch(
-            [key_of[i] for i in items.tolist()])
+            [key_of[i] for i in chunk.items.tolist()])
         self._push_reports(t, res.hot)
         hit = res.hit_mask
         nh = int(hit.sum())
         if nh:
-            clink = self._states[0].link
-            if idx is None:
-                clink.transmitted += nh
+            replies = chunk.rows(
+                hit, op=np.full(nh, _GET_REPLY, np.int16), w=False)
+            replies.hit = True
+            self._count_client_sends(replies)
+            latency = self._client_latency
+            delays = res.hit_delays
+            if delays is None or not delays.any():
+                # All-zero delay arrays take the plain path: with positive
+                # times ``(t + 0.0) + latency == t + latency`` bit-for-bit.
+                replies.t = replies.t + latency
             else:
-                counts = np.bincount(idx[hit], minlength=len(self._states))
-                for ci, k in enumerate(counts):
-                    if k:
-                        self._states[ci].link.transmitted += int(k)
-            cols = dict(seqs=seqs[hit], sent=sent[hit], items=items[hit],
-                        hit=True, w=False,
-                        rop=np.full(nh, _GET_REPLY, np.int16))
-            if idx is not None:
-                cols["idx"] = idx[hit]
-            self._push_hit_replies(t[hit], res.hit_delays,
-                                   clink.latency, cols)
+                # The scalar path schedules a delayed ``_send_out`` event
+                # per multi-pass hit, so its reply lands at ``(t + delay)
+                # + latency`` (left-associated floats); the vectorized
+                # form reproduces that exactly.  Delays can reorder the
+                # hit stream, and the lane's ``take`` binary-searches each
+                # chunk, so a delayed chunk is stable-sorted by final
+                # delivery time before the push (stable = hit-stream order
+                # on exact float ties, matching the scalar heap's
+                # scheduling order).
+                rt = (replies.t + delays) + latency
+                order = np.argsort(rt, kind="stable")
+                replies = replies.rows(order, t=rt[order])
+            self._cli_rep.push(replies)
         return hit
 
-    def _switch_arrival_reads(self, chunk, start: int, stop: int) -> None:
-        sim = self.sim
-        t = chunk["t"][start:stop]
-        items = chunk["items"][start:stop]
-        seqs = chunk["seqs"][start:stop]
-        sent = chunk["sent"][start:stop]
-        idx = chunk.get("idx")
-        idx = idx[start:stop] if idx is not None else None
-        hit = self._switch_read_batch(t, items, seqs, sent, idx)
-        if not hit.all():
-            miss = ~hit
-            mt, mi = t[miss], items[miss]
-            ms, msent = seqs[miss], sent[miss]
-            midx = idx[miss] if idx is not None else None
-            owners = self._server_of_item[mi]
-            for sid in np.unique(owners):
-                sel = owners == sid
-                k = int(sel.sum())
-                sid = int(sid)
-                if sid in sim._down_nodes:
-                    # transmit() drops at the node before touching the
-                    # link: no link counter, no delivery.
-                    sim.lost += k
-                    sim.node_drops += k
-                    self._scalarize_dropped(chunkless_items=mi[sel],
-                                            seqs=ms[sel], sent=msent[sel],
-                                            idx=(midx[sel] if midx is not None
-                                                 else None),
-                                            op=_GET, vals=None)
-                    continue
-                link = self._server_links[sid]
-                link.transmitted += k
-                cols = dict(items=mi[sel], seqs=ms[sel], sent=msent[sel],
-                            op=np.full(k, _GET, np.int16), w=False)
-                if midx is not None:
-                    cols["idx"] = midx[sel]
-                self._srv_arr[sid].push(mt[sel] + link.latency, **cols)
-
-    def _scalarize_dropped(self, chunkless_items, seqs, sent, idx, op,
-                           vals) -> None:
-        """Node-dropped sends keep their scalar retry state alive.
-
-        The lane entry is gone, so any previously-tracked seq stops
-        expecting a lane reply (the retransmission chain is real events).
-        """
-        for i in range(len(seqs)):
-            st = self._states[int(idx[i])] if idx is not None \
-                else self._states[0]
-            if st.policy is None:
-                continue
-            value = vals[i] if vals is not None else None
-            self._scalarize_entry(st, seqs[i], chunkless_items[i],
-                                  sent[i], op, value)
-            st.scalarized.discard(int(seqs[i]))
-
-    def _switch_arrival_write_core(self, chunk, i: int) -> Optional[int]:
+    def _switch_write(self, chunk: _Chunk, i: int) -> Optional[int]:
         """Run one write through the real switch pipeline (no forwarding).
 
         The lookup/invalidate/rewrite runs in :meth:`NetCacheSwitch.
@@ -1183,49 +1106,19 @@ class FastPathEngine:
         the retry state has already been scalarized).
         """
         sim = self.sim
-        st = self._state_of(chunk, i)
-        item = int(chunk["items"][i])
-        seq = int(chunk["seqs"][i])
-        sent = float(chunk["sent"][i])
-        value = chunk["val"][i]
-        client = st.client
+        pkt = self._request_packet(chunk, i)
+        pkt.last_hop, owner = pkt.src, pkt.dst
+        row = slice(i, i + 1)
         sim.delivered += 1
-        if self._trace is not None:
-            self._trace.note_batch(chunk["t"][i:i + 1], client.node_id,
-                                   self.tor_id, _PUT, chunk["seqs"][i:i + 1])
-        owner = int(self._server_of_item[item])
-        pkt = make_put(client.node_id, owner, self._key_of_item[item],
-                       value, seq=seq)
-        pkt.created_at = sent
-        pkt.last_hop = client.node_id
-        if st.policy is not None:
-            pkt.token = seq
+        self._note_ops(chunk.t[row], pkt.src, self.tor_id, chunk.op[row],
+                       chunk.seqs[row], uniform=True)
         self.switch.process_write_packet(pkt)
         if owner in sim._down_nodes:
             sim.lost += 1
             sim.node_drops += 1
-            if st.policy is not None:
-                self._scalarize_entry(st, seq, item, sent, _PUT, value)
-                st.scalarized.discard(seq)
+            self._scalarize_rows(chunk.rows(row))
             return None
         return int(pkt.op)
-
-    def _switch_arrival_write(self, chunk, i: int) -> None:
-        """One barrier write through the real switch pipeline + forward."""
-        op = self._switch_arrival_write_core(chunk, i)
-        if op is None:
-            return
-        owner = int(self._server_of_item[int(chunk["items"][i])])
-        link = self._server_links[owner]
-        link.transmitted += 1
-        cols = dict(items=chunk["items"][i:i + 1],
-                    seqs=chunk["seqs"][i:i + 1],
-                    sent=chunk["sent"][i:i + 1],
-                    op=np.array([op], np.int16), w=True,
-                    val=chunk["val"][i:i + 1])
-        if "idx" in chunk:
-            cols["idx"] = chunk["idx"][i:i + 1]
-        self._srv_arr[owner].push(chunk["t"][i:i + 1] + link.latency, **cols)
 
     # .. switch -> server ..........................................................
 
@@ -1253,157 +1146,86 @@ class FastPathEngine:
         server._busy_until = busy
         return comp
 
-    def _note_ops(self, t, src: int, dst: int, ops, seqs) -> None:
-        """Trace notes for a slice with a mixed op column, one per op
-        class (the digest is a multiset, so stream order is not noted)."""
-        for op in set(ops.tolist()):
-            sel = ops == op
-            self._trace.note_batch(t[sel], src, dst, op, seqs[sel])
-
-    def _flush_server_arrivals(self, limit: float, inclusive: bool) -> bool:
-        progressed = False
+    def _flush_server_arrivals(self, sid: int, chunks: List[_Chunk]) -> None:
         sim = self.sim
-        trace = self._trace
-        for sid, lane in self._srv_arr.items():
-            slices = lane.take(limit, inclusive)
-            if not slices:
+        server = self._servers[sid]
+        for chunk in chunks:
+            n = len(chunk)
+            if sid in sim._down_nodes:
+                # _deliver() drops at a crashed destination.
+                sim.lost += n
+                sim.node_drops += n
+                self._scalarize_rows(chunk)
                 continue
-            progressed = True
-            server = self._servers[sid]
-            down = sid in sim._down_nodes
-            for chunk, start, stop in slices:
-                t = chunk["t"][start:stop]
-                n = stop - start
-                if down:
-                    # _deliver() drops at a crashed destination.
-                    sim.lost += n
-                    sim.node_drops += n
-                    if chunk["w"]:
-                        self._scalarize_dropped_mixed(chunk, start, stop)
-                    else:
-                        idx = chunk.get("idx")
-                        self._scalarize_dropped(
-                            chunkless_items=chunk["items"][start:stop],
-                            seqs=chunk["seqs"][start:stop],
-                            sent=chunk["sent"][start:stop],
-                            idx=idx[start:stop] if idx is not None
-                            else None,
-                            op=_GET, vals=None)
-                    continue
-                seqs = chunk["seqs"][start:stop]
-                sim.delivered += n
-                if trace is not None:
-                    if not chunk["w"]:
-                        trace.note_batch(t, self.tor_id, sid, _GET, seqs)
-                    else:
-                        self._note_ops(t, self.tor_id, sid,
-                                       chunk["op"][start:stop], seqs)
-                server.received += n
-                comp = self._server_completions(server, t)
-                server._queued += n
-                cols = dict(items=chunk["items"][start:stop], seqs=seqs,
-                            sent=chunk["sent"][start:stop],
-                            op=chunk["op"][start:stop], w=chunk["w"])
-                if "val" in chunk:
-                    cols["val"] = chunk["val"][start:stop]
-                if "idx" in chunk:
-                    cols["idx"] = chunk["idx"][start:stop]
-                self._srv_done[sid].push(comp, **cols)
-        return progressed
-
-    def _scalarize_dropped_mixed(self, chunk, start: int, stop: int) -> None:
-        """Per-entry retry scalarization for a dropped mixed-op slice."""
-        ops = chunk["op"]
-        vals = chunk.get("val")
-        for i in range(start, stop):
-            st = self._state_of(chunk, i)
-            if st.policy is None:
-                continue
-            opv = int(ops[i])
-            orig = _GET if opv == _GET else _PUT
-            value = vals[i] if vals is not None else None
-            self._scalarize_entry(st, chunk["seqs"][i], chunk["items"][i],
-                                  chunk["sent"][i], orig, value)
-            st.scalarized.discard(int(chunk["seqs"][i]))
+            sim.delivered += n
+            self._note_ops(chunk.t, self.tor_id, sid, chunk.op, chunk.seqs,
+                           uniform=not chunk.w)
+            server.received += n
+            chunk.t = self._server_completions(server, chunk.t)
+            server._queued += n
+            self._srv_done[sid].push(chunk)
 
     # .. server completion .........................................................
 
-    def _flush_server_completions(self, limit: float,
-                                  inclusive: bool) -> bool:
-        progressed = False
-        for sid, lane in self._srv_done.items():
-            slices = lane.take(limit, inclusive)
-            if not slices:
-                continue
-            progressed = True
-            server = self._servers[sid]
-            for chunk, start, stop in slices:
-                n = stop - start
-                # _complete() bookkeeping, order-independent per slice.
-                server._queued -= n
-                server.processed += n
-                if chunk["w"] and sid in self.sim._down_nodes:
-                    # Dropped replies scalarize their retry state in
-                    # strict stream order (equal-deadline timers
-                    # tie-break by heap insertion): entry by entry.
-                    for i in range(start, stop):
-                        self._complete_slice(server, sid, chunk, i, i + 1)
-                else:
-                    self._complete_slice(server, sid, chunk, start, stop)
-        return progressed
+    def _flush_server_completions(self, sid: int,
+                                  chunks: List[_Chunk]) -> None:
+        server = self._servers[sid]
+        for chunk in chunks:
+            n = len(chunk)
+            # _complete() bookkeeping, order-independent per slice.
+            server._queued -= n
+            server.processed += n
+            if chunk.w and sid in self.sim._down_nodes:
+                # Dropped replies scalarize their retry state in strict
+                # stream order (equal-deadline timers tie-break by heap
+                # insertion): entry by entry.
+                for i in range(n):
+                    self._complete_slice(server, sid,
+                                         chunk.rows(slice(i, i + 1)))
+            else:
+                self._complete_slice(server, sid, chunk)
 
-    def _complete_slice(self, server, sid: int, chunk, start: int,
-                        stop: int) -> None:
+    def _complete_slice(self, server, sid: int, chunk: _Chunk) -> None:
         """One server's completions below the limit, whatever the op mix:
         the reads charged to the store as one batch around the writes,
         which run through the real shim in stream order
         (:meth:`KVStore.get_batch` keeps the counters sequential-exact),
         then one reply chunk in completion order."""
         sim = self.sim
-        rows = slice(start, stop)
-        rops = np.full(stop - start, _GET_REPLY, np.int16)
+        rops = np.full(len(chunk), _GET_REPLY, np.int16)
         # The shim serves the value regardless of reachability; only the
         # reply transmission can drop.
-        if chunk["w"]:
-            reads = chunk["op"][rows] == _GET
+        if chunk.w:
+            reads = chunk.op == _GET
             wpos = np.flatnonzero(~reads)
 
             def apply(j: int) -> None:
                 rops[wpos[j]] = self._complete_write(
-                    server, sid, chunk, start + int(wpos[j]))
+                    server, sid, chunk, int(wpos[j]))
 
             server.store.get_batch(
-                chunk["items"][rows][reads], self._store_columns,
+                chunk.items[reads], self._store_columns,
                 (wpos - np.arange(len(wpos))).tolist(), apply)
             # Blocked and dropped writes get no lane reply.
             live = rops >= 0
-            rows, rops = start + np.flatnonzero(live), rops[live]
+            replies = chunk.rows(live, op=rops[live])
         else:
-            server.store.get_batch(chunk["items"][rows], self._store_columns)
-        idx = chunk.get("idx")
+            server.store.get_batch(chunk.items, self._store_columns)
+            replies = chunk.rows(slice(None), op=rops)
         if sid in sim._down_nodes:
             # send_reply(): transmit from a crashed source drops (the
             # writes were accounted one by one; what is left are reads).
-            sim.lost += len(rops)
-            sim.node_drops += len(rops)
-            if self._tmin is not None:
-                self._scalarize_dropped(
-                    chunkless_items=chunk["items"][rows],
-                    seqs=chunk["seqs"][rows], sent=chunk["sent"][rows],
-                    idx=idx[rows] if idx is not None else None,
-                    op=_GET, vals=None)
+            sim.lost += len(replies)
+            sim.node_drops += len(replies)
+            self._scalarize_rows(replies)
             return
         link = self._server_links[sid]
-        link.transmitted += len(rops)
-        cols = dict(items=chunk["items"][rows], seqs=chunk["seqs"][rows],
-                    sent=chunk["sent"][rows], rop=rops, w=chunk["w"])
-        if chunk["w"]:
-            cols["val"] = chunk["val"][rows]
-        if idx is not None:
-            cols["idx"] = idx[rows]
-        self._sw_rep[sid].push(chunk["t"][rows] + link.latency, **cols)
+        link.transmitted += len(replies)
+        replies.t = replies.t + link.latency
+        self._sw_rep[sid].push(replies)
 
-    def _complete_write(self, server, sid: int, chunk, i: int) -> int:
+    def _complete_write(self, server, sid: int, chunk: _Chunk,
+                        i: int) -> int:
         """One write completion through the *real* shim; returns the op of
         the reply that rides the lanes, ``-1`` when there is none.
 
@@ -1417,20 +1239,8 @@ class FastPathEngine:
         ``_Outstanding`` and is answered later by the real drain event.
         """
         sim = self.sim
-        st = self._state_of(chunk, i)
-        t = float(chunk["t"][i])
-        item = int(chunk["items"][i])
-        seq = int(chunk["seqs"][i])
-        sent = float(chunk["sent"][i])
-        value = chunk["val"][i]
-        op = int(chunk["op"][i])
-        client = st.client
-        key = self._key_of_item[item]
-        pkt = Packet(src=client.node_id, dst=sid, op=Op(op), seq=seq,
-                     key=key, value=value, udp=False)
-        pkt.created_at = sent
-        if st.policy is not None:
-            pkt.token = seq
+        t = float(chunk.t[i])
+        pkt = self._request_packet(chunk, i)
         down = sid in sim._down_nodes
         events = self.events
         captured: List[Packet] = []
@@ -1465,107 +1275,48 @@ class FastPathEngine:
 
         if not captured:
             # Blocked behind an update/insertion (or dedup-QUEUED): the
-            # real drain event will answer through the real transport.
-            self._scalarize_entry(st, seq, item, sent, _PUT, value)
+            # real drain event will answer through the real transport,
+            # which looks the entry up whatever the retry policy.
+            self._scalarize_rows(chunk.rows(slice(i, i + 1)), always=True)
             self.write_scalarized += 1
             return -1
         if down:
             sim.lost += 1
             sim.node_drops += 1
-            if st.policy is not None:
-                self._scalarize_entry(st, seq, item, sent, _PUT, value)
-                st.scalarized.discard(seq)
+            self._scalarize_rows(chunk.rows(slice(i, i + 1)))
             return -1
         return int(captured[0].op)
 
     # .. server -> switch -> client ................................................
 
-    def _flush_switch_replies(self, limit: float, inclusive: bool) -> bool:
-        progressed = False
-        sim = self.sim
-        trace = self._trace
-        for sid, lane in self._sw_rep.items():
-            slices = lane.take(limit, inclusive)
-            if not slices:
-                continue
-            progressed = True
-            for chunk, start, stop in slices:
-                t = chunk["t"][start:stop]
-                seqs = chunk["seqs"][start:stop]
-                n = stop - start
-                sim.delivered += n
-                if trace is not None:
-                    if not chunk["w"]:
-                        trace.note_batch(t, sid, self.tor_id,
-                                         _GET_REPLY, seqs)
-                    else:
-                        self._note_ops(t, sid, self.tor_id,
-                                       chunk["rop"][start:stop], seqs)
-                self.switch.process_reply_batch(n)
-                idx = chunk.get("idx")
-                clink = self._states[0].link
-                if idx is None:
-                    clink.transmitted += n
-                else:
-                    counts = np.bincount(idx[start:stop],
-                                         minlength=len(self._states))
-                    for ci, k in enumerate(counts):
-                        if k:
-                            self._states[ci].link.transmitted += int(k)
-                cols = dict(seqs=seqs, sent=chunk["sent"][start:stop],
-                            items=chunk["items"][start:stop], hit=False,
-                            rop=chunk["rop"][start:stop], w=chunk["w"])
-                if "val" in chunk:
-                    cols["val"] = chunk["val"][start:stop]
-                if idx is not None:
-                    cols["idx"] = idx[start:stop]
-                self._cli_rep.push(t + clink.latency, **cols)
-        return progressed
+    def _flush_switch_replies(self, sid: int, chunks: List[_Chunk]) -> None:
+        for chunk in chunks:
+            n = len(chunk)
+            self.sim.delivered += n
+            self._note_ops(chunk.t, sid, self.tor_id, chunk.op, chunk.seqs,
+                           uniform=not chunk.w)
+            self.switch.process_reply_batch(n)
+            self._count_client_sends(chunk)
+            chunk.t = chunk.t + self._client_latency
+            self._cli_rep.push(chunk)
 
-    def _flush_client_replies(self, limit: float, inclusive: bool) -> bool:
-        slices = self._cli_rep.take(limit, inclusive, monotone=False)
-        if not slices:
-            return False
-        ts, seqs, sents, hits, rops, idxs = [], [], [], [], [], []
-        for chunk, start, stop in slices:
-            n = stop - start
-            ts.append(chunk["t"][start:stop])
-            seqs.append(chunk["seqs"][start:stop])
-            sents.append(chunk["sent"][start:stop])
-            hits.append(np.full(n, chunk["hit"], dtype=bool))
-            rops.append(chunk["rop"][start:stop])
-            idx = chunk.get("idx")
-            idxs.append(idx[start:stop] if idx is not None
-                        else np.zeros(n, np.int64))
-        t = np.concatenate(ts)
+    def _flush_client_replies(self, _sid, chunks: List[_Chunk]) -> None:
+        t = np.concatenate([c.t for c in chunks])
         order = np.argsort(t, kind="stable")
         t = t[order]
-        seq = np.concatenate(seqs)[order]
-        sent = np.concatenate(sents)[order]
-        hit = np.concatenate(hits)[order]
-        rop = np.concatenate(rops)[order]
-        idx = np.concatenate(idxs)[order]
-        n = len(t)
-        sim = self.sim
-        sim.delivered += n
-        trace = self._trace
-        if not self._multi:
-            st = self._states[0]
-            if trace is not None:
-                self._note_ops(t, self.tor_id, st.client.node_id, rop, seq)
-            self._client_reply_batch(st, t, seq, sent, hit)
-            return True
-        for ci in range(len(self._states)):
-            mask = idx == ci
-            if not mask.any():
-                continue
-            st = self._states[ci]
-            tc, sc = t[mask], seq[mask]
-            if trace is not None:
-                self._note_ops(tc, self.tor_id, st.client.node_id,
-                               rop[mask], sc)
-            self._client_reply_batch(st, tc, sc, sent[mask], hit[mask])
-        return True
+        seq = np.concatenate([c.seqs for c in chunks])[order]
+        sent = np.concatenate([c.sent for c in chunks])[order]
+        rop = np.concatenate([c.op for c in chunks])[order]
+        hit = np.concatenate([np.full(len(c), c.hit, dtype=bool)
+                              for c in chunks])[order]
+        idx = None
+        if self._multi:
+            idx = np.concatenate([c.idx for c in chunks])[order]
+        self.sim.delivered += len(t)
+        for st, sel in self._per_client(idx):
+            tc, sc = t[sel], seq[sel]
+            self._note_ops(tc, self.tor_id, st.client.node_id, rop[sel], sc)
+            self._client_reply_batch(st, tc, sc, sent[sel], hit[sel])
 
     def _client_reply_batch(self, st: _ClientState, t, seq, sent,
                             hit) -> None:
@@ -1634,115 +1385,55 @@ class FastPathEngine:
                 st.pending_send = self.events.schedule_abs(
                     st.next_send, self._scalar_send_tick, st)
 
-    def _register_outstanding(self, chunk, start: int, stop: int,
-                              op_col: str) -> None:
-        """Real ``_Outstanding`` entries (+ retry timers) for every lane
-        entry being materialized; scalarized seqs already have one."""
-        ops = chunk[op_col]
-        vals = chunk.get("val")
-        for i in range(start, stop):
-            st = self._state_of(chunk, i)
-            opv = int(ops[i])
-            orig = _GET if opv in (_GET, _GET_REPLY) else _PUT
-            value = vals[i] if vals is not None else None
-            self._scalarize_entry(st, chunk["seqs"][i], chunk["items"][i],
-                                  chunk["sent"][i], orig, value)
-            # The lane entry becomes a real event; its reply is real too.
-            st.scalarized.discard(int(chunk["seqs"][i]))
+    def _reply_packet(self, chunk: _Chunk, i: int) -> Packet:
+        """Rebuild the concrete reply packet row *i* stands for."""
+        item = int(chunk.items[i])
+        reply = Packet(src=int(self._server_of_item[item]),
+                       dst=self._state_of(chunk, i).client.node_id,
+                       op=Op(int(chunk.op[i])), seq=int(chunk.seqs[i]),
+                       key=self._key_of_item[item])
+        reply.served_by_cache = chunk.hit
+        return reply
 
-    def _pending_slices(self, lane: _Lane):
-        for chunk in lane.chunks:
-            if chunk["pos"] < len(chunk["t"]):
-                yield chunk, chunk["pos"], len(chunk["t"])
+    def _emit_switch_arrival(self, _sid, chunk: _Chunk, i: int) -> None:
+        pkt = self._request_packet(chunk, i)
+        self.sim.deliver_at(float(chunk.t[i]), pkt.src, self.tor_id, pkt)
 
-    def _request_packet(self, chunk, i: int, op: int) -> Packet:
-        """Rebuild the concrete request packet a lane entry stands for."""
-        st = self._state_of(chunk, i)
-        item = int(chunk["items"][i])
-        key = self._key_of_item[item]
-        owner = int(self._server_of_item[item])
-        seq = int(chunk["seqs"][i])
-        if op == _GET:
-            pkt = make_get(st.client.node_id, owner, key, seq=seq)
-        else:
-            vals = chunk.get("val")
-            value = vals[i] if vals is not None else None
-            pkt = Packet(src=st.client.node_id, dst=owner, op=Op(op),
-                         seq=seq, key=key, value=value, udp=False)
-            if st.policy is not None:
-                pkt.token = seq
-        pkt.created_at = float(chunk["sent"][i])
-        return pkt
+    def _emit_server_arrival(self, sid: int, chunk: _Chunk, i: int) -> None:
+        self.sim.deliver_at(float(chunk.t[i]), self.tor_id, sid,
+                            self._request_packet(chunk, i))
+
+    def _emit_server_completion(self, sid: int, chunk: _Chunk,
+                                i: int) -> None:
+        # Arrival bookkeeping (received/_queued/_busy_until) already
+        # happened; re-enter at the completion event.
+        self.events.schedule_abs(float(chunk.t[i]),
+                                 self._servers[sid]._complete,
+                                 self._request_packet(chunk, i))
+
+    def _emit_switch_reply(self, sid: int, chunk: _Chunk, i: int) -> None:
+        self.sim.deliver_at(float(chunk.t[i]), sid, self.tor_id,
+                            self._reply_packet(chunk, i))
+
+    def _emit_client_reply(self, _sid, chunk: _Chunk, i: int) -> None:
+        reply = self._reply_packet(chunk, i)
+        self.sim.deliver_at(float(chunk.t[i]), self.tor_id, reply.dst, reply)
 
     def _materialize(self) -> None:
-        sim = self.sim
-        tor = self.tor_id
-
-        for chunk, start, stop in self._pending_slices(self._sw_arr):
-            self._register_outstanding(chunk, start, stop, "op")
-            for i in range(start, stop):
-                st = self._state_of(chunk, i)
-                pkt = self._request_packet(chunk, i, int(chunk["op"][i]))
-                self.materialized += 1
-                sim.deliver_at(float(chunk["t"][i]), st.client.node_id,
-                               tor, pkt)
-        for sid, lane in self._srv_arr.items():
-            for chunk, start, stop in self._pending_slices(lane):
-                self._register_outstanding(chunk, start, stop, "op")
-                for i in range(start, stop):
-                    pkt = self._request_packet(chunk, i,
-                                               int(chunk["op"][i]))
-                    self.materialized += 1
-                    sim.deliver_at(float(chunk["t"][i]), tor, sid, pkt)
-        for sid, lane in self._srv_done.items():
-            server = self._servers[sid]
-            for chunk, start, stop in self._pending_slices(lane):
-                self._register_outstanding(chunk, start, stop, "op")
-                for i in range(start, stop):
-                    pkt = self._request_packet(chunk, i,
-                                               int(chunk["op"][i]))
-                    self.materialized += 1
-                    # Arrival bookkeeping (received/_queued/_busy_until)
-                    # already happened; re-enter at the completion event.
-                    self.events.schedule_abs(float(chunk["t"][i]),
-                                             server._complete, pkt)
-        for sid, lane in self._sw_rep.items():
-            for chunk, start, stop in self._pending_slices(lane):
-                self._register_outstanding(chunk, start, stop, "rop")
-                for i in range(start, stop):
-                    st = self._state_of(chunk, i)
-                    item = int(chunk["items"][i])
-                    reply = Packet(src=sid, dst=st.client.node_id,
-                                   op=Op(int(chunk["rop"][i])),
-                                   seq=int(chunk["seqs"][i]),
-                                   key=self._key_of_item[item])
-                    self.materialized += 1
-                    sim.deliver_at(float(chunk["t"][i]), sid, tor, reply)
-        for chunk, start, stop in self._pending_slices(self._cli_rep):
-            self._register_outstanding(chunk, start, stop, "rop")
-            hit = chunk["hit"]
-            for i in range(start, stop):
-                st = self._state_of(chunk, i)
-                item = int(chunk["items"][i])
-                reply = Packet(src=int(self._server_of_item[item]),
-                               dst=st.client.node_id,
-                               op=Op(int(chunk["rop"][i])),
-                               seq=int(chunk["seqs"][i]),
-                               key=self._key_of_item[item])
-                reply.served_by_cache = hit
-                self.materialized += 1
-                sim.deliver_at(float(chunk["t"][i]), tor,
-                               st.client.node_id, reply)
-
-        for chunk, start, stop in self._pending_slices(self._reports):
-            for i in range(start, stop):
-                self.events.schedule_abs(float(chunk["t"][i]),
-                                         chunk["handler"], chunk["keys"][i])
-
-        self._sw_arr.clear()
-        self._cli_rep.clear()
-        self._reports.clear()
-        for group in (self._srv_arr, self._srv_done, self._sw_rep):
-            for lane in group.values():
+        """Every pending lane row becomes the event the scalar loop would
+        hold for it, with the ``_Outstanding`` its reply will look up (a
+        scalarized seq already has one); the lane entry and its reply
+        are real from here on."""
+        for stage in self._stages:
+            for sid, lane in stage.lanes.items():
+                for chunk in lane.rest():
+                    self._scalarize_rows(chunk, always=True)
+                    for i in range(len(chunk)):
+                        stage.emit(sid, chunk, i)
+                    self.materialized += len(chunk)
                 lane.clear()
+        for batch in self._reports.rest():
+            for t, key in zip(batch.t.tolist(), batch.keys):
+                self.events.schedule_abs(t, batch.handler, key)
+        self._reports.clear()
         self._deadlines.clear()

@@ -51,9 +51,6 @@ ETHERTYPE_IPV4 = 0x0800
 PROTO_UDP = 17
 PROTO_TCP = 6
 
-#: Backwards-compatible alias (canonical constants live in net/protocol.py).
-FLAG_SERVED_BY_CACHE = HDR_FLAG_SERVED_BY_CACHE
-
 
 def node_to_ip(node: int) -> bytes:
     """Map a node id to a 10.0.0.0/16-style IPv4 address."""

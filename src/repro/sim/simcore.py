@@ -356,7 +356,7 @@ class SimCoreRunner:
         self.cluster = cluster
         self.client = client
         self.workload = workload
-        self.engine = FastPathEngine(cluster, client, trace=trace)
+        self.engine = FastPathEngine(cluster, trace=trace)
         self.fast_forward = fast_forward
         self.quiescent_epochs = quiescent_epochs
         self.samples_per_epoch = samples_per_epoch

@@ -114,7 +114,7 @@ class TestEviction:
         self._fill(controller, servers, part, 4)
         # Warm the cached keys' counters.
         for i in range(4):
-            idx = switch.dataplane.lookup.key_index_of(key(i))
+            idx = switch.dataplane.layout.key_index_of(key(i))
             switch.dataplane.stats.counters.add(idx, 100)
         candidate = key(99)
         load(servers, part, {candidate: b"meh"})
@@ -167,7 +167,7 @@ class TestReorganization:
     def test_reorganize_reduces_fragmentation(self):
         sim, switch, servers, part, controller = rig(capacity=64)
         self._fragment(switch, servers, part, controller)
-        mm = switch.dataplane.memory[0]
+        mm = switch.dataplane.layout.memory[0]
         before = mm.fragmentation()
         controller.fragmentation_threshold = 0.0  # force repack
         if before > 0:

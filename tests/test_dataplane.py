@@ -134,8 +134,8 @@ class TestUpdatePath:
 class TestPipePlacement:
     def test_value_lives_in_owning_pipe(self, dp):
         dp.install(KEY, b"v", egress_port=4)  # server B, pipe 1
-        assert len(dp.memory[1]) == 1
-        assert len(dp.memory[0]) == 0
+        assert len(dp.layout.memory[1]) == 1
+        assert len(dp.layout.memory[0]) == 0
 
     def test_hit_from_other_pipe_server(self, dp):
         dp.install(KEY, b"v", egress_port=4)

@@ -341,10 +341,10 @@ class TestInvariants:
         cluster, workload = tiny_rig
         hot = workload.hottest_keys(1)[0]
         dataplane = cluster.switch.dataplane
-        res = dataplane.lookup.lookup(hot)
+        res = dataplane.layout.lookup.lookup(hot)
         pipe = dataplane.pipe_of_port(res.egress_port)
         # Corrupt the cached copy behind the protocol's back.
-        dataplane.values[pipe].write(res.allocation, b"garbage-value!")
+        dataplane.layout.values[pipe].write(res.allocation, b"garbage-value!")
         suite = InvariantSuite(cluster, checkers=[AgreementInvariant()])
         violations = suite.finalize()
         assert len(violations) == 1
@@ -387,11 +387,37 @@ class TestInvariants:
             client.get(hot)
         suite.check_now()
         # Roll the counter back without bumping stats.resets.
-        index = cluster.switch.dataplane.lookup.key_index_of(hot)
+        index = cluster.switch.dataplane.layout.key_index_of(hot)
         cluster.switch.dataplane.stats.counters.write_int(index, 0)
         suite.check_now()
         assert not suite.clean
         assert suite.violations[0].invariant == "counter-monotonicity"
+
+    @pytest.mark.parametrize("layout", ["paper", "setassoc", "orbit"])
+    def test_counter_monotonicity_ticks_on_every_layout(self, layout):
+        # The checker reaches the key index through the CacheLayout
+        # interface, not through the paper geometry's lookup table.
+        workload = default_workload(num_keys=100, skew=0.99, seed=2,
+                                    value_size=16)
+        cluster = Cluster(ClusterConfig(
+            num_servers=4, cache_items=8, lookup_entries=128,
+            value_slots=128, seed=2, layout=layout))
+        cluster.load_workload_data(workload)
+        cluster.warm_cache(workload, 8)
+        suite = InvariantSuite(cluster,
+                               checkers=[CounterMonotonicityInvariant()])
+        client = cluster.sync_client()
+        hot = workload.hottest_keys(1)[0]
+        for _ in range(10):
+            client.get(hot)
+        suite.check_now()
+        assert suite.clean
+        dataplane = cluster.switch.dataplane
+        dataplane.stats.counters.write_int(
+            dataplane.layout.key_index_of(hot), 0)
+        suite.check_now()
+        assert [v.invariant for v in suite.violations] == \
+            ["counter-monotonicity"]
 
     def test_interval_validated(self, tiny_rig):
         cluster, _ = tiny_rig

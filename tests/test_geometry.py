@@ -92,12 +92,12 @@ class TestRegistry:
 
 
 class TestDataplaneSeam:
-    def test_paper_aliases_preserved(self):
+    def test_paper_internals_live_on_the_layout_only(self):
         dp = small_dp()
-        assert dp.lookup is dp.layout.lookup
-        assert dp.values is dp.layout.values
-        assert dp.status is dp.layout.status
-        assert dp.memory is dp.layout.memory
+        assert isinstance(dp.layout, PaperLayout)
+        for name in ("lookup", "values", "status", "memory"):
+            assert hasattr(dp.layout, name)
+            assert not hasattr(dp, name)
 
     def test_fresh_switch_hit_ratio_is_zero(self):
         assert small_dp().hit_ratio() == 0.0

@@ -64,7 +64,7 @@ class TestReboot:
     def test_reboot_keeps_pipe_memory_consistent(self, rig):
         cluster, workload = rig
         cluster.switch.reboot()
-        for mm in cluster.switch.dataplane.memory:
+        for mm in cluster.switch.dataplane.layout.memory:
             assert mm.used_slots == 0
             assert len(mm) == 0
         # Memory is immediately reusable.

@@ -187,9 +187,9 @@ class TestBehavioralSabotage:
             orig = engine._scalarize_entry
             armed = {"live": True}
 
-            def sabotaged(st, seq, item, sent, op, value, track=False):
-                orig(st, seq, item, sent, op, value, track=track)
-                entry = st.client._outstanding.get(int(seq))
+            def sabotaged(st, chunk, i, track=False):
+                orig(st, chunk, i, track=track)
+                entry = st.client._outstanding.get(int(chunk.seqs[i]))
                 if armed["live"] and entry is not None \
                         and entry.timer is not None:
                     armed["live"] = False
@@ -439,8 +439,9 @@ class TestMixedLaneSabotage:
             late = engine._tmin
 
             class LateLane(fastpath._Lane):
-                def push(self, t, **cols):
-                    super().push(t + late, **cols)
+                def push(self, reports):
+                    reports.t = reports.t + late
+                    super().push(reports)
 
             engine._reports = LateLane()
 
@@ -452,6 +453,37 @@ class TestMixedLaneSabotage:
         assert diffs, "a report crossing an update round must not pass"
         fields = {d.split(":")[0] for d in diffs}
         assert "controller.insertions" in fields, diffs
+
+    def test_materialized_row_without_its_entry_flags_received(self):
+        # No retry policy, so a dropped row needs no ``_Outstanding`` —
+        # but a materialized one does: its reply arrives as a real packet
+        # and is counted only if it finds its entry.  A light loss burst
+        # on a server link opens a fallback with a row or two in the
+        # lanes (a burst on the client link would lose the reply either
+        # way and hide the defect).
+        cfg = tiny(seed=5)
+
+        def burst(cluster, client):
+            link = cluster.link_to(cluster.plan.server_ids[0])
+            cluster.sim.events.schedule_at(
+                0.02, link.start_loss_burst, 0.05, 0.03)
+
+        armed = []
+
+        def arm(engine):
+            hook = engine._scalarize_rows
+            engine._scalarize_rows = \
+                lambda chunk, always=False: hook(chunk)
+            armed.append(engine)
+
+        scalar = run_faulted(cfg, burst, batched=False)
+        healthy = run_faulted(cfg, burst, batched=True)
+        assert healthy["fastpath.fallbacks"] == {"link_fault": 1}
+        assert diff_snapshots(scalar, healthy) == []
+        bad = run_faulted(cfg, burst, batched=True, arm=arm)
+        assert armed[0].materialized, "scenario must catch rows in the lanes"
+        fields = {d.split(":")[0] for d in diff_snapshots(scalar, bad)}
+        assert "client.received" in fields, fields
 
     def test_reads_charged_after_a_structural_put_flag_the_probe_totals(
             self, monkeypatch):

@@ -5,9 +5,11 @@ in ``tests/test_prop_simcore.py`` and the committed 100k-packet pin in
 ``tests/test_golden_simcore.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net import fastpath
 from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
 from repro.reliability.retry import RetryPolicy
@@ -115,6 +117,23 @@ class TestDifferential:
         assert diff_snapshots(a, b) == []
         assert a["dataplane.writes_seen"] > 0
 
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(write_ratio=0.05, num_clients=2, client_rates=(1.2e5, 8e4),
+             retries=True, seed=6),
+    ])
+    def test_query_refill_inside_a_window_byte_identical(self, overrides,
+                                                          monkeypatch):
+        # Seven pre-drawn queries per refill: every send window spans
+        # many refills, and a window's sends still leave as one chunk.
+        cfg = tiny(duration=0.02, **overrides)
+        scalar = run_scalar(cfg)
+        monkeypatch.setattr(fastpath, "QUERY_BATCH", 7)
+        batched = run_batched(cfg)
+        assert diff_snapshots(scalar, batched) == []
+        assert batched["fastpath.coverage"] == 1.0
+        assert batched["fastpath.fallbacks"] == {}
+
     def test_down_server_with_retries_byte_identical(self):
         # A crashed server turns lane entries into node drops whose
         # retransmission chains must replay exactly (including the
@@ -156,43 +175,101 @@ class TestEligibility:
 
     def test_retry_policy_accepted(self):
         cluster, workload = self._rack()
-        client = cluster.add_workload_client(workload, rate=1e5,
-                                             retry_policy=RetryPolicy())
-        engine = FastPathEngine(cluster, client)
+        cluster.add_workload_client(workload, rate=1e5,
+                                    retry_policy=RetryPolicy())
+        engine = FastPathEngine(cluster)
         assert engine._tmin == pytest.approx(
             RetryPolicy().min_delay())
 
     def test_rate_controller_rejected(self):
         cluster, workload = self._rack()
-        client = cluster.add_workload_client(workload, rate=1e5, aimd=True)
+        cluster.add_workload_client(workload, rate=1e5, aimd=True)
         with pytest.raises(ConfigurationError):
-            FastPathEngine(cluster, client)
+            FastPathEngine(cluster)
 
     def test_server_queue_limit_rejected(self):
         cluster, workload = self._rack(server_queue_limit=64)
-        client = cluster.add_workload_client(workload, rate=1e5)
+        cluster.add_workload_client(workload, rate=1e5)
         with pytest.raises(ConfigurationError):
-            FastPathEngine(cluster, client)
+            FastPathEngine(cluster)
 
     def test_plain_switch_rejected(self):
         cluster, workload = self._rack(enable_cache=False)
-        client = cluster.add_workload_client(workload, rate=1e5)
+        cluster.add_workload_client(workload, rate=1e5)
         with pytest.raises(ConfigurationError):
-            FastPathEngine(cluster, client)
+            FastPathEngine(cluster)
 
     def test_second_workload_client_accepted(self):
         cluster, workload = self._rack()
-        client = cluster.add_workload_client(workload, rate=1e5)
+        cluster.add_workload_client(workload, rate=1e5)
         cluster.add_workload_client(workload.fork(7919), rate=5e4)
-        engine = FastPathEngine(cluster, client)
+        engine = FastPathEngine(cluster)
         assert len(engine._states) == 2
 
-    def test_client_must_be_first(self):
-        cluster, workload = self._rack()
-        cluster.add_workload_client(workload, rate=1e5)
-        second = cluster.add_workload_client(workload.fork(7919), rate=1e5)
-        with pytest.raises(ConfigurationError):
-            FastPathEngine(cluster, second)
+
+class TestLaneRecords:
+    """``_Chunk`` and ``_Lane``: the record every stage passes on and the
+    FIFO it waits in."""
+
+    @staticmethod
+    def chunk(t, **optional):
+        t = np.asarray(t, dtype=float)
+        n = len(t)
+        return fastpath._Chunk(t, np.arange(n), np.arange(100, 100 + n),
+                               t - 1.0, np.full(n, 1, np.int16), **optional)
+
+    def test_take_is_exclusive_or_inclusive_at_the_limit(self):
+        lane = fastpath._Lane()
+        lane.push(self.chunk([1.0, 2.0, 3.0]))
+        lane.push(self.chunk([4.0, 5.0]))
+        assert [c.t.tolist() for c in lane.take(2.0, False)] == [[1.0]]
+        assert [c.t.tolist() for c in lane.take(2.0, True)] == [[2.0]]
+        assert lane.pending() == 3
+        # Both chunks in one take; the consumed one leaves the lane.
+        assert [c.seqs.tolist() for c in lane.take(4.0, True)] == \
+            [[102], [100]]
+        assert [c.t.tolist() for c in lane.rest()] == [[5.0]]
+        assert lane.take(4.5, True) == []
+
+    def test_monotone_lane_stops_at_the_first_chunk_past_the_limit(self):
+        # Out of order on purpose: a monotone lane trusts its producers
+        # and never looks behind a chunk that starts past the limit; the
+        # multi-producer lane looks at every chunk.
+        for monotone, below, at in ((True, [], [[5.0], [1.0]]),
+                                    (False, [[1.0]], [[5.0]])):
+            lane = fastpath._Lane(monotone=monotone)
+            lane.push(self.chunk([5.0, 6.0]))
+            lane.push(self.chunk([1.0, 7.0]))
+            assert [c.t.tolist() for c in lane.take(5.0, False)] == below
+            assert [c.t.tolist() for c in lane.take(5.0, True)] == at
+            assert lane.pending() == 2
+        lane.clear()
+        assert lane.pending() == 0 and lane.rest() == []
+
+    def test_empty_chunk_is_not_queued(self):
+        lane = fastpath._Lane()
+        lane.push(self.chunk([]))
+        assert lane.chunks == []
+
+    def test_rows_propagates_only_the_columns_that_mean_something(self):
+        single = self.chunk([1.0, 2.0, 3.0])
+        picked = single.rows(np.array([True, False, True]))
+        assert picked.idx is None and picked.val is None
+        assert not picked.w and not picked.hit and picked.pos == 0
+        assert picked.seqs.tolist() == [100, 102]
+
+        vals = np.array([None, b"v", None], dtype=object)
+        mixed = self.chunk([1.0, 2.0, 3.0], idx=np.array([0, 1, 0]),
+                           val=vals, w=True, hit=True)
+        kept = mixed.rows(slice(1, None))
+        assert kept.w and kept.val.tolist() == [b"v", None]
+        assert kept.idx.tolist() == [1, 0] and kept.hit
+        reads = mixed.rows(np.array([0, 2]), t=np.array([8.0, 9.0]),
+                           op=np.array([5, 5], np.int16), w=False)
+        assert reads.val is None and not reads.w and reads.hit
+        assert reads.t.tolist() == [8.0, 9.0]
+        assert reads.op.tolist() == [5, 5]
+        assert reads.sent.tolist() == [0.0, 2.0]
 
 
 def hit_ratio(snap):
