@@ -12,9 +12,7 @@ from repro.baselines.policies import (
     LfuPolicy,
     LruPolicy,
     ThresholdPolicy,
-    UpdateBudget,
     compare_policies,
-    run_policy,
 )
 from repro.baselines.replication import ReplicationConfig, simulate_replication
 from repro.baselines.servercache import (
@@ -34,11 +32,9 @@ __all__ = [
     "ServerCacheConfig",
     "ServerCacheResult",
     "ThresholdPolicy",
-    "UpdateBudget",
     "compare_policies",
     "make_nocache_cluster",
     "nocache_equilibrium",
-    "run_policy",
     "simulate_replication",
     "simulate_server_cache",
 ]

@@ -13,9 +13,9 @@ resulting hit ratio is what the ablation benchmark compares.
 Since the cache-geometry seam, the shared contract lives in
 :mod:`repro.core.geometry`: every policy here is an
 :class:`~repro.core.geometry.AdmissionPolicy` implementing only the stream
-surface (they never drive the live controller's victim sampling), and
-:class:`UpdateBudget`/:func:`run_policy` are re-exported from there so the
-ablation benchmark and the geometry tournament run one code path.
+surface (they never drive the live controller's victim sampling), driven
+by that module's ``UpdateBudget`` and ``run_policy`` like the geometry
+tournament — import those from there.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from typing import Dict, List, Tuple
 
-from repro.core.geometry import (  # noqa: F401  (re-exported contract)
-    AdmissionPolicy,
-    SampleEvictPolicy,
-    UpdateBudget,
-    run_policy,
-)
+from repro.core.geometry import AdmissionPolicy, UpdateBudget, run_policy
 from repro.errors import ConfigurationError
 
 

@@ -202,6 +202,7 @@ def cmd_perf(args) -> int:
     prior snapshot (see repro.tools.perf)."""
     import json
 
+    from repro.errors import ConfigurationError
     from repro.tools import perf
 
     if args.list:
@@ -210,6 +211,9 @@ def cmd_perf(args) -> int:
             print(f"{name:<{width}}  {perf.SCENARIOS[name].description}")
         return 0
 
+    if args.threshold < 0:
+        print("error: --threshold must be non-negative", file=sys.stderr)
+        return 2
     baseline = None
     if args.compare:
         try:
@@ -226,12 +230,17 @@ def cmd_perf(args) -> int:
             for p in problems:
                 print(f"  {p}", file=sys.stderr)
             return 2
+        if baseline["scenario"] != args.scenario:
+            print(f"error: snapshot {args.compare} records scenario "
+                  f"{baseline['scenario']!r}, not {args.scenario!r}",
+                  file=sys.stderr)
+            return 2
 
     try:
         snapshot = perf.run_scenario(args.scenario, seed=args.seed,
                                      duration=args.duration,
                                      metrics_out=args.metrics_out)
-    except Exception as exc:  # unknown scenario, bad duration, ...
+    except ConfigurationError as exc:  # rejected input; a crash tracebacks
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print(f"perf: {args.scenario}", perf.render_snapshot(snapshot))
@@ -246,7 +255,8 @@ def cmd_perf(args) -> int:
     if baseline is not None:
         diffs = perf.compare_snapshots(baseline, snapshot,
                                        threshold=args.threshold)
-        print(perf.render_comparison(args.compare, diffs, args.threshold))
+        print(perf.render_comparison(args.scenario, args.compare, diffs,
+                                     args.threshold))
         if diffs:
             return 1
     return 0
@@ -313,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_perf = sub.add_parser(
         "perf", help="run a perf scenario; snapshot and regression-gate")
-    from repro.tools.perf import DEFAULT_THRESHOLD, SCENARIOS as PERF_SCENARIOS
+    from repro.tools.perf import (
+        DEFAULT_THRESHOLD,
+        SCENARIOS as PERF_SCENARIOS,
+        metrics_rows,
+    )
 
     p_perf.add_argument("--scenario", choices=sorted(PERF_SCENARIOS),
                         default="zipf99",
@@ -324,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--out", default=None,
                         help="write the snapshot JSON (BENCH_<scenario>.json)")
     p_perf.add_argument("--metrics-out", default=None,
-                        help="also dump the full metric registry as JSONL")
+                        help="also write the scenario's own metrics file: "
+                             "the obs registry as JSONL for a rack run, the "
+                             f"grid as CSV for the tournament ({metrics_rows()} "
+                             "have one)")
     p_perf.add_argument("--compare", default=None, metavar="SNAPSHOT",
                         help="fail (exit 1) on regression vs a prior snapshot")
     p_perf.add_argument("--threshold", type=float,

@@ -1,50 +1,52 @@
-"""Perf harness: named scenarios, benchmark snapshots, regression gate.
+"""Perf harness: one table of named scenarios, replay snapshots, one gate.
 
-``netcache-repro perf --scenario zipf99 --out BENCH_zipf99.json`` runs one
-named discrete-event scenario with the observability layer enabled and
-writes a snapshot: throughput, hit ratio, per-component latency quantiles,
-and per-component wall-time shares.  ``--compare PRIOR.json`` re-runs the
-scenario and fails (exit 1) when a guarded metric regressed past the
-threshold — the gate later perf PRs run against their predecessor's
-snapshot.
+``netcache-repro perf --scenario NAME`` runs one row of :data:`SCENARIOS`
+and prints its report.  ``--out FILE`` writes the run's snapshot;
+``--compare PRIOR.json`` re-runs the row and fails (exit 1) when a guarded
+metric moved — the gate CI holds against the committed ``BENCH_*.json``.
 
-Everything under the snapshot's ``results`` key is a pure function of
-(scenario, seed): sim-time latencies, event counts, and span counts replay
-byte-identically (tested in ``tests/test_perf_cli.py``).  Wall-clock
-readings — elapsed time, events/second, per-component time shares — live
-under the ``wall`` key, which comparisons and determinism checks ignore.
+A row is a :class:`Scenario`: its runner, its guard rows, its renderer
+and, where it has one, the writer of its ``--metrics-out`` file.  Each
+runner is bound to the config object it consumes — a ``ClusterConfig``, a
+``WorkloadSpec`` and a rate for the discrete-event rack rows, a
+``SimCoreConfig`` for a race of the lanes engine against the scalar event
+loop, the keywords of ``run_tournament`` for the geometry grid.  The gate
+and the renderer find their row by the snapshot's ``scenario`` name.
 
-Scenarios come in three kinds.  ``kind="cluster"`` runs the discrete-event
-rack.  ``kind="microbench"`` (the ``hotpath`` scenario) drives the data
-plane's statistics hot path directly — batched ``observe_reads`` over a
-Zipf key stream — and races it against the retained scalar reference
-implementation (:mod:`repro.sketch.reference`) on the same stream,
-requiring bit-identical reports.  ``kind="simcore"`` (the ``simcore``
-scenario) runs one whole rack scenario under *both* simulator paths — the
-batched lanes engine (:mod:`repro.net.fastpath`) and the scalar event
-loop — and requires every gated counter, per-key register, and the
-delivery-trace digest to match byte-for-byte.  ``kind="georace"`` (the
-``geometry10m`` scenario) repeats that dual-path race once per non-paper
-cache geometry at full scale, additionally gating the engine's fast-path
-coverage and its attributed fallback counters so a geometry that silently
-falls back to the scalar loop fails the compare.  Deterministic counters
-of every kind are gated with exact equality; measured speedups land in
-the ``wall`` section (see docs/PERFORMANCE.md).
+Everything under ``results`` is a pure function of (scenario, seed) and is
+all a snapshot file holds; the rack rows are gated within ``--threshold``
+on sim-time throughput, ratios and latency quantiles, every other row
+with exact equality.  Host time is the in-memory ``wall`` section: the
+report prints it, ``--out`` drops it, and the one gate that reads it
+(``geometry10m``'s floor rows) checks the fresh run, never a baseline.
+Host-time trajectories live in ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import platform
-import time
-from typing import Dict, List, Optional, Tuple
+import re
+from functools import partial
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.client.workload import Workload, WorkloadSpec
+from repro.core.dataplane import NetCacheDataplane
+from repro.core.stats import QueryStatistics
 from repro.errors import ConfigurationError
+from repro.net.routing import RoutingTable
 from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.simcore import (
+    SimCoreConfig,
+    diff_snapshots,
+    run_batched,
+    run_scalar,
+)
+from repro.sketch.reference import ScalarQueryStatistics
+from repro.tools import tournament
 
 #: bump when the snapshot layout changes incompatibly.
 SNAPSHOT_SCHEMA = 1
@@ -52,179 +54,38 @@ SNAPSHOT_SCHEMA = 1
 #: default allowed relative change before --compare fails.
 DEFAULT_THRESHOLD = 0.10
 
+#: one guard row: a path into the snapshot and the rule held on it.
+#: "higher" may not drop and "lower" may not grow past the threshold,
+#: "equal" must replay identically, and ``("floor", x)`` is a minimum for
+#: a host-time reading of the fresh run (no baseline records one).
+Guard = Tuple[Tuple[str, ...], Union[str, Tuple[str, float]]]
+
 
 @dataclasses.dataclass(frozen=True)
-class PerfScenario:
-    """One named, fully-determined perf workload."""
+class Scenario:
+    """One row of :data:`SCENARIOS`."""
 
-    name: str
     description: str
-    num_servers: int = 8
-    num_keys: int = 5_000
-    cache_items: int = 64
-    lookup_entries: int = 1024
-    value_slots: int = 1024
-    skew: float = 0.99
-    write_ratio: float = 0.0
-    value_size: int = 128
-    rate: float = 40_000.0
-    duration: float = 1.0
-    hot_threshold: int = 8
-    controller_update_interval: float = 0.01
-    stats_interval: float = 0.5
-    #: per-link loss probability (applied to every cable in the rack).
-    link_loss: float = 0.0
-    #: enable the client retry layer (idempotent writes, backoff+jitter).
-    client_retries: bool = False
-    #: simcore knobs: open-loop client count, per-client rates (overrides
-    #: ``rate`` when set), and the seeded retry policy on every client.
-    num_clients: int = 1
-    client_rates: Optional[Tuple[float, ...]] = None
-    retries: bool = False
-    #: cache geometry for simcore scenarios ("paper", "setassoc", "orbit")
-    #: and value stages for the switch (fewer stages narrow an Orbit
-    #: segment, forcing multi-pass serves inside the wire format's cap).
-    layout: str = "paper"
-    num_value_stages: int = 8
-    #: "cluster" = discrete-event rack; "microbench" = direct statistics
-    #: hot-path loop (no simulator); "simcore" = dual-path race;
-    #: "tournament" = the cache-geometry grid sweep; "georace" = the
-    #: simcore dual-path race repeated per non-paper geometry.  For
-    #: microbenches ``duration`` scales the packet budget instead of
-    #: simulated seconds.
-    kind: str = "cluster"
-    #: microbench/tournament knobs (ignored by cluster scenarios; for the
-    #: tournament ``packets`` is the query budget per grid cell).
-    packets: int = 0
-    batch_size: int = 0
-    reset_every: int = 0
+    #: ``run(seed, duration)`` -> ``(config, results, wall)``; a
+    #: ``duration`` of None means the row's own length.
+    run: Callable[[int, Optional[float]], Tuple[Dict, Dict, Dict]]
+    guards: Tuple[Guard, ...]
+    render: Callable[[Dict], str]
+    #: the text ``--metrics-out`` writes for a snapshot of this row; None
+    #: when the row has no such file.
+    write_metrics: Optional[Callable[[Dict], str]] = None
 
 
-SCENARIOS: Dict[str, PerfScenario] = {
-    s.name: s for s in (
-        PerfScenario(
-            "zipf99", "paper workload: Zipf 0.99 reads, warm 64-item cache"),
-        PerfScenario(
-            "uniform", "uniform reads (cache can't help much)",
-            skew=0.0, duration=0.5),
-        PerfScenario(
-            "writeheavy", "Zipf 0.99 with 30% writes (coherence path hot)",
-            write_ratio=0.3, duration=0.5),
-        PerfScenario(
-            "smoke", "tiny CI scenario: seconds, not minutes",
-            num_servers=4, num_keys=500, cache_items=16,
-            lookup_entries=256, value_slots=256,
-            rate=10_000.0, duration=0.2),
-        PerfScenario(
-            "lossy10", "10% per-link loss, client retries on (goodput "
-            "must stay within 10% of lossless)",
-            link_loss=0.10, client_retries=True,
-            write_ratio=0.1, duration=0.5),
-        PerfScenario(
-            "hotpath", "statistics hot-path microbenchmark: batched "
-            "observe_reads raced against the scalar reference",
-            kind="microbench", num_keys=20_000, cache_items=1_000,
-            lookup_entries=4_096, value_slots=4_096,
-            packets=120_000, batch_size=4_000, reset_every=32_000),
-        PerfScenario(
-            "simcore", "10M-packet zipf99 rack under the batched lanes "
-            "engine, raced against the scalar event loop (byte-identical "
-            "counters required)",
-            kind="simcore", rate=1_000_000.0, duration=10.0,
-            stats_interval=1.0),
-        PerfScenario(
-            "simcore_mixed", "10M-packet mixed rack: two open-loop "
-            "clients (600k + 400k QPS), 5% writes through the real write "
-            "pipeline, retry policy armed — the widened fast-path "
-            "contract raced end to end against the scalar loop",
-            kind="simcore", write_ratio=0.05, num_clients=2,
-            client_rates=(600_000.0, 400_000.0), retries=True,
-            duration=10.0, stats_interval=1.0),
-        PerfScenario(
-            "tournament", "cache-geometry tournament: {paper, setassoc, "
-            "orbit} x zipf skew x value size x write ratio on identical "
-            "seeded streams (exact-replay grid, gated by "
-            "BENCH_geometry.json)",
-            kind="tournament", num_keys=2_000, cache_items=64,
-            lookup_entries=256, value_slots=256, packets=20_000),
-        PerfScenario(
-            "geometry10m", "geometry race: setassoc and orbit each run a "
-            "10M-packet rack natively under the lanes engine, raced "
-            "against the scalar event loop (byte-identical counters and "
-            "full fast-path coverage required; CI asserts >=3x wall "
-            "speedup per layout)",
-            kind="georace", rate=1_000_000.0, duration=10.0,
-            stats_interval=1.0),
-    )
-}
-
-#: the georace cells: each non-paper geometry raced dual-path at the
-#: scenario's full packet budget.  Orbit runs 96-byte values on 2-stage
-#: (32-byte) segments — three segments per value, so every cache hit
-#: takes two recirculation passes and the per-record reply-delay lane is
-#: exercised at scale while staying inside the wire format's 128-byte
-#: value cap.
-GEORACE_CELLS: Tuple[Dict[str, object], ...] = (
-    {"layout": "setassoc", "value_size": 128, "num_value_stages": 8},
-    {"layout": "orbit", "value_size": 96, "num_value_stages": 2},
-)
+def _speeds(packets: int, elapsed: float, ref_elapsed: float) -> Dict:
+    """The ``wall`` readings of a measured pass and its scalar reference."""
+    return {"packets_per_second": packets / elapsed,
+            "reference_packets_per_second": packets / ref_elapsed,
+            "speedup_vs_scalar": ref_elapsed / elapsed}
 
 
-def run_scenario(name: str, seed: int = 0,
-                 duration: Optional[float] = None,
-                 metrics_out: Optional[str] = None) -> Dict:
-    """Run one scenario and return its snapshot dict."""
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown perf scenario {name!r}; choose from "
-            f"{', '.join(sorted(SCENARIOS))}")
-    if duration is not None:
-        scenario = dataclasses.replace(scenario, duration=duration)
-    if scenario.kind == "microbench":
-        return _run_microbench(scenario, seed, metrics_out)
-    if scenario.kind == "simcore":
-        return _run_simcore(scenario, seed, metrics_out)
-    if scenario.kind == "tournament":
-        return _run_tournament(scenario, seed, metrics_out)
-    if scenario.kind == "georace":
-        return _run_georace(scenario, seed, metrics_out)
+# -- the discrete-event rack -------------------------------------------------------
 
-    workload = Workload(WorkloadSpec(
-        num_keys=scenario.num_keys, read_skew=scenario.skew,
-        write_ratio=scenario.write_ratio, seed=seed,
-        value_size=scenario.value_size))
-    retry_policy = RetryPolicy(seed=seed) if scenario.client_retries else None
-    cluster = Cluster(ClusterConfig(
-        num_servers=scenario.num_servers, cache_items=scenario.cache_items,
-        lookup_entries=scenario.lookup_entries,
-        value_slots=scenario.value_slots,
-        hot_threshold=scenario.hot_threshold,
-        controller_update_interval=scenario.controller_update_interval,
-        stats_interval=scenario.stats_interval, seed=seed,
-        link_loss=scenario.link_loss,
-        client_retry_policy=retry_policy))
-    cluster.load_workload_data(workload)
-
-    wall_start = time.perf_counter()
-    with obs.session(clock=obs.sim_clock(cluster.sim)) as o:
-        cluster.warm_cache(workload, scenario.cache_items)
-        client = cluster.add_workload_client(
-            workload, rate=scenario.rate,
-            versioned_writes=scenario.client_retries)
-        cluster.start_controller()
-        cluster.run(scenario.duration)
-        client.stop()
-        snapshot = _build_snapshot(scenario, seed, cluster, client, o,
-                                   elapsed=time.perf_counter() - wall_start)
-        if metrics_out:
-            with open(metrics_out, "w") as fh:
-                fh.write(obs.registry_to_jsonl(o.registry))
-                fh.write(obs.tracer_to_jsonl(o.tracer))
-    return snapshot
-
-
-#: component histograms embedded in the snapshot's latency section.
+#: component histograms embedded in a rack snapshot's latency section.
 LATENCY_COMPONENTS = (
     "client.request",
     "shim.cache_update.rtt",
@@ -234,458 +95,78 @@ LATENCY_COMPONENTS = (
 )
 
 
-def _build_snapshot(scenario: PerfScenario, seed: int, cluster: Cluster,
-                    client, o: "obs.Observability", elapsed: float) -> Dict:
+def _run_rack(rack: ClusterConfig, spec: WorkloadSpec, rate: float,
+              length: float, seed: int, duration: Optional[float]):
+    """Run the rack for ``duration`` simulated seconds inside an obs
+    session, cache warmed with its ``cache_items`` hottest keys.  A rack
+    with a retry policy gets it reseeded and sends versioned writes."""
+    duration = length if duration is None else duration
+    policy = rack.client_retry_policy
+    if policy is not None:
+        policy = dataclasses.replace(policy, seed=seed)
+    rack = dataclasses.replace(rack, seed=seed, client_retry_policy=policy)
+    spec = dataclasses.replace(spec, seed=seed)
+    workload = Workload(spec)
+    cluster = Cluster(rack)
+    cluster.load_workload_data(workload)
+    with obs.session(clock=obs.sim_clock(cluster.sim)) as o:
+        cluster.warm_cache(workload, rack.cache_items)
+        client = cluster.add_workload_client(
+            workload, rate=rate, versioned_writes=policy is not None)
+        cluster.start_controller()
+        cluster.run(duration)
+        client.stop()
+
+    config = {"cluster": dataclasses.asdict(rack),
+              "workload": dataclasses.asdict(spec),
+              "rate": rate, "duration": duration}
+    wall = {"time_shares": o.tracer.wall_shares(),
+            "registry_jsonl": (obs.registry_to_jsonl(o.registry)
+                               + obs.tracer_to_jsonl(o.tracer))}
     dataplane = cluster.switch.dataplane
     controller = cluster.controller
-    sim = cluster.sim
     received = client.received
-    latency = obs.latency_summary(
-        o.registry, [n for n in LATENCY_COMPONENTS if n in o.registry])
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "queries_sent": client.sent,
-            "queries_received": received,
-            "delivery_ratio": received / client.sent if client.sent else 0.0,
-            "throughput_qps": received / scenario.duration,
-            "cache_hit_ratio": (client.cache_hits / received
-                                if received else 0.0),
-            "switch": {
-                "cache_hits": dataplane.cache_hits,
-                "cache_misses": dataplane.cache_misses,
-                "hit_ratio": dataplane.hit_ratio(),
-                "invalidations": dataplane.invalidations,
-                "updates_received": dataplane.updates_received,
-                "cache_size": dataplane.cache_size(),
-            },
-            "controller": {
-                "rounds": controller.rounds,
-                "reports_received": controller.reports_received,
-                "insertions": controller.insertions,
-                "evictions": controller.evictions,
-                "rejections": controller.rejections,
-            },
-            "net": {
-                "delivered": o.net_delivered.value,
-                "dropped": o.net_dropped.value,
-            },
-            "reliability": {
-                "client_retries": client.retransmissions,
-                "client_timeouts": client.timeouts,
-                "dedup_hits": sum(s.shim.dedup.hits
-                                  for s in cluster.servers.values()),
-                "degraded_entries": sum(s.shim.degraded_entries
-                                        for s in cluster.servers.values()),
-            },
-            "latency": latency,
-            "components": o.tracer.summary(),
+    results = {
+        "queries_sent": client.sent,
+        "queries_received": received,
+        "delivery_ratio": received / client.sent if client.sent else 0.0,
+        "throughput_qps": received / duration,
+        "cache_hit_ratio": client.cache_hits / received if received else 0.0,
+        "switch": {
+            "cache_hits": dataplane.cache_hits,
+            "cache_misses": dataplane.cache_misses,
+            "hit_ratio": dataplane.hit_ratio(),
+            "invalidations": dataplane.invalidations,
+            "updates_received": dataplane.updates_received,
+            "cache_size": dataplane.cache_size(),
         },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "events_per_second": (sim.delivered / elapsed
-                                  if elapsed > 0 else 0.0),
-            "time_shares": o.tracer.wall_shares(),
-            "totals": o.tracer.wall_totals(),
-            "python": platform.python_version(),
+        "controller": {
+            "rounds": controller.rounds,
+            "reports_received": controller.reports_received,
+            "insertions": controller.insertions,
+            "evictions": controller.evictions,
+            "rejections": controller.rejections,
         },
+        "net": {
+            "delivered": o.net_delivered.value,
+            "dropped": o.net_dropped.value,
+        },
+        "reliability": {
+            "client_retries": client.retransmissions,
+            "client_timeouts": client.timeouts,
+            "dedup_hits": sum(s.shim.dedup.hits
+                              for s in cluster.servers.values()),
+            "degraded_entries": sum(s.shim.degraded_entries
+                                    for s in cluster.servers.values()),
+        },
+        "latency": obs.latency_summary(
+            o.registry, [n for n in LATENCY_COMPONENTS if n in o.registry]),
+        "components": o.tracer.summary(),
     }
+    return config, results, wall
 
 
-# -- the statistics hot-path microbenchmark ----------------------------------------
-
-
-def _run_microbench(scenario: PerfScenario, seed: int,
-                    metrics_out: Optional[str]) -> Dict:
-    """Drive the real data plane's statistics path, twice.
-
-    The measured pass streams a Zipf read workload through batched
-    ``observe_reads`` with warm digests (one untimed priming pass fills
-    the intern table, then statistics are reset — the steady state a
-    switch reaches within its first statistics interval).  The reference
-    pass replays the *same* stream through a scalar
-    :class:`~repro.sketch.reference.ScalarQueryStatistics` data plane that
-    hashes every key from scratch, and every observable output — hot
-    reports in order, hit/miss counts, per-key counters — must match
-    bit-for-bit, which lands in ``results.reference_matches``.
-    """
-    from repro.core.dataplane import NetCacheDataplane
-    from repro.core.stats import QueryStatistics
-    from repro.net.routing import RoutingTable
-    from repro.sketch.reference import ScalarQueryStatistics
-
-    if metrics_out:
-        raise ConfigurationError(
-            "--metrics-out applies only to cluster scenarios")
-    total = max(scenario.batch_size,
-                int(round(scenario.packets * scenario.duration)))
-    workload = Workload(WorkloadSpec(
-        num_keys=scenario.num_keys, read_skew=scenario.skew,
-        seed=seed, value_size=scenario.value_size))
-    stream = [key for _op, key in workload.queries(total)]
-    cached = workload.hottest_keys(scenario.cache_items)
-
-    def build(stats) -> NetCacheDataplane:
-        dp = NetCacheDataplane(RoutingTable(default_port=0),
-                               entries=scenario.lookup_entries,
-                               value_slots=scenario.value_slots,
-                               stats=stats)
-        ports = dp.num_pipes * dp.ports_per_pipe
-        for i, key in enumerate(cached):
-            dp.install(key, workload.value_for(key), i % ports)
-        return dp
-
-    def run_stream(dp: NetCacheDataplane, batched: bool) -> List[bytes]:
-        """Feed the stream with resets at fixed packet offsets; batch
-        boundaries are split at reset points so both drivers clear their
-        statistics at identical stream positions."""
-        hot: List[bytes] = []
-        reset_every = scenario.reset_every
-        pos = 0
-        while pos < total:
-            end = min(pos + scenario.batch_size, total)
-            if reset_every:
-                end = min(end, (pos // reset_every + 1) * reset_every)
-            chunk = stream[pos:end]
-            if batched:
-                hot.extend(dp.observe_reads(chunk))
-            else:
-                observe = dp.observe_read
-                for key in chunk:
-                    reported = observe(key)
-                    if reported is not None:
-                        hot.append(reported)
-            pos = end
-            if reset_every and pos % reset_every == 0:
-                dp.reset_statistics()
-        return hot
-
-    # Sample rate 1.0: every packet exercises the counter/sketch/Bloom
-    # path (the sampler's high-pass role belongs to cluster scenarios),
-    # and neither engine consumes RNG state, so the priming pass cannot
-    # perturb the measured pass's decisions.
-    fast = build(QueryStatistics(entries=scenario.lookup_entries,
-                                 hot_threshold=scenario.hot_threshold,
-                                 sample_rate=1.0, seed=seed))
-    run_stream(fast, batched=True)  # priming pass: fill the digest table
-    fast.reset_statistics()
-    hits0, misses0 = fast.cache_hits, fast.cache_misses
-    reports0, resets0 = fast.stats.reports, fast.stats.resets
-    fast.stats.sampler.reset_stats()
-
-    wall_start = time.perf_counter()
-    hot_fast = run_stream(fast, batched=True)
-    elapsed = time.perf_counter() - wall_start
-
-    ref = build(ScalarQueryStatistics(entries=scenario.lookup_entries,
-                                      hot_threshold=scenario.hot_threshold,
-                                      sample_rate=1.0, seed=seed))
-    ref_start = time.perf_counter()
-    hot_ref = run_stream(ref, batched=False)
-    ref_elapsed = time.perf_counter() - ref_start
-
-    cache_hits = fast.cache_hits - hits0
-    cache_misses = fast.cache_misses - misses0
-    matches = (hot_fast == hot_ref
-               and cache_hits == ref.cache_hits
-               and cache_misses == ref.cache_misses
-               and fast.stats.reports - reports0 == ref.stats.reports
-               and all(fast.counter_of(k) == ref.counter_of(k)
-                       for k in cached))
-    sampler = fast.stats.sampler
-    speedup = ref_elapsed / elapsed if elapsed > 0 else 0.0
-    pps = total / elapsed if elapsed > 0 else 0.0
-    ref_pps = total / ref_elapsed if ref_elapsed > 0 else 0.0
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "packets": total,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
-            "hit_ratio": (cache_hits / total) if total else 0.0,
-            "hot_reports": len(hot_fast),
-            "resets": fast.stats.resets - resets0,
-            "sampler_observed": sampler.observed,
-            "sampler_sampled": sampler.sampled,
-            "digest": fast.stats.digests.stats(),
-            "reference_matches": matches,
-        },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "packets_per_second": pps,
-            "reference_elapsed_seconds": ref_elapsed,
-            "reference_packets_per_second": ref_pps,
-            "speedup_vs_scalar": speedup,
-            "python": platform.python_version(),
-            "notes": (f"warm vectorized hot path ran {speedup:.1f}x the "
-                      f"scalar hash-per-access reference on this host "
-                      f"({pps:,.0f} vs {ref_pps:,.0f} packets/s over "
-                      f"{total} packets)"),
-        },
-    }
-
-
-# -- the dual-path simulator-core benchmark ----------------------------------------
-
-
-def _simcore_config(scenario: PerfScenario, seed: int):
-    """The :class:`~repro.sim.simcore.SimCoreConfig` a scenario describes."""
-    from repro.sim.simcore import SimCoreConfig
-
-    return SimCoreConfig(
-        num_servers=scenario.num_servers, num_keys=scenario.num_keys,
-        cache_items=scenario.cache_items,
-        lookup_entries=scenario.lookup_entries, skew=scenario.skew,
-        write_ratio=scenario.write_ratio, rate=scenario.rate,
-        duration=scenario.duration, hot_threshold=scenario.hot_threshold,
-        stats_interval=scenario.stats_interval, seed=seed,
-        num_clients=scenario.num_clients,
-        client_rates=scenario.client_rates, retries=scenario.retries,
-        layout=scenario.layout, value_size=scenario.value_size,
-        num_value_stages=scenario.num_value_stages)
-
-
-def _race_simcore(config):
-    """Run one scenario under both paths; returns the race quintuple
-    ``(scalar, batched, diffs, batched_elapsed, scalar_elapsed)``."""
-    from repro.sim.simcore import diff_snapshots, run_batched, run_scalar
-
-    wall_start = time.perf_counter()
-    batched = run_batched(config)
-    elapsed = time.perf_counter() - wall_start
-    ref_start = time.perf_counter()
-    scalar = run_scalar(config)
-    ref_elapsed = time.perf_counter() - ref_start
-    return scalar, batched, diff_snapshots(scalar, batched), \
-        elapsed, ref_elapsed
-
-
-def _run_simcore(scenario: PerfScenario, seed: int,
-                 metrics_out: Optional[str]) -> Dict:
-    """Race the batched lanes engine against the scalar event loop.
-
-    Both paths run the same :class:`~repro.sim.simcore.SimCoreConfig`
-    scenario from identical seeds; the scalar loop is the executable
-    specification, and :func:`~repro.sim.simcore.diff_snapshots` must come
-    back empty — every counter, per-key register, per-server/per-link
-    total, latency sample, and the delivery-trace digest byte-identical.
-    The measured speedup lands in ``wall``; the equivalence verdict is a
-    gated result.
-    """
-    if metrics_out:
-        raise ConfigurationError(
-            "--metrics-out applies only to cluster scenarios")
-    config = _simcore_config(scenario, seed)
-    scalar, batched, diffs, elapsed, ref_elapsed = _race_simcore(config)
-
-    total = config.packets
-    speedup = ref_elapsed / elapsed if elapsed > 0 else 0.0
-    pps = total / elapsed if elapsed > 0 else 0.0
-    ref_pps = total / ref_elapsed if ref_elapsed > 0 else 0.0
-
-    def clients_total(field: str) -> int:
-        """Sum a per-client counter over client, client1, client2, ..."""
-        total = 0
-        for k, v in scalar.items():
-            if not (k.startswith("client") and k.endswith("." + field)):
-                continue
-            tag = k[len("client"):-len(field) - 1]
-            if tag == "" or tag.isdigit():
-                total += v
-        return total
-
-    received = clients_total("received")
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "packets": total,
-            "queries_sent": clients_total("sent"),
-            "queries_received": received,
-            "cache_hits": clients_total("cache_hits"),
-            "cache_hit_ratio": (clients_total("cache_hits") / received
-                                if received else 0.0),
-            "writes_seen": scalar.get("dataplane.writes_seen", 0),
-            "retransmissions": clients_total("retransmissions"),
-            "deliveries": scalar["sim.delivered"],
-            "lost": scalar["sim.lost"],
-            "trace_digest": scalar["trace.digest"],
-            "divergences": len(diffs),
-            "divergent_fields": diffs[:20],
-            "paths_match": not diffs,
-            # Engine-side telemetry: the fraction of packets that ran
-            # under lanes and why the rest scalarized.  A run that
-            # silently scalarizes shows up here (and the georace gate
-            # holds these exactly for the non-paper geometries).
-            "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
-            "fallback_reasons": batched.get("fastpath.fallbacks", {}),
-        },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "packets_per_second": pps,
-            "reference_elapsed_seconds": ref_elapsed,
-            "reference_packets_per_second": ref_pps,
-            "speedup_vs_scalar": speedup,
-            "python": platform.python_version(),
-            "notes": (f"batched lanes engine ran {speedup:.1f}x the scalar "
-                      f"event loop on this host ({pps:,.0f} vs "
-                      f"{ref_pps:,.0f} packets/s over {total:,} packets), "
-                      f"byte-identical counters "
-                      f"{'confirmed' if not diffs else 'VIOLATED'}"),
-        },
-    }
-
-
-# -- the geometry race: non-paper layouts dual-path at full scale -------------------
-
-
-def _run_georace(scenario: PerfScenario, seed: int,
-                 metrics_out: Optional[str]) -> Dict:
-    """Race each :data:`GEORACE_CELLS` geometry dual-path at full scale.
-
-    The tournament sweeps the grid at smoke scale; this scenario takes
-    the headline non-paper cells to the full packet budget, running each
-    one natively under the lanes engine against the scalar event loop.
-    Per layout, the gate holds the replay counters, the empty diff, the
-    exact fast-path coverage, and a zero ``layout`` fallback count — so a
-    change that silently scalarizes a geometry (coverage collapses, the
-    ``layout`` reason reappears) fails ``--compare`` even though the
-    counters still match.  Wall speedups land per layout in ``wall``; the
-    CI race additionally asserts each one stays >= 3x.
-    """
-    if metrics_out:
-        raise ConfigurationError(
-            "--metrics-out applies only to cluster scenarios")
-    results: Dict = {}
-    wall_cells: Dict = {}
-    wall_start = time.perf_counter()
-    for cell in GEORACE_CELLS:
-        cell_scenario = dataclasses.replace(scenario, **cell)
-        config = _simcore_config(cell_scenario, seed)
-        scalar, batched, diffs, elapsed, ref_elapsed = _race_simcore(config)
-        fallbacks = batched.get("fastpath.fallbacks", {})
-        total = config.packets
-        speedup = ref_elapsed / elapsed if elapsed > 0 else 0.0
-        results[cell["layout"]] = {
-            "value_size": cell["value_size"],
-            "num_value_stages": cell["num_value_stages"],
-            "packets": total,
-            "cache_hits": scalar.get("client.cache_hits", 0),
-            "deliveries": scalar["sim.delivered"],
-            "lost": scalar["sim.lost"],
-            "recirculations": scalar.get("layout.recirculations", 0),
-            "trace_digest": scalar["trace.digest"],
-            "divergences": len(diffs),
-            "divergent_fields": diffs[:20],
-            "paths_match": not diffs,
-            "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
-            "layout_fallbacks": fallbacks.get("layout", 0),
-            "fallback_reasons": fallbacks,
-        }
-        wall_cells[cell["layout"]] = {
-            "elapsed_seconds": elapsed,
-            "packets_per_second": total / elapsed if elapsed > 0 else 0.0,
-            "reference_elapsed_seconds": ref_elapsed,
-            "reference_packets_per_second": (total / ref_elapsed
-                                             if ref_elapsed > 0 else 0.0),
-            "speedup_vs_scalar": speedup,
-        }
-    elapsed_all = time.perf_counter() - wall_start
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": results,
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed_all,
-            "cells": wall_cells,
-            "python": platform.python_version(),
-            "notes": ", ".join(
-                f"{name} ran {w['speedup_vs_scalar']:.1f}x the scalar loop"
-                for name, w in wall_cells.items()),
-        },
-    }
-
-
-# -- the cache-geometry tournament --------------------------------------------------
-
-
-def _run_tournament(scenario: PerfScenario, seed: int,
-                    metrics_out: Optional[str]) -> Dict:
-    """Sweep the geometry grid (see :mod:`repro.tools.tournament`).
-
-    Every cell is a pure function of the seed — layouts in the same cell
-    see byte-identical query streams — so the whole ``results`` section
-    replays exactly and is gated with equality.  ``--metrics-out`` writes
-    the per-cell grid as CSV instead of the obs exporters (the tournament
-    drives the data plane directly, without a simulator)."""
-    from repro.tools.tournament import cells_to_csv, run_tournament
-
-    wall_start = time.perf_counter()
-    result = run_tournament(
-        num_keys=scenario.num_keys, cache_items=scenario.cache_items,
-        lookup_entries=scenario.lookup_entries,
-        value_slots=scenario.value_slots, packets=scenario.packets,
-        seed=seed)
-    elapsed = time.perf_counter() - wall_start
-    if metrics_out:
-        with open(metrics_out, "w") as fh:
-            fh.write(cells_to_csv(result["cells"]))
-    cells = len(result["cells"])
-    total = cells * scenario.packets
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "scenario": scenario.name,
-        "seed": seed,
-        "config": dataclasses.asdict(scenario),
-        "results": {
-            "cells": result["cells"],
-            **result["summary"],
-        },
-        "wall": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_seconds": elapsed,
-            "packets_per_second": total / elapsed if elapsed > 0 else 0.0,
-            "python": platform.python_version(),
-            "notes": (f"{cells} grid cells x {scenario.packets} queries "
-                      f"in {elapsed:.1f}s"),
-        },
-    }
-
-
-def snapshot_to_json(snapshot: Dict) -> str:
-    return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
-
-
-def strip_volatile(snapshot: Dict) -> Dict:
-    """Drop the wall-clock section: what remains must replay identically."""
-    return {k: v for k, v in snapshot.items() if k != "wall"}
-
-
-def render_snapshot(snapshot: Dict) -> str:
-    """Human-readable digest of one snapshot."""
-    config = snapshot.get("config", {})
-    if isinstance(config, dict) and config.get("kind") == "microbench":
-        return _render_microbench(snapshot)
-    if isinstance(config, dict) and config.get("kind") == "simcore":
-        return _render_simcore(snapshot)
-    if isinstance(config, dict) and config.get("kind") == "tournament":
-        return _render_tournament(snapshot)
-    if isinstance(config, dict) and config.get("kind") == "georace":
-        return _render_georace(snapshot)
+def _render_rack(snapshot: Dict) -> str:
     r = snapshot["results"]
     lines = [
         f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
@@ -706,26 +187,148 @@ def render_snapshot(snapshot: Dict) -> str:
             f"  {name:<30} n={digest['count']:<8} "
             f"p50={digest['p50']:.3e} p90={digest['p90']:.3e} "
             f"p99={digest['p99']:.3e} p999={digest['p999']:.3e}")
-    shares = snapshot.get("wall", {}).get("time_shares", {})
-    if shares:
-        lines.append("wall-time shares (exclusive):")
-        for name, share in sorted(shares.items(), key=lambda kv: -kv[1]):
-            lines.append(f"  {name:<30} {share:6.1%}")
+    lines.append("host-time shares (exclusive):")
+    for name, share in sorted(snapshot["wall"]["time_shares"].items(),
+                              key=lambda kv: -kv[1]):
+        lines.append(f"  {name:<30} {share:6.1%}")
     return "\n".join(lines)
 
 
-def _render_microbench(snapshot: Dict) -> str:
+def _registry_jsonl(snapshot: Dict) -> str:
+    return snapshot["wall"]["registry_jsonl"]
+
+
+#: sim-time throughput, ratios and client latency, within the threshold.
+RACK_GUARDS: Tuple[Guard, ...] = (
+    (("results", "throughput_qps"), "higher"),
+    (("results", "delivery_ratio"), "higher"),
+    (("results", "cache_hit_ratio"), "higher"),
+    (("results", "latency", "client.request", "p50"), "lower"),
+    (("results", "latency", "client.request", "p99"), "lower"),
+)
+
+
+def _rack_row(description: str, rack: ClusterConfig, spec: WorkloadSpec,
+              rate: float, length: float) -> Scenario:
+    return Scenario(description, partial(_run_rack, rack, spec, rate, length),
+                    RACK_GUARDS, _render_rack, _registry_jsonl)
+
+
+# -- the statistics hot-path microbenchmark ----------------------------------------
+
+#: ``packets`` is the budget a ``duration`` of 1.0 streams; statistics are
+#: cleared every ``reset_every`` packets.  Sample rate 1.0: every packet
+#: exercises the counter/sketch/Bloom path (the sampler's high-pass role
+#: belongs to the rack rows), and neither engine consumes RNG state, so
+#: the priming pass cannot perturb the measured pass's decisions.
+HOTPATH = dict(num_keys=20_000, cache_items=1_000, entries=4_096,
+               hot_threshold=8, packets=120_000, batch_size=4_000,
+               reset_every=32_000)
+
+
+def _run_hotpath(seed: int, duration: Optional[float]):
+    """Drive the real data plane's statistics path, twice.
+
+    The measured pass streams a Zipf read workload through batched
+    ``observe_reads`` with warm digests (one untimed priming pass fills
+    the intern table, then statistics are reset — the steady state a
+    switch reaches within its first statistics interval).  The reference
+    pass replays the *same* stream through a scalar
+    :class:`~repro.sketch.reference.ScalarQueryStatistics` data plane that
+    hashes every key from scratch, and every observable output — hot
+    reports in order, hit/miss counts, per-key counters — must match
+    bit-for-bit, which lands in ``results.reference_matches``.
+    """
+    cfg = HOTPATH
+    batch_size, reset_every = cfg["batch_size"], cfg["reset_every"]
+    total = max(batch_size, int(round(
+        cfg["packets"] * (1.0 if duration is None else duration))))
+    workload = Workload(WorkloadSpec(num_keys=cfg["num_keys"], seed=seed))
+    stream = [key for _op, key in workload.queries(total)]
+    cached = workload.hottest_keys(cfg["cache_items"])
+
+    def build(stats_class) -> NetCacheDataplane:
+        dp = NetCacheDataplane(
+            RoutingTable(default_port=0), entries=cfg["entries"],
+            value_slots=cfg["entries"],
+            stats=stats_class(entries=cfg["entries"],
+                              hot_threshold=cfg["hot_threshold"],
+                              sample_rate=1.0, seed=seed))
+        ports = dp.num_pipes * dp.ports_per_pipe
+        for i, key in enumerate(cached):
+            dp.install(key, workload.value_for(key), i % ports)
+        return dp
+
+    def run_stream(dp: NetCacheDataplane, batched: bool) -> List[bytes]:
+        """Feed the stream with resets at fixed packet offsets; batch
+        boundaries are split at reset points so both drivers clear their
+        statistics at identical stream positions."""
+        hot: List[bytes] = []
+        pos = 0
+        while pos < total:
+            end = min(pos + batch_size, total,
+                      (pos // reset_every + 1) * reset_every)
+            chunk = stream[pos:end]
+            if batched:
+                hot.extend(dp.observe_reads(chunk))
+            else:
+                hot.extend(key for key in map(dp.observe_read, chunk)
+                           if key is not None)
+            pos = end
+            if pos % reset_every == 0:
+                dp.reset_statistics()
+        return hot
+
+    fast = build(QueryStatistics)
+    run_stream(fast, batched=True)  # priming pass: fill the digest table
+    fast.reset_statistics()
+    hits0, misses0 = fast.cache_hits, fast.cache_misses
+    reports0, resets0 = fast.stats.reports, fast.stats.resets
+    fast.stats.sampler.reset_stats()
+
+    ref = build(ScalarQueryStatistics)
+    start = perf_counter()
+    hot_fast = run_stream(fast, batched=True)
+    split = perf_counter()
+    hot_ref = run_stream(ref, batched=False)
+    stop = perf_counter()
+
+    cache_hits = fast.cache_hits - hits0
+    cache_misses = fast.cache_misses - misses0
+    matches = (hot_fast == hot_ref
+               and cache_hits == ref.cache_hits
+               and cache_misses == ref.cache_misses
+               and fast.stats.reports - reports0 == ref.stats.reports
+               and all(fast.counter_of(k) == ref.counter_of(k)
+                       for k in cached))
+    sampler = fast.stats.sampler
+    results = {
+        "packets": total,
+        "cache_hits": cache_hits,
+        "cache_misses": cache_misses,
+        "hit_ratio": cache_hits / total,
+        "hot_reports": len(hot_fast),
+        "resets": fast.stats.resets - resets0,
+        "sampler_observed": sampler.observed,
+        "sampler_sampled": sampler.sampled,
+        "digest": fast.stats.digests.stats(),
+        "reference_matches": matches,
+    }
+    return dict(cfg), results, _speeds(total, split - start, stop - split)
+
+
+def _render_hotpath(snapshot: Dict) -> str:
     r = snapshot["results"]
-    w = snapshot.get("wall", {})
+    w = snapshot["wall"]
     d = r["digest"]
     return "\n".join([
         f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
         f"packets={r['packets']}",
-        f"hot path     : {w.get('packets_per_second', 0.0):,.0f} packets/s "
+        f"hot path     : {w['packets_per_second']:,.0f} packets/s "
         f"(batched observe_reads, warm digests)",
-        f"reference    : {w.get('reference_packets_per_second', 0.0):,.0f} "
+        f"reference    : {w['reference_packets_per_second']:,.0f} "
         f"packets/s (scalar, hash per access)",
-        f"speedup      : {w.get('speedup_vs_scalar', 0.0):.1f}x",
+        f"speedup      : {w['speedup_vs_scalar']:.1f}x",
         f"cache        : {r['hit_ratio']:.1%} hit ratio "
         f"({r['cache_hits']} hits / {r['cache_misses']} misses)",
         f"statistics   : {r['hot_reports']} hot reports over "
@@ -737,153 +340,317 @@ def _render_microbench(snapshot: Dict) -> str:
     ])
 
 
-def _render_simcore(snapshot: Dict) -> str:
-    r = snapshot["results"]
-    w = snapshot.get("wall", {})
+#: exact replay counters: any drift means the hot path changed behaviour.
+HOTPATH_GUARDS: Tuple[Guard, ...] = tuple(
+    (("results", metric), "equal")
+    for metric in ("packets", "cache_hits", "cache_misses", "hot_reports",
+                   "sampler_sampled", "reference_matches"))
+
+
+# -- the dual-path races -----------------------------------------------------------
+
+#: the 10M-packet read-only rack both simulator paths race on.
+SIMCORE = SimCoreConfig(rate=1_000_000.0, duration=10.0, stats_interval=1.0)
+
+#: two open-loop clients, 5% writes, retry policy armed.
+SIMCORE_MIXED = dataclasses.replace(
+    SIMCORE, write_ratio=0.05, num_clients=2,
+    client_rates=(600_000.0, 400_000.0), retries=True)
+
+#: each non-paper geometry at the full packet budget.  Orbit runs 96-byte
+#: values on 2-stage (32-byte) segments — three segments per value, so
+#: every cache hit takes two recirculation passes and the per-record
+#: reply-delay lane is exercised at scale while staying inside the wire
+#: format's 128-byte value cap.
+GEOMETRY_CELLS: Tuple[SimCoreConfig, ...] = (
+    dataclasses.replace(SIMCORE, layout="setassoc"),
+    dataclasses.replace(SIMCORE, layout="orbit", value_size=96,
+                        num_value_stages=2),
+)
+
+#: batched-over-scalar host-time ratio each geometry must keep, so a
+#: native kernel cannot decay into per-packet work with equal counters.
+GEOMETRY_SPEEDUP_FLOOR = 3.0
+
+
+def _race(config: SimCoreConfig) -> Tuple[Dict, Dict]:
+    """Race the batched lanes engine against the scalar event loop.
+
+    Both paths run the same config from identical seeds; the scalar loop
+    is the executable specification, and ``diff_snapshots`` must come back
+    empty — every counter, per-key register, per-server/per-link total,
+    latency sample and the delivery-trace digest byte-identical.  Returns
+    ``(results, wall)``: the replay counters, the verdict and the engine's
+    telemetry (the share of packets that ran under lanes, and why the
+    rest scalarized), then the two paths' host time.
+    """
+    start = perf_counter()
+    batched = run_batched(config)
+    split = perf_counter()
+    scalar = run_scalar(config)
+    stop = perf_counter()
+    diffs = diff_snapshots(scalar, batched)
+
+    def clients_total(field: str) -> int:
+        """Sum a per-client counter over client, client1, client2, ..."""
+        return sum(v for k, v in scalar.items()
+                   if re.fullmatch(rf"client\d*\.{field}", k))
+
+    received = clients_total("received")
+    cache_hits = clients_total("cache_hits")
+    fallbacks = batched.get("fastpath.fallbacks", {})
+    results = {
+        "packets": config.packets,
+        "queries_sent": clients_total("sent"),
+        "queries_received": received,
+        "cache_hits": cache_hits,
+        "cache_hit_ratio": cache_hits / received if received else 0.0,
+        "writes_seen": scalar.get("dataplane.writes_seen", 0),
+        "retransmissions": clients_total("retransmissions"),
+        "deliveries": scalar["sim.delivered"],
+        "lost": scalar["sim.lost"],
+        "recirculations": scalar.get("layout.recirculations", 0),
+        "trace_digest": scalar["trace.digest"],
+        "divergences": len(diffs),
+        "divergent_fields": diffs[:20],
+        "paths_match": not diffs,
+        "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
+        "layout_fallbacks": fallbacks.get("layout", 0),
+        "fallback_reasons": fallbacks,
+    }
+    return results, _speeds(config.packets, split - start, stop - split)
+
+
+def _run_simcore(config: SimCoreConfig, seed: int,
+                 duration: Optional[float]):
+    config = dataclasses.replace(
+        config, seed=seed,
+        duration=config.duration if duration is None else duration)
+    return (dataclasses.asdict(config),) + _race(config)
+
+
+def _run_geometry(seed: int, duration: Optional[float]):
+    """One race per :data:`GEOMETRY_CELLS` geometry (the tournament sweeps
+    the grid at smoke scale; this takes the non-paper geometries to the
+    full packet budget); everything it returns is keyed by layout."""
+    config, results, cells = {}, {}, {}
+    for cell in GEOMETRY_CELLS:
+        config[cell.layout], results[cell.layout], cells[cell.layout] = \
+            _run_simcore(cell, seed, duration)
+    return config, results, {"cells": cells}
+
+
+def _race_lines(r: Dict, w: Dict) -> List[str]:
     lines = [
-        f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
-        f"packets={r['packets']:,}",
-        f"batched      : {w.get('packets_per_second', 0.0):,.0f} packets/s "
+        f"batched      : {w['packets_per_second']:,.0f} packets/s "
         f"(lanes engine)",
-        f"scalar       : {w.get('reference_packets_per_second', 0.0):,.0f} "
+        f"scalar       : {w['reference_packets_per_second']:,.0f} "
         f"packets/s (per-packet event loop)",
-        f"speedup      : {w.get('speedup_vs_scalar', 0.0):.1f}x",
+        f"speedup      : {w['speedup_vs_scalar']:.1f}x",
         f"cache        : {r['cache_hit_ratio']:.1%} client hit ratio "
         f"({r['cache_hits']} hits / {r['queries_received']} answered)",
-        f"writes       : {r.get('writes_seen', 0):,} at the switch, "
-        f"{r.get('retransmissions', 0):,} client retransmissions",
+        f"writes       : {r['writes_seen']:,} at the switch, "
+        f"{r['retransmissions']:,} client retransmissions, "
+        f"{r['recirculations']:,} recirculations",
         f"trace        : {r['trace_digest']}",
+        f"coverage     : {r['fastpath_coverage']:.3f} fast-path, "
+        f"fallbacks {r['fallback_reasons'] or '{}'}",
         f"equivalence  : "
         f"{'byte-identical' if r['paths_match'] else 'DIVERGED'}"
         f" ({r['divergences']} fields differ)",
     ]
-    if r.get("divergent_fields"):
-        lines.extend(f"  {d}" for d in r["divergent_fields"])
-    return "\n".join(lines)
+    lines.extend(f"  {d}" for d in r["divergent_fields"])
+    return lines
 
 
-def _render_georace(snapshot: Dict) -> str:
+def _render_simcore(snapshot: Dict) -> str:
+    r = snapshot["results"]
+    return "\n".join(
+        [f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
+         f"packets={r['packets']:,}"] + _race_lines(r, snapshot["wall"]))
+
+
+def _render_geometry(snapshot: Dict) -> str:
     lines = [f"scenario {snapshot['scenario']} seed={snapshot['seed']}"]
-    wall_cells = snapshot.get("wall", {}).get("cells", {})
     for layout, r in snapshot["results"].items():
-        w = wall_cells.get(layout, {})
-        lines.extend([
-            f"{layout} (value_size={r['value_size']}, "
-            f"stages={r['num_value_stages']}): {r['packets']:,} packets",
-            f"  batched    : {w.get('packets_per_second', 0.0):,.0f} "
-            f"packets/s, scalar "
-            f"{w.get('reference_packets_per_second', 0.0):,.0f} packets/s "
-            f"-> {w.get('speedup_vs_scalar', 0.0):.1f}x",
-            f"  coverage   : {r['fastpath_coverage']:.3f} fast-path, "
-            f"fallbacks {r['fallback_reasons'] or '{}'}",
-            f"  equivalence: "
-            f"{'byte-identical' if r['paths_match'] else 'DIVERGED'}"
-            f" ({r['divergences']} fields differ, "
-            f"{r['recirculations']:,} recirculations)",
-        ])
-        if r.get("divergent_fields"):
-            lines.extend(f"    {d}" for d in r["divergent_fields"])
+        cell = snapshot["config"][layout]
+        lines.append(
+            f"{layout} (value_size={cell['value_size']}, "
+            f"stages={cell['num_value_stages']}): {r['packets']:,} packets")
+        lines.extend(
+            "  " + line
+            for line in _race_lines(r, snapshot["wall"]["cells"][layout]))
     return "\n".join(lines)
+
+
+#: the dual-path equivalence itself: any drift in the replay counters or
+#: a single divergent field fails the compare.
+SIMCORE_GUARDS: Tuple[Guard, ...] = tuple(
+    (("results", metric), "equal")
+    for metric in ("packets", "queries_sent", "queries_received",
+                   "cache_hits", "writes_seen", "retransmissions",
+                   "deliveries", "lost", "divergences", "paths_match"))
+
+#: per geometry, the replay counters AND the engine telemetry — exact
+#: coverage and a zero ``layout`` fallback count, so a change that quietly
+#: pushes a geometry back onto the scalar path fails --compare even with
+#: matching counters — then the host-time floor of the fresh run.
+GEOMETRY_GUARDS: Tuple[Guard, ...] = tuple(
+    (("results", cell.layout, metric), "equal")
+    for cell in GEOMETRY_CELLS
+    for metric in ("packets", "cache_hits", "deliveries", "lost",
+                   "recirculations", "divergences", "paths_match",
+                   "fastpath_coverage", "layout_fallbacks")
+) + tuple(
+    (("wall", "cells", cell.layout, "speedup_vs_scalar"),
+     ("floor", GEOMETRY_SPEEDUP_FLOOR))
+    for cell in GEOMETRY_CELLS)
+
+
+# -- the cache-geometry tournament --------------------------------------------------
+
+#: ``packets`` is the query budget of each grid cell.
+TOURNAMENT = dict(num_keys=2_000, cache_items=64, lookup_entries=256,
+                  value_slots=256, packets=20_000)
+
+
+def _run_tournament(seed: int, duration: Optional[float]):
+    """Sweep the geometry grid (see :mod:`repro.tools.tournament`).
+
+    Every cell is a pure function of the seed — layouts in the same cell
+    see byte-identical query streams — so the whole ``results`` section
+    replays exactly.  The grid has one size: ``duration`` is not read,
+    and its host time is not taken."""
+    grid = tournament.run_tournament(seed=seed, **TOURNAMENT)
+    return dict(TOURNAMENT), {"cells": grid["cells"], **grid["summary"]}, {}
 
 
 def _render_tournament(snapshot: Dict) -> str:
-    from repro.tools.tournament import render
-
     r = snapshot["results"]
-    header = (f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
-              f"cells={r['grid_cells']}")
-    return header + "\n" + render(r["cells"], r)
+    return (f"scenario {snapshot['scenario']} seed={snapshot['seed']} "
+            f"cells={r['grid_cells']}\n" + tournament.render(r["cells"], r))
+
+
+def _grid_csv(snapshot: Dict) -> str:
+    return tournament.cells_to_csv(snapshot["results"]["cells"])
+
+
+#: the aggregate surface replays exactly; the divergence counts pin that
+#: the non-paper geometries really trade hit ratio for their structure
+#: (tests assert > 0 divergent cells, the gate the exact count).
+TOURNAMENT_GUARDS: Tuple[Guard, ...] = tuple(
+    (("results", metric), "equal")
+    for metric in ("grid_cells", "layouts_completed",
+                   "paper_mean_hit_ratio", "setassoc_mean_hit_ratio",
+                   "orbit_mean_hit_ratio", "setassoc_divergent_cells",
+                   "orbit_divergent_cells", "sram_all_ok"))
+
+
+# -- the table ---------------------------------------------------------------------
+
+#: the 8-server, 64-item rack and 5,000-key Zipf-0.99 read stream the
+#: paper-workload rack rows share.
+_RACK = ClusterConfig(num_servers=8, cache_items=64, lookup_entries=1024,
+                      value_slots=1024, stats_interval=0.5)
+_KEYS = WorkloadSpec(num_keys=5_000)
+
+SCENARIOS: Dict[str, Scenario] = {
+    "zipf99": _rack_row(
+        "paper workload: Zipf 0.99 reads, warm 64-item cache",
+        _RACK, _KEYS, rate=40_000.0, length=1.0),
+    "smoke": _rack_row(
+        "tiny CI scenario: seconds, not minutes",
+        ClusterConfig(num_servers=4, cache_items=16, lookup_entries=256,
+                      value_slots=256, stats_interval=0.5),
+        WorkloadSpec(num_keys=500), rate=10_000.0, length=0.2),
+    "lossy10": _rack_row(
+        "10% per-link loss, client retries on (goodput must stay within "
+        "10% of lossless)",
+        dataclasses.replace(_RACK, link_loss=0.10,
+                            client_retry_policy=RetryPolicy()),
+        dataclasses.replace(_KEYS, write_ratio=0.1),
+        rate=40_000.0, length=0.5),
+    "hotpath": Scenario(
+        "statistics hot-path microbenchmark: batched observe_reads raced "
+        "against the scalar reference",
+        _run_hotpath, HOTPATH_GUARDS, _render_hotpath),
+    "simcore": Scenario(
+        "10M-packet zipf99 rack under the batched lanes engine, raced "
+        "against the scalar event loop (byte-identical counters required)",
+        partial(_run_simcore, SIMCORE), SIMCORE_GUARDS, _render_simcore),
+    "simcore_mixed": Scenario(
+        "10M-packet mixed rack: two open-loop clients (600k + 400k QPS), "
+        "5% writes through the real write pipeline, retry policy armed, "
+        "raced against the scalar event loop",
+        partial(_run_simcore, SIMCORE_MIXED), SIMCORE_GUARDS,
+        _render_simcore),
+    "tournament": Scenario(
+        "cache-geometry tournament: {paper, setassoc, orbit} x zipf skew x "
+        "value size x write ratio on identical seeded streams "
+        "(exact-replay grid, gated by BENCH_geometry.json)",
+        _run_tournament, TOURNAMENT_GUARDS, _render_tournament, _grid_csv),
+    "geometry10m": Scenario(
+        "geometry race: setassoc and orbit each run a 10M-packet rack "
+        "natively under the lanes engine, raced against the scalar event "
+        "loop (byte-identical counters, full fast-path coverage and a "
+        f">={GEOMETRY_SPEEDUP_FLOOR:g}x host-time ratio per layout "
+        "required)",
+        _run_geometry, GEOMETRY_GUARDS, _render_geometry),
+}
+
+
+def metrics_rows() -> str:
+    """The scenarios ``--metrics-out`` applies to, for help and errors."""
+    return ", ".join(sorted(name for name, row in SCENARIOS.items()
+                            if row.write_metrics is not None))
+
+
+def run_scenario(name: str, seed: int = 0,
+                 duration: Optional[float] = None,
+                 metrics_out: Optional[str] = None) -> Dict:
+    """Run one scenario and return its snapshot dict."""
+    row = SCENARIOS.get(name)
+    if row is None:
+        raise ConfigurationError(
+            f"unknown perf scenario {name!r}; choose from "
+            f"{', '.join(sorted(SCENARIOS))}")
+    if metrics_out and row.write_metrics is None:
+        raise ConfigurationError(
+            f"scenario {name!r} has no --metrics-out file "
+            f"(the scenarios that do: {metrics_rows()})")
+    config, results, wall = row.run(seed, duration)
+    snapshot = {"schema": SNAPSHOT_SCHEMA, "scenario": name, "seed": seed,
+                "config": config, "results": results, "wall": wall}
+    if metrics_out:
+        with open(metrics_out, "w") as fh:
+            fh.write(row.write_metrics(snapshot))
+    return snapshot
+
+
+def strip_volatile(snapshot: Dict) -> Dict:
+    """Drop the host-time section: what remains must replay identically."""
+    return {k: v for k, v in snapshot.items() if k != "wall"}
+
+
+def snapshot_to_json(snapshot: Dict) -> str:
+    """The ``--out`` file: the snapshot without its host-time section."""
+    return json.dumps(strip_volatile(snapshot), sort_keys=True,
+                      indent=2) + "\n"
+
+
+def render_snapshot(snapshot: Dict) -> str:
+    """Human-readable report of one fresh (``wall``-carrying) snapshot."""
+    return SCENARIOS[snapshot["scenario"]].render(snapshot)
 
 
 # -- regression gate --------------------------------------------------------------
 
-#: (path into the snapshot, direction) pairs guarded by --compare.
-#: "higher" metrics may not drop, "lower" metrics may not grow, past the
-#: threshold.
-GUARDED_METRICS: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("results", "throughput_qps"), "higher"),
-    (("results", "delivery_ratio"), "higher"),
-    (("results", "cache_hit_ratio"), "higher"),
-    (("results", "latency", "client.request", "p50"), "lower"),
-    (("results", "latency", "client.request", "p99"), "lower"),
-)
 
-#: microbench snapshots carry no sim-time latencies; their results are
-#: exact replay counters, so the gate demands equality ("equal" ignores
-#: the threshold — any drift means the hot path changed behaviour).
-MICROBENCH_GUARDED_METRICS: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("results", "packets"), "equal"),
-    (("results", "cache_hits"), "equal"),
-    (("results", "cache_misses"), "equal"),
-    (("results", "hot_reports"), "equal"),
-    (("results", "sampler_sampled"), "equal"),
-    (("results", "reference_matches"), "equal"),
-)
-
-
-#: the simcore snapshot gates the dual-path equivalence itself: any drift
-#: in the replay counters or a single divergent field fails the compare.
-SIMCORE_GUARDED_METRICS: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("results", "packets"), "equal"),
-    (("results", "queries_sent"), "equal"),
-    (("results", "queries_received"), "equal"),
-    (("results", "cache_hits"), "equal"),
-    (("results", "writes_seen"), "equal"),
-    (("results", "retransmissions"), "equal"),
-    (("results", "deliveries"), "equal"),
-    (("results", "lost"), "equal"),
-    (("results", "divergences"), "equal"),
-    (("results", "paths_match"), "equal"),
-)
-
-
-#: the tournament grid is a pure function of the seed: the aggregate
-#: metric surface must replay exactly, and the divergence counters pin
-#: that the non-paper geometries really do trade hit ratio for their
-#: structural properties (>0 divergent cells is asserted by tests, the
-#: gate pins the exact count).
-TOURNAMENT_GUARDED_METRICS: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("results", "grid_cells"), "equal"),
-    (("results", "layouts_completed"), "equal"),
-    (("results", "paper_mean_hit_ratio"), "equal"),
-    (("results", "setassoc_mean_hit_ratio"), "equal"),
-    (("results", "orbit_mean_hit_ratio"), "equal"),
-    (("results", "setassoc_divergent_cells"), "equal"),
-    (("results", "orbit_divergent_cells"), "equal"),
-    (("results", "sram_all_ok"), "equal"),
-)
-
-
-#: the georace gate holds, per non-paper geometry, the replay counters
-#: AND the engine telemetry: exact coverage and a zero ``layout``
-#: fallback count, so a change that quietly pushes a geometry back onto
-#: the scalar path fails --compare even with matching counters.
-GEORACE_GUARDED_METRICS: Tuple[Tuple[Tuple[str, ...], str], ...] = tuple(
-    (("results", layout, metric), "equal")
-    for layout in ("setassoc", "orbit")
-    for metric in ("packets", "cache_hits", "deliveries", "lost",
-                   "recirculations", "divergences", "paths_match",
-                   "fastpath_coverage", "layout_fallbacks")
-)
-
-
-def _guarded_metrics(snapshot: Dict) -> Tuple[Tuple[Tuple[str, ...], str], ...]:
-    """The metric set a snapshot is gated on, by its scenario kind.
-
-    Cluster snapshots predate the ``kind`` field, so a missing kind means
-    "cluster" and old committed baselines stay valid unchanged.
-    """
-    config = snapshot.get("config")
-    kind = config.get("kind", "cluster") if isinstance(config, dict) else "cluster"
-    if kind == "microbench":
-        return MICROBENCH_GUARDED_METRICS
-    if kind == "simcore":
-        return SIMCORE_GUARDED_METRICS
-    if kind == "tournament":
-        return TOURNAMENT_GUARDED_METRICS
-    if kind == "georace":
-        return GEORACE_GUARDED_METRICS
-    return GUARDED_METRICS
+def _guards(snapshot: Dict) -> Tuple[Guard, ...]:
+    """The guard rows of the scenario a snapshot names (none if unknown)."""
+    name = snapshot.get("scenario")
+    row = SCENARIOS.get(name) if isinstance(name, str) else None
+    return row.guards if row is not None else ()
 
 
 def _get_path(snapshot: Dict, path: Tuple[str, ...]):
@@ -896,19 +663,24 @@ def _get_path(snapshot: Dict, path: Tuple[str, ...]):
 
 
 def validate_snapshot(snapshot: Dict) -> List[str]:
-    """Structural checks; returns readable problems (empty = well-formed)."""
-    problems = []
+    """Structural checks of a snapshot file against its row's guards;
+    returns readable problems (empty = well-formed).  Floor guards read
+    host time, which no file holds, and are skipped."""
     if not isinstance(snapshot, dict):
         return ["snapshot is not a JSON object"]
+    problems = []
     if snapshot.get("schema") != SNAPSHOT_SCHEMA:
         problems.append(
             f"schema {snapshot.get('schema')!r} != {SNAPSHOT_SCHEMA}")
     for field in ("scenario", "seed", "config", "results"):
         if field not in snapshot:
             problems.append(f"missing top-level field {field!r}")
-    for path, _direction in _guarded_metrics(snapshot):
-        value = _get_path(snapshot, path)
-        if not isinstance(value, (int, float)):
+    guards = _guards(snapshot)
+    if "scenario" in snapshot and not guards:
+        problems.append(f"unknown scenario {snapshot['scenario']!r}")
+    for path, rule in guards:
+        if isinstance(rule, str) and not isinstance(
+                _get_path(snapshot, path), (int, float)):
             problems.append(
                 f"missing or non-numeric metric {'.'.join(path)}")
     return problems
@@ -916,58 +688,61 @@ def validate_snapshot(snapshot: Dict) -> List[str]:
 
 def compare_snapshots(base: Dict, new: Dict,
                       threshold: float = DEFAULT_THRESHOLD) -> List[str]:
-    """Regression diffs of *new* against *base*; empty list = pass.
+    """Regression diffs of the fresh run *new* against *base*; empty list
+    = pass.
 
     The comparison is relative: a "higher is better" metric fails when it
     drops more than ``threshold`` below the baseline, a "lower is better"
-    metric when it grows more than ``threshold`` above it.
+    metric when it grows more than ``threshold`` above it.  "equal"
+    metrics ignore the threshold, and a floor is held on *new* alone.
     """
     if threshold < 0:
         raise ConfigurationError("threshold must be non-negative")
-    diffs = []
     if base.get("scenario") != new.get("scenario"):
-        diffs.append(f"scenario mismatch: baseline ran "
-                     f"{base.get('scenario')!r}, this run {new.get('scenario')!r}")
-        return diffs
-    for path, direction in _guarded_metrics(new):
+        return [f"scenario mismatch: baseline ran {base.get('scenario')!r}, "
+                f"this run {new.get('scenario')!r}"]
+    diffs = []
+    for path, rule in _guards(new):
         dotted = ".".join(path)
-        old = _get_path(base, path)
         cur = _get_path(new, path)
+        old = _get_path(base, path) if isinstance(rule, str) else rule[1]
         if old is None or cur is None:
             diffs.append(f"metric {dotted} missing from "
                          f"{'baseline' if old is None else 'this run'}")
             continue
-        if direction == "equal":
+        if not isinstance(rule, str):  # ("floor", old): no baseline reading
+            if cur < old:
+                diffs.append(f"{dotted}: {cur:.2f} is below the "
+                             f"{old:g} floor")
+            continue
+        if rule == "equal":
             if old != cur:
                 diffs.append(f"{dotted}: {old!r} -> {cur!r} "
                              f"(must replay identically)")
             continue
-        if old == cur:
+        sign = -1 if rule == "higher" else 1
+        worse = sign * (cur - old)
+        if worse <= 0:
             continue
         if old == 0:
             # Nothing to scale by: any appearance of a worse value fails.
-            worse = cur < old if direction == "higher" else cur > old
-            if worse:
-                diffs.append(f"{dotted}: {old:g} -> {cur:g} "
-                             f"(baseline was zero)")
-            continue
-        change = (cur - old) / abs(old)
-        if direction == "higher" and change < -threshold:
+            diffs.append(f"{dotted}: {old:g} -> {cur:g} (baseline was zero)")
+        elif worse / abs(old) > threshold:
             diffs.append(
-                f"{dotted}: {old:g} -> {cur:g} ({change:+.1%} worse than "
-                f"-{threshold:.1%} allowance)")
-        elif direction == "lower" and change > threshold:
-            diffs.append(
-                f"{dotted}: {old:g} -> {cur:g} ({change:+.1%} worse than "
-                f"+{threshold:.1%} allowance)")
+                f"{dotted}: {old:g} -> {cur:g} "
+                f"({sign * worse / abs(old):+.1%} worse than "
+                f"{sign * threshold:+.1%} allowance)")
     return diffs
 
 
-def render_comparison(base_path: str, diffs: List[str],
+def render_comparison(scenario: str, base_path: str, diffs: List[str],
                       threshold: float) -> str:
+    """The gate's verdict; names the threshold only when a guard of the
+    scenario uses it."""
+    relative = any(rule in ("higher", "lower")
+                   for _path, rule in SCENARIOS[scenario].guards)
+    how = f"threshold {threshold:.1%}" if relative else "exact"
     if not diffs:
-        return (f"no regressions vs {base_path} "
-                f"(threshold {threshold:.1%})")
-    lines = [f"REGRESSION vs {base_path} (threshold {threshold:.1%}):"]
-    lines.extend(f"  {d}" for d in diffs)
-    return "\n".join(lines)
+        return f"no regressions vs {base_path} ({how})"
+    return "\n".join([f"REGRESSION vs {base_path} ({how}):"]
+                     + [f"  {d}" for d in diffs])

@@ -7,13 +7,12 @@ from repro.baselines.policies import (
     LfuPolicy,
     LruPolicy,
     ThresholdPolicy,
-    UpdateBudget,
     compare_policies,
-    run_policy,
 )
 from repro.baselines.replication import ReplicationConfig, simulate_replication
 from repro.baselines.servercache import ServerCacheConfig, simulate_server_cache
 from repro.client.zipf import ZipfDistribution, ZipfGenerator
+from repro.core.geometry import UpdateBudget, run_policy
 from repro.errors import ConfigurationError
 from repro.sim.ratesim import RateSimConfig, simulate, top_k_mask
 

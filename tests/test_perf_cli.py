@@ -5,11 +5,16 @@ scenario replays byte-identically modulo wall-clock fields, (2) the
 ``--compare`` gate passes against an honest baseline, and (3) sabotaging
 the baseline's throughput or tail latency makes the CLI exit non-zero
 with a readable diff — while a structurally broken snapshot is rejected
-up front with exit code 2.
+up front with exit code 2.  Every row of the scenario table is driven
+once at a tiny size, and every committed ``BENCH_*.json`` is held against
+its row's guards; nothing here asserts on a measured time.
 """
 
 import copy
+import dataclasses
+import itertools
 import json
+import pathlib
 
 import pytest
 
@@ -20,6 +25,8 @@ from repro.tools.cli import main
 
 #: short smoke runs keep the whole module in CI-smoke territory.
 RUN = ["perf", "--scenario", "smoke", "--duration", "0.1"]
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +104,84 @@ def test_list_scenarios(capsys):
         assert name in out
 
 
+# -- every row of the table, at a tiny size ------------------------------------------
+
+
+@pytest.fixture
+def scripted_clock(monkeypatch):
+    """Host time is not under test.  Every reading of the harness's clock
+    is 10x the last, so the second (scalar) leg of a race always reads 10x
+    the first and the floor rows are decided by arithmetic, not by how
+    fast this host happens to be."""
+    ticks = (10.0 ** k for k in itertools.count())
+    monkeypatch.setattr(perf, "perf_counter", lambda: next(ticks))
+
+
+@pytest.mark.parametrize("name", sorted(perf.SCENARIOS))
+def test_every_row_snapshots_replays_and_self_compares(
+        name, tmp_path, capsys, scripted_clock):
+    row = perf.SCENARIOS[name]
+    run = ["perf", "--scenario", name, "--duration", "0.01"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    metrics = tmp_path / "metrics"
+    if row.write_metrics is not None:
+        run += ["--metrics-out", str(metrics)]
+    assert main(run + ["--out", str(first)]) == 0
+    snap = _load(first)
+    assert perf.validate_snapshot(snap) == []
+    assert snap["scenario"] == name and "wall" not in snap
+    # The file is everything that must replay: a second run at the same
+    # seed writes the same bytes, and gates clean against the first.
+    capsys.readouterr()
+    assert main(run + ["--out", str(second),
+                       "--compare", str(first)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    relative = any(rule in ("higher", "lower") for _path, rule in row.guards)
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict.startswith("no regressions")
+    assert ("threshold 10.0%" if relative else "(exact)") in verdict
+    if name == "tournament":  # the grid has one size: the committed CSV
+        assert metrics.read_text() == (REPO / "BENCH_geometry.csv").read_text()
+    elif row.write_metrics is not None:
+        assert "client.request" in parse_jsonl(metrics.read_text())
+
+
+# -- the committed baselines ---------------------------------------------------------
+
+
+def test_committed_baselines_validate_against_their_rows():
+    """Old baselines stay valid without re-running anything: each names a
+    row of the table, has that row's guarded metrics, and carries no host
+    time.  Their ``config`` sections predate the table (the rack ones
+    predate every later row) and are not read."""
+    gated = {}
+    for path in sorted(REPO.glob("BENCH_*.json")):
+        snap = _load(path)
+        assert perf.validate_snapshot(snap) == [], path.name
+        assert "wall" not in snap, path.name
+        gated[snap["scenario"]] = perf.SCENARIOS[snap["scenario"]].guards
+    assert sorted(gated) == ["geometry10m", "hotpath", "lossy10", "simcore",
+                             "simcore_mixed", "tournament", "zipf99"]
+    assert gated["zipf99"] is gated["lossy10"] is perf.RACK_GUARDS
+
+
+def test_speedup_floor_names_the_slow_layout():
+    """The >=3x rows of geometry10m read the fresh run only."""
+    base = _load(REPO / "BENCH_geometry10m.json")
+    fresh = copy.deepcopy(base)
+    fresh["wall"] = {"cells": {"setassoc": {"speedup_vs_scalar": 3.0},
+                               "orbit": {"speedup_vs_scalar": 2.9}}}
+    diffs = perf.compare_snapshots(base, fresh)
+    assert len(diffs) == 1
+    assert "wall.cells.orbit.speedup_vs_scalar" in diffs[0]
+    assert "2.90 is below the 3 floor" in diffs[0]
+    fresh["wall"]["cells"]["orbit"]["speedup_vs_scalar"] = 3.0
+    assert perf.compare_snapshots(base, fresh) == []
+    del fresh["wall"]["cells"]["setassoc"]
+    assert perf.compare_snapshots(base, fresh) == [
+        "metric wall.cells.setassoc.speedup_vs_scalar missing from this run"]
+
+
 # -- sabotage: the gate must catch doctored baselines -------------------------------
 
 
@@ -155,6 +240,44 @@ def test_unparseable_snapshot_rejected(tmp_path, capsys):
 def test_missing_snapshot_rejected(tmp_path, capsys):
     assert main(RUN + ["--compare", str(tmp_path / "nope.json")]) == 2
     assert "cannot read snapshot" in capsys.readouterr().err
+
+
+def test_snapshot_of_another_scenario_rejected_before_the_run(
+        snapshot_file, monkeypatch, capsys):
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("ran the scenario before checking the baseline")
+
+    monkeypatch.setattr(perf, "run_scenario", must_not_run)
+    assert main(["perf", "--scenario", "hotpath",
+                 "--compare", str(snapshot_file)]) == 2
+    err = capsys.readouterr().err
+    assert "'smoke'" in err and "'hotpath'" in err
+
+
+def test_unsupported_metrics_out_rejected_naming_the_rows(tmp_path, capsys):
+    path = tmp_path / "metrics"
+    assert main(["perf", "--scenario", "hotpath", "--duration", "0.05",
+                 "--metrics-out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'hotpath' has no --metrics-out file" in err
+    assert perf.metrics_rows() in err and "tournament" in err
+    assert not path.exists()
+
+
+def test_negative_threshold_rejected_before_the_run(capsys):
+    assert main(RUN + ["--threshold", "-0.1"]) == 2
+    assert "--threshold must be non-negative" in capsys.readouterr().err
+
+
+def test_crash_inside_a_runner_is_not_swallowed(monkeypatch):
+    def crash(_seed, _duration):
+        raise RuntimeError("bug in the runner")
+
+    monkeypatch.setitem(
+        perf.SCENARIOS, "smoke",
+        dataclasses.replace(perf.SCENARIOS["smoke"], run=crash))
+    with pytest.raises(RuntimeError, match="bug in the runner"):
+        main(RUN)
 
 
 # -- library-level units ------------------------------------------------------------
