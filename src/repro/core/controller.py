@@ -146,10 +146,6 @@ class CacheController:
             self._pending.append(key)
             self._pending_set.add(key)
 
-    def pending_reports(self) -> int:
-        """Hot-key reports waiting for the next update round."""
-        return len(self._pending)
-
     # -- periodic driving ------------------------------------------------------------
 
     def start(self) -> None:

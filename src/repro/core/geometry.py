@@ -104,11 +104,6 @@ class CacheLayout:
 
     #: registry name ("paper", "setassoc", "orbit").
     name = "abstract"
-    #: layouts opt in per class once their batch probe is proven
-    #: byte-identical to N sequential ``lookup_hit`` calls (goldens +
-    #: Hypothesis differentials); a layout that stays False scalarizes
-    #: every window under the attributed fallback reason ``layout``.
-    fastpath_eligible = False
 
     # -- data plane ---------------------------------------------------------------
 
@@ -230,7 +225,6 @@ class PaperLayout(CacheLayout):
     """
 
     name = "paper"
-    fastpath_eligible = True
 
     def __init__(self,
                  num_pipes: int = NUM_PIPES,
@@ -512,7 +506,6 @@ class SetAssocLayout(CacheLayout):
     """
 
     name = "setassoc"
-    fastpath_eligible = True
 
     def __init__(self,
                  num_pipes: int = NUM_PIPES,
@@ -818,7 +811,6 @@ class OrbitLayout(CacheLayout):
     """
 
     name = "orbit"
-    fastpath_eligible = True
 
     def __init__(self,
                  num_pipes: int = NUM_PIPES,

@@ -28,8 +28,8 @@ for the statistics path):
   (``FastPathEngine._stages``, in pipeline order): the lanes of the hop
   by server id, ``flush(sid, chunks)`` for the rows a flush takes, and
   ``emit(sid, chunk, i)`` to turn one pending row back into the event
-  the scalar loop would hold.  Flushing, the in-flight count, the retry
-  scan and the fallback all walk the table, so a new hop is a new row.
+  the scalar loop would hold.  Flushing, the retry scan and the
+  fallback all walk the table, so a new hop is a new row.
   A row that leaves the lanes for good (dropped at a crashed node,
   blocked behind a cache update, materialized) passes through one hook,
   ``_scalarize_rows``, which registers the ``_Outstanding`` the scalar
@@ -417,23 +417,13 @@ class FastPathEngine:
 
     # -- cleanliness --------------------------------------------------------------
 
-    def fault_window_open(self) -> bool:
-        """True while the rack is not eligible for batched windows."""
-        return self._dirty_reason() is not None
-
     def _dirty_reason(self) -> Optional[str]:
         """Why the rack is ineligible for batched windows (None = clean)."""
         if _obs.ACTIVE is not None:
             return "observer"
-        # Static eligibility: per-layout opt-in.  A layout is eligible once
-        # its batch probe (classify_reads) is proven byte-identical to the
-        # scalar lookup loop — paper, setassoc, and orbit all are; a layout
-        # that opts out scalarizes every window under the attributed
-        # ``layout`` reason.  Layout-level churn (in-set displacement,
-        # segment churn) needs no reason here: installs and evicts are
-        # control-plane events, and events bound every lane flush.
-        if not self.switch.dataplane.layout.fastpath_eligible:
-            return "layout"
+        # Layout-level churn (in-set displacement, segment churn) needs no
+        # reason here: installs and evicts are control-plane events, and
+        # events bound every lane flush.
         sim = self.sim
         down = sim._down_nodes
         if self.tor_id in down:
@@ -472,7 +462,7 @@ class FastPathEngine:
             self._flag_horizon = now
         while True:
             if self._mode is _SCALAR:
-                if not self.fault_window_open():
+                if self._dirty_reason() is None:
                     self._enter_fast()
                     continue
                 nev = events.peek_time()
@@ -516,15 +506,6 @@ class FastPathEngine:
             break
         if t_end > events.now:
             events.now = t_end
-
-    def in_flight(self) -> int:
-        """Requests and hot-key reports currently on the wire (lanes +
-        scalar outstanding)."""
-        lanes = self._reports.pending() + sum(
-            lane.pending() for stage in self._stages
-            for lane in stage.lanes.values())
-        outst = sum(len(st.client._outstanding) for st in self._states)
-        return lanes + outst
 
     def coverage(self) -> float:
         """Fraction of sends issued through the lanes (1.0 = no scalar
@@ -680,41 +661,6 @@ class FastPathEngine:
         st.next_send = self.events.now + delay
         st.pending_send = self.events.schedule(
             delay, self._scalar_send_tick, st)
-
-    # -- fast-forward hooks (SimCoreRunner) ---------------------------------------
-
-    def sends_in_window(self, t_to: float) -> int:
-        """Analytic send count in ``[now, t_to)`` across all clients."""
-        total = 0
-        for st in self._states:
-            if st.next_send < t_to:
-                total += int(np.floor(
-                    (t_to - st.next_send) * st.client.rate)) + 1
-        return total
-
-    def advance_send_clock(self, t_to: float) -> None:
-        """Skip every client's send clock past ``t_to`` analytically."""
-        for st in self._states:
-            if st.next_send < t_to:
-                n = int(np.floor(
-                    (t_to - st.next_send) * st.client.rate)) + 1
-                st.next_send += n * (1.0 / st.client.rate)
-
-    def drain_lanes(self) -> None:
-        """Flush every pending lane entry regardless of time.
-
-        The fast-forward calls this before jumping the clock so no lane
-        entry is left carrying a pre-jump timestamp; fast-forwarded
-        windows are approximate by construction, so completing the
-        in-flight tail "early" is within contract.
-        """
-        self._flush_lanes(np.inf, True)
-        self._flag_horizon = max(self._flag_horizon, self.events.now)
-
-    def note_time_jump(self) -> None:
-        """Re-anchor retry bookkeeping after a fast-forward clock jump."""
-        self._flag_horizon = max(self._flag_horizon, self.events.now)
-        self._deadlines.clear()
 
     # -- retry scalarization -------------------------------------------------------
 

@@ -65,31 +65,13 @@ def fast_partition_vector(num_keys: int, num_servers: int,
     return (x % np.uint64(num_servers)).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=32)
-def partition_vector_for_servers(num_keys: int, server_ids: tuple,
-                                 seed: int = 0x5EED) -> np.ndarray:
-    """item id -> partition index for a *concrete* server-id list.
-
-    The partition *index* depends only on the key hash, so this produces the
-    same vector as :func:`partition_vector` for equal-length id lists — but
-    the steady-state handoff keys its cache on the cluster's actual id tuple
-    so position ``i`` of ``per_server_load`` is unambiguously
-    ``server_ids[i]``, matching ``HashPartitioner.server_for`` exactly
-    (unlike :func:`fast_partition_vector`, which is only statistically
-    equivalent).
-    """
-    partitioner = HashPartitioner(list(server_ids), seed=seed)
-    return partitioner.partitions_of(KeySpace(num_keys).keys(range(num_keys)))
-
-
 class CacheContentsMask:
     """Contents-version-keyed cache of the cached-items mask.
 
     Rebuilding the per-item boolean mask from the switch's key list is the
-    expensive part of re-running the equilibrium model every step; the
-    dataplane bumps ``contents_version`` on every install/evict, so the mask
-    is reused until the cache actually changes.  Shared by the hybrid
-    emulation and the simcore fast-forward.
+    expensive part of re-running the equilibrium model every step of the
+    hybrid emulation; the dataplane bumps ``contents_version`` on every
+    install/evict, so the mask is reused until the cache actually changes.
     """
 
     def __init__(self, switch, keyspace: KeySpace):
@@ -97,10 +79,6 @@ class CacheContentsMask:
         self._keyspace = keyspace
         self._mask: Optional[np.ndarray] = None
         self._version = -1
-
-    @property
-    def version(self) -> int:
-        return self._switch.dataplane.contents_version
 
     def mask(self) -> np.ndarray:
         dataplane = self._switch.dataplane
@@ -170,8 +148,7 @@ class RateSimResult:
 def simulate(read_probs: np.ndarray,
              cached_mask: Optional[np.ndarray],
              config: RateSimConfig,
-             write_probs: Optional[np.ndarray] = None,
-             part_vector: Optional[np.ndarray] = None) -> RateSimResult:
+             write_probs: Optional[np.ndarray] = None) -> RateSimResult:
     """Compute the saturated throughput for one workload + cache contents.
 
     Parameters
@@ -185,10 +162,6 @@ def simulate(read_probs: np.ndarray,
         Cluster capacities and the write model.
     write_probs:
         Per-item write distribution (required if ``write_ratio > 0``).
-    part_vector:
-        Explicit item -> partition-index vector (overrides the internal
-        partitioners; use :func:`partition_vector_for_servers` to match a
-        concrete DES cluster).
     """
     n_items = len(read_probs)
     w = config.write_ratio
@@ -197,11 +170,7 @@ def simulate(read_probs: np.ndarray,
     if cached_mask is None:
         cached_mask = np.zeros(n_items, dtype=bool)
 
-    if part_vector is not None:
-        part = np.asarray(part_vector, dtype=np.int64)
-        if len(part) != n_items:
-            raise ConfigurationError("part_vector length != len(read_probs)")
-    elif config.exact_partition:
+    if config.exact_partition:
         part = partition_vector(n_items, config.num_servers,
                                 config.partition_seed)
     else:
@@ -312,19 +281,3 @@ def mask_from_keys(keys: Sequence[bytes], keyspace: KeySpace) -> np.ndarray:
         mask[keyspace.item(key)] = True
     return mask
 
-
-def cached_write_fraction(write_probs: np.ndarray,
-                          cached_mask: np.ndarray) -> float:
-    """Fraction of writes that land on a cached key.
-
-    Each such write triggers the coherence round trip — invalidation at
-    the switch, value update from the owner, ack back — so this fraction
-    scales the extra hop/processing accounting when the fast-forward
-    synthesizes a mixed-workload epoch (§4.3 write path).
-    """
-    if write_probs is None or not cached_mask.any():
-        return 0.0
-    total = float(write_probs.sum())
-    if total <= 0.0:
-        return 0.0
-    return float(write_probs[cached_mask].sum()) / total

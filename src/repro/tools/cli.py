@@ -214,6 +214,9 @@ def cmd_perf(args) -> int:
     if args.threshold < 0:
         print("error: --threshold must be non-negative", file=sys.stderr)
         return 2
+    if args.duration is not None and args.duration <= 0:
+        print("error: --duration must be positive", file=sys.stderr)
+        return 2
     baseline = None
     if args.compare:
         try:

@@ -398,7 +398,6 @@ def _race(config: SimCoreConfig) -> Tuple[Dict, Dict]:
 
     received = clients_total("received")
     cache_hits = clients_total("cache_hits")
-    fallbacks = batched.get("fastpath.fallbacks", {})
     results = {
         "packets": config.packets,
         "queries_sent": clients_total("sent"),
@@ -415,8 +414,7 @@ def _race(config: SimCoreConfig) -> Tuple[Dict, Dict]:
         "divergent_fields": diffs[:20],
         "paths_match": not diffs,
         "fastpath_coverage": batched.get("fastpath.coverage", 0.0),
-        "layout_fallbacks": fallbacks.get("layout", 0),
-        "fallback_reasons": fallbacks,
+        "fallback_reasons": batched.get("fastpath.fallbacks", {}),
     }
     return results, _speeds(config.packets, split - start, stop - split)
 
@@ -492,15 +490,15 @@ SIMCORE_GUARDS: Tuple[Guard, ...] = tuple(
                    "deliveries", "lost", "divergences", "paths_match"))
 
 #: per geometry, the replay counters AND the engine telemetry — exact
-#: coverage and a zero ``layout`` fallback count, so a change that quietly
-#: pushes a geometry back onto the scalar path fails --compare even with
-#: matching counters — then the host-time floor of the fresh run.
+#: coverage, so a change that quietly pushes a geometry back onto the
+#: scalar path fails --compare even with matching counters — then the
+#: host-time floor of the fresh run.
 GEOMETRY_GUARDS: Tuple[Guard, ...] = tuple(
     (("results", cell.layout, metric), "equal")
     for cell in GEOMETRY_CELLS
     for metric in ("packets", "cache_hits", "deliveries", "lost",
                    "recirculations", "divergences", "paths_match",
-                   "fastpath_coverage", "layout_fallbacks")
+                   "fastpath_coverage")
 ) + tuple(
     (("wall", "cells", cell.layout, "speedup_vs_scalar"),
      ("floor", GEOMETRY_SPEEDUP_FLOOR))

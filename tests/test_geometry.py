@@ -2,10 +2,10 @@
 
 Covers the :mod:`repro.core.geometry` contracts directly (registry,
 layouts, admission policies), the data-plane integration (recirculation
-delay, empty-switch guards), the per-layout fast-path eligibility (all
-three layouts run natively under the lanes engine via their vectorized
-batch probes, byte-identical to the scalar loop), and the geometry
-tournament's determinism and divergence claims.
+delay, empty-switch guards), the lanes engine on every layout (all
+three run natively via their vectorized batch probes, byte-identical to
+the scalar loop), and the geometry tournament's determinism and
+divergence claims.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.core import geometry
 from repro.core.dataplane import NetCacheDataplane
 from repro.core.geometry import (
     RECIRCULATION_DELAY,
-    CacheLayout,
     OrbitLayout,
     PaperLayout,
     SampleEvictPolicy,
@@ -25,12 +24,12 @@ from repro.core.geometry import (
     make_layout,
 )
 from repro.errors import ConfigurationError
+from repro.net.fastpath import FastPathEngine
 from repro.net.packet import make_get
 from repro.net.routing import RoutingTable
 from repro.net.trace import DeliveryTrace
 from repro.sim.simcore import (
     SimCoreConfig,
-    SimCoreRunner,
     build_rack,
     diff_snapshots,
     run_batched,
@@ -80,15 +79,6 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown cache layout"):
             make_layout("cuckoo")
-
-    def test_all_shipped_layouts_are_fastpath_eligible(self):
-        # Eligibility is a per-class opt-in earned by a proven batch
-        # probe; the shipped layouts all have one, while the base class
-        # default keeps unproven third-party layouts on the scalar path.
-        assert PaperLayout.fastpath_eligible
-        assert SetAssocLayout.fastpath_eligible
-        assert OrbitLayout.fastpath_eligible
-        assert not CacheLayout.fastpath_eligible
 
 
 class TestDataplaneSeam:
@@ -306,12 +296,10 @@ class TestLayoutLanes:
         return SimCoreConfig(**params)
 
     def full_coverage(self, cfg):
-        cluster, client, workload = build_rack(cfg)
-        runner = SimCoreRunner(cluster, client, workload,
-                               trace=DeliveryTrace())
-        runner.run(cfg.duration)
-        assert runner.engine.fallback_reasons.get("layout", 0) == 0
-        assert runner.engine.coverage() == 1.0
+        cluster, _, _ = build_rack(cfg)
+        engine = FastPathEngine(cluster, trace=DeliveryTrace())
+        engine.run(cfg.duration)
+        assert engine.coverage() == 1.0
 
     def test_setassoc_runs_native_and_stays_equivalent(self):
         cfg = self.cfg("setassoc")

@@ -269,6 +269,21 @@ def test_negative_threshold_rejected_before_the_run(capsys):
     assert "--threshold must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario,duration", [("zipf99", "0"),
+                                               ("simcore", "-0.01")])
+def test_non_positive_duration_rejected_before_the_run(
+        scenario, duration, monkeypatch, capsys):
+    # Unchecked, zipf99 divided by the zero duration and simcore reported
+    # negative packets and exited 0.
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("ran the scenario with a non-positive duration")
+
+    monkeypatch.setattr(perf, "run_scenario", must_not_run)
+    assert main(["perf", "--scenario", scenario,
+                 "--duration", duration]) == 2
+    assert "--duration must be positive" in capsys.readouterr().err
+
+
 def test_crash_inside_a_runner_is_not_swallowed(monkeypatch):
     def crash(_seed, _duration):
         raise RuntimeError("bug in the runner")

@@ -9,8 +9,8 @@ scalar ``lookup_hit`` / ``read_value`` calls.  The hit mask, the hit
 indexes (way / segment-pool choice) in hit-stream order, the per-hit
 recirculation delays, and every counter the differential harness gates
 (``snapshot_fields`` plus the raw register read/write totals) must match
-exactly.  This is the per-layout license behind
-``CacheLayout.fastpath_eligible = True``.
+exactly.  This is what licenses the lanes engine to classify every
+layout's reads in bulk.
 """
 
 import numpy as np

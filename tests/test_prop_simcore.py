@@ -13,14 +13,14 @@ import dataclasses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.net.fastpath import FastPathEngine
+from repro.net.trace import DeliveryTrace
 from repro.sim.simcore import (
     SimCoreConfig,
-    SimCoreRunner,
     build_rack,
     counters_snapshot,
     diff_snapshots,
 )
-from repro.net.trace import DeliveryTrace
 
 DURATION = 0.03
 #: ``NetCacheSwitch.report_latency``: how long a report is in flight.
@@ -125,14 +125,13 @@ def report_arrivals(config, plan):
 
 
 def run_path(config, plan, batched, report_times=()):
-    cluster, client, workload = build_rack(config)
+    cluster, client, _ = build_rack(config)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
     plan.apply(cluster, client, report_times)
     if batched:
-        runner = SimCoreRunner(cluster, client, workload, trace=trace)
-        engine = runner.engine
+        engine = FastPathEngine(cluster, trace=trace)
         materialize, in_lane = engine._materialize, []
 
         def spy():
@@ -140,7 +139,7 @@ def run_path(config, plan, batched, report_times=()):
             materialize()
 
         engine._materialize = spy
-        runner.run(config.duration)
+        engine.run(config.duration)
         snap = counters_snapshot(cluster, client, trace, engine=engine)
         snap["fastpath.reports_materialized"] = sum(in_lane)
         return snap

@@ -12,7 +12,6 @@ from repro.sim.ratesim import (
     fast_partition_vector,
     mask_from_keys,
     partition_vector,
-    partition_vector_for_servers,
     simulate,
     top_k_mask,
 )
@@ -45,23 +44,6 @@ class TestPartitionVectors:
     def test_fast_vector_deterministic(self):
         a = fast_partition_vector(1000, 8, seed=1)
         b = fast_partition_vector(1000, 8, seed=1)
-        assert np.array_equal(a, b)
-
-    def test_for_servers_matches_concrete_partitioner(self):
-        # A rack plan's server ids are not range(n); the owner of each
-        # item must match what HashPartitioner(ids) would pick.
-        ids = (101, 205, 42, 7)
-        vec = partition_vector_for_servers(80, ids)
-        ks = KeySpace(80)
-        hp = HashPartitioner(list(ids))
-        for i in range(80):
-            assert ids[vec[i]] == hp.server_for(ks.key(i))
-
-    def test_for_servers_indices_are_id_independent(self):
-        # partition_of hashes the key only; ids affect the index -> node-id
-        # mapping, never the index itself.
-        a = partition_vector_for_servers(200, (11, 22, 33, 44))
-        b = partition_vector(200, 4)
         assert np.array_equal(a, b)
 
 
@@ -161,23 +143,6 @@ class TestMaskHelpers:
         ks = KeySpace(50)
         mask = mask_from_keys([ks.key(3), ks.key(7)], ks)
         assert mask.sum() == 2 and mask[3] and mask[7]
-
-
-class TestPartVectorOverride:
-    def test_override_changes_owners(self):
-        p = probs(200, skew=0.99)
-        internal = simulate(p, None, config(num_servers=4))
-        # Shift every item to the next partition: same load shape rotated.
-        vec = (fast_partition_vector(200, 4) + 1) % 4
-        rotated = simulate(p, None, config(num_servers=4), part_vector=vec)
-        assert rotated.throughput == pytest.approx(internal.throughput)
-        assert np.allclose(np.roll(internal.per_server_load, 1),
-                           rotated.per_server_load)
-
-    def test_override_length_validated(self):
-        with pytest.raises(ConfigurationError):
-            simulate(probs(100), None, config(num_servers=4),
-                     part_vector=np.zeros(99, dtype=np.int64))
 
 
 class TestCacheContentsMask:

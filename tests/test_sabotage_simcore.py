@@ -32,7 +32,6 @@ from repro.sketch import hashing
 from repro.sketch.digest import DigestTable, digest_table_for
 from repro.sim.simcore import (
     SimCoreConfig,
-    SimCoreRunner,
     build_rack,
     counters_snapshot,
     diff_snapshots,
@@ -100,18 +99,17 @@ class TestSnapshotSabotage:
 
 def run_faulted(cfg, script, batched, arm=None):
     """Run one path with a fault script; *arm* sabotages the engine."""
-    cluster, client, workload = build_rack(cfg)
+    cluster, client, _ = build_rack(cfg)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
     script(cluster, client)
     if batched:
-        runner = SimCoreRunner(cluster, client, workload, trace=trace)
+        engine = fastpath.FastPathEngine(cluster, trace=trace)
         if arm is not None:
-            arm(runner.engine)
-        runner.run(cfg.duration)
-        return counters_snapshot(cluster, client, trace,
-                                 engine=runner.engine)
+            arm(engine)
+        engine.run(cfg.duration)
+        return counters_snapshot(cluster, client, trace, engine=engine)
     cluster.sim.run_until(cluster.sim.now + cfg.duration)
     return counters_snapshot(cluster, client, trace)
 

@@ -1,4 +1,5 @@
-"""Scalar vs batched equivalence, engine eligibility, and fast-forward.
+"""Scalar vs batched equivalence, engine eligibility, lane records and
+coverage telemetry.
 
 The differential tests here are the hand-picked scenarios; random ones live
 in ``tests/test_prop_simcore.py`` and the committed 100k-packet pin in
@@ -20,7 +21,6 @@ from repro.sim.simcore import (
     build_rack,
     counters_snapshot,
     diff_snapshots,
-    rack_equilibrium,
     run_batched,
     run_scalar,
 )
@@ -36,16 +36,15 @@ def tiny(**overrides):
 def run_with_script(config, script, batched):
     """Like run_scalar/run_batched but with a fault script applied to the
     freshly built rack before the run (identically under both paths)."""
-    cluster, client, workload = build_rack(config)
+    cluster, client, _ = build_rack(config)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
     script(cluster, client)
     if batched:
-        runner = SimCoreRunner(cluster, client, workload, trace=trace)
-        runner.run(config.duration)
-        return counters_snapshot(cluster, client, trace,
-                                 engine=runner.engine)
+        engine = FastPathEngine(cluster, trace=trace)
+        engine.run(config.duration)
+        return counters_snapshot(cluster, client, trace, engine=engine)
     cluster.sim.run_until(cluster.sim.now + config.duration)
     return counters_snapshot(cluster, client, trace)
 
@@ -206,6 +205,34 @@ class TestEligibility:
         engine = FastPathEngine(cluster)
         assert len(engine._states) == 2
 
+    def test_non_positive_duration_or_rate_rejected(self):
+        for bad in (dict(duration=0), dict(duration=-0.01), dict(rate=0),
+                    dict(num_clients=2, client_rates=(1e5, -1.0))):
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                tiny(**bad)
+
+
+class TestBenchmarkRunner:
+    def test_runner_replays_the_engine_it_wraps(self):
+        # The repo benchmark builds lanes racks through SimCoreRunner;
+        # it must stay exactly FastPathEngine.run on the same rack.
+        cfg = tiny(write_ratio=0.05, num_clients=2, retries=True, seed=2)
+        cluster, client, workload = build_rack(cfg)
+        trace = DeliveryTrace()
+        runner = SimCoreRunner(cluster, client, workload, trace=trace)
+        assert isinstance(runner.engine, FastPathEngine)
+        runner.run(cfg.duration)
+        via_runner = counters_snapshot(cluster, client, trace,
+                                       engine=runner.engine)
+
+        cluster, client, _ = build_rack(cfg)
+        trace = DeliveryTrace()
+        engine = FastPathEngine(cluster, trace=trace)
+        engine.run(cfg.duration)
+        direct = counters_snapshot(cluster, client, trace, engine=engine)
+        assert via_runner["client.sent"] > 0
+        assert via_runner == direct
+
 
 class TestLaneRecords:
     """``_Chunk`` and ``_Lane``: the record every stage passes on and the
@@ -272,79 +299,16 @@ class TestLaneRecords:
         assert reads.sent.tolist() == [0.0, 2.0]
 
 
-def hit_ratio(snap):
-    return snap["client.cache_hits"] / snap["client.received"]
-
-
-class TestFastForward:
-    def settled(self, **overrides):
-        """A quiescent scenario: warm cache, reporting effectively off."""
-        defaults = dict(num_servers=4, num_keys=1_000, cache_items=32,
-                        lookup_entries=256, rate=1e5, duration=0.6,
-                        stats_interval=0.1, hot_threshold=1_000_000, seed=11)
-        defaults.update(overrides)
-        return SimCoreConfig(**defaults)
-
-    @pytest.mark.parametrize("overrides", [
-        dict(),                              # zipf-0.99, 32-item cache
-        dict(skew=0.9, cache_items=16, lookup_entries=128, seed=12),
-    ])
-    def test_matches_event_mode_and_equilibrium(self, overrides):
-        cfg = self.settled(**overrides)
-        event = run_batched(cfg, fast_forward=False)
-        ff = run_batched(cfg, fast_forward=True)
-        assert ff["ff_epochs"] > 0
-        assert hit_ratio(ff) == pytest.approx(hit_ratio(event), abs=0.02)
-        # Below saturation the client delivers everything under both modes.
-        assert ff["client.received"] == pytest.approx(
-            event["client.received"], rel=0.01)
-        cluster, client, workload = build_rack(cfg)
-        eq = rack_equilibrium(cluster, workload)
-        assert hit_ratio(ff) == pytest.approx(eq.hit_ratio, abs=0.02)
-
-    def test_disabled_while_fault_window_open(self):
-        cfg = self.settled(rate=2e4, duration=0.5)
-
-        def run(script):
-            cluster, client, workload = build_rack(cfg)
-            script(cluster, client)
-            runner = SimCoreRunner(cluster, client, workload,
-                                   trace=DeliveryTrace(), fast_forward=True)
-            runner.run(cfg.duration)
-            return runner
-
-        burst = run(lambda cluster, client: cluster.link_to(
-            client.node_id).start_loss_burst(0.3, until=1e9))
-        assert burst.ff_epochs == 0
-        clean = run(lambda cluster, client: None)
-        assert clean.ff_epochs > 0
-
-    def test_mixed_workload_fast_forwards(self):
-        # Write-ratio-aware equilibria: mixed epochs fast-forward too,
-        # with write/invalidation accounting synthesized from the
-        # cached-write fraction.
-        cfg = self.settled(write_ratio=0.05)
-        event = run_batched(cfg, fast_forward=False)
-        ff = run_batched(cfg, fast_forward=True)
-        assert ff["ff_epochs"] > 0
-        assert ff["dataplane.writes_seen"] > 0
-        assert ff["dataplane.invalidations"] > 0
-        assert hit_ratio(ff) == pytest.approx(hit_ratio(event), abs=0.02)
-        assert ff["client.received"] == pytest.approx(
-            event["client.received"], rel=0.01)
-
-
 class TestCoverage:
     """Fast-path coverage accounting and scalar-fallback telemetry."""
 
     def _run_engine(self, cfg, script=None):
-        cluster, client, workload = build_rack(cfg)
+        cluster, client, _ = build_rack(cfg)
         if script is not None:
             script(cluster, client)
-        runner = SimCoreRunner(cluster, client, workload,
-                               trace=DeliveryTrace())
-        runner.run(cfg.duration)
-        return runner.engine
+        engine = FastPathEngine(cluster, trace=DeliveryTrace())
+        engine.run(cfg.duration)
+        return engine
 
     @pytest.mark.parametrize("overrides", [
         dict(),
