@@ -91,9 +91,19 @@ for the statistics path):
   earlier than the next pending event, so scalar state transitions
   (invalidations, insertions, statistics resets) interleave with batched
   traffic exactly as they would with per-packet events.
+* **Observability rides the lanes.** With an :mod:`repro.obs` session
+  live, the lanes update the registry instruments the scalar path
+  updates, with the same values in the same order: ``client.request``
+  takes each flush's accepted replies as one :meth:`Histogram.
+  observe_batch` in merged delivery order, the client hit/miss and the
+  simulator's delivered/dropped counters take ``inc(n)``, and a write
+  completion's cache-update RTT starts at the lane time.  Spans are per
+  stage, not per packet: each flush pass opens one ``fastpath.<stage>``
+  span around a stage that takes rows (``fastpath.reports`` for the
+  report lane).
 * **Fault windows fall back.** A window is *clean* when the rack links
-  are deterministic (:meth:`Link.is_clean`), the switch and clients are
-  up, and no observability session is active.  When a fault opens,
+  are deterministic (:meth:`Link.is_clean`) and the switch and clients
+  are up.  When a fault opens,
   pending lane entries are materialized back into real delivery/
   completion events (with matching ``_outstanding`` and retry-timer
   bookkeeping) and the engine drives the clients with real per-packet
@@ -105,8 +115,10 @@ for the statistics path):
 
 Equivalence contract: after ``run_until(t)`` every gated counter — sim
 delivered/lost/node_drops, client/server/switch/dataplane/statistics/
-controller counters, per-link counters, the client latency lists, and the
-delivery-trace digest — is byte-identical to the scalar reference run.
+controller counters, per-link counters, the client latency lists, the
+delivery-trace digest and, with a session live, every registry metric but
+the ``span.*`` and ``fastpath.*`` ones — is byte-identical to the scalar
+reference run.
 The only accepted divergence is the relative order of *distinct* packets
 whose float timestamps collide exactly (the scalar loop breaks such ties
 by event sequence number, which the lanes do not reproduce); with the
@@ -118,6 +130,7 @@ the ``simcore``/``simcore_mixed`` perf scenarios gate the contract.
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 from typing import Dict, List, Optional
 
@@ -243,10 +256,17 @@ class _Lane:
         self.chunks = []
 
 
-#: One hop of the request pipeline: its lanes by server id (``None`` where
-#: the hop has one lane), ``flush(sid, chunks)`` for the rows a flush takes
-#: and ``emit(sid, chunk, i)`` to turn pending row *i* back into an event.
-_Stage = collections.namedtuple("_Stage", "lanes flush emit")
+#: One hop of the request pipeline: its span name, its lanes by server id
+#: (``None`` where the hop has one lane), ``flush(sid, chunks)`` for the
+#: rows a flush takes and ``emit(sid, chunk, i)`` to turn pending row *i*
+#: back into an event.
+_Stage = collections.namedtuple("_Stage", "name lanes flush emit")
+
+
+def _span(name: str):
+    """A tracer span over *name* when a session is live, else nothing."""
+    obs = _obs.ACTIVE
+    return contextlib.nullcontext() if obs is None else obs.tracer.span(name)
 
 
 class _ClientState:
@@ -369,16 +389,17 @@ class FastPathEngine:
         self._sw_rep: Dict[int, _Lane] = {s: _Lane() for s in self._servers}
         self._cli_rep = _Lane(monotone=False)
         self._stages = [
-            _Stage({None: self._sw_arr}, self._flush_switch_arrivals,
-                   self._emit_switch_arrival),
-            _Stage(self._srv_arr, self._flush_server_arrivals,
-                   self._emit_server_arrival),
-            _Stage(self._srv_done, self._flush_server_completions,
+            _Stage("fastpath.switch_arrivals", {None: self._sw_arr},
+                   self._flush_switch_arrivals, self._emit_switch_arrival),
+            _Stage("fastpath.server_arrivals", self._srv_arr,
+                   self._flush_server_arrivals, self._emit_server_arrival),
+            _Stage("fastpath.server_completions", self._srv_done,
+                   self._flush_server_completions,
                    self._emit_server_completion),
-            _Stage(self._sw_rep, self._flush_switch_replies,
-                   self._emit_switch_reply),
-            _Stage({None: self._cli_rep}, self._flush_client_replies,
-                   self._emit_client_reply)]
+            _Stage("fastpath.switch_replies", self._sw_rep,
+                   self._flush_switch_replies, self._emit_switch_reply),
+            _Stage("fastpath.client_replies", {None: self._cli_rep},
+                   self._flush_client_replies, self._emit_client_reply)]
         #: switch -> controller hot-key reports (:class:`_Reports`).  Not
         #: a stage: a report is no request (no seq or client, nothing to
         #: scalarize or answer), and tests swap this lane on a built engine.
@@ -419,8 +440,6 @@ class FastPathEngine:
 
     def _dirty_reason(self) -> Optional[str]:
         """Why the rack is ineligible for batched windows (None = clean)."""
-        if _obs.ACTIVE is not None:
-            return "observer"
         # Layout-level churn (in-set displacement, segment churn) needs no
         # reason here: installs and evicts are control-plane events, and
         # events bound every lane flush.
@@ -856,6 +875,9 @@ class FastPathEngine:
         progresses: the write that imposes a bound is itself strictly
         below it, so it advances a stage per pass until its update is a
         real event and (a) takes over.
+
+        A stage's lanes are all taken before any is flushed (a flush only
+        feeds later stages), so one span covers the stage's whole pass.
         """
         events = self.events
         while True:
@@ -868,14 +890,19 @@ class FastPathEngine:
                 eff, inc = wsafe, False
             progressed = False
             for stage in self._stages:
-                for sid, lane in stage.lanes.items():
-                    chunks = lane.take(eff, inc)
-                    if chunks:
-                        stage.flush(sid, chunks)
-                        progressed = True
-            for batch in self._reports.take(eff, inc):
-                for key in batch.keys:
-                    batch.handler(key)
+                taken = [(sid, chunks) for sid, lane in stage.lanes.items()
+                         if (chunks := lane.take(eff, inc))]
+                if taken:
+                    with _span(stage.name):
+                        for sid, chunks in taken:
+                            stage.flush(sid, chunks)
+                    progressed = True
+            reports = self._reports.take(eff, inc)
+            if reports:
+                with _span("fastpath.reports"):
+                    for batch in reports:
+                        for key in batch.keys:
+                            batch.handler(key)
                 progressed = True
             if not progressed:
                 break
@@ -979,8 +1006,7 @@ class FastPathEngine:
                 # transmit() drops at the node before touching the link:
                 # no link counter, no delivery.  (Only reads reach here:
                 # the write core already dropped a write to a down owner.)
-                sim.lost += len(rows)
-                sim.node_drops += len(rows)
+                sim._drop_at_node(len(rows))
                 self._scalarize_rows(rows)
                 continue
             link = self._server_links[sid]
@@ -1006,7 +1032,7 @@ class FastPathEngine:
         stays with the caller."""
         t = chunk.t
         key_of = self._key_of_item
-        self.sim.delivered += len(t)
+        self.sim._count_delivered(len(t))
         for st, sel in self._per_client(chunk.idx):
             self._note_ops(t[sel], st.client.node_id, self.tor_id,
                            chunk.op, chunk.seqs[sel], uniform=True)
@@ -1055,13 +1081,12 @@ class FastPathEngine:
         pkt = self._request_packet(chunk, i)
         pkt.last_hop, owner = pkt.src, pkt.dst
         row = slice(i, i + 1)
-        sim.delivered += 1
+        sim._count_delivered()
         self._note_ops(chunk.t[row], pkt.src, self.tor_id, chunk.op[row],
                        chunk.seqs[row], uniform=True)
         self.switch.process_write_packet(pkt)
         if owner in sim._down_nodes:
-            sim.lost += 1
-            sim.node_drops += 1
+            sim._drop_at_node()
             self._scalarize_rows(chunk.rows(row))
             return None
         return int(pkt.op)
@@ -1099,11 +1124,10 @@ class FastPathEngine:
             n = len(chunk)
             if sid in sim._down_nodes:
                 # _deliver() drops at a crashed destination.
-                sim.lost += n
-                sim.node_drops += n
+                sim._drop_at_node(n)
                 self._scalarize_rows(chunk)
                 continue
-            sim.delivered += n
+            sim._count_delivered(n)
             self._note_ops(chunk.t, self.tor_id, sid, chunk.op, chunk.seqs,
                            uniform=not chunk.w)
             server.received += n
@@ -1161,8 +1185,7 @@ class FastPathEngine:
         if sid in sim._down_nodes:
             # send_reply(): transmit from a crashed source drops (the
             # writes were accounted one by one; what is left are reads).
-            sim.lost += len(replies)
-            sim.node_drops += len(replies)
+            sim._drop_at_node(len(replies))
             self._scalarize_rows(replies)
             return
         link = self._server_links[sid]
@@ -1183,6 +1206,9 @@ class FastPathEngine:
         the exact lane-relative time.  A write that blocks (pending
         update or insertion in flight) registers the client's real
         ``_Outstanding`` and is answered later by the real drain event.
+        A live session's clock reads the lane time too, since
+        ``sim.now`` lags it here and the shim stamps an update's start
+        with it.
         """
         sim = self.sim
         t = float(chunk.t[i])
@@ -1198,8 +1224,7 @@ class FastPathEngine:
             if down:
                 # transmit() from a crashed source: node drop, no link
                 # counter, no delivery (the RTO timer still retransmits).
-                sim.lost += 1
-                sim.node_drops += 1
+                sim._drop_at_node()
                 return
             link = self._server_links[sid]
             link.transmitted += 1
@@ -1212,12 +1237,17 @@ class FastPathEngine:
         server.send_reply = lane_reply
         server.send_to_gateway = lane_gateway
         server.schedule = lane_schedule
+        obs = _obs.ACTIVE
+        if obs is not None:
+            clock, obs.tracer.clock = obs.tracer.clock, lambda: t
         try:
             server.shim.process(pkt)
         finally:
             del server.send_reply
             del server.send_to_gateway
             del server.schedule
+            if obs is not None:
+                obs.tracer.clock = clock
 
         if not captured:
             # Blocked behind an update/insertion (or dedup-QUEUED): the
@@ -1227,8 +1257,7 @@ class FastPathEngine:
             self.write_scalarized += 1
             return -1
         if down:
-            sim.lost += 1
-            sim.node_drops += 1
+            sim._drop_at_node()
             self._scalarize_rows(chunk.rows(slice(i, i + 1)))
             return -1
         return int(captured[0].op)
@@ -1238,7 +1267,7 @@ class FastPathEngine:
     def _flush_switch_replies(self, sid: int, chunks: List[_Chunk]) -> None:
         for chunk in chunks:
             n = len(chunk)
-            self.sim.delivered += n
+            self.sim._count_delivered(n)
             self._note_ops(chunk.t, sid, self.tor_id, chunk.op, chunk.seqs,
                            uniform=not chunk.w)
             self.switch.process_reply_batch(n)
@@ -1258,11 +1287,33 @@ class FastPathEngine:
         idx = None
         if self._multi:
             idx = np.concatenate([c.idx for c in chunks])[order]
-        self.sim.delivered += len(t)
+        self.sim._count_delivered(len(t))
+        obs = _obs.ACTIVE
+        if obs is not None:
+            self._observe_replies(obs, t, seq, sent, hit, idx)
         for st, sel in self._per_client(idx):
             tc, sc = t[sel], seq[sel]
             self._note_ops(tc, self.tor_id, st.client.node_id, rop[sel], sc)
             self._client_reply_batch(st, tc, sc, sent[sel], hit[sel])
+
+    def _observe_replies(self, obs, t, seq, sent, hit, idx) -> None:
+        """What ``NetCacheClient.handle_packet`` feeds the session, for a
+        flush's replies in merged delivery order (the histogram's sum is
+        order-sensitive): the latency and hit/miss of every reply that
+        finds its request.  The late duplicates ``_client_reply_one``
+        ignores are skipped here, before it consumes their entries."""
+        keep = np.ones(len(t), dtype=bool)
+        for st, sel in self._per_client(idx):
+            if st.scalarized:
+                live = st.client._outstanding
+                keep[sel] = [s not in st.scalarized or s in live
+                             for s in seq[sel].tolist()]
+        if not keep.all():
+            t, sent, hit = t[keep], sent[keep], hit[keep]
+        obs.client_latency.observe_batch((t - sent) + CLIENT_OVERHEAD)
+        hits = int(hit.sum())
+        obs.client_hits.inc(hits)
+        obs.client_misses.inc(len(t) - hits)
 
     def _client_reply_batch(self, st: _ClientState, t, seq, sent,
                             hit) -> None:

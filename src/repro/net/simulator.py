@@ -143,12 +143,21 @@ class Simulator:
         for hook in self.drop_hooks:
             hook(now, link)
 
-    def _drop_at_node(self) -> None:
-        self.lost += 1
-        self.node_drops += 1
+    def _drop_at_node(self, n: int = 1) -> None:
+        """Count *n* packets dropped at a crashed endpoint."""
+        self.lost += n
+        self.node_drops += n
         obs = _obs.ACTIVE
         if obs is not None:
-            obs.net_dropped.inc()
+            obs.net_dropped.inc(n)
+
+    def _count_delivered(self, n: int = 1) -> None:
+        """Count *n* deliveries (the batched fast path counts a lane's at
+        once)."""
+        self.delivered += n
+        obs = _obs.ACTIVE
+        if obs is not None:
+            obs.net_delivered.inc(n)
 
     # -- transmission ---------------------------------------------------------
 
@@ -192,11 +201,8 @@ class Simulator:
         if dst_id in self._down_nodes:
             self._drop_at_node()
             return
-        self.delivered += 1
+        self._count_delivered()
         pkt.last_hop = src_id
-        obs = _obs.ACTIVE
-        if obs is not None:
-            obs.net_delivered.inc()
         for hook in self.delivery_hooks:
             hook(self.now, src_id, dst_id, pkt)
         node.handle_packet(pkt)

@@ -17,6 +17,8 @@ import math
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Default geometric bucket edges for latency-style histograms (seconds):
@@ -135,6 +137,27 @@ class Histogram:
             self.min = v
         if self.max is None or v > self.max:
             self.max = v
+
+    def observe_batch(self, values) -> None:
+        """:meth:`observe` every one of *values*, in order, in bulk.
+
+        Counts, min and max come out equal to the loop's, and ``sum``
+        bit-identical: it is a strict left fold (``ufunc.accumulate``), not
+        numpy's pairwise reduction.
+        """
+        v = np.asarray(values, dtype=float)
+        if not v.size:
+            return
+        binned = np.bincount(np.searchsorted(self.edges, v, "left"),
+                             minlength=len(self.counts))
+        self.counts = [c + b for c, b in zip(self.counts, binned.tolist())]
+        self.count += int(v.size)
+        self.sum = float(np.add.accumulate(np.concatenate(([self.sum], v)))[-1])
+        lo, hi = float(v.min()), float(v.max())
+        if self.min is None or lo < self.min:
+            self.min = lo
+        if self.max is None or hi > self.max:
+            self.max = hi
 
     # -- reading ---------------------------------------------------------------
 

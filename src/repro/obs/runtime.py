@@ -12,7 +12,17 @@ Instrumented hot paths (data plane, shim, client, simulator) do::
 When no session is enabled, ``ACTIVE`` is ``None`` and the cost is one
 module-attribute load plus an identity check — unmeasurable next to the
 microseconds the guarded work takes (``benchmarks/bench_core_ops.py``
-guards this claim).  :func:`enable` installs a fresh
+guards this claim).
+
+A session does not change how a run executes.  The batched lanes engine
+(:mod:`repro.net.fastpath`) stays in its lanes with a session live and
+feeds the same registry instruments in bulk — ``Histogram.observe_batch``
+and ``Counter.inc(n)`` — with the values and order the per-packet path
+would give them, plus one span per pipeline stage per flush instead of
+per-packet spans.  Over a simulated rack the primary clock should be
+:func:`sim_clock`: the lanes set it to their own timestamps while a
+write completes, as the scalar path's ``sim.now`` would read.
+:func:`enable` installs a fresh
 :class:`Observability` (new registry, new tracer), so runs are isolated by
 construction; :func:`session` is the context-manager form that guarantees
 teardown.

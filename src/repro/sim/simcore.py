@@ -26,6 +26,8 @@ from repro.client.workload import Workload, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
+from repro.obs import runtime as _obs
+from repro.obs.span import SPAN_HIST_PREFIX
 from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig
 
@@ -152,7 +154,8 @@ def run_batched(config: SimCoreConfig) -> Dict:
 
 def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
                       engine: Optional[FastPathEngine] = None) -> Dict:
-    """Every gated counter of one finished run, as a flat dict.
+    """Every gated counter of one finished run, as a flat dict; with an
+    observability session live, its registry metrics too (``obs.<name>``).
 
     Not included, deliberately: ``events.processed`` (the whole point of
     the fast path is fewer events), packet ids (scalar replies allocate
@@ -248,6 +251,14 @@ def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
         snap[f"link{node_id}.dropped"] = link.dropped
         snap[f"link{node_id}.duplicated"] = link.duplicated
         snap[f"link{node_id}.reordered"] = link.reordered
+    obs = _obs.ACTIVE
+    if obs is not None:
+        # The session's registry, one key per metric, minus what counts
+        # how an engine grouped its work: span histograms and the
+        # engine's own fallback counters.
+        for name, metric in obs.registry.collect().items():
+            if not name.startswith((SPAN_HIST_PREFIX, "fastpath.")):
+                snap[f"obs.{name}"] = metric
     if engine is not None:
         # Engine-side telemetry (batched runs only, excluded from the
         # scalar/batched diff): lane coverage and attributed fallbacks,

@@ -93,6 +93,38 @@ def test_histogram_accounting_invariants(data):
         assert hist.min <= hist.quantile(q) <= hist.max
 
 
+#: values that land exactly on an edge, past the overflow edge, or in
+#: between, split into batches (possibly empty ones).
+batched_values = st.lists(
+    st.lists(st.one_of(
+        st.sampled_from(EDGES),
+        st.floats(min_value=-5.0, max_value=1500.0,
+                  allow_nan=False, allow_infinity=False)),
+        max_size=40),
+    max_size=6)
+
+
+@given(batches=batched_values)
+@example(batches=[[]])
+@example(batches=[[0.0, 1000.0, 1000.5], [], [1.0, 1.0]])
+@settings(max_examples=200)
+def test_observe_batch_matches_a_loop_of_observe(batches):
+    """The lanes engine feeds ``client.request`` one batch per flush;
+    the scalar path observes one reply at a time.  The two must leave
+    the same histogram, down to the last bit of ``sum``."""
+    looped = Histogram("h", edges=EDGES)
+    batched = Histogram("h", edges=EDGES)
+    for batch in batches:
+        for v in batch:
+            looped.observe(v)
+        batched.observe_batch(batch)
+    assert batched.counts == looped.counts
+    assert batched.count == looped.count
+    assert batched.min == looped.min
+    assert batched.max == looped.max
+    assert batched.sum.hex() == looped.sum.hex()
+
+
 @given(data=values, qa=quantile_points, qb=quantile_points)
 @settings(max_examples=100)
 def test_quantiles_monotone(data, qa, qb):

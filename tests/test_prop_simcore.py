@@ -10,9 +10,11 @@ miss should shrink to a small reproducer here.
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
 from repro.sim.simcore import (
@@ -124,12 +126,22 @@ def report_arrivals(config, plan):
     return times
 
 
-def run_path(config, plan, batched, report_times=()):
+def run_path(config, plan, batched, report_times=(), session=False):
+    """One path of *config* under *plan*; with *session*, inside an
+    observability session on the rack's sim clock, so the snapshot
+    carries the registry."""
     cluster, client, _ = build_rack(config)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
     plan.apply(cluster, client, report_times)
+    if session:
+        with obs.session(clock=obs.sim_clock(cluster.sim)):
+            return drive(config, cluster, client, trace, batched)
+    return drive(config, cluster, client, trace, batched)
+
+
+def drive(config, cluster, client, trace, batched):
     if batched:
         engine = FastPathEngine(cluster, trace=trace)
         materialize, in_lane = engine._materialize, []
@@ -176,3 +188,45 @@ def test_kway_merge_replays_scalar_exactly(config, plan):
     per-client counters, per-link accounting, and the order-sensitive
     trace digest all byte-identical, faults and retries included."""
     replay_both(config, plan)
+
+
+_RACK = dict(num_servers=4, num_keys=400, cache_items=16,
+             lookup_entries=128, rate=1e5, duration=DURATION)
+NO_FAULTS = FaultPlan(flap_server=False, victim=0, loss_burst=False,
+                      burst_prob=0.5, dup_window=False, dup_prob=0.2)
+
+
+class SlowServers:
+    """No fault: servers at ~9k q/s, so their queues outgrow the retry
+    budget and lane replies reach requests that already timed out."""
+
+    def apply(self, cluster, client, report_times=()):
+        for server in cluster.servers.values():
+            server.service_time = 1.1e-4
+
+
+@pytest.mark.parametrize("config, plan", [
+    (SimCoreConfig(retries=True, seed=1, **_RACK), SlowServers()),
+    (SimCoreConfig(write_ratio=0.1, num_clients=2, client_rates=(1e5, 5e4),
+                   retries=True, seed=12, **_RACK), NO_FAULTS),
+    (SimCoreConfig(retries=True, seed=13, **_RACK),
+     dataclasses.replace(NO_FAULTS, loss_burst=True)),
+], ids=["read-overloaded", "mixed-retries", "fallback"])
+def test_registry_replays_scalar_exactly(config, plan):
+    """Inside a session the lanes feed the registry what the per-packet
+    loop feeds it: every ``obs.*`` metric of the snapshot — the
+    ``client.request`` histogram down to its float sum, the hit/miss and
+    delivered/dropped counters, cache-update RTTs — is identical."""
+    scalar = run_path(config, plan, False, session=True)
+    batched = run_path(config, plan, True, session=True)
+    assert diff_snapshots(scalar, batched) == []
+    assert scalar["obs.client.request"]["count"] > 0
+    if isinstance(plan, SlowServers):
+        assert scalar["obs.client.timeouts"]["value"] > 0
+    if config.write_ratio:
+        assert scalar["obs.shim.cache_update.rtt"]["count"] > 0
+    if getattr(plan, "loss_burst", False):
+        assert batched["fastpath.fallbacks"] == {"link_fault": 1}
+        assert scalar["obs.net.dropped"]["value"] > 0
+    else:
+        assert batched["fastpath.coverage"] == 1.0

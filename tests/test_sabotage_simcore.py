@@ -16,18 +16,21 @@ Two layers:
   manifests in.
 """
 
+import contextlib
 import copy
 import re
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import geometry
 from repro.core.primitives import RegisterArray
 from repro.core.status import CacheStatusModule
 from repro.kvstore.store import KVStore, ReadColumns
 from repro.net import fastpath
 from repro.net.trace import DeliveryTrace
+from repro.obs.metrics import Histogram
 from repro.sketch import hashing
 from repro.sketch.digest import DigestTable, digest_table_for
 from repro.sim.simcore import (
@@ -97,21 +100,25 @@ class TestSnapshotSabotage:
         self._assert_only(snap, bad, key)
 
 
-def run_faulted(cfg, script, batched, arm=None):
-    """Run one path with a fault script; *arm* sabotages the engine."""
+def run_faulted(cfg, script, batched, arm=None, session=False):
+    """Run one path with a fault script; *arm* sabotages the engine.
+    With *session* the run (and so the snapshot) has an observability
+    session on the rack's sim clock."""
     cluster, client, _ = build_rack(cfg)
     trace = DeliveryTrace()
     if not batched:
         trace.attach(cluster.sim)
     script(cluster, client)
-    if batched:
-        engine = fastpath.FastPathEngine(cluster, trace=trace)
-        if arm is not None:
-            arm(engine)
-        engine.run(cfg.duration)
-        return counters_snapshot(cluster, client, trace, engine=engine)
-    cluster.sim.run_until(cluster.sim.now + cfg.duration)
-    return counters_snapshot(cluster, client, trace)
+    with (obs.session(clock=obs.sim_clock(cluster.sim)) if session
+          else contextlib.nullcontext()):
+        if batched:
+            engine = fastpath.FastPathEngine(cluster, trace=trace)
+            if arm is not None:
+                arm(engine)
+            engine.run(cfg.duration)
+            return counters_snapshot(cluster, client, trace, engine=engine)
+        cluster.sim.run_until(cluster.sim.now + cfg.duration)
+        return counters_snapshot(cluster, client, trace)
 
 
 class TestBehavioralSabotage:
@@ -520,3 +527,36 @@ class TestMixedLaneSabotage:
         fields = {d.split(":")[0] for d in diffs}
         assert all(re.fullmatch(r"server\d+\.store\.probes", f)
                    for f in fields), diffs
+
+
+class TestRegistrySabotage:
+    """The lanes feed an observability session in bulk; the registry
+    fields of the snapshot must catch a bulk feed that loses a value."""
+
+    def test_one_dropped_latency_observation_flags_the_histogram(
+            self, monkeypatch):
+        # The lanes hand ``client.request`` one flush's replies through
+        # ``observe_batch``, which the per-packet loop never calls; the
+        # sabotaged batch loses its first latency.
+        cfg = tiny()
+
+        def no_faults(cluster, client):
+            pass
+
+        scalar = run_faulted(cfg, no_faults, batched=False, session=True)
+        orig = Histogram.observe_batch
+        armed = {"live": True}
+
+        def sabotaged(self, values):
+            if armed["live"] and self.name == "client.request" \
+                    and len(values):
+                armed["live"] = False
+                values = values[1:]
+            orig(self, values)
+
+        monkeypatch.setattr(Histogram, "observe_batch", sabotaged)
+        bad = run_faulted(cfg, no_faults, batched=True, session=True)
+        assert not armed["live"], "the lanes must feed the histogram"
+        diffs = diff_snapshots(scalar, bad)
+        assert len(diffs) == 1, diffs
+        assert diffs[0].split(":")[0] == "obs.client.request", diffs

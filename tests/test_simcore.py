@@ -9,6 +9,7 @@ in ``tests/test_prop_simcore.py`` and the committed 100k-packet pin in
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.net import fastpath
 from repro.net.fastpath import FastPathEngine
@@ -375,12 +376,26 @@ class TestCoverage:
         assert engine.fallback_reasons == {}
         assert engine.coverage() == 1.0
 
-    def test_observer_fallback_mirrored_to_obs_counter(self):
-        from repro.obs import runtime as obs_runtime
+    def test_link_fault_fallback_mirrored_to_obs_counter(self):
+        def script(cluster, client):
+            link = cluster.link_to(client.node_id)
+            cluster.sim.events.schedule_at(
+                0.01, link.start_loss_burst, 0.5, 0.02)
 
-        with obs_runtime.session() as obs:
+        with obs.session() as session:
+            engine = self._run_engine(tiny(duration=0.04), script)
+        assert engine.fallback_reasons.get("link_fault", 0) > 0
+        mirrored = session.registry.counter("fastpath.fallback.link_fault")
+        assert mirrored.value == engine.fallback_reasons["link_fault"]
+
+    def test_clean_rack_under_a_session_stays_in_lanes(self):
+        # Observing a run is no reason to leave the lanes: they feed the
+        # session themselves, with one span per stage flush.
+        with obs.session() as session:
             engine = self._run_engine(tiny(duration=0.01))
-            assert engine.fallback_reasons.get("observer", 0) > 0
-            assert engine.coverage() == 0.0
-            mirrored = obs.registry.counter("fastpath.fallback.observer")
-            assert mirrored.value == engine.fallback_reasons["observer"]
+        assert engine.coverage() == 1.0
+        assert engine.fallback_reasons == {}
+        replies = session.registry.get("client.request").count
+        assert replies == engine.cluster.total_received() > 0
+        spans = session.tracer.summary()
+        assert spans["fastpath.client_replies"]["count"] < replies / 10
