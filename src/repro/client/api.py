@@ -206,7 +206,7 @@ class SyncClient:
         sim = self.client.sim
         deadline = sim.now + self.timeout
         while "reply" not in seq_box:
-            if sim.now >= deadline or not sim.events.step():
+            if sim.now >= deadline or not sim.step():
                 raise SimulationError("request timed out (packet lost?)")
         if seq_box["reply"] is TIMED_OUT:
             raise SimulationError("request exhausted its retry budget")

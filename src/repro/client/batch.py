@@ -48,7 +48,7 @@ class BatchClient:
         sim = self.client.sim
         deadline = sim.now + self.timeout
         while len(box) < len(outstanding):
-            if sim.now >= deadline or not sim.events.step():
+            if sim.now >= deadline or not sim.step():
                 missing = len(outstanding) - len(box)
                 raise SimulationError(
                     f"batch timed out with {missing} replies outstanding")

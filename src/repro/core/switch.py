@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.dataplane import Action, NetCacheDataplane
+import numpy as np
+
+from repro.core.dataplane import Action, NetCacheDataplane, ReadBatchResult
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.packet import Packet
 from repro.net.routing import RoutingTable
@@ -70,6 +72,28 @@ class PlainSwitch(Node):
     def handle_packet(self, pkt: Packet) -> None:
         self._send_out(self.routing.lookup(pkt.dst), pkt)
 
+    # -- batched fast path (see repro.net.fastpath) -----------------------------------
+
+    #: bumped by every cache install/evict; a plain switch caches nothing.
+    contents_version = 0
+
+    def cached_keys(self):
+        return []
+
+    def process_read_batch(self, keys) -> ReadBatchResult:
+        """Batch arrival of Get packets: each is routed on, one
+        ``forwarded`` apiece, with no cache hit and no hot-key report."""
+        self.forwarded += len(keys)
+        return ReadBatchResult(np.zeros(len(keys), dtype=bool), [])
+
+    def process_write_packet(self, pkt: Packet) -> None:
+        """One write arrival, routed on unchanged: one ``forwarded``."""
+        self.forwarded += 1
+
+    def process_reply_batch(self, count: int) -> None:
+        """Batch of replies transiting server -> client: each routed on."""
+        self.forwarded += count
+
 
 class NetCacheSwitch(PlainSwitch):
     """A ToR (or spine) switch running the NetCache program.
@@ -113,7 +137,7 @@ class NetCacheSwitch(PlainSwitch):
 
     # -- batched fast path (see repro.net.fastpath) -----------------------------------
 
-    def process_read_batch(self, keys):
+    def process_read_batch(self, keys) -> ReadBatchResult:
         """Batch arrival of Get packets: switch counters + read pipeline.
 
         Per-packet accounting matches :meth:`handle_packet` for a Get: one
@@ -163,6 +187,10 @@ class NetCacheSwitch(PlainSwitch):
 
     def cached_keys(self):
         return self.dataplane.cached_keys()
+
+    @property
+    def contents_version(self) -> int:
+        return self.dataplane.contents_version
 
     def counter_of(self, key: bytes) -> int:
         return self.dataplane.counter_of(key)

@@ -8,9 +8,12 @@ numbers come from billions of packets.
 
 :class:`FastPathEngine` removes the per-packet event machinery for the
 dominant traffic classes — read *and write* queries from any number of
-open-loop clients over a healthy rack — while keeping the scalar loop as
-the executable specification (the same pattern as ``sketch/reference.py``
-for the statistics path):
+open-loop clients over a healthy rack, NetCache or NoCache — while
+keeping the scalar loop as the executable specification (the same
+pattern as ``sketch/reference.py`` for the statistics path).
+``Cluster.run`` builds one per rack on its first call (see
+:meth:`repro.sim.cluster.Cluster.run`); ``run_scalar`` never does.  How
+it works:
 
 * **Lanes.** In-flight requests are carried as numpy record chunks
   (:class:`_Chunk`: time, item, seq, sent-at, op, and — only where they
@@ -121,8 +124,12 @@ the ``span.*`` and ``fastpath.*`` ones — is byte-identical to the scalar
 reference run.
 The only accepted divergence is the relative order of *distinct* packets
 whose float timestamps collide exactly (the scalar loop breaks such ties
-by event sequence number, which the lanes do not reproduce); with the
-default non-zero link latencies this requires an exact float collision.
+by event sequence number, which the lanes do not reproduce).  It shows as
+swapped neighbours in a client's latency list, and only where the engine
+counted a tie (:attr:`FastPathEngine.reply_ties`): the differential
+compares latency lists exactly when that count is zero and as multisets
+otherwise.  With the default non-zero link latencies a tie needs an exact
+float collision, which saturated server queues make reachable.
 ``tests/test_prop_simcore.py``, ``tests/test_sabotage_simcore.py`` and
 the ``simcore``/``simcore_mixed`` perf scenarios gate the contract.
 """
@@ -138,7 +145,6 @@ import numpy as np
 
 from repro.client.api import WorkloadClient, _Outstanding
 from repro.constants import CLIENT_OVERHEAD
-from repro.core.switch import NetCacheSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.store import ReadColumns
 from repro.net.packet import Packet, make_get
@@ -299,15 +305,18 @@ class _ClientState:
 
 
 class FastPathEngine:
-    """Batched driver for the WorkloadClients of one NetCache rack.
+    """Batched driver for the WorkloadClients of one rack.
 
     Parameters
     ----------
     cluster:
-        A :class:`repro.sim.cluster.Cluster` (cache enabled).  Every
-        :class:`WorkloadClient` attached to it is taken over; none may
-        have an AIMD controller (it would re-plan rates per interval,
-        which only the scalar loop orders correctly).
+        A :class:`repro.sim.cluster.Cluster`, NetCache or NoCache (a
+        plain switch routes every read on), whose simulator has not
+        started.  Every :class:`WorkloadClient` attached to it is taken
+        over; none may have an AIMD controller (it would re-plan rates per
+        interval, which only the scalar loop orders correctly).  From its
+        first :meth:`run_until` the engine is the simulator's driver:
+        ``Simulator.run_until`` and ``Simulator.step`` go through it.
     trace:
         Optional delivery-trace digest (:class:`repro.net.trace.
         DeliveryTrace`); it is registered as a delivery hook for scalar
@@ -316,8 +325,9 @@ class FastPathEngine:
 
     def __init__(self, cluster, trace=None):
         switch = cluster.switch
-        if not isinstance(switch, NetCacheSwitch):
-            raise ConfigurationError("fast path needs a NetCacheSwitch rack")
+        if cluster.sim._started:
+            raise ConfigurationError(
+                "fast path must start the simulator itself")
         clients = [c for c in cluster.clients
                    if isinstance(c, WorkloadClient)]
         if not clients:
@@ -326,6 +336,11 @@ class FastPathEngine:
             if cl.rate_controller is not None:
                 raise ConfigurationError(
                     "fast path does not support AIMD rate control")
+            if not (hasattr(cl.workload, "keyspace")
+                    and hasattr(cl.workload, "next_queries")):
+                raise ConfigurationError(
+                    f"fast path needs workloads that draw query batches "
+                    f"over a keyspace, not {type(cl.workload).__name__}")
         for server in cluster.servers.values():
             if server.queue_limit is not None:
                 raise ConfigurationError(
@@ -435,6 +450,11 @@ class FastPathEngine:
         self.retry_scalarized = 0
         #: write completions that registered a real entry (blocked/queued).
         self.write_scalarized = 0
+        #: client replies delivered at exactly the time of the reply before
+        #: them to the same client, within one flush: the lanes order such
+        #: a pair by stream position, the scalar heap by event sequence,
+        #: so the client's latency list may hold the pair swapped.
+        self.reply_ties = 0
 
     # -- cleanliness --------------------------------------------------------------
 
@@ -473,6 +493,7 @@ class FastPathEngine:
             # otherwise schedule their own send chains.
             for st in self._states:
                 st.client.external_driver = True
+            self.sim.driver = self
             self.sim.start()
             self._started = True
             now = self.sim.now
@@ -821,14 +842,14 @@ class FastPathEngine:
         events, which always bound a flush), so within one flush pass the
         mask is frozen; ``contents_version`` invalidates it across passes.
         """
-        dp = self.switch.dataplane
-        if self._cached_mask_version != dp.contents_version:
+        switch = self.switch
+        if self._cached_mask_version != switch.contents_version:
             mask = np.zeros(len(self._key_of_item), dtype=bool)
             item_of = self._keyspace.item
-            for key in dp.cached_keys():
+            for key in switch.cached_keys():
                 mask[item_of(key)] = True
             self._cached_mask = mask
-            self._cached_mask_version = dp.contents_version
+            self._cached_mask_version = switch.contents_version
         return self._cached_mask
 
     def _write_safe_limit(self) -> float:
@@ -1019,8 +1040,10 @@ class FastPathEngine:
         lane: ``report_hot_key`` only appends to controller-private state,
         so a report commutes with every lane stage and needs no event —
         only its place among the events, which the flush limit keeps."""
+        if not hot:
+            return
         handler = self.switch.hot_key_handler
-        if hot and handler is not None:
+        if handler is not None:
             pos, keys = zip(*hot)
             self._reports.push(_Reports(
                 t[list(pos)] + self.switch.report_latency, keys, handler))
@@ -1293,6 +1316,7 @@ class FastPathEngine:
             self._observe_replies(obs, t, seq, sent, hit, idx)
         for st, sel in self._per_client(idx):
             tc, sc = t[sel], seq[sel]
+            self.reply_ties += int(np.count_nonzero(tc[1:] == tc[:-1]))
             self._note_ops(tc, self.tor_id, st.client.node_id, rop[sel], sc)
             self._client_reply_batch(st, tc, sc, sent[sel], hit[sel])
 

@@ -65,6 +65,9 @@ class Simulator:
         #: observers called as fn(time, link) on every link drop
         #: (fault accounting; see repro.faults).
         self.drop_hooks: List[Callable] = []
+        #: the batched engine driving this simulator, once one has taken
+        #: over its clients (see repro.net.fastpath); None = event loop.
+        self.driver = None
 
     # -- construction -------------------------------------------------------
 
@@ -218,8 +221,24 @@ class Simulator:
             node.start()
 
     def run_until(self, t_end: float) -> None:
+        """Run everything due by *t_end*, then advance the clock to it
+        (through the driver when one is attached)."""
+        if self.driver is not None:
+            self.driver.run_until(t_end)
+            return
         self.start()
         self.events.run_until(t_end)
+
+    def step(self) -> bool:
+        """Run the next pending event, with a driver's traffic up to it
+        first; False when no event is pending."""
+        if self.driver is None:
+            return self.events.step()
+        t = self.events.peek_time()
+        if t is None:
+            return False
+        self.driver.run_until(t)
+        return True
 
     def run(self, max_events: Optional[int] = None) -> int:
         self.start()

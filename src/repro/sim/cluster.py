@@ -25,6 +25,7 @@ from repro.core.switch import NetCacheSwitch, PlainSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
 from repro.kvstore.server import StorageServer, load_stores
+from repro.net.fastpath import FastPathEngine
 from repro.net.simulator import Simulator
 from repro.net.topology import make_rack_plan
 from repro.reliability.retry import RetryPolicy
@@ -130,6 +131,11 @@ class Cluster:
             self.sim.connect(plan.tor_id, cid, latency=config.link_latency,
                              loss_prob=config.link_loss, seed=config.seed)
             self.switch.attach_neighbor(port, cid)
+
+        #: the lanes engine :meth:`run` drives the rack with, and why it
+        #: does not when it does not (both None until the first run).
+        self.engine: Optional[FastPathEngine] = None
+        self.scalar_reason: Optional[str] = None
 
         self.controller: Optional[CacheController] = None
         if config.enable_cache:
@@ -273,7 +279,30 @@ class Cluster:
     # -- measurement -----------------------------------------------------------------
 
     def run(self, seconds: float) -> None:
-        self.sim.run_until(self.sim.now + seconds)
+        """Advance the rack by *seconds* of simulated time.
+
+        The first call picks the driver for the life of the rack: the
+        lanes engine (:class:`~repro.net.fastpath.FastPathEngine`) when it
+        accepts the rack and the rack is clean, else the per-packet event
+        loop, with the reason in :attr:`scalar_reason`.  Once the engine
+        runs, ``sim.run_until`` goes through it as well.
+        """
+        if self.engine is None and self.scalar_reason is None:
+            self._pick_engine()
+        driver = self.engine if self.engine is not None else self.sim
+        driver.run_until(self.sim.now + seconds)
+
+    def _pick_engine(self) -> None:
+        try:
+            engine = FastPathEngine(self)
+        except ConfigurationError as exc:
+            self.scalar_reason = str(exc)
+            return
+        # Hooks and faults already in place (an invariant suite, a lossy
+        # link) keep the rack on the event loop for good.
+        self.scalar_reason = engine._dirty_reason()
+        if self.scalar_reason is None:
+            self.engine = engine
 
     def total_received(self) -> int:
         return sum(c.received for c in self.clients)

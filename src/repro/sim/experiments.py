@@ -217,18 +217,10 @@ def fig10c_latency(
     capacity = num_servers * server_rate
     for enable_cache, name in ((False, "NoCache"), (True, "NetCache")):
         for fraction in offered_fractions:
-            cluster = Cluster(ClusterConfig(
-                num_servers=num_servers, server_rate=server_rate,
-                enable_cache=enable_cache, cache_items=100,
-                lookup_entries=1024, value_slots=1024, seed=seed,
-            ))
-            workload = default_workload(num_keys=num_keys, skew=skew,
-                                        seed=seed)
-            cluster.load_workload_data(workload)
-            if enable_cache:
-                cluster.warm_cache(workload, 100)
-            client = cluster.add_workload_client(
-                workload, rate=fraction * capacity)
+            cluster, client = fig10c_rack(
+                enable_cache, fraction * capacity, num_servers=num_servers,
+                server_rate=server_rate, num_keys=num_keys, skew=skew,
+                seed=seed)
             cluster.run(sim_seconds)
             lat = np.asarray(client.latencies[len(client.latencies) // 5 :])
             if lat.size == 0:
@@ -241,6 +233,24 @@ def fig10c_latency(
                 p99_latency_us=float(np.percentile(lat, 99) * 1e6),
             ))
     return rows
+
+
+def fig10c_rack(enable_cache: bool, rate: float, num_servers: int = 8,
+                server_rate: float = 50_000.0, num_keys: int = 2_000,
+                cache_items: int = 100, skew: float = 0.99, seed: int = 0):
+    """One rack of the Fig 10(c) sweep: stores loaded, the cache (if any)
+    warmed with the *cache_items* hottest keys, one open-loop client
+    offering *rate*.  Returns ``(cluster, client)``."""
+    cluster = Cluster(ClusterConfig(
+        num_servers=num_servers, server_rate=server_rate,
+        enable_cache=enable_cache, cache_items=cache_items,
+        lookup_entries=1024, value_slots=1024, seed=seed,
+    ))
+    workload = default_workload(num_keys=num_keys, skew=skew, seed=seed)
+    cluster.load_workload_data(workload)
+    if enable_cache:
+        cluster.warm_cache(workload, cache_items)
+    return cluster, cluster.add_workload_client(workload, rate=rate)
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,13 @@ def run_batched(config: SimCoreConfig) -> Dict:
 # -- counter capture -----------------------------------------------------------
 
 
-def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
+def counters_snapshot(cluster: Cluster, client,
+                      trace: Optional[DeliveryTrace] = None,
                       engine: Optional[FastPathEngine] = None) -> Dict:
     """Every gated counter of one finished run, as a flat dict; with an
     observability session live, its registry metrics too (``obs.<name>``).
+    A NoCache rack has no dataplane or controller fields; a run without a
+    *trace* has no digest.
 
     Not included, deliberately: ``events.processed`` (the whole point of
     the fast path is fewer events), packet ids (scalar replies allocate
@@ -166,8 +169,6 @@ def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
     """
     sim = cluster.sim
     switch = cluster.switch
-    dp = switch.dataplane
-    stats = dp.stats
     snap: Dict = {
         "sim.delivered": sim.delivered,
         "sim.lost": sim.lost,
@@ -181,33 +182,40 @@ def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
         "client.interval_sent": client._interval_sent,
         "client.interval_received": client._interval_received,
         "client.latencies": list(client.latencies),
-        "switch.processed": switch.processed,
         "switch.forwarded": switch.forwarded,
-        "dataplane.cache_hits": dp.cache_hits,
-        "dataplane.cache_misses": dp.cache_misses,
-        "dataplane.writes_seen": dp.writes_seen,
-        "dataplane.invalidations": dp.invalidations,
-        "dataplane.updates_received": dp.updates_received,
-        "dataplane.contents_version": dp.contents_version,
-        "dataplane.cache_size": dp.cache_size(),
-        "stats.reports": stats.reports,
-        "stats.resets": stats.resets,
-        "sampler.observed": stats.sampler.observed,
-        "sampler.sampled": stats.sampler.sampled,
-        "digests.hits": stats.digests.hits,
-        "digests.misses": stats.digests.misses,
-        "trace.digest": trace.digest(),
-        # Per-key hit counters of the cached set (key -> register value).
-        "cache.key_counters": sorted(
-            (key.hex(), dp.counter_of(key)) for key in switch.cached_keys()),
     }
-    # Layout-level registers and counters (for the paper geometry: the
-    # lookup-table hit/miss split and the per-pipe status/value registers,
-    # under the same key names as before the geometry seam), plus the
-    # layout's own SRAM self-audit so a mis-accounted geometry diverges
-    # from the truthful reference in a named field.
-    snap.update(dp.layout.snapshot_fields())
-    snap["layout.sram_audit"] = dp.layout.sram_audit()
+    if trace is not None:
+        snap["trace.digest"] = trace.digest()
+    dp = getattr(switch, "dataplane", None)
+    if dp is not None:
+        stats = dp.stats
+        snap.update({
+            "switch.processed": switch.processed,
+            "dataplane.cache_hits": dp.cache_hits,
+            "dataplane.cache_misses": dp.cache_misses,
+            "dataplane.writes_seen": dp.writes_seen,
+            "dataplane.invalidations": dp.invalidations,
+            "dataplane.updates_received": dp.updates_received,
+            "dataplane.contents_version": dp.contents_version,
+            "dataplane.cache_size": dp.cache_size(),
+            "stats.reports": stats.reports,
+            "stats.resets": stats.resets,
+            "sampler.observed": stats.sampler.observed,
+            "sampler.sampled": stats.sampler.sampled,
+            "digests.hits": stats.digests.hits,
+            "digests.misses": stats.digests.misses,
+            # Per-key hit counters of the cached set (key -> register).
+            "cache.key_counters": sorted(
+                (key.hex(), dp.counter_of(key))
+                for key in switch.cached_keys()),
+        })
+        # Layout-level registers and counters (for the paper geometry:
+        # the lookup-table hit/miss split and the per-pipe status/value
+        # registers, under the same key names as before the geometry
+        # seam), plus the layout's own SRAM self-audit so a mis-accounted
+        # geometry diverges from the truthful reference in a named field.
+        snap.update(dp.layout.snapshot_fields())
+        snap["layout.sram_audit"] = dp.layout.sram_audit()
     ctl = cluster.controller
     if ctl is not None:
         snap.update({
@@ -266,11 +274,18 @@ def counters_snapshot(cluster: Cluster, client, trace: DeliveryTrace,
         # regression fails the bench gate instead of just slowing it.
         snap["fastpath.coverage"] = engine.coverage()
         snap["fastpath.fallbacks"] = dict(engine.fallback_reasons)
+        snap["fastpath.reply_ties"] = engine.reply_ties
     return snap
 
 
 def diff_snapshots(a: Dict, b: Dict) -> List[str]:
-    """Human-readable list of unequal fields (empty = byte-identical)."""
+    """Human-readable list of unequal fields (empty = byte-identical).
+
+    Latency lists compare exactly, unless the engine side counted
+    equal-time client replies (``fastpath.reply_ties``): their order is
+    the one accepted divergence, so then they compare as multisets.
+    """
+    ties = a.get("fastpath.reply_ties", 0) + b.get("fastpath.reply_ties", 0)
     out = []
     for key in sorted(set(a) | set(b)):
         # Engine metadata, batched-only: lane-coverage telemetry is about
@@ -281,6 +296,8 @@ def diff_snapshots(a: Dict, b: Dict) -> List[str]:
         va, vb = a.get(key), b.get(key)
         if key.endswith(".latencies"):
             la, lb = va or [], vb or []
+            if ties:
+                la, lb = sorted(la), sorted(lb)
             if len(la) != len(lb):
                 out.append(f"{key}: length {len(la)} != {len(lb)}")
             else:

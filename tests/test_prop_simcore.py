@@ -11,12 +11,13 @@ miss should shrink to a small reproducer here.
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
+from repro.sim.experiments import fig10c_rack
 from repro.sim.simcore import (
     SimCoreConfig,
     build_rack,
@@ -188,6 +189,47 @@ def test_kway_merge_replays_scalar_exactly(config, plan):
     per-client counters, per-link accounting, and the order-sensitive
     trace digest all byte-identical, faults and retries included."""
     replay_both(config, plan)
+
+
+#: a quarter-size Fig 10(c) rack: 4 servers x 20k q/s.
+CLUSTER_RACK = dict(num_servers=4, server_rate=20_000.0, num_keys=400,
+                    cache_items=32)
+
+
+@given(enable_cache=st.booleans(), load=st.floats(0.3, 1.5),
+       controller=st.booleans(), seed=st.integers(0, 2**16),
+       splits=st.lists(st.sampled_from([0.001, 0.0025, 0.004]),
+                       min_size=1, max_size=3),
+       tail=st.sampled_from([0.0, 0.002]))
+@example(enable_cache=False, load=1.5, controller=False, seed=0,
+         splits=[0.0025, 0.004], tail=0.002)
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cluster_run_replays_scalar_exactly(enable_cache, load, controller,
+                                            seed, splits, tail):
+    """``Cluster.run`` in one to three calls, then perhaps a trailing
+    ``sim.run_until`` (which goes through the engine the first call
+    attached), against ``sim.run_until`` on a fresh twin; offered loads
+    past capacity build server queues."""
+    rate = load * CLUSTER_RACK["num_servers"] * CLUSTER_RACK["server_rate"]
+    racks = []
+    for lanes in (True, False):
+        cluster, client = fig10c_rack(enable_cache, rate, seed=seed,
+                                      **CLUSTER_RACK)
+        if controller:
+            cluster.start_controller()
+        racks.append((cluster, client))
+    (lanes, lanes_client), (scalar, scalar_client) = racks
+    for seconds in splits:
+        lanes.run(seconds)
+    if tail:
+        lanes.sim.run_until(lanes.sim.now + tail)
+    scalar.sim.run_until(lanes.sim.now)
+    assert lanes.scalar_reason is None
+    batched = counters_snapshot(lanes, lanes_client, engine=lanes.engine)
+    assert diff_snapshots(counters_snapshot(scalar, scalar_client),
+                          batched) == []
+    assert batched["fastpath.coverage"] == 1.0
 
 
 _RACK = dict(num_servers=4, num_keys=400, cache_items=16,

@@ -27,12 +27,14 @@ from repro import obs
 from repro.core import geometry
 from repro.core.primitives import RegisterArray
 from repro.core.status import CacheStatusModule
+from repro.core.switch import PlainSwitch
 from repro.kvstore.store import KVStore, ReadColumns
 from repro.net import fastpath
 from repro.net.trace import DeliveryTrace
 from repro.obs.metrics import Histogram
 from repro.sketch import hashing
 from repro.sketch.digest import DigestTable, digest_table_for
+from repro.sim.experiments import fig10c_rack
 from repro.sim.simcore import (
     SimCoreConfig,
     build_rack,
@@ -560,3 +562,26 @@ class TestRegistrySabotage:
         diffs = diff_snapshots(scalar, bad)
         assert len(diffs) == 1, diffs
         assert diffs[0].split(":")[0] == "obs.client.request", diffs
+
+
+class TestNoCacheSabotage:
+    """A NoCache rack runs in lanes through the plain switch's batch
+    methods; its snapshot has no dataplane fields to hide behind."""
+
+    def test_uncounted_reply_forwarding_flags_the_switch(self, monkeypatch):
+        def run(lanes):
+            cluster, client = fig10c_rack(False, 2e5, num_servers=4,
+                                          num_keys=400)
+            if lanes:
+                cluster.run(0.005)
+                assert cluster.engine is not None
+            else:
+                cluster.sim.run_until(0.005)
+            return counters_snapshot(cluster, client, engine=cluster.engine)
+
+        scalar = run(lanes=False)
+        monkeypatch.setattr(PlainSwitch, "process_reply_batch",
+                            lambda self, count: None)
+        diffs = diff_snapshots(scalar, run(lanes=True))
+        assert [d.split(":")[0] for d in diffs] == ["switch.forwarded"], \
+            diffs

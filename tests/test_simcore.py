@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.client.tracefile import TraceWorkload, record
 from repro.errors import ConfigurationError
+from repro.faults import ChaosConfig, ChaosRunner
 from repro.net import fastpath
 from repro.net.fastpath import FastPathEngine
 from repro.net.trace import DeliveryTrace
 from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
+from repro.sim.experiments import fig10c_rack
 from repro.sim.simcore import (
     SimCoreConfig,
     SimCoreRunner,
@@ -193,10 +196,34 @@ class TestEligibility:
         with pytest.raises(ConfigurationError):
             FastPathEngine(cluster)
 
-    def test_plain_switch_rejected(self):
-        cluster, workload = self._rack(enable_cache=False)
+    def test_nocache_rack_runs_in_lanes(self):
+        # A plain switch routes every read on: all misses, no reports, and
+        # the snapshot of a rack without dataplane or controller still
+        # diffs clean against the event loop.
+        snaps = []
+        for lanes in (False, True):
+            cluster, workload = self._rack(enable_cache=False)
+            client = cluster.add_workload_client(workload, rate=1e5)
+            if lanes:
+                cluster.run(0.02)
+                assert cluster.scalar_reason is None
+                assert cluster.engine.coverage() == 1.0
+            else:
+                cluster.sim.run_until(0.02)
+            snaps.append(counters_snapshot(cluster, client,
+                                           engine=cluster.engine))
+        scalar, batched = snaps
+        assert diff_snapshots(scalar, batched) == []
+        assert "dataplane.cache_hits" not in scalar
+        assert "controller.rounds" not in scalar
+        assert scalar["switch.forwarded"] > 0
+        assert scalar["client.cache_hits"] == 0
+
+    def test_started_simulator_rejected(self):
+        cluster, workload = self._rack()
         cluster.add_workload_client(workload, rate=1e5)
-        with pytest.raises(ConfigurationError):
+        cluster.sim.start()
+        with pytest.raises(ConfigurationError, match="start"):
             FastPathEngine(cluster)
 
     def test_second_workload_client_accepted(self):
@@ -211,6 +238,83 @@ class TestEligibility:
                     dict(num_clients=2, client_rates=(1e5, -1.0))):
             with pytest.raises(ConfigurationError, match="must be positive"):
                 tiny(**bad)
+
+
+#: Fig 10(c)'s rack capacity at its defaults (8 servers x 50k q/s).
+FIG10C_CAPACITY = 8 * 50_000.0
+
+
+class TestClusterRun:
+    """``Cluster.run`` picks the lanes engine once per rack and says why
+    when it does not."""
+
+    def test_scalar_reason_says_why(self, tmp_path):
+        # An invariant suite's delivery hook keeps a chaos rack scalar.
+        runner = ChaosRunner(ChaosConfig(duration=0.005, drain=0.002))
+        runner.run()
+        assert runner.cluster.engine is None
+        assert runner.cluster.scalar_reason == "foreign_hook"
+        # A replayed trace cannot be drawn in batches: the engine's
+        # ConfigurationError is the reason.
+        cluster, client = fig10c_rack(True, 2e4, num_servers=4,
+                                      num_keys=300)
+        record(client.workload, tmp_path / "q.trace", 50)
+        cluster.add_workload_client(
+            TraceWorkload(tmp_path / "q.trace", loop=True), rate=2e4)
+        cluster.run(0.002)
+        assert cluster.engine is None
+        assert cluster.scalar_reason == (
+            "fast path needs workloads that draw query batches over a "
+            "keyspace, not TraceWorkload")
+        assert cluster.total_received() > 0
+        # A Fig 10(c) rack runs in lanes, saturated or not.
+        for enable_cache in (False, True):
+            cluster, _ = fig10c_rack(enable_cache, 1.1 * FIG10C_CAPACITY)
+            cluster.run(0.001)
+            assert cluster.scalar_reason is None
+            assert cluster.sim.driver is cluster.engine
+            assert cluster.engine.coverage() == 1.0
+
+    def test_sync_client_steps_through_the_engine(self):
+        # Stepping the simulator after a lanes run first runs the lanes up
+        # to the next event: while the blocking get waits its turn at the
+        # saturated server, the open-loop client keeps sending, exactly
+        # as on the event loop.
+        after_get, after_run = [], []
+        for lanes in (False, True):
+            cluster, client = fig10c_rack(False, 1.1 * FIG10C_CAPACITY)
+            advance = cluster.run if lanes else (
+                lambda s: cluster.sim.run_until(cluster.sim.now + s))
+            advance(0.002)
+            key = client.workload.hottest_keys(1)[0]
+            assert cluster.sync_client().get(key) == \
+                client.workload.value_for(key)
+            after_get.append(counters_snapshot(cluster, client,
+                                               engine=cluster.engine))
+            advance(0.002)
+            after_run.append(counters_snapshot(cluster, client,
+                                               engine=cluster.engine))
+        assert diff_snapshots(*after_get) == []
+        assert diff_snapshots(*after_run) == []
+        assert after_run[1]["fastpath.coverage"] == 1.0
+
+    def test_equal_time_replies_compare_as_a_multiset(self):
+        # Seed 0's NoCache rack at 1.1x capacity delivers two replies at
+        # exactly t = 0.0010575454545454573; the heap and the lanes hand
+        # them to the client in opposite orders.
+        lanes, lanes_client = fig10c_rack(False, 1.1 * FIG10C_CAPACITY)
+        lanes.run(0.002)
+        scalar, scalar_client = fig10c_rack(False, 1.1 * FIG10C_CAPACITY)
+        scalar.sim.run_until(0.002)
+        a = counters_snapshot(scalar, scalar_client)
+        b = counters_snapshot(lanes, lanes_client, engine=lanes.engine)
+        assert b["fastpath.reply_ties"] > 0
+        assert a["client.latencies"] != b["client.latencies"]
+        assert diff_snapshots(a, b) == []
+        # Without a counted tie the same lists must match exactly.
+        b["fastpath.reply_ties"] = 0
+        assert [line.split(":")[0] for line in diff_snapshots(a, b)] == \
+            ["client.latencies"]
 
 
 class TestBenchmarkRunner:
