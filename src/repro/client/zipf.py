@@ -106,10 +106,15 @@ class KeySpace:
     """Deterministic mapping between item ids and 16-byte keys.
 
     Keys are ``b'k' + 15-digit decimal id`` so they are printable in traces
-    and trivially invertible in tests.
+    and trivially invertible in tests.  The bulk forms work on arrays:
+    :meth:`keys` gathers from one key table (16 bytes a key, built on first
+    use) and :meth:`items` parses keys back; both refuse ids outside the
+    key space.
     """
 
     PREFIX = b"k"
+    #: place value of each of a key's 15 digits, most significant first.
+    _PLACES = 10 ** np.arange(14, -1, -1, dtype=np.int64)
 
     def __init__(self, num_keys: int):
         if num_keys <= 0:
@@ -117,6 +122,7 @@ class KeySpace:
         if num_keys >= 10 ** 15:
             raise ConfigurationError("key space too large for the encoding")
         self.num_keys = num_keys
+        self._table: Optional[np.ndarray] = None
 
     def key(self, item: int) -> bytes:
         if not 0 <= item < self.num_keys:
@@ -129,4 +135,46 @@ class KeySpace:
         return int(key[1:])
 
     def keys(self, items) -> list:
-        return [self.key(i) for i in items]
+        """:meth:`key` of every id in *items* (an array or any iterable)."""
+        ids = (items if isinstance(items, np.ndarray)
+               else np.fromiter(items, dtype=np.int64))
+        self._check(ids)
+        return self._key_table()[ids].tolist()
+
+    def items(self, keys) -> np.ndarray:
+        """:meth:`item` of every key in *keys* (any iterable), parsed in
+        bulk.  Refuses what :meth:`item` refuses, a body that is not 15
+        decimal digits, and an id outside the key space."""
+        keys = list(keys)
+        if not keys:
+            return np.empty(0, dtype=np.int64)
+        if set(map(len, keys)) != {16}:
+            bad = next(key for key in keys if len(key) != 16)
+            raise ConfigurationError(f"not a keyspace key: {bad!r}")
+        rows = np.array(keys, dtype="S16").view(np.uint8).reshape(-1, 16)
+        digits = rows[:, 1:] - np.uint8(ord("0"))     # wraps below "0"
+        ok = (rows[:, 0] == self.PREFIX[0]) & (digits <= 9).all(axis=1)
+        if not ok.all():
+            raise ConfigurationError(
+                f"not a keyspace key: {keys[int(ok.argmin())]!r}")
+        ids = digits.astype(np.int64) @ self._PLACES
+        self._check(ids)
+        return ids
+
+    def _check(self, ids: np.ndarray) -> None:
+        outside = (ids < 0) | (ids >= self.num_keys)
+        if outside.any():
+            raise ConfigurationError(
+                f"item {ids[outside][0]} outside key space")
+
+    def _key_table(self) -> np.ndarray:
+        """Every key of the space, as one ``S16`` array indexed by id."""
+        if self._table is None:
+            table = np.empty((self.num_keys, 16), dtype=np.uint8)
+            table[:, 0] = self.PREFIX[0]
+            rest = np.arange(self.num_keys, dtype=np.int64)
+            for column in range(15, 0, -1):
+                table[:, column] = rest % 10 + ord("0")
+                rest //= 10
+            self._table = table.view("S16").ravel()
+        return self._table

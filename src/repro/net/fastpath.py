@@ -382,8 +382,7 @@ class FastPathEngine:
             raise ConfigurationError(
                 "fast path needs one shared keyspace across clients")
         keyspace = self._keyspace = clients[0].workload.keyspace
-        self._key_of_item = [keyspace.key(i)
-                             for i in range(keyspace.num_keys)]
+        self._key_of_item = keyspace.keys(range(keyspace.num_keys))
         partitioner = clients[0].partitioner
         self._server_of_item = np.asarray(
             partitioner.server_ids,
@@ -845,9 +844,7 @@ class FastPathEngine:
         switch = self.switch
         if self._cached_mask_version != switch.contents_version:
             mask = np.zeros(len(self._key_of_item), dtype=bool)
-            item_of = self._keyspace.item
-            for key in switch.cached_keys():
-                mask[item_of(key)] = True
+            mask[self._keyspace.items(switch.cached_keys())] = True
             self._cached_mask = mask
             self._cached_mask_version = switch.contents_version
         return self._cached_mask

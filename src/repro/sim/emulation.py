@@ -158,8 +158,12 @@ class DynamicsEmulator:
         self.rate_config = RateSimConfig(num_servers=config.num_servers,
                                          server_rate=config.server_rate)
         self._rng = np.random.default_rng(config.seed + 7)
-        # Caches invalidated by churn / cache-content changes.
+        # The read probabilities and the capacity solved from them, each
+        # with the (popularity generation, contents version) it holds for.
         self._read_probs: Optional[np.ndarray] = None
+        self._probs_generation = -1
+        self._capacity = 0.0
+        self._capacity_key = None
         self._mask = CacheContentsMask(self.switch, self.workload.keyspace)
 
     def _load_stores(self) -> None:
@@ -186,13 +190,23 @@ class DynamicsEmulator:
             report(hot)
 
     def _saturated_throughput(self) -> float:
-        if self._read_probs is None:
+        """The equilibrium capacity for the current popularity and cache
+        contents.  It is a pure function of the two, so it is solved once
+        per (popularity generation, contents version): a churn moves the
+        generation, an install or evict the version, and a step on which
+        neither moved reuses the last answer."""
+        generation = self.popularity.changes
+        if self._probs_generation != generation:
             self._read_probs = self.workload.read_item_probs()
-        # Invalid entries (just-written keys) don't serve; with a read-only
-        # dynamics workload every cached key is valid.
-        result = simulate(self._read_probs, self._mask.mask(),
-                          self.rate_config)
-        return result.throughput
+            self._probs_generation = generation
+        key = (generation, self.switch.dataplane.contents_version)
+        if self._capacity_key != key:
+            # Invalid entries (just-written keys) don't serve; with a
+            # read-only dynamics workload every cached key is valid.
+            self._capacity = simulate(self._read_probs, self._mask.mask(),
+                                      self.rate_config).throughput
+            self._capacity_key = key
+        return self._capacity
 
     # -- main loop ------------------------------------------------------------------
 
@@ -218,7 +232,6 @@ class DynamicsEmulator:
                 result.reboot_times.append(t)
             if t >= next_churn:
                 self.churn.apply_once()
-                self._read_probs = None  # popularity moved; rebuild probs
                 result.churn_times.append(t)
                 next_churn += cfg.churn_interval
             capacity = self._saturated_throughput()

@@ -15,13 +15,25 @@ on that key fall through to the server.  Validity therefore depends on the
 absolute query rate, which itself depends on validity — a fixed point the
 simulator iterates to convergence.  Writes to cached keys also charge the
 owning server a coherence surcharge (the shim's update/ack/blocking work).
+
+Cost.  The figure sweeps and the Fig 11 emulation solve hundreds of these
+equilibria over up to a million items, so :func:`simulate` does per-item
+work only where validity can change it: a pass rewrites the cached items'
+entries (``flatnonzero(cached_mask)``) of per-item arrays built once per
+call, whose other entries do not depend on validity.  With no writes
+validity cannot move, and the first pass is the answer.
+Every reduction still runs over the full per-item arrays in item order —
+the per-server and per-pipe ``bincount`` and the ``sum`` of the hit and
+server-traffic arrays — so the result is bit-identical to recomputing
+every array on every pass (``tests/test_prop_ratesim.py`` keeps that loop
+as its reference).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -63,6 +75,30 @@ def fast_partition_vector(num_keys: int, num_servers: int,
         x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & mask64
     x = x ^ (x >> np.uint64(31))
     return (x % np.uint64(num_servers)).astype(np.int64)
+
+
+def _partitions(num_keys: int, num_servers: int, seed: int,
+                exact: bool) -> np.ndarray:
+    if exact:
+        return partition_vector(num_keys, num_servers, seed)
+    return fast_partition_vector(num_keys, num_servers, seed)
+
+
+@functools.lru_cache(maxsize=32)
+def pipe_vector(num_keys: int, num_servers: int, num_pipes: int,
+                seed: int = 0x5EED, exact: bool = False) -> np.ndarray:
+    """item id -> the downstream egress pipe of its owning server.
+
+    Servers spread over pipes round-robin by partition index (§4.4.4).
+    Cached like the partition vector it is derived from, in the narrowest
+    unsigned dtype that holds a pipe index (a byte an item for a real
+    switch's pipes, not eight), and read-only, since every caller gets the
+    same array.
+    """
+    pipes = (_partitions(num_keys, num_servers, seed, exact) % num_pipes
+             ).astype(np.min_scalar_type(num_pipes - 1))
+    pipes.flags.writeable = False
+    return pipes
 
 
 class CacheContentsMask:
@@ -167,31 +203,52 @@ def simulate(read_probs: np.ndarray,
     w = config.write_ratio
     if w > 0 and write_probs is None:
         raise ConfigurationError("write_ratio > 0 requires write_probs")
-    if cached_mask is None:
-        cached_mask = np.zeros(n_items, dtype=bool)
+    for name, vector in (("cached_mask", cached_mask),
+                         ("write_probs", write_probs)):
+        if vector is not None and len(vector) != n_items:
+            raise ConfigurationError(
+                f"{name} has {len(vector)} items, read_probs {n_items}")
+    idx = (np.flatnonzero(cached_mask) if cached_mask is not None
+           else np.empty(0, dtype=np.intp))
 
-    if config.exact_partition:
-        part = partition_vector(n_items, config.num_servers,
-                                config.partition_seed)
-    else:
-        part = fast_partition_vector(n_items, config.num_servers,
-                                     config.partition_seed)
+    part = _partitions(n_items, config.num_servers, config.partition_seed,
+                       config.exact_partition)
+    pipes = pipe_vector(n_items, config.num_servers, config.num_pipes,
+                        config.partition_seed, config.exact_partition)
     read_rate = (1.0 - w) * read_probs          # per unit client rate
     write_rate = (w * write_probs) if w > 0 else np.zeros(n_items)
+    replies = read_rate.sum() + write_rate.sum()
+    cached_reads, cached_write_rate = read_rate[idx], write_rate[idx]
 
-    # Fixed point on validity of cached entries.
-    validity = np.ones(n_items)
-    rate = 0.0
-    for _ in range(50):
-        # Per-item traffic that reaches servers, per unit client rate.
-        hit_rate = np.where(cached_mask, read_rate * validity, 0.0)
-        miss_read = read_rate - hit_rate
-        server_write = write_rate * np.where(cached_mask,
-                                             1.0 + config.coherence_overhead,
-                                             1.0)
-        server_traffic = miss_read + server_write
+    # Validity cannot change any write's server work (a cached key's
+    # carries the coherence surcharge), nor so an uncached item's server
+    # traffic: it is computed once, in place of the rates, and a pass
+    # rewrites only the cached items' entries of it and of the hits.
+    server_write = write_rate
+    server_write[idx] *= 1.0 + config.coherence_overhead
+    cached_server_write = server_write[idx]
+    server_traffic = np.add(read_rate, server_write, out=server_write)
+    del read_rate, write_rate, server_write
+    hit_rate = np.zeros(n_items)
+    pipe_traffic = np.empty(n_items)
+
+    def traffic(validity):
+        """The cached items' missed reads at *validity*, with the hit and
+        server-traffic arrays brought up to it, and the per-server load
+        per unit client rate."""
+        hits = cached_reads * validity
+        misses = cached_reads - hits
+        hit_rate[idx] = hits
+        server_traffic[idx] = misses + cached_server_write
         per_server = np.bincount(part, weights=server_traffic,
                                  minlength=config.num_servers)
+        return misses, per_server
+
+    # Fixed point on validity of cached entries.
+    validity = np.ones(len(idx))
+    rate = 0.0
+    for _ in range(50):
+        misses, per_server = traffic(validity)
         max_load = per_server.max()
 
         # Constraints: every server at most server_rate; every downstream
@@ -204,10 +261,11 @@ def simulate(read_probs: np.ndarray,
         total = hit_rate.sum() + server_traffic.sum()
         if total > 0:
             bounds["switch"] = config.switch_rate / total
-        pipe_load = _max_pipe_load(hit_rate, server_traffic, part, config)
+        pipe_load = _max_pipe_load(
+            np.add(hit_rate, server_traffic, out=pipe_traffic), pipes,
+            config.num_pipes)
         if pipe_load > 0:
             bounds["pipe"] = config.pipe_rate / pipe_load
-        replies = read_rate.sum() + write_rate.sum()
         if replies > 0 and config.num_upstream_pipes > 0:
             bounds["upstream"] = (config.num_upstream_pipes
                                   * config.pipe_rate / replies)
@@ -215,30 +273,30 @@ def simulate(read_probs: np.ndarray,
             raise ConfigurationError("workload has no traffic")
         binding = min(bounds, key=bounds.get)
         new_rate = bounds[binding]
+        if w == 0:
+            # Validity cannot move: a second pass would repeat this one.
+            rate = new_rate
+            break
 
         # Update validity from absolute write rates.
-        if w > 0:
-            window = (config.invalidation_window +
-                      config.invalidation_service_factor / config.server_rate)
-            inv = new_rate * write_rate * window
-            new_validity = 1.0 / (1.0 + inv)
-        else:
-            new_validity = validity
-        if abs(new_rate - rate) <= 1e-9 * max(1.0, new_rate):
-            rate, validity = new_rate, new_validity
-            break
+        window = (config.invalidation_window +
+                  config.invalidation_service_factor / config.server_rate)
+        inv = new_rate * cached_write_rate * window
+        new_validity = 1.0 / (1.0 + inv)
+        settled = _settled(new_rate, rate)
         rate, validity = new_rate, new_validity
+        if settled:
+            break
+    if w > 0:
+        misses, per_server = traffic(validity)
 
-    hit_rate = np.where(cached_mask, read_rate * validity, 0.0)
-    miss_read = read_rate - hit_rate
-    server_write = write_rate * np.where(cached_mask,
-                                         1.0 + config.coherence_overhead, 1.0)
-    server_traffic = miss_read + server_write
-    per_server = np.bincount(part, weights=server_traffic,
-                             minlength=config.num_servers) * rate
+    per_server = per_server * rate
     cache_tput = float(hit_rate.sum() * rate)
-    # Served throughput counts queries, not the coherence surcharge.
-    served_by_servers = float((miss_read + write_rate).sum() * rate)
+    # Served throughput counts queries, not the coherence surcharge, which
+    # only the cached items' server traffic carries.
+    served = server_traffic
+    served[idx] = misses + cached_write_rate
+    served_by_servers = float(served.sum() * rate)
     total = cache_tput + served_by_servers
     return RateSimResult(
         throughput=total,
@@ -251,17 +309,20 @@ def simulate(read_probs: np.ndarray,
     )
 
 
-def _max_pipe_load(hit_rate: np.ndarray, server_traffic: np.ndarray,
-                   part: np.ndarray, config: RateSimConfig) -> float:
+def _settled(new_rate: float, rate: float) -> bool:
+    """The fixed point's stopping rule: the rate moved by at most 1e-9 of
+    itself since the last pass."""
+    return abs(new_rate - rate) <= 1e-9 * max(1.0, new_rate)
+
+
+def _max_pipe_load(pipe_traffic: np.ndarray, pipes: np.ndarray,
+                   num_pipes: int) -> float:
     """Traffic through the busiest downstream egress pipe.
 
     A pipe carries the cached-value hits it serves (values live in the pipe
     of the owning server, §4.4.4) plus the queries forwarded to its servers.
-    Servers spread over pipes round-robin by partition index.
     """
-    pipes = part % config.num_pipes
-    per_pipe = np.bincount(pipes, weights=hit_rate + server_traffic,
-                           minlength=config.num_pipes)
+    per_pipe = np.bincount(pipes, weights=pipe_traffic, minlength=num_pipes)
     return float(per_pipe.max())
 
 
@@ -274,10 +335,8 @@ def top_k_mask(read_probs: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def mask_from_keys(keys: Sequence[bytes], keyspace: KeySpace) -> np.ndarray:
+def mask_from_keys(keys: Iterable[bytes], keyspace: KeySpace) -> np.ndarray:
     """Mask from concrete cached keys (hybrid emulation uses this)."""
     mask = np.zeros(keyspace.num_keys, dtype=bool)
-    for key in keys:
-        mask[keyspace.item(key)] = True
+    mask[keyspace.items(keys)] = True
     return mask
-

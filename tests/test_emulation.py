@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim import emulation, ratesim
 from repro.sim.emulation import DynamicsEmulator, EmulationConfig
 
 
@@ -67,3 +68,48 @@ class TestRebinning:
         coarse = result.rebinned(1.0)
         assert len(coarse) == 2
         assert coarse[0] == pytest.approx(np.mean(result.throughput[:10]))
+
+
+class TestCapacityMemo:
+    def test_memo_is_the_equilibrium_solved_afresh_every_step(
+            self, monkeypatch):
+        """Churn, a reboot and a stall window: at every step the memoised
+        capacity equals a from-scratch solve, and each distinct
+        (popularity generation, contents version) is solved exactly once."""
+        emulator = DynamicsEmulator(small_config(
+            duration=6.0, reboot_times=(2.5,),
+            controller_stall_windows=((4.0, 4.6),)))
+
+        def state():
+            return (emulator.popularity.changes,
+                    emulator.switch.dataplane.contents_version)
+
+        solved = []
+
+        def counting_simulate(*args, **kwargs):
+            solved.append(state())
+            return ratesim.simulate(*args, **kwargs)
+
+        monkeypatch.setattr(emulation, "simulate", counting_simulate)
+        memoised = emulator._saturated_throughput
+        steps = []
+
+        def checked():
+            capacity = memoised()
+            fresh = ratesim.simulate(
+                emulator.workload.read_item_probs(),
+                ratesim.mask_from_keys(emulator.switch.cached_keys(),
+                                       emulator.workload.keyspace),
+                emulator.rate_config).throughput
+            assert capacity.hex() == fresh.hex()
+            steps.append(state())
+            return capacity
+
+        monkeypatch.setattr(emulator, "_saturated_throughput", checked)
+        result = emulator.run()
+
+        assert result.churn_times and result.reboot_times
+        assert result.stall_times
+        assert len(steps) == len(result.times)
+        assert len(solved) == len(set(solved)) == len(set(steps))
+        assert len(solved) < len(steps)

@@ -12,6 +12,7 @@ from repro.sim.ratesim import (
     fast_partition_vector,
     mask_from_keys,
     partition_vector,
+    pipe_vector,
     simulate,
     top_k_mask,
 )
@@ -45,6 +46,15 @@ class TestPartitionVectors:
         a = fast_partition_vector(1000, 8, seed=1)
         b = fast_partition_vector(1000, 8, seed=1)
         assert np.array_equal(a, b)
+
+    def test_pipe_vector_is_a_byte_an_item(self):
+        # Cached for the life of the process next to the partition vector,
+        # so it holds a pipe index in the narrowest dtype, read-only.
+        for exact, part in ((False, fast_partition_vector(1000, 8, seed=3)),
+                            (True, partition_vector(1000, 8, seed=3))):
+            pipes = pipe_vector(1000, 8, 3, seed=3, exact=exact)
+            assert pipes.dtype == np.uint8 and not pipes.flags.writeable
+            assert np.array_equal(pipes, part % 3)
 
 
 class TestReadOnly:
@@ -144,6 +154,12 @@ class TestMaskHelpers:
         mask = mask_from_keys([ks.key(3), ks.key(7)], ks)
         assert mask.sum() == 2 and mask[3] and mask[7]
 
+    def test_mask_from_keys_refuses_foreign_keys(self):
+        with pytest.raises(ConfigurationError):
+            mask_from_keys([KeySpace(50).key(3), b"x" * 16], KeySpace(50))
+        with pytest.raises(ConfigurationError):
+            mask_from_keys([KeySpace(100).key(50)], KeySpace(50))
+
 
 class TestCacheContentsMask:
     def test_tracks_switch_contents(self, small_cluster, small_workload):
@@ -174,3 +190,16 @@ class TestValidation:
             RateSimConfig(num_servers=0)
         with pytest.raises(ConfigurationError):
             RateSimConfig(write_ratio=1.5)
+
+    def test_mask_of_another_length_is_refused(self):
+        # A short mask used to be accepted silently once only the cached
+        # items' indexes are taken from it.
+        for length in (99, 101):
+            with pytest.raises(ConfigurationError, match="cached_mask"):
+                simulate(probs(100), np.zeros(length, dtype=bool), config())
+
+    def test_write_probs_of_another_length_are_refused(self):
+        for ratio in (0.0, 0.2):
+            with pytest.raises(ConfigurationError, match="write_probs"):
+                simulate(probs(100), None, config(write_ratio=ratio),
+                         write_probs=probs(99))

@@ -94,3 +94,39 @@ class TestKeySpace:
     def test_keys_bulk(self):
         ks = KeySpace(10)
         assert ks.keys([1, 2]) == [ks.key(1), ks.key(2)]
+
+    def test_keys_is_key_over_the_whole_space(self):
+        ks = KeySpace(1234)
+        assert ks.keys(range(1234)) == [ks.key(i) for i in range(1234)]
+
+    def test_keys_take_any_iterable(self):
+        ks = KeySpace(10)
+        want = [ks.key(2), ks.key(3), ks.key(9)]
+        assert ks.keys(range(2, 4)) == want[:2]
+        assert ks.keys(i for i in (2, 3, 9)) == want
+        assert ks.keys(np.array([2, 3, 9])) == want
+        assert ks.keys([]) == []
+
+    def test_keys_refuse_ids_outside_the_space(self):
+        # Indexing the key table would wrap a negative id silently.
+        ks = KeySpace(10)
+        for bad in ([-1], [3, 10], np.array([0, -2]), iter([11])):
+            with pytest.raises(ConfigurationError):
+                ks.keys(bad)
+
+    def test_items_parse_keys_in_bulk(self):
+        ks = KeySpace(5000)
+        ids = [0, 1, 4999, 17, 17]
+        got = ks.items(ks.keys(ids))
+        assert got.dtype == np.int64 and got.tolist() == ids
+        assert ks.items(ks.key(i) for i in ids).tolist() == ids
+        assert ks.items([]).tolist() == []
+
+    def test_items_refuse_malformed_keys(self):
+        ks = KeySpace(10)
+        good = ks.key(1)
+        for bad in (b"x" * 16, good[:-1], good + b"0", b"k00000000000000x",
+                    b"k0000000000000-1", b" " + good[1:],
+                    KeySpace(100).key(10)):
+            with pytest.raises(ConfigurationError):
+                ks.items([good, bad])
