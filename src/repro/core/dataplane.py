@@ -220,54 +220,50 @@ class NetCacheDataplane:
         self.cache_misses += 1
         return self.stats.heavy_hitter_count(key)
 
-    def _classify_reads(self, keys: Sequence[bytes], read_values: bool):
-        """Classify a read stream against the cache layout.
+    def _read_batch(self, keys: List[bytes],
+                    read_values: bool) -> "ReadBatchResult":
+        """The read pipeline over a batch: classify, sample, count.
 
-        Returns ``(hit_mask, hit_indexes, miss_keys, miss_pos,
-        hit_delays)``; with *read_values* each valid hit also reads its
-        value registers, which is the accounting difference between a
-        real Get (:meth:`_serve_hit`) and a statistics-only observation
-        (:meth:`observe_read`).  ``hit_delays`` carries each hit's extra
-        reply latency (multi-pass layouts) or None.
+        Classifies the whole stream against the cache layout (with
+        *read_values* each valid hit also reads its value registers,
+        which is the accounting difference between a real Get and a
+        statistics-only observation), draws every sampler decision in
+        stream order (hits and misses interleave exactly as the scalar
+        path would), then applies the hit counters and the miss
+        sketch/Bloom path with vectorized batch updates.
         """
+        if not keys:
+            return ReadBatchResult(np.zeros(0, dtype=bool), [])
+        stats = self.stats
         hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays = \
             self.layout.classify_reads(keys, read_values)
         self.cache_hits += len(hit_indexes)
         self.cache_misses += len(miss_keys)
-        return hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays
+        decisions = stats.sample_batch(keys)
+        if hit_indexes:
+            stats.cache_count_batch(hit_indexes, decisions[hit_mask])
+        hot: List = []
+        if miss_keys:
+            reported = stats.heavy_hitter_count_batch(
+                miss_keys, decisions=decisions[~hit_mask])
+            hot = [(miss_pos[p], key) for p, key in reported]
+        return ReadBatchResult(hit_mask, hot, hit_delays)
 
     def observe_reads(self, keys: Sequence[bytes]) -> List[bytes]:
         """Batch :meth:`observe_read`: returns the keys to report hot.
 
-        Classifies the whole stream against the lookup table, draws every
-        sampler decision in stream order (hits and misses interleave
-        exactly as the scalar path would), then applies the hit counters
-        and the miss sketch/Bloom path with vectorized batch updates.
         Bit-for-bit equivalent to looping ``observe_read`` — that
         equivalence is what makes it safe for the hybrid emulation's
         sampled-query stream.
         """
-        keys = list(keys)
-        if not keys:
-            return []
-        stats = self.stats
-        hit_mask, hit_indexes, miss_keys, _, _ = \
-            self._classify_reads(keys, read_values=False)
-        decisions = stats.sample_batch(keys)
-        if hit_indexes:
-            stats.cache_count_batch(hit_indexes, decisions[hit_mask])
-        if miss_keys:
-            return stats.heavy_hitter_count_batch(
-                miss_keys, decisions=decisions[~hit_mask])
-        return []
+        return [key for _, key in self._read_batch(list(keys), False).hot]
 
     def process_read_batch(self, keys: Sequence[bytes]) -> "ReadBatchResult":
         """Run a batch of Get packets through the read pipeline.
 
         Equivalent to calling :meth:`_process_get` once per key in stream
         order — same table/status/value-register accounting, same sampler
-        draws, same Count-Min/Bloom updates, same hot reports — but with
-        the statistics applied via the vectorized batch kernels.  Packet
+        draws, same Count-Min/Bloom updates, same hot reports.  Packet
         rewriting and routing stay with the caller (the batched fast path
         routes whole lanes at once).  Hot reports come back as
         ``(position, key)`` pairs so the caller can schedule each at its
@@ -275,34 +271,7 @@ class NetCacheDataplane:
         """
         if not isinstance(keys, list):
             keys = list(keys)
-        if not keys:
-            return ReadBatchResult(np.zeros(0, dtype=bool), [])
-        stats = self.stats
-        hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays = \
-            self._classify_reads(keys, read_values=True)
-        decisions = stats.sample_batch(keys)
-        if hit_indexes:
-            stats.cache_count_batch(hit_indexes, decisions[hit_mask])
-        hot: List = []
-        if miss_keys:
-            reported = stats.heavy_hitter_count_batch(
-                miss_keys, decisions=decisions[~hit_mask],
-                with_positions=True)
-            hot = [(miss_pos[p], key) for p, key in reported]
-        return ReadBatchResult(hit_mask, hot, hit_delays)
-
-    def process_write_batch(self, pkts: Sequence[Packet]) \
-            -> List[PipelineResult]:
-        """Run a batch of write packets through the write pipeline.
-
-        Writes are inherently scalar at the register level — each one may
-        flip a cache-status bit and rewrite its own op field — so this is
-        a stream-order loop over :meth:`_process_write`, offered for
-        layering symmetry with :meth:`process_read_batch` (the batched
-        fast path drives single writes through the switch wrapper; tools
-        that replay recorded write streams use this entry point).
-        """
-        return [self._process_write(pkt) for pkt in pkts]
+        return self._read_batch(keys, True)
 
     # -- control-plane API (used by the controller) ---------------------------------
 
@@ -316,16 +285,17 @@ class NetCacheDataplane:
         return self.layout.cache_size()
 
     def install(self, key: bytes, value: bytes, egress_port: int,
-                **layout_kwargs) -> bool:
+                candidate_count: Optional[int] = None) -> bool:
         """Insert *key* -> *value*, placed per the layout's geometry.
 
         Returns False when the layout has no room for the item (caller may
         evict or defragment and retry).  Empty values are not cacheable: a
-        Get on them is served by the storage server.  Extra keyword
-        arguments pass through to the layout (e.g. SetAssoc's in-set
-        displacement takes ``candidate_count``).
+        Get on them is served by the storage server.  *candidate_count*,
+        the key's frequency estimate, lets a layout that picks its own
+        victim (SetAssoc's in-set displacement) decide.
         """
-        if not self.layout.install(key, value, egress_port, **layout_kwargs):
+        if not self.layout.install(key, value, egress_port,
+                                   candidate_count):
             return False
         self.contents_version += 1
         return True

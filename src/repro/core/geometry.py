@@ -8,13 +8,16 @@ swapped in instead of forked:
 
 * :class:`CacheLayout` is the *where-do-bytes-live* contract: lookup,
   install, evict, value placement, batch probes for the lanes engine, and
-  honest SRAM accounting.  The paper's design is :class:`PaperLayout`
-  (behavior-identical to the pre-seam code — every golden and BENCH gate
-  passes ungenerated); :class:`SetAssocLayout` models limited-associativity
-  set-based caching (fixed-width sets, fingerprint match, in-set victim
-  choice), and :class:`OrbitLayout` models OrbitCache-style variable-length
-  values via bounded recirculation passes, surfaced as extra pipeline
-  latency.
+  honest SRAM accounting.  The base class owns what every geometry shares:
+  the key map (key -> key index, in install order), the key-index free
+  list, and the snapshot fields of a :class:`CacheStatusModule` (valid
+  bit + update version per key index, §4.3/§4.4.4).  A layout supplies
+  only its probe, its value placement, and its accounting.  The paper's
+  design is :class:`PaperLayout`; :class:`SetAssocLayout` models
+  limited-associativity set-based caching (fixed-width sets, fingerprint
+  match, in-set victim choice), and :class:`OrbitLayout` models
+  OrbitCache-style variable-length values via bounded recirculation
+  passes, surfaced as extra pipeline latency.
 
 * :class:`AdmissionPolicy` is the *who-deserves-a-slot* contract.  It has
   two complementary surfaces sharing one object: the **control surface**
@@ -50,7 +53,7 @@ from repro.constants import (
     VALUE_ARRAY_SLOTS,
     VALUE_SLOT_SIZE,
 )
-from repro.core.lookup import CacheLookupTable, LookupResult
+from repro.core.lookup import CacheLookupTable
 from repro.core.memory import SwitchMemoryManager
 from repro.core.primitives import RegisterArray
 from repro.core.status import CacheStatusModule
@@ -100,10 +103,52 @@ class CacheLayout:
     layout owns where keys and value bytes live.  All methods are scalar
     except :meth:`classify_reads`, which is the batch probe the lanes
     engine and the statistics fast path drive.
+
+    The base owns the key map ``_index`` (key -> key index, in install
+    order) behind :meth:`key_index_of`, :meth:`cached_keys`,
+    :meth:`is_cached` and :meth:`cache_size`; the key-index free list
+    behind :meth:`_claim_index`/:meth:`_release_index` (layouts whose key
+    index is their slot never claim); and :meth:`_status_fields`, the
+    snapshot of a single :class:`CacheStatusModule` held as ``status``.
+    A layout supplies its probe (:meth:`lookup_hit`,
+    :meth:`classify_reads`), its placement (:meth:`install`,
+    :meth:`evict`, value reads and updates) and its accounting.
     """
 
     #: registry name ("paper", "setassoc", "orbit").
     name = "abstract"
+
+    def __init__(self, free_indexes: int = 0):
+        #: key -> key index, in install order.
+        self._index: Dict[bytes, int] = {}
+        #: unclaimed key indexes, popped LIFO (lowest first when fresh).
+        self._free_indexes: List[int] = list(range(free_indexes - 1, -1, -1))
+
+    # -- the key map ----------------------------------------------------------------
+
+    def _claim_index(self, key: bytes) -> int:
+        """Map *key* to a free key index (caller checked one is free)."""
+        key_index = self._index[key] = self._free_indexes.pop()
+        return key_index
+
+    def _release_index(self, key: bytes) -> Optional[int]:
+        """Unmap *key* and free its key index; None if it was not mapped."""
+        key_index = self._index.pop(key, None)
+        if key_index is not None:
+            self._free_indexes.append(key_index)
+        return key_index
+
+    def key_index_of(self, key: bytes) -> Optional[int]:
+        return self._index.get(key)
+
+    def cached_keys(self) -> List[bytes]:
+        return list(self._index)
+
+    def is_cached(self, key: bytes) -> bool:
+        return key in self._index
+
+    def cache_size(self) -> int:
+        return len(self._index)
 
     # -- data plane ---------------------------------------------------------------
 
@@ -140,25 +185,19 @@ class CacheLayout:
 
     # -- control plane ------------------------------------------------------------
 
-    def install(self, key: bytes, value: bytes, egress_port: int) -> bool:
+    def install(self, key: bytes, value: bytes, egress_port: int,
+                candidate_count: Optional[int] = None) -> bool:
+        """Cache *key*; False when the geometry has no room for it.
+
+        *candidate_count* is the caller's frequency estimate for the key;
+        only a layout that picks its own victim (SetAssoc's in-set
+        displacement) reads it."""
         raise NotImplementedError
 
     def evict(self, key: bytes) -> bool:
         raise NotImplementedError
 
     def read_cached_value(self, key: bytes) -> Optional[bytes]:
-        raise NotImplementedError
-
-    def key_index_of(self, key: bytes) -> Optional[int]:
-        raise NotImplementedError
-
-    def cached_keys(self) -> List[bytes]:
-        raise NotImplementedError
-
-    def is_cached(self, key: bytes) -> bool:
-        raise NotImplementedError
-
-    def cache_size(self) -> int:
         raise NotImplementedError
 
     @property
@@ -208,6 +247,17 @@ class CacheLayout:
         """Layout-level gated counters for ``counters_snapshot``."""
         raise NotImplementedError
 
+    def _status_fields(self) -> Dict:
+        """The ``layout.*`` snapshot fields of the single ``status``."""
+        status = self.status
+        return {
+            "layout.valid.reads": status.valid.reads,
+            "layout.valid.writes": status.valid.writes,
+            "layout.invalidations": status.invalidations,
+            "layout.updates_applied": status.updates_applied,
+            "layout.updates_rejected": status.updates_rejected,
+        }
+
 
 # -- the paper's geometry -----------------------------------------------------------
 
@@ -216,12 +266,8 @@ class PaperLayout(CacheLayout):
     """NetCache's own design (§4.4): one exact-match lookup table (action
     data = value bitmap + index, key index, egress port), per-egress-pipe
     value register arrays addressed by :class:`Allocation`, a cache-status
-    module per pipe, and Algorithm-2 first-fit memory management.
-
-    This class is the pre-seam ``NetCacheDataplane`` internals moved
-    wholesale; every table/register/counter access happens in the same
-    order with the same arguments, which is what keeps the golden files
-    and the simcore equivalence gates passing without regeneration.
+    module per pipe, and Algorithm-2 first-fit memory management.  Key
+    indexes come from the base class's free list.
     """
 
     name = "paper"
@@ -235,6 +281,7 @@ class PaperLayout(CacheLayout):
                  slot_bytes: int = VALUE_SLOT_SIZE):
         if num_pipes <= 0:
             raise ConfigurationError("num_pipes must be positive")
+        super().__init__(free_indexes=entries)
         self.num_pipes = num_pipes
         self.ports_per_pipe = ports_per_pipe
         self.lookup = CacheLookupTable(entries=entries,
@@ -343,14 +390,17 @@ class PaperLayout(CacheLayout):
 
     # -- control plane ------------------------------------------------------------
 
-    def install(self, key: bytes, value: bytes, egress_port: int) -> bool:
-        if not value or len(value) > self.max_value_size:
+    def install(self, key: bytes, value: bytes, egress_port: int,
+                candidate_count: Optional[int] = None) -> bool:
+        if (not value or len(value) > self.max_value_size
+                or key in self._index or not self._free_indexes):
             return False
         pipe = self.pipe_of_port(egress_port)
         alloc = self.memory[pipe].insert(key, len(value))
         if alloc is None:
             return False
-        key_index = self.lookup.insert(key, alloc, egress_port)
+        key_index = self._claim_index(key)
+        self.lookup.insert(key, alloc, egress_port, key_index)
         self.values[pipe].write(alloc, value)
         self.status[pipe].reset_entry(key_index)
         self.status[pipe].set_valid(key_index)
@@ -361,8 +411,8 @@ class PaperLayout(CacheLayout):
         if res is None:
             return False
         pipe = self.pipe_of_port(res.egress_port)
-        key_index = self.lookup.remove(key)
-        self.status[pipe].reset_entry(key_index)
+        self.lookup.remove(key)
+        self.status[pipe].reset_entry(self._release_index(key))
         self.values[pipe].clear(res.allocation)
         self.memory[pipe].evict(key)
         return True
@@ -375,18 +425,6 @@ class PaperLayout(CacheLayout):
         if not self.status[pipe].is_valid(res.key_index):
             return None
         return self.values[pipe].read(res.allocation)
-
-    def key_index_of(self, key: bytes) -> Optional[int]:
-        return self.lookup.key_index_of(key)
-
-    def cached_keys(self) -> List[bytes]:
-        return self.lookup.cached_keys()
-
-    def is_cached(self, key: bytes) -> bool:
-        return key in self.lookup
-
-    def cache_size(self) -> int:
-        return len(self.lookup)
 
     @property
     def max_value_size(self) -> int:
@@ -487,11 +525,13 @@ class SetAssocLayout(CacheLayout):
     Keys hash into ``num_sets`` sets of ``ways`` entries.  Each entry
     stores a 16-bit fingerprint (matched first, as the hardware would),
     the full key (verification; counted in SRAM), a fixed-width value
-    slot of ``way_bytes``, a valid bit, and an update version.  There is
-    no indirection table and no allocator: the table *is* the cache, so
-    installs into a full set either fail or displace the set's coldest
-    way (in-set victim choice, driven by per-way hit counters) when the
-    caller supplies the candidate's frequency estimate.
+    slot of ``way_bytes``, and a valid bit plus update version in the
+    shared :class:`CacheStatusModule`.  There is no indirection table and
+    no allocator: the table *is* the cache, and an entry's key index is
+    its slot (``set * ways + way``), so installs into a full set either
+    fail or displace the set's coldest way (in-set victim choice, driven
+    by per-way hit counters) when the caller supplies the candidate's
+    frequency estimate.
 
     Trade-offs this layout makes measurable: no fragmentation and O(1)
     install, but hot keys colliding in one set exceed its ways and become
@@ -519,8 +559,7 @@ class SetAssocLayout(CacheLayout):
             raise ConfigurationError("ways must be positive")
         if entries < ways:
             raise ConfigurationError("need at least one full set")
-        self.num_pipes = num_pipes
-        self.ports_per_pipe = ports_per_pipe
+        super().__init__()
         self.ways = ways
         self.num_sets = entries // ways
         self.way_bytes = num_value_stages * slot_bytes
@@ -528,12 +567,9 @@ class SetAssocLayout(CacheLayout):
         #: per-entry state, indexed by key_index = set * ways + way.
         self._fp = np.full(n, -1, dtype=np.int64)
         self._keys: List[Optional[bytes]] = [None] * n
-        self._ports = np.zeros(n, dtype=np.int64)
         self._way_hits = np.zeros(n, dtype=np.int64)
-        self.valid = RegisterArray("setassoc/valid", n, 1)
-        self.version = RegisterArray("setassoc/version", n, 4)
+        self.status = CacheStatusModule(0, entries=n)
         self.value = RegisterArray("setassoc/value", n, self.way_bytes)
-        self._index_of: Dict[bytes, int] = {}
         #: key -> (slot or -1, fingerprint mismatches): memoized probe
         #: results for the batch kernel; a pure function of the tag state,
         #: cleared whenever install/evict mutates fingerprints or keys.
@@ -543,39 +579,31 @@ class SetAssocLayout(CacheLayout):
         self.lookup_misses = 0
         self.fingerprint_mismatches = 0
         self.auto_evictions = 0
-        self.invalidations = 0
-        self.updates_applied = 0
-        self.updates_rejected = 0
 
-    def _slot_of(self, key: bytes) -> Optional[int]:
-        """Fingerprint-then-key match within the key's set."""
+    def _set_of(self, key: bytes) -> Tuple[int, int]:
+        """``(first slot of the key's set, 16-bit fingerprint)``."""
         h = _set_hash(key)
-        base = (h % self.num_sets) * self.ways
-        fp = (h >> 16) & 0xFFFF
-        for way in range(self.ways):
-            idx = base + way
-            if self._fp[idx] != fp:
-                continue
-            if self._keys[idx] == key:
-                return idx
-            self.fingerprint_mismatches += 1
-        return None
+        return (h % self.num_sets) * self.ways, (h >> 16) & 0xFFFF
 
     def _probe(self, key: bytes) -> Tuple[int, int]:
-        """:meth:`_slot_of` without counter side effects: ``(slot or -1,
-        fingerprint mismatches the walk would have counted)``."""
-        h = _set_hash(key)
-        base = (h % self.num_sets) * self.ways
-        fp = (h >> 16) & 0xFFFF
+        """Fingerprint-then-key match within the key's set, without
+        counter side effects: ``(slot or -1, fingerprint mismatches the
+        walk counts)``."""
+        base, fp = self._set_of(key)
         mismatches = 0
-        for way in range(self.ways):
-            idx = base + way
+        for idx in range(base, base + self.ways):
             if self._fp[idx] != fp:
                 continue
             if self._keys[idx] == key:
                 return idx, mismatches
             mismatches += 1
         return -1, mismatches
+
+    def _slot_of(self, key: bytes) -> Optional[int]:
+        """:meth:`_probe`, counting its fingerprint mismatches."""
+        slot, mismatches = self._probe(key)
+        self.fingerprint_mismatches += mismatches
+        return slot if slot >= 0 else None
 
     # -- data plane ---------------------------------------------------------------
 
@@ -585,7 +613,7 @@ class SetAssocLayout(CacheLayout):
             self.lookup_misses += 1
             return None
         self.lookup_hits += 1
-        if not self.valid.read_int(idx):
+        if not self.status.is_valid(idx):
             return None
         self._way_hits[idx] += 1
         return LayoutHit(idx, idx)
@@ -599,25 +627,17 @@ class SetAssocLayout(CacheLayout):
             self.lookup_misses += 1
             return False
         self.lookup_hits += 1
-        self.valid.write_int(idx, 0)
-        self.invalidations += 1
+        self.status.invalidate(idx)
         return True
 
     def apply_update(self, key: bytes, value: Optional[bytes],
                      seq: int) -> bool:
         idx = self._slot_of(key)
-        if idx is None or value is None:
+        if idx is None or value is None or len(value) > self.way_bytes:
             return False
-        if len(value) > self.way_bytes:
-            return False
-        if seq <= self.version.read_int(idx):
-            self.updates_rejected += 1
-            return True  # acked but not applied, like a stale duplicate
-        self.version.write_int(idx, seq)
-        self.value.write(idx, value)
-        self.valid.write_int(idx, 1)
-        self.updates_applied += 1
-        return True
+        if self.status.try_update(idx, seq):
+            self.value.write(idx, value)
+        return True  # a stale duplicate is acked but not applied
 
     def classify_reads(self, keys: Sequence[bytes], read_values: bool):
         """Vectorized set-index + fingerprint batch probe.
@@ -646,7 +666,7 @@ class SetAssocLayout(CacheLayout):
         self.lookup_hits += nf
         self.lookup_misses += n - nf
         found_slots = slots[found_pos]
-        valid_vals = self.valid.read_int_batch(found_slots)
+        valid_vals = self.status.valid.read_int_batch(found_slots)
         valid_sel = valid_vals != 0
         hit_pos = found_pos[valid_sel]
         hit_slots = found_slots[valid_sel]
@@ -673,19 +693,11 @@ class SetAssocLayout(CacheLayout):
         choice — the controller's globally-sampled victim cannot free a
         slot in this set).
         """
-        if not value or len(value) > self.way_bytes:
+        if not value or len(value) > self.way_bytes or key in self._index:
             return False
-        if key in self._index_of:
-            return False
-        h = _set_hash(key)
-        base = (h % self.num_sets) * self.ways
-        fp = (h >> 16) & 0xFFFF
-        free = None
-        for way in range(self.ways):
-            idx = base + way
-            if self._keys[idx] is None:
-                free = idx
-                break
+        base, fp = self._set_of(key)
+        free = next((idx for idx in range(base, base + self.ways)
+                     if self._keys[idx] is None), None)
         if free is None:
             if candidate_count is None:
                 return False
@@ -698,13 +710,12 @@ class SetAssocLayout(CacheLayout):
             free = coldest
         self._fp[free] = fp
         self._keys[free] = key
-        self._ports[free] = egress_port
         self._way_hits[free] = 0
-        self._index_of[key] = free
+        self._index[key] = free
         self._probe_cache.clear()
-        self.version.write_int(free, 0)
+        self.status.version.write_int(free, 0)
         self.value.write(free, value)
-        self.valid.write_int(free, 1)
+        self.status.set_valid(free)
         return True
 
     def _evict_index(self, idx: int) -> None:
@@ -713,36 +724,22 @@ class SetAssocLayout(CacheLayout):
         self._keys[idx] = None
         self._way_hits[idx] = 0
         self._probe_cache.clear()
-        self.valid.write_int(idx, 0)
-        self.version.write_int(idx, 0)
+        self.status.reset_entry(idx)
         self.value.write(idx, b"")
-        if key is not None:
-            self._index_of.pop(key, None)
+        self._index.pop(key, None)
 
     def evict(self, key: bytes) -> bool:
-        idx = self._index_of.get(key)
+        idx = self._index.get(key)
         if idx is None:
             return False
         self._evict_index(idx)
         return True
 
     def read_cached_value(self, key: bytes) -> Optional[bytes]:
-        idx = self._index_of.get(key)
-        if idx is None or not self.valid.read_int(idx):
+        idx = self._index.get(key)
+        if idx is None or not self.status.is_valid(idx):
             return None
         return self.value.read(idx)
-
-    def key_index_of(self, key: bytes) -> Optional[int]:
-        return self._index_of.get(key)
-
-    def cached_keys(self) -> List[bytes]:
-        return list(self._index_of.keys())
-
-    def is_cached(self, key: bytes) -> bool:
-        return key in self._index_of
-
-    def cache_size(self) -> int:
-        return len(self._index_of)
 
     @property
     def max_value_size(self) -> int:
@@ -759,8 +756,7 @@ class SetAssocLayout(CacheLayout):
              f"({KEY_SIZE}B key + 2B fingerprint)"),
             ("way_values", self.value.sram_bytes,
              f"{n} ways x {self.way_bytes}B fixed-width value"),
-            ("cache_status",
-             self.valid.sram_bytes + self.version.sram_bytes,
+            ("cache_status", self.status.sram_bytes,
              "valid bit + 32-bit version per way"),
         ]
 
@@ -769,7 +765,7 @@ class SetAssocLayout(CacheLayout):
 
     def value_bytes_used(self) -> int:
         # Fixed-width ways: every live entry commits a full way.
-        return len(self._index_of) * self.way_bytes
+        return len(self._index) * self.way_bytes
 
     def snapshot_fields(self) -> Dict:
         return {
@@ -778,11 +774,7 @@ class SetAssocLayout(CacheLayout):
             "layout.fingerprint_mismatches": self.fingerprint_mismatches,
             "layout.value.reads": self.value.reads,
             "layout.value.writes": self.value.writes,
-            "layout.valid.reads": self.valid.reads,
-            "layout.valid.writes": self.valid.writes,
-            "layout.invalidations": self.invalidations,
-            "layout.updates_applied": self.updates_applied,
-            "layout.updates_rejected": self.updates_rejected,
+            **self._status_fields(),
             "layout.auto_evictions": self.auto_evictions,
         }
 
@@ -799,7 +791,7 @@ class OrbitLayout(CacheLayout):
     Segments need not be contiguous — the per-key segment list removes
     fragmentation entirely — but every extra pass costs recirculation
     latency (:data:`RECIRCULATION_DELAY`), surfaced by the data plane as
-    reply delay.
+    reply delay.  Key indexes come from the base class's free list.
 
     The batch probe (:meth:`classify_reads`) resolves the segment-pool
     entries in one pass and returns the per-hit recirculation delays as
@@ -822,8 +814,7 @@ class OrbitLayout(CacheLayout):
                  max_passes: int = 8):
         if max_passes <= 0:
             raise ConfigurationError("max_passes must be positive")
-        self.num_pipes = num_pipes
-        self.ports_per_pipe = ports_per_pipe
+        super().__init__(free_indexes=entries)
         self.max_passes = max_passes
         #: one pass reads what the paper layout reads in its whole
         #: pipeline: num_value_stages slots of slot_bytes.
@@ -835,18 +826,14 @@ class OrbitLayout(CacheLayout):
         self.segments = RegisterArray("orbit/segments", self.num_segments,
                                       self.segment_bytes)
         self._free: List[int] = list(range(self.num_segments - 1, -1, -1))
-        #: key -> (key_index, egress_port, segment index tuple, length)
-        self._entries: Dict[bytes, Tuple[int, int, Tuple[int, ...], int]] = {}
-        self._free_key_indexes: List[int] = list(range(entries - 1, -1, -1))
-        self.valid = RegisterArray("orbit/valid", entries, 1)
-        self.version = RegisterArray("orbit/version", entries, 4)
+        #: per key index: (segment index tuple, value length), or None.
+        self._extents: List[Optional[Tuple[Tuple[int, ...], int]]] = \
+            [None] * entries
+        self.status = CacheStatusModule(0, entries=entries)
         # Telemetry.
         self.lookup_hits = 0
         self.lookup_misses = 0
         self.recirculations = 0
-        self.invalidations = 0
-        self.updates_applied = 0
-        self.updates_rejected = 0
 
     def _passes_for(self, size: int) -> int:
         return -(-size // self.segment_bytes)
@@ -854,50 +841,44 @@ class OrbitLayout(CacheLayout):
     # -- data plane ---------------------------------------------------------------
 
     def lookup_hit(self, key: bytes) -> Optional[LayoutHit]:
-        entry = self._entries.get(key)
-        if entry is None:
+        key_index = self._index.get(key)
+        if key_index is None:
             self.lookup_misses += 1
             return None
         self.lookup_hits += 1
-        key_index, _port, segs, _length = entry
-        if not self.valid.read_int(key_index):
+        if not self.status.is_valid(key_index):
             return None
-        return LayoutHit(key_index, entry, extra_passes=len(segs) - 1)
+        extent = self._extents[key_index]
+        return LayoutHit(key_index, extent, extra_passes=len(extent[0]) - 1)
 
     def read_value(self, hit: LayoutHit) -> bytes:
-        _key_index, _port, segs, length = hit.handle
+        segs, length = hit.handle
         self.recirculations += len(segs) - 1
         raw = b"".join(self.segments.read(s) for s in segs)
         return raw[:length]
 
     def handle_write(self, key: bytes) -> bool:
-        entry = self._entries.get(key)
-        if entry is None:
+        key_index = self._index.get(key)
+        if key_index is None:
             self.lookup_misses += 1
             return False
         self.lookup_hits += 1
-        self.valid.write_int(entry[0], 0)
-        self.invalidations += 1
+        self.status.invalidate(key_index)
         return True
 
     def apply_update(self, key: bytes, value: Optional[bytes],
                      seq: int) -> bool:
-        entry = self._entries.get(key)
-        if entry is None or value is None:
+        key_index = self._index.get(key)
+        if key_index is None or value is None:
             return False
-        key_index, _port, segs, _length = entry
+        segs, _length = self._extents[key_index]
         if self._passes_for(len(value)) > len(segs):
             # Larger than the allocated segments: control-plane reinstall.
             return False
-        if seq <= self.version.read_int(key_index):
-            self.updates_rejected += 1
-            return True
-        self.version.write_int(key_index, seq)
-        self._write_segments(segs, value)
-        self._entries[key] = (key_index, entry[1], segs, len(value))
-        self.valid.write_int(key_index, 1)
-        self.updates_applied += 1
-        return True
+        if self.status.try_update(key_index, seq):
+            self._write_segments(segs, value)
+            self._extents[key_index] = (segs, len(value))
+        return True  # a stale duplicate is acked but not applied
 
     def _write_segments(self, segs: Tuple[int, ...], value: bytes) -> None:
         sb = self.segment_bytes
@@ -916,21 +897,22 @@ class OrbitLayout(CacheLayout):
         """
         n = len(keys)
         hit_mask = np.zeros(n, dtype=bool)
-        entries = self._entries
+        index = self._index
+        extents = self._extents
         found_pos: List[int] = []
         found_idx: List[int] = []
         found_segs: List[int] = []
         for j, key in enumerate(keys):
-            entry = entries.get(key)
-            if entry is not None:
+            key_index = index.get(key)
+            if key_index is not None:
                 found_pos.append(j)
-                found_idx.append(entry[0])
-                found_segs.append(len(entry[2]))
+                found_idx.append(key_index)
+                found_segs.append(len(extents[key_index][0]))
         nf = len(found_pos)
         self.lookup_hits += nf
         self.lookup_misses += n - nf
         idx_arr = np.asarray(found_idx, dtype=np.int64)
-        valid_vals = self.valid.read_int_batch(idx_arr)
+        valid_vals = self.status.valid.read_int_batch(idx_arr)
         valid_sel = valid_vals != 0
         pos_arr = np.asarray(found_pos, dtype=np.int64)
         hit_mask[pos_arr[valid_sel]] = True
@@ -948,56 +930,39 @@ class OrbitLayout(CacheLayout):
 
     # -- control plane ------------------------------------------------------------
 
-    def install(self, key: bytes, value: bytes, egress_port: int) -> bool:
-        if not value or key in self._entries:
+    def install(self, key: bytes, value: bytes, egress_port: int,
+                candidate_count: Optional[int] = None) -> bool:
+        if not value or key in self._index:
             return False
         n = self._passes_for(len(value))
-        if n > self.max_passes or n > len(self._free):
+        if (n > self.max_passes or n > len(self._free)
+                or not self._free_indexes):
             return False
-        if not self._free_key_indexes:
-            return False
-        key_index = self._free_key_indexes.pop()
+        key_index = self._claim_index(key)
         segs = tuple(self._free.pop() for _ in range(n))
         self._write_segments(segs, value)
-        self._entries[key] = (key_index, egress_port, segs, len(value))
-        self.version.write_int(key_index, 0)
-        self.valid.write_int(key_index, 1)
+        self._extents[key_index] = (segs, len(value))
+        self.status.version.write_int(key_index, 0)
+        self.status.set_valid(key_index)
         return True
 
     def evict(self, key: bytes) -> bool:
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        key_index = self._release_index(key)
+        if key_index is None:
             return False
-        key_index, _port, segs, _length = entry
+        segs, _length = self._extents[key_index]
+        self._extents[key_index] = None
         for seg in segs:
             self.segments.write(seg, b"")
             self._free.append(seg)
-        self.valid.write_int(key_index, 0)
-        self.version.write_int(key_index, 0)
-        self._free_key_indexes.append(key_index)
+        self.status.reset_entry(key_index)
         return True
 
     def read_cached_value(self, key: bytes) -> Optional[bytes]:
-        hit = None
-        entry = self._entries.get(key)
-        if entry is not None and self.valid.read_int(entry[0]):
-            hit = LayoutHit(entry[0], entry, extra_passes=len(entry[2]) - 1)
-        if hit is None:
+        key_index = self._index.get(key)
+        if key_index is None or not self.status.is_valid(key_index):
             return None
-        return self.read_value(hit)
-
-    def key_index_of(self, key: bytes) -> Optional[int]:
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else None
-
-    def cached_keys(self) -> List[bytes]:
-        return list(self._entries.keys())
-
-    def is_cached(self, key: bytes) -> bool:
-        return key in self._entries
-
-    def cache_size(self) -> int:
-        return len(self._entries)
+        return self.read_value(LayoutHit(key_index, self._extents[key_index]))
 
     @property
     def max_value_size(self) -> int:
@@ -1006,16 +971,15 @@ class OrbitLayout(CacheLayout):
     # -- accounting ----------------------------------------------------------------
 
     def resource_lines(self) -> List[Tuple[str, int, str]]:
-        table_bytes = self.valid.slots * (KEY_SIZE + 8)
+        entries = self.status.valid.slots
         return [
-            ("orbit_lookup", table_bytes,
-             f"{self.valid.slots} entries x ({KEY_SIZE}B key + 8B "
+            ("orbit_lookup", entries * (KEY_SIZE + 8),
+             f"{entries} entries x ({KEY_SIZE}B key + 8B "
              f"segment-list head)"),
             ("segment_pool", self.segments.sram_bytes,
              f"{self.num_segments} segments x {self.segment_bytes}B, "
              f"<= {self.max_passes} recirculation passes per value"),
-            ("cache_status",
-             self.valid.sram_bytes + self.version.sram_bytes,
+            ("cache_status", self.status.sram_bytes,
              "valid bit + 32-bit version per entry"),
         ]
 
@@ -1023,8 +987,8 @@ class OrbitLayout(CacheLayout):
         return self.segments.sram_bytes
 
     def value_bytes_used(self) -> int:
-        return sum(len(e[2]) * self.segment_bytes
-                   for e in self._entries.values())
+        return sum(len(self._extents[i][0])
+                   for i in self._index.values()) * self.segment_bytes
 
     def snapshot_fields(self) -> Dict:
         return {
@@ -1032,11 +996,7 @@ class OrbitLayout(CacheLayout):
             "lookup.misses": self.lookup_misses,
             "layout.segment.reads": self.segments.reads,
             "layout.segment.writes": self.segments.writes,
-            "layout.valid.reads": self.valid.reads,
-            "layout.valid.writes": self.valid.writes,
-            "layout.invalidations": self.invalidations,
-            "layout.updates_applied": self.updates_applied,
-            "layout.updates_rejected": self.updates_rejected,
+            **self._status_fields(),
             "layout.recirculations": self.recirculations,
         }
 

@@ -15,12 +15,12 @@ resource accounting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.constants import KEY_SIZE, LOOKUP_TABLE_ENTRIES
 from repro.core.memory import Allocation
 from repro.core.primitives import MatchActionTable
-from repro.errors import ConfigurationError, ResourceExhaustedError
+from repro.errors import ConfigurationError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,7 +38,7 @@ class LookupResult:
 
 
 class CacheLookupTable:
-    """The logical cache lookup table plus a key-index allocator."""
+    """The logical cache lookup table; the layout assigns key indexes."""
 
     #: bitmap(2) + value index(2) + key index(2) + port(2)
     ACTION_DATA_BYTES = 8
@@ -52,8 +52,6 @@ class CacheLookupTable:
             "cache_lookup", max_entries=entries, key_bytes=KEY_SIZE,
             action_data_bytes=self.ACTION_DATA_BYTES,
         )
-        self._free_key_indexes: List[int] = list(range(entries - 1, -1, -1))
-        self._key_index_of: Dict[bytes, int] = {}
 
     # -- data plane -----------------------------------------------------------
 
@@ -83,36 +81,21 @@ class CacheLookupTable:
 
     # -- control plane -----------------------------------------------------------
 
-    def insert(self, key: bytes, alloc: Allocation, egress_port: int) -> int:
-        """Install the entry for *key*; returns the assigned key index."""
+    def insert(self, key: bytes, alloc: Allocation, egress_port: int,
+               key_index: int) -> None:
+        """Install the entry for *key* under the caller's *key_index*."""
         if key in self.table:
             raise ConfigurationError(f"key {key!r} already in lookup table")
-        if not self._free_key_indexes:
-            raise ResourceExhaustedError("no free key indexes")
-        key_index = self._free_key_indexes.pop()
         self.table.insert(key, {
             "bitmap": alloc.bitmap,
             "value_index": alloc.index,
             "key_index": key_index,
             "egress_port": egress_port,
         })
-        self._key_index_of[key] = key_index
-        return key_index
 
-    def remove(self, key: bytes) -> Optional[int]:
-        """Remove *key*; returns its recycled key index, or None."""
-        if not self.table.remove(key):
-            return None
-        key_index = self._key_index_of.pop(key)
-        self._free_key_indexes.append(key_index)
-        return key_index
-
-    def key_index_of(self, key: bytes) -> Optional[int]:
-        return self._key_index_of.get(key)
-
-    def cached_keys(self) -> List[bytes]:
-        """Keys currently installed (controller sampling uses this)."""
-        return list(self._key_index_of.keys())
+    def remove(self, key: bytes) -> bool:
+        """Remove *key*; False if it was not installed."""
+        return self.table.remove(key)
 
     def __contains__(self, key: bytes) -> bool:
         return key in self.table

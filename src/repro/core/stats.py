@@ -134,19 +134,17 @@ class QueryStatistics:
 
     def heavy_hitter_count_batch(
             self, keys: Sequence[bytes],
-            decisions: Optional[np.ndarray] = None,
-            with_positions: bool = False) -> List:
+            decisions: Optional[np.ndarray] = None) -> List:
         """Batch equivalent of :meth:`heavy_hitter_count`.
 
-        Returns the hot keys to report, in stream order, exactly as the
-        scalar loop would have: the Count-Min update is
+        Returns the hot keys to report as ``(position, key)`` pairs,
+        *position* indexing into *keys* (the batched data plane uses it to
+        recover each report's arrival timestamp), in stream order, exactly
+        as the scalar loop would have: the Count-Min update is
         sequential-equivalent (running counts for duplicate slots) and the
         Bloom test-and-set runs over threshold crossers in order.  Pass
         *decisions* to reuse sampler verdicts already drawn for this batch
         (the data plane samples hits and misses in one interleaved pass).
-        With *with_positions* the result is ``[(position, key), ...]`` where
-        *position* indexes into *keys* — the batched dataplane uses it to
-        recover each report's arrival timestamp.
         """
         table = self.digests
         rows = table.get_batch(keys)
@@ -165,7 +163,7 @@ class QueryStatistics:
         hot: List = []
         for p in sampled_pos[crossers[~reported]].tolist():
             self.reports += 1
-            hot.append((p, keys[p]) if with_positions else keys[p])
+            hot.append((p, keys[p]))
         return hot
 
     # -- control-plane operations ----------------------------------------------

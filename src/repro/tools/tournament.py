@@ -40,7 +40,6 @@ from repro.core.dataplane import NetCacheDataplane
 from repro.core.geometry import (
     LAYOUTS,
     AdmissionPolicy,
-    OrbitLayout,
     SampleEvictPolicy,
     SetAssocLayout,
     UpdateBudget,
@@ -123,10 +122,8 @@ class LayoutLabPolicy(AdmissionPolicy):
 
     def install(self, key: bytes, count: Optional[int] = None) -> bool:
         value = self.workload.value_for(key)
-        kwargs = {}
-        if isinstance(self.dp.layout, SetAssocLayout) and count is not None:
-            kwargs["candidate_count"] = count
-        if self.dp.install(key, value, self._port_of(key), **kwargs):
+        if self.dp.install(key, value, self._port_of(key),
+                           candidate_count=count):
             return True
         self.installs_failed += 1
         return False

@@ -8,6 +8,8 @@ the scalar loop), and the geometry tournament's determinism and
 divergence claims.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,7 +187,7 @@ class TestSetAssocLayout:
         # A stale sequence number must not roll the value back.
         assert layout.apply_update(KEY, b"v0", seq=1)
         assert layout.read_cached_value(KEY) == b"v2"
-        assert layout.updates_rejected == 1
+        assert layout.status.updates_rejected == 1
 
     def test_value_wider_than_way_uncacheable(self):
         layout = self.layout()
@@ -248,6 +250,101 @@ class TestOrbitLayout:
         # ...but growing past the allocated segments needs a reinstall.
         grown = b"g" * (layout.segment_bytes * 3)
         assert not layout.apply_update(KEY, grown, seq=2)
+
+
+def tiny_layout(name, entries=8):
+    """A one-pipe layout whose value memory outlasts its key indexes."""
+    geometry_kw = dict(num_pipes=1, ports_per_pipe=4, entries=entries,
+                       num_value_stages=2, value_slots=64, slot_bytes=16)
+    if name == "setassoc":
+        geometry_kw["ways"] = 2
+    return make_layout(name, **geometry_kw)
+
+
+def key_of(num):
+    return b"key%d" % num
+
+
+class TestKeyIndexAllocation:
+    """The base class's free list, on the layouts that claim from it."""
+
+    pytestmark = pytest.mark.parametrize("name", ["paper", "orbit"])
+
+    def test_indexes_unique(self, name):
+        layout = tiny_layout(name)
+        for i in range(8):
+            assert layout.install(key_of(i), b"v", 0)
+        idxs = {layout.key_index_of(key_of(i)) for i in range(8)}
+        assert idxs == set(range(8))
+
+    def test_exhaustion(self, name):
+        layout = tiny_layout(name, entries=2)
+        assert layout.install(b"a", b"v", 0)
+        assert layout.install(b"b", b"v", 0)
+        assert not layout.install(b"c", b"v", 0)
+        assert layout.cache_size() == 2
+
+    def test_remove_recycles_index(self, name):
+        # Freed indexes come back last-freed first.
+        layout = tiny_layout(name, entries=4)
+        for key in (b"a", b"b", b"c"):
+            layout.install(key, b"v", 0)
+        ia, ic = layout.key_index_of(b"a"), layout.key_index_of(b"c")
+        assert layout.evict(b"a") and layout.evict(b"c")
+        layout.install(b"x", b"v", 0)
+        layout.install(b"y", b"v", 0)
+        assert layout.key_index_of(b"x") == ic
+        assert layout.key_index_of(b"y") == ia
+
+    def test_remove_missing(self, name):
+        layout = tiny_layout(name)
+        assert not layout.evict(KEY)
+        assert layout.key_index_of(KEY) is None
+
+    def test_cached_keys_listing(self, name):
+        layout = tiny_layout(name)
+        layout.install(KEY, b"v", 0)
+        assert layout.cached_keys() == [KEY]
+        assert layout.is_cached(KEY) and layout.cache_size() == 1
+
+
+@pytest.mark.parametrize("name", ["paper", "setassoc", "orbit"])
+def test_install_past_entries_fails_without_committing_memory(name):
+    one = tiny_layout(name)
+    one.install(KEY, b"v" * 16, 0)
+    per_item = one.value_bytes_used()
+    layout = tiny_layout(name)
+    installed = [layout.install(key_of(i), b"v" * 16, 0)
+                 for i in range(64)]
+    assert sum(installed) == 8 and not installed[-1]
+    assert layout.cache_size() == 8
+    assert layout.value_bytes_used() == 8 * per_item
+
+
+@pytest.mark.parametrize("name", ["paper", "setassoc", "orbit"])
+def test_key_map_agrees_across_install_evict_reinstall(name):
+    layout = tiny_layout(name)
+    rng = random.Random(3)
+    cached = {}  # key -> None, in install order
+    for _ in range(300):
+        key = key_of(rng.randrange(24))
+        if rng.random() < 0.6:
+            if layout.install(key, b"v", 0):
+                cached[key] = None
+        else:
+            assert layout.evict(key) == (key in cached)
+            cached.pop(key, None)
+        assert layout.cached_keys() == list(cached)
+        assert layout.cache_size() == len(cached)
+        indexes = [layout.key_index_of(k) for k in cached]
+        assert None not in indexes and len(set(indexes)) == len(indexes)
+        for k in cached:
+            assert layout.is_cached(k)
+            assert layout.lookup_hit(k).key_index == layout.key_index_of(k)
+        for num in range(24):
+            if key_of(num) not in cached:
+                assert not layout.is_cached(key_of(num))
+                assert layout.key_index_of(key_of(num)) is None
 
 
 class TestAdmissionPolicies:

@@ -57,11 +57,11 @@ def test_cache_count_batch_applies_only_sampled_hits():
 def test_heavy_hitter_count_batch_reports_each_hot_key_once():
     stats = make_stats(sample_rate=1.0, hot_threshold=3)
     hot = stats.heavy_hitter_count_batch([b"k"] * 5 + [b"cold"])
-    assert hot == [b"k"]  # crosses at the 3rd occurrence, reported once
+    assert hot == [(2, b"k")]  # crosses at the 3rd occurrence, reported once
     assert stats.reports == 1
     # Next interval: the Bloom dedup clears with the reset.
     stats.reset()
-    assert stats.heavy_hitter_count_batch([b"k"] * 3) == [b"k"]
+    assert stats.heavy_hitter_count_batch([b"k"] * 3) == [(2, b"k")]
 
 
 def test_heavy_hitter_count_batch_empty_input():

@@ -1,10 +1,14 @@
-"""Tests for the cache lookup table."""
+"""Tests for the cache lookup table.
+
+Key-index allocation lives on the layout; see
+``tests/test_geometry.py::TestKeyIndexAllocation``.
+"""
 
 import pytest
 
 from repro.core.lookup import CacheLookupTable
 from repro.core.memory import Allocation
-from repro.errors import ConfigurationError, ResourceExhaustedError
+from repro.errors import ConfigurationError
 
 KEY = b"0123456789abcdef"
 ALLOC = Allocation(index=5, bitmap=0b0111)
@@ -20,49 +24,27 @@ class TestLookup:
 
     def test_hit_carries_action_data(self):
         t = table()
-        key_index = t.insert(KEY, ALLOC, egress_port=9)
+        t.insert(KEY, ALLOC, egress_port=9, key_index=6)
         res = t.lookup(KEY)
         assert res.bitmap == 0b0111
         assert res.value_index == 5
-        assert res.key_index == key_index
+        assert res.key_index == 6
         assert res.egress_port == 9
         assert res.allocation == ALLOC
 
     def test_duplicate_insert_rejected(self):
         t = table()
-        t.insert(KEY, ALLOC, 1)
+        t.insert(KEY, ALLOC, 1, key_index=0)
         with pytest.raises(ConfigurationError):
-            t.insert(KEY, ALLOC, 1)
+            t.insert(KEY, ALLOC, 1, key_index=1)
 
-
-class TestKeyIndexAllocation:
-    def test_indexes_unique(self):
+    def test_remove_reports_presence(self):
         t = table()
-        idxs = {t.insert(f"key{i:012d}....".encode()[:16], ALLOC, 0)
-                for i in range(8)}
-        assert len(idxs) == 8
-
-    def test_exhaustion(self):
-        t = table(entries=2)
-        t.insert(b"a" * 16, ALLOC, 0)
-        t.insert(b"b" * 16, ALLOC, 0)
-        with pytest.raises(ResourceExhaustedError):
-            t.insert(b"c" * 16, ALLOC, 0)
-
-    def test_remove_recycles_index(self):
-        t = table(entries=1)
-        idx = t.insert(KEY, ALLOC, 0)
-        assert t.remove(KEY) == idx
-        assert t.insert(b"x" * 16, ALLOC, 0) == idx
-
-    def test_remove_missing(self):
-        assert table().remove(KEY) is None
-
-    def test_cached_keys_listing(self):
-        t = table()
-        t.insert(KEY, ALLOC, 0)
-        assert t.cached_keys() == [KEY]
+        assert not t.remove(KEY)
+        t.insert(KEY, ALLOC, 0, key_index=3)
         assert KEY in t and len(t) == 1
+        assert t.remove(KEY)
+        assert KEY not in t and len(t) == 0
 
 
 class TestResources:

@@ -69,13 +69,18 @@ def scalar_classify(layout, keys, read_values):
 
 def register_totals(layout):
     """(reads, writes) over every register array the layout declares."""
-    arrays = []
-    if hasattr(layout, "valid"):
-        arrays.append(layout.valid)
-    for attr in ("value", "segments"):
-        if hasattr(layout, attr):
-            arrays.append(getattr(layout, attr))
-    return {a.name: (a.reads, a.writes) for a in arrays}
+    if isinstance(layout, PaperLayout):
+        statuses = layout.status
+        arrays = [a for store in layout.values for a in store.arrays]
+    else:
+        statuses = [layout.status]
+        arrays = [layout.value if isinstance(layout, SetAssocLayout)
+                  else layout.segments]
+    for status in statuses:
+        arrays += [status.valid, status.version]
+    totals = {a.name: (a.reads, a.writes) for a in arrays}
+    assert len(totals) == len(arrays) > 0
+    return totals
 
 
 def operations():

@@ -140,11 +140,12 @@ def test_bloom_add_at_batch_is_the_add_at_loop(batches):
 
 
 def drain_scalar(stats, stream):
+    """Scalar miss counting, as the batch's ``(position, key)`` reports."""
     hot = []
-    for key in stream:
+    for pos, key in enumerate(stream):
         reported = stats.heavy_hitter_count(key)
         if reported is not None:
-            hot.append(reported)
+            hot.append((pos, reported))
     return hot
 
 

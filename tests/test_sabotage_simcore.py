@@ -138,13 +138,20 @@ class TestBehavioralSabotage:
         fields = {d.split(":")[0] for d in diffs}
         assert all(f.endswith(".latencies") for f in fields), diffs
 
-    def test_one_swapped_valid_bit_flags_the_register(self, monkeypatch):
+    @pytest.mark.parametrize("layout, field", [
+        ("paper", r"pipe\d+\.valid\.writes:"),
+        ("setassoc", r"layout\.valid\.writes:"),
+        ("orbit", r"layout\.valid\.writes:"),
+    ], ids=["paper", "setassoc", "orbit"])
+    def test_one_swapped_valid_bit_flags_the_register(self, monkeypatch,
+                                                      layout, field):
         # Swap the cache-status bit back to valid after the first
         # data-plane invalidation (batched run only).  The harness pins
         # every register's read/write accounting, so the lone spurious
         # bitmap write is caught and named even before a stale read
-        # could leak through.
-        cfg = tiny(write_ratio=0.1, seed=5)
+        # could leak through — on every layout, since all of them keep
+        # their valid bits in the one CacheStatusModule.
+        cfg = tiny(write_ratio=0.1, seed=5, layout=layout)
         scalar = run_scalar(cfg)
         orig = CacheStatusModule.invalidate
         armed = {"live": True}
@@ -159,7 +166,7 @@ class TestBehavioralSabotage:
         bad = run_batched(cfg)
         diffs = diff_snapshots(scalar, bad)
         assert len(diffs) == 1, diffs
-        assert re.match(r"pipe\d+\.valid\.writes:", diffs[0]), diffs
+        assert re.match(field, diffs[0]), diffs
 
     def test_sram_overcommit_layout_flags_the_audit(self, monkeypatch):
         # A mis-accounted cache geometry: the layout installs real value
@@ -215,10 +222,10 @@ class TestBehavioralSabotage:
 class TestGeometryKernelSabotage:
     """Defects in the vectorized batch probes must be caught and named.
 
-    Both sabotages live in batch-only code (``_probe`` and
-    ``classify_reads`` are never called by the scalar reference), so a
-    green diff here would mean the harness cannot police the geometry
-    kernels at all.
+    Both sabotages are armed only after the scalar reference has run
+    (``_probe`` feeds the batch kernel's memo; ``classify_reads`` is
+    batch-only), so a green diff here would mean the harness cannot
+    police the geometry kernels at all.
     """
 
     def test_wrong_fingerprint_mask_flags_the_lookup(self, monkeypatch):
