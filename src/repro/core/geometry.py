@@ -117,6 +117,9 @@ class CacheLayout:
 
     #: registry name ("paper", "setassoc", "orbit").
     name = "abstract"
+    #: the largest extra reply latency a hit can carry (the largest
+    #: ``hit_delays`` entry :meth:`classify_reads` can return).
+    max_hit_delay = 0.0
 
     def __init__(self, free_indexes: int = 0):
         #: key -> key index, in install order.
@@ -816,6 +819,7 @@ class OrbitLayout(CacheLayout):
             raise ConfigurationError("max_passes must be positive")
         super().__init__(free_indexes=entries)
         self.max_passes = max_passes
+        self.max_hit_delay = (max_passes - 1) * RECIRCULATION_DELAY
         #: one pass reads what the paper layout reads in its whole
         #: pipeline: num_value_stages slots of slot_bytes.
         self.segment_bytes = num_value_stages * slot_bytes

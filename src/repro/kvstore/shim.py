@@ -329,6 +329,12 @@ class ServerShim:
         return len(self._pending)
 
     @property
+    def blocks_writes(self) -> bool:
+        """Whether a write could block now: some key has a cache update
+        or an insertion in flight."""
+        return bool(self._pending or self._inserting)
+
+    @property
     def blocked_writes(self) -> int:
         return sum(len(p.blocked) for p in self._pending.values()) + sum(
             len(q) for q in self._inserting.values()

@@ -58,18 +58,25 @@ it works:
   exactly (equal times with equal predecessors imply equal rates, which
   recurses to the ``sim.start()`` node-insertion order — the client
   index).
-* **Retries.** A retry policy draws one RNG-backed timeout per attempt.
-  The engine never pays per-send timers; instead it advances a *flag
-  horizon* in steps of the policy's minimum timeout and, at each step —
-  taken only once no event is left below it, so the window really is
-  flushed — examines only the requests still in flight (the pipeline
-  depth, not the window).  An entry whose exact attempt-0 deadline falls
+* **Retries.** A retry policy draws one RNG-backed timeout per attempt,
+  never shorter than its ``min_delay()`` (``tmin``).  The engine never
+  pays per-send timers.  While a *reply-latency bound* holds — every row
+  in flight, and every send of the next window, is answered less than
+  ``tmin`` after it was sent (:meth:`FastPathEngine._reply_room`) — no
+  attempt-0 timer can fire before its reply, so windows are bounded only
+  by events, the write-safe limit, the number of sends that keeps the
+  bound true and — while a server is down or a write could block — the
+  earliest retry timer a dropped or blocked request could get.  When the
+  bound fails (a server queue grows, an event adds server work), the
+  engine examines the requests in flight at that moment and advances a
+  *flag horizon* in ``tmin`` steps — each taken only once no event is
+  left below it, so the window really is flushed — until the bound holds
+  again.  At each step an entry whose exact attempt-0 deadline falls
   inside the next step is *scalarized*: its real ``_Outstanding``
   (template, per-seq RNG, timer at the exact scalar deadline) is
   registered and retransmissions run as ordinary events, while the
   original packet keeps riding the lanes and its reply is resolved
-  per-entry.  Healthy traffic whose reply beats the conservative deadline
-  never leaves the bulk path.
+  per-entry.
 * **Geometry lanes.** All three cache layouts run natively: the switch
   classification consumes each layout's vectorized batch probe
   (``CacheLayout.classify_reads`` — set-index + fingerprint kernels for
@@ -154,6 +161,11 @@ from repro.obs import runtime as _obs
 #: queries pre-drawn from the workload per refill (draw order per RNG
 #: stream is what matters, not the batch size).
 QUERY_BATCH = 8192
+
+#: float allowance of the reply-latency bound, relative to the clock: a
+#: lane time is a float sum of a handful of terms, each rounded by at
+#: most half an ulp, so this is a margin of millions of ulps.
+_FLOAT_SLACK = 1e-9
 
 _FAST = "fast"
 _SCALAR = "scalar"
@@ -376,6 +388,12 @@ class FastPathEngine:
             {sid: self._server_links[sid].latency + srv.service_time
              for sid, srv in self._servers.items()},
             {sid: link.latency for sid, link in self._server_links.items()})
+        # The fixed hops of the reply-latency bound (see _reply_room): both
+        # links both ways and the largest hit delay.
+        layout = getattr(getattr(switch, "dataplane", None), "layout", None)
+        self._path = 2 * self._client_latency + 2 * max(
+            link.latency for link in self._server_links.values()) + (
+            0.0 if layout is None else layout.max_hit_delay)
 
         num_keys = {cl.workload.keyspace.num_keys for cl in clients}
         if len(num_keys) != 1:
@@ -425,11 +443,16 @@ class FastPathEngine:
         self._cached_mask_version = -1
 
         # Retry support: the smallest possible attempt-0 timeout across
-        # clients bounds how far lanes may run ahead of the flag horizon.
+        # clients bounds every reply-latency bound, and how far lanes may
+        # run ahead of the flag horizon while the bound fails.
         tmins = [st.policy.min_delay() for st in self._states
                  if st.policy is not None]
         self._tmin: Optional[float] = min(tmins) if tmins else None
-        self._flag_horizon = -np.inf
+        #: where the tmin steps stand; None while the bound holds.
+        self._flag_horizon: Optional[float] = -np.inf
+        #: the highest flush limit: no lane row is below it, and no row
+        #: was flushed past it.
+        self._frontier = -np.inf
         self._deadlines: Dict[tuple, float] = {}
 
         self._mode = _FAST
@@ -447,6 +470,8 @@ class FastPathEngine:
         self.fallback_reasons: Dict[str, int] = {}
         #: lane entries handed a real _Outstanding for retry timing.
         self.retry_scalarized = 0
+        #: windows cut at the retry flag horizon (the bound failed).
+        self.capped_windows = 0
         #: write completions that registered a real entry (blocked/queued).
         self.write_scalarized = 0
         #: client replies delivered at exactly the time of the reply before
@@ -518,11 +543,7 @@ class FastPathEngine:
             inclusive = nev is None or nev > t_end
             capped = False
             if self._tmin is not None:
-                safe = self._flag_horizon + self._tmin
-                if tgt > safe:
-                    # Lanes may not outrun the retry flag horizon: an
-                    # unexamined entry could time out inside the window.
-                    tgt, inclusive, capped = safe, False, True
+                tgt, inclusive, capped = self._retry_cut(tgt, inclusive)
             self._generate_sends(tgt, inclusive)
             self._flush_lanes(tgt, inclusive)
             # Flushing may have scheduled cache updates or retry timers
@@ -795,16 +816,120 @@ class FastPathEngine:
                 self._scalarize_entry(st, chunk, i)
                 st.scalarized.discard(int(chunk.seqs[i]))
 
+    def _retry_cut(self, tgt: float, inclusive: bool):
+        """The window ``(end, inclusive, capped)`` that no unexamined
+        request can time out inside.
+
+        While the reply-latency bound holds (:meth:`_reply_room`), the
+        window ends only where its sends would break it — a running client
+        issues at most ``length * rate + 2`` sends in a window, the float
+        chain drifting by less than one send — or where a request leaving
+        the lanes could get its retry timer (:meth:`_timer_floor`).
+        Otherwise it ends at the next ``tmin`` step of the flag horizon;
+        the window in which the bound fails first examines the requests
+        in flight, whose deadlines all lie ahead (each was bounded below
+        its own until now).
+        """
+        # No request reaches a server before the lanes' frontier from here
+        # on, nor before the clock.
+        ref = max(self._frontier, self.events.now)
+        room = self._reply_room(ref)
+        running = [st for st in self._states if st.client.running]
+        drift = 2 * len(running)
+        cut = -np.inf
+        if room > drift:
+            cut = self._timer_floor()
+            if running:
+                cut = min(cut, min(st.next_send for st in running) + (
+                    room - drift) / sum(st.client.rate for st in running))
+        if cut > ref:
+            self._flag_horizon = None
+            if cut < tgt or (cut == tgt and inclusive):
+                return cut, False, False
+            return tgt, inclusive, False
+        if self._flag_horizon is None:
+            self._advance_flag_horizon(ref)
+        safe = self._flag_horizon + self._tmin
+        if tgt > safe:
+            # Lanes may not outrun the retry flag horizon: an unexamined
+            # entry could time out inside the window.
+            self.capped_windows += 1
+            return safe, False, True
+        return tgt, inclusive, False
+
+    def _reply_room(self, ref: float) -> float:
+        """How many sends the next window may add while every request in
+        flight, those included, is provably answered before its attempt-0
+        deadline (negative when the bound fails); no request reaches a
+        server before *ref*, and nothing was flushed past it.
+
+        A request ahead of its server is answered within ``P + W`` of its
+        send.  ``P`` is the fixed path: both links both ways, the largest
+        service time and the layout's largest hit delay.  ``W`` is its
+        queue wait.  A FIFO server with a fixed service time never makes a
+        row wait longer when arrivals are added, so ``W`` is at most the
+        largest backlog at *ref* plus one service time per row that can
+        reach a server before it: every row ahead of the servers and every
+        send of the window.  A request past its server (or served by the
+        cache) is answered by ``ref + P + backlog``.
+
+        While the bound holds, every request passed its server under it,
+        so ``P + W < tmin`` is the whole test; work a stepped event adds
+        to a queue is in the backlog the next time this is asked, and an
+        event bounds every window.  Coming back from the ``tmin`` steps,
+        a request past its server may have waited long, and its deadline
+        is only known to lie past ``horizon + tmin``; so the bound must
+        also hold from the horizon, not just from *ref*.
+        """
+        limit = self._tmin - _FLOAT_SLACK * (1.0 + abs(ref))
+        if self._flag_horizon is not None:
+            limit -= ref - self._flag_horizon
+        service = max(srv.service_time for srv in self._servers.values())
+        ahead = self._sw_arr.pending() + sum(
+            lane.pending() for lane in self._srv_arr.values())
+        wait = limit - self._path - service - self._backlog(ref)
+        # n more rows keep the bound while ``(ahead + n) * service < wait``.
+        return float(np.ceil(wait / service)) - 1 - ahead
+
+    def _timer_floor(self) -> float:
+        """The earliest time a request can leave the lanes with a retry
+        timer: the earliest send in flight or to come, plus ``tmin``.
+
+        A request leaves when it is dropped at a down server or when its
+        write blocks, and the flush that drops or blocks it must not have
+        passed its timer.  Infinite while no server is down and no write
+        could block: a key starts to block inside a window only behind a
+        cache-hit write's update, and the write-safe limit ends the window
+        before that update's first blocked write could time out.
+        """
+        down = self.sim._down_nodes
+        if not any(sid in down or server.shim.blocks_writes
+                   for sid, server in self._servers.items()):
+            return np.inf
+        sent = [st.next_send for st in self._states if st.client.running]
+        for stage in self._stages:
+            for lane in stage.lanes.values():
+                sent.extend(chunk.sent[chunk.pos:].min()
+                            for chunk in lane.chunks)
+        return min(sent, default=np.inf) + self._tmin
+
+    def _backlog(self, ref: float) -> float:
+        """The largest server backlog at *ref*: the work queued ahead of
+        any row that reaches its server from then on."""
+        return max(0.0, max(srv._busy_until
+                            for srv in self._servers.values()) - ref)
+
     def _advance_flag_horizon(self, cursor: float) -> None:
         """Examine every in-flight entry; scalarize the ones whose exact
         attempt-0 deadline falls before the next horizon step.
 
-        Runs once per ``tmin``-sized step, over the pipeline depth only —
-        everything with a reply below *cursor* is already resolved and
-        gone from the lanes.  An entry survives unscalarized only while
-        its exact deadline lies beyond the next step, so its timer is
-        always scheduled in the future (never clamped) and always before
-        the lanes flush past it.
+        Runs only while the reply-latency bound fails, once per
+        ``tmin``-sized step, over the pipeline depth only — everything
+        with a reply below *cursor* is already resolved and gone from the
+        lanes.  An entry survives unscalarized only while its exact
+        deadline lies beyond the next step, so its timer is always
+        scheduled in the future (never clamped) and always before the
+        lanes flush past it.
         """
         limit = cursor + self._tmin
         fresh: Dict[tuple, float] = {}
@@ -906,6 +1031,9 @@ class FastPathEngine:
             wsafe = self._write_safe_limit()
             if wsafe < eff or (inc and wsafe == eff):
                 eff, inc = wsafe, False
+            # The pass leaves no row below eff in any lane: a stage only
+            # feeds later ones, which take what it pushed below eff.
+            self._frontier = max(self._frontier, eff)
             progressed = False
             for stage in self._stages:
                 taken = [(sid, chunks) for sid, lane in stage.lanes.items()
@@ -1384,7 +1512,8 @@ class FastPathEngine:
             if st.pending_send is not None:
                 st.pending_send.cancel()
                 st.pending_send = None
-        self._flag_horizon = max(self._flag_horizon, self.events.now)
+        # The lanes are empty; no send is examined before the clock.
+        self._flag_horizon = self.events.now
         self._mode = _FAST
 
     def _enter_scalar(self, reason: str = "fault") -> None:

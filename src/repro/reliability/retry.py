@@ -78,8 +78,9 @@ class RetryPolicy:
     def min_delay(self) -> float:
         """Lower bound on any attempt-0 delay this policy can draw.
 
-        The batched fast path uses it as a safety margin: no request can
-        time out sooner than ``min_delay()`` after it was sent, so lanes
+        The batched fast path relies on it: no request can time out
+        sooner than ``min_delay()`` after it was sent, so a request
+        provably answered within that needs no timer, and otherwise lanes
         may run that far ahead before the exact per-request deadline
         (which needs the per-seq RNG) has to be evaluated.
         """

@@ -1,6 +1,10 @@
 """End-to-end tests for the client retry layer on a real simulated rack."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.reliability.retry import TIMED_OUT, RetryPolicy
@@ -158,3 +162,47 @@ class TestVersionedWrites:
         assert all(len(v) == len(sample) for v in stamped)
         counters = [v[v.rindex(b"#"):] for v in stamped]
         assert len(counters) == len(set(counters))
+
+
+class _Draw(random.Random):
+    """A jitter source pinned to one ``random()`` value in [0, 1)."""
+
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+#: the ends of ``random()``'s range, where ``uniform(-j, j)`` rounds to
+#: its extremes, and one draw between them.
+EXTREME_DRAWS = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+
+policies = st.builds(
+    RetryPolicy,
+    timeout=st.floats(1e-9, 10.0),
+    backoff=st.floats(1.0, 16.0),
+    max_retries=st.integers(0, 5),
+    # jitter at the ends of its range too
+    jitter=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                     st.sampled_from(EXTREME_DRAWS)),
+    seed=st.integers(0, 2 ** 31))
+
+
+class TestMinDelay:
+    """The lanes engine lets a request go without a retry timer while
+    its reply is bounded below ``min_delay()``: no attempt-0 timeout may
+    be shorter, float rounding included."""
+
+    @given(policy=policies, seq=st.integers(0, 2 ** 40))
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_first_delay_never_undercuts_min_delay(self, policy, seq):
+        assert policy.delay(0, policy.make_rng(seq)) >= policy.min_delay()
+
+    @given(policy=policies,
+           u=st.one_of(st.sampled_from(EXTREME_DRAWS),
+                       st.floats(0.0, 1.0, exclude_max=True)))
+    @settings(max_examples=300, deadline=None)
+    def test_extreme_draws_never_undercut_min_delay(self, policy, u):
+        assert policy.delay(0, _Draw(u)) >= policy.min_delay()

@@ -185,6 +185,59 @@ class TestBehavioralSabotage:
         assert len(diffs) == 1, diffs
         assert diffs[0].split(":")[0] == "layout.sram_audit", diffs
 
+    def test_reply_bound_without_the_backlog_flags_retransmissions(self):
+        # The reply-latency bound without its backlog term: while one slow
+        # server's queue outgrows the minimum retry timeout, the lanes
+        # take windows the true bound refuses, and replies slower than
+        # their timers get none.  The event loop retransmits them.
+        cfg = tiny(write_ratio=0.1, retries=True, duration=0.04)
+
+        def script(cluster, client):
+            server = cluster.servers[cluster.plan.server_ids[0]]
+            ev = cluster.sim.events
+            ev.schedule_at(0.010, setattr, server, "service_time", 5e-5)
+            ev.schedule_at(0.013, setattr, server, "service_time",
+                           server.service_time)
+
+        def arm(engine):
+            engine._backlog = lambda ref: 0.0
+
+        scalar = run_faulted(cfg, script, batched=False)
+        assert scalar["client.retransmissions"] > 0
+        assert diff_snapshots(scalar, run_faulted(cfg, script,
+                                                  batched=True)) == []
+        bad = run_faulted(cfg, script, batched=True, arm=arm)
+        diffs = diff_snapshots(scalar, bad)
+        fields = {d.split(":")[0] for d in diffs}
+        assert "client.retransmissions" in fields, diffs
+
+    def test_window_past_a_dropped_requests_timer_flags_the_sampler(self):
+        # A server crashes at a quiet moment: the first window after it
+        # would run for milliseconds under the reply-latency bound, while
+        # the first dropped request's retry timer fires 320 us in.  Without
+        # the timer floor the lanes classify every read of that window
+        # before the retransmission reaches the switch; at a sampling rate
+        # below one the sampler's draws then land on other queries.
+        cfg = tiny(retries=True, duration=0.025, seed=1)
+
+        def script(cluster, client):
+            cluster.switch.dataplane.stats.sampler.set_rate(0.5)
+            sid = cluster.plan.server_ids[0]
+            ev = cluster.sim.events
+            ev.schedule_at(0.0113, cluster.crash_server, sid)
+            ev.schedule_at(0.0153, cluster.restart_server, sid)
+
+        def arm(engine):
+            engine._timer_floor = lambda: np.inf
+
+        scalar = run_faulted(cfg, script, batched=False)
+        assert diff_snapshots(scalar, run_faulted(cfg, script,
+                                                  batched=True)) == []
+        bad = run_faulted(cfg, script, batched=True, arm=arm)
+        diffs = diff_snapshots(scalar, bad)
+        fields = {d.split(":")[0] for d in diffs}
+        assert "cache.key_counters" in fields, diffs
+
     def test_one_dropped_retry_timer_flags_retransmissions(self):
         # Cancel the first retry timer the engine registers: the scalar
         # reference retransmits through the crash window, the sabotaged

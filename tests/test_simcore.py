@@ -37,6 +37,17 @@ def tiny(**overrides):
     return SimCoreConfig(**defaults)
 
 
+def slow_server_burst(cluster, client):
+    """One server at 20k q/s from 10 to 13 ms, at 10M q/s around that: its
+    queue outgrows the 320 us minimum retry timeout, some replies come
+    after their timers fire, and then the queue drains."""
+    server = cluster.servers[cluster.plan.server_ids[0]]
+    ev = cluster.sim.events
+    ev.schedule_at(0.010, setattr, server, "service_time", 5e-5)
+    ev.schedule_at(0.013, setattr, server, "service_time",
+                   server.service_time)
+
+
 def run_with_script(config, script, batched):
     """Like run_scalar/run_batched but with a fault script applied to the
     freshly built rack before the run (identically under both paths)."""
@@ -430,18 +441,43 @@ class TestCoverage:
         assert engine.scalar_fallbacks == 0
         assert engine.fallback_reasons == {}
 
-    def test_retry_horizon_advances_only_over_flushed_windows(self):
-        # The benchmark's lanes_mixed rack at seed 1: healthy, so almost
-        # every reply beats its deadline.  A horizon that steps over a
-        # window cut short by a cache update's delivery event "examines"
-        # the sends still waiting to be flushed and scalarizes them by
-        # the thousand (5,792 here before the fix).
+    def test_healthy_mixed_rack_never_steps_the_retry_horizon(self):
+        # The benchmark's lanes_mixed rack at seed 1: healthy, so every
+        # reply lands within ~11 us against a 320 us minimum timeout and
+        # the reply-latency bound holds throughout: no window is cut at a
+        # tmin step, and no send is examined for its deadline or handed a
+        # real retry timer (45 were when the horizon stepped every tmin).
         cfg = SimCoreConfig(rate=1e6, duration=0.1, write_ratio=0.05,
                             num_clients=2, client_rates=(6e5, 4e5),
                             retries=True, seed=1)
         engine = self._run_engine(cfg)
         assert engine.coverage() == 1.0
-        assert engine.retry_scalarized == 45
+        assert engine.capped_windows == 0
+        assert engine.retry_scalarized == 0
+
+    @pytest.mark.parametrize("layout", [
+        dict(layout="paper"),
+        dict(layout="orbit", value_size=96, num_value_stages=2),
+    ], ids=["paper", "orbit-multipass"])
+    def test_reply_bound_fails_under_a_burst_and_recovers(self, layout):
+        # The burst pushes queue wait past tmin: the bound fails, the
+        # requests in flight are examined and the horizon steps, replies
+        # slower than their timers retransmit as on the event loop, and
+        # once the queue drains the bound holds again.
+        cfg = tiny(write_ratio=0.1, retries=True, duration=0.04, **layout)
+        cluster, client, _ = build_rack(cfg)
+        slow_server_burst(cluster, client)
+        trace = DeliveryTrace()
+        engine = FastPathEngine(cluster, trace=trace)
+        engine.run(cfg.duration)
+        lanes = counters_snapshot(cluster, client, trace, engine=engine)
+        scalar = run_with_script(cfg, slow_server_burst, batched=False)
+        assert diff_snapshots(scalar, lanes) == []
+        assert scalar["client.retransmissions"] > 0
+        assert engine.capped_windows > 0 and engine.retry_scalarized > 0
+        assert engine._flag_horizon is None, "the bound never held again"
+        if cfg.layout == "orbit":
+            assert scalar["layout.recirculations"] > 0
 
     def test_link_fault_fallback_counted(self):
         def script(cluster, client):
