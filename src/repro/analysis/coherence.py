@@ -27,12 +27,17 @@ import bisect
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.packet import Packet
 from repro.net.protocol import Op
-from repro.net.simulator import Simulator
+from repro.net.simulator import DeliveryObserver, Simulator
 
 #: sentinel distinguishing "key deleted" from "no value".
 _DELETED = object()
+
+_GET = int(Op.GET)
+_GET_REPLY = int(Op.GET_REPLY)
+_PUTS = (int(Op.PUT), int(Op.PUT_CACHED))
+_DELETES = (int(Op.DELETE), int(Op.DELETE_CACHED))
+_WRITE_REPLIES = (int(Op.PUT_REPLY), int(Op.DELETE_REPLY))
 
 
 @dataclasses.dataclass
@@ -52,12 +57,14 @@ class Violation:
 
 
 class _KeyHistory:
-    __slots__ = ("commits", "in_flight", "written", "committed",
-                 "applied_at")
+    __slots__ = ("commits", "commit_times", "in_flight", "written",
+                 "committed", "applied_at")
 
     def __init__(self):
         #: (commit_time, value-or-_DELETED), ascending by time.
         self.commits: List[Tuple[float, object]] = []
+        #: the commit times alone, in the same order (bisect keys).
+        self.commit_times: List[float] = []
         #: client seq -> value of an unacknowledged write.
         self.in_flight: Dict[Tuple[int, int], object] = {}
         self.written = False
@@ -74,17 +81,22 @@ class _KeyHistory:
 
     def committed_at(self, t: float):
         """Newest committed value at time *t* (None if none yet)."""
-        latest = None
-        for commit_time, value in self.commits:
-            if commit_time <= t:
-                latest = (commit_time, value)
-            else:
-                break
-        return latest
+        i = bisect.bisect_right(self.commit_times, t)
+        return self.commits[i - 1] if i else None
+
+    def commit(self, t: float, value) -> None:
+        """Record a commit at *t*, after any commit at the same time."""
+        i = bisect.bisect_right(self.commit_times, t)
+        self.commits.insert(i, (t, value))
+        self.commit_times.insert(i, t)
 
 
-class CoherenceMonitor:
-    """Attach to a simulator; inspect ``violations`` afterwards."""
+class CoherenceMonitor(DeliveryObserver):
+    """Attach to a simulator; inspect ``violations`` afterwards.
+
+    The monitor is its own delivery hook, batch-capable: the batched
+    engine feeds it rows without leaving its lanes.
+    """
 
     def __init__(self, sim: Simulator):
         self._histories: Dict[bytes, _KeyHistory] = {}
@@ -93,12 +105,12 @@ class CoherenceMonitor:
         self.violations: List[Violation] = []
         self.reads_checked = 0
         self.writes_seen = 0
-        sim.delivery_hooks.append(self._on_delivery)
+        sim.delivery_hooks.append(self)
         self._sim = sim
 
     def detach(self) -> None:
-        if self._on_delivery in self._sim.delivery_hooks:
-            self._sim.delivery_hooks.remove(self._on_delivery)
+        if self in self._sim.delivery_hooks:
+            self._sim.delivery_hooks.remove(self)
 
     def _history(self, key: bytes) -> _KeyHistory:
         hist = self._histories.get(key)
@@ -108,36 +120,28 @@ class CoherenceMonitor:
 
     # -- observation -----------------------------------------------------------
 
-    def _on_delivery(self, time: float, src: int, dst: int,
-                     pkt: Packet) -> None:
-        if pkt.op == Op.GET:
+    def observe(self, time, src, dst, op, seq, client, server, key, value,
+                cached) -> None:
+        if op == _GET:
             # First hop of a read: remember when it entered the network.
             # Checked reads stay checked — a late retransmission must not
             # re-arm the tag with a later issue time.
-            tag = (pkt.src, pkt.seq)
+            tag = (client, seq)
             if tag not in self._reads_done:
                 self._reads.setdefault(tag, time)
-        elif pkt.op in (Op.PUT, Op.PUT_CACHED):
-            tag = (pkt.src, pkt.seq)
-            hist = self._history(pkt.key)
+        elif op in _PUTS or op in _DELETES:
+            tag = (client, seq)
+            hist = self._history(key)
             if tag not in hist.in_flight and tag not in hist.committed:
-                hist.in_flight[tag] = pkt.value
+                hist.in_flight[tag] = value if op in _PUTS else _DELETED
                 hist.written = True
                 self.writes_seen += 1
-            self._note_apply(hist, tag, time, dst, pkt)
-        elif pkt.op in (Op.DELETE, Op.DELETE_CACHED):
-            tag = (pkt.src, pkt.seq)
-            hist = self._history(pkt.key)
-            if tag not in hist.in_flight and tag not in hist.committed:
-                hist.in_flight[tag] = _DELETED
-                hist.written = True
-                self.writes_seen += 1
-            self._note_apply(hist, tag, time, dst, pkt)
-        elif pkt.op in (Op.PUT_REPLY, Op.DELETE_REPLY):
+            self._note_apply(hist, tag, time, dst == server)
+        elif op in _WRITE_REPLIES:
             # Replies are delivered hop by hop; popping the in-flight entry
             # makes later hops (and dedup-replayed replies) no-ops.
-            tag = (pkt.dst, pkt.seq)
-            hist = self._history(pkt.key)
+            tag = (client, seq)
+            hist = self._history(key)
             value = hist.in_flight.pop(tag, None)
             if value is not None:
                 hist.committed.add(tag)
@@ -145,33 +149,31 @@ class CoherenceMonitor:
                 # confirms it happened.  (Apply-ordering matters: a retried
                 # older write can legally land after a concurrent newer
                 # one, and its replayed reply arrives later still.)
-                commit_time = hist.applied_at.pop(tag, time)
-                idx = bisect.bisect_right(
-                    [t for t, _ in hist.commits], commit_time)
-                hist.commits.insert(idx, (commit_time, value))
-        elif pkt.op == Op.GET_REPLY:
-            self._check_read(time, pkt)
+                hist.commit(hist.applied_at.pop(tag, time), value)
+        elif op == _GET_REPLY:
+            self._check_read(time, client, seq, key, value, cached)
 
     @staticmethod
     def _note_apply(hist: _KeyHistory, tag: Tuple[int, int], time: float,
-                    hop_dst: int, pkt: Packet) -> None:
+                    at_server: bool) -> None:
         """Record when a write first reached its final destination — the
         server applies it then (retransmissions deduplicate, so later
         arrivals are no-ops)."""
-        if hop_dst == pkt.dst and tag not in hist.applied_at \
+        if at_server and tag not in hist.applied_at \
                 and tag not in hist.committed:
             hist.applied_at[tag] = time
 
     # -- the invariant -----------------------------------------------------------
 
-    def _check_read(self, t_rep: float, pkt: Packet) -> None:
-        hist = self._histories.get(pkt.key)
+    def _check_read(self, t_rep: float, client: int, seq: int, key: bytes,
+                    value: Optional[bytes], cached: bool) -> None:
+        hist = self._histories.get(key)
         if hist is None or not hist.written:
             return  # never written during the run: preload values are fine
-        t_req = self._reads.pop((pkt.dst, pkt.seq), None)
+        t_req = self._reads.pop((client, seq), None)
         if t_req is None:
             return  # already checked on an earlier hop of this reply
-        self._reads_done.add((pkt.dst, pkt.seq))
+        self._reads_done.add((client, seq))
         self.reads_checked += 1
 
         allowed: List = []
@@ -181,21 +183,23 @@ class CoherenceMonitor:
             # value) is still linearizable.
             return
         allowed.append(floor[1])
-        for commit_time, value in hist.commits:
-            if t_req < commit_time <= t_rep:
-                allowed.append(value)
+        # The read may linearize at any commit in (t_req, t_rep].
+        times = hist.commit_times
+        lo = bisect.bisect_right(times, t_req)
+        hi = bisect.bisect_right(times, t_rep)
+        allowed.extend(v for _, v in hist.commits[lo:hi])
         allowed.extend(hist.in_flight.values())
 
-        got = _DELETED if pkt.value is None else pkt.value
+        got = _DELETED if value is None else value
         # A None value is also fine if an in-flight/windowed delete exists;
         # symmetric for values.
         if got in allowed or (got is _DELETED and _DELETED in allowed):
             return
         self.violations.append(Violation(
-            key=pkt.key, seq=pkt.seq, time=t_rep,
+            key=key, seq=seq, time=t_rep,
             got=None if got is _DELETED else got,
             allowed=[v for v in allowed if v is not _DELETED],
-            served_by_cache=pkt.served_by_cache,
+            served_by_cache=cached,
         ))
 
     @property

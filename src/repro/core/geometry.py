@@ -203,6 +203,12 @@ class CacheLayout:
     def read_cached_value(self, key: bytes) -> Optional[bytes]:
         raise NotImplementedError
 
+    def peek_value(self, key: bytes) -> Optional[bytes]:
+        """The value a Get of *key* would be served now (None unless
+        cached and valid), moving no table, register or pass counter:
+        what a delivery observer reads beside the batched read path."""
+        raise NotImplementedError
+
     @property
     def max_value_size(self) -> int:
         """Largest value this geometry can cache at all."""
@@ -428,6 +434,15 @@ class PaperLayout(CacheLayout):
         if not self.status[pipe].is_valid(res.key_index):
             return None
         return self.values[pipe].read(res.allocation)
+
+    def peek_value(self, key: bytes) -> Optional[bytes]:
+        res = self.lookup.peek(key)
+        if res is None:
+            return None
+        pipe = self.pipe_of_port(res.egress_port)
+        if not self.status[pipe].peek_valid(res.key_index):
+            return None
+        return self.values[pipe].peek(res.allocation)
 
     @property
     def max_value_size(self) -> int:
@@ -744,6 +759,12 @@ class SetAssocLayout(CacheLayout):
             return None
         return self.value.read(idx)
 
+    def peek_value(self, key: bytes) -> Optional[bytes]:
+        idx = self._index.get(key)
+        if idx is None or not self.status.peek_valid(idx):
+            return None
+        return self.value.peek(idx)
+
     @property
     def max_value_size(self) -> int:
         return self.way_bytes
@@ -967,6 +988,13 @@ class OrbitLayout(CacheLayout):
         if key_index is None or not self.status.is_valid(key_index):
             return None
         return self.read_value(LayoutHit(key_index, self._extents[key_index]))
+
+    def peek_value(self, key: bytes) -> Optional[bytes]:
+        key_index = self._index.get(key)
+        if key_index is None or not self.status.peek_valid(key_index):
+            return None
+        segs, length = self._extents[key_index]
+        return b"".join(self.segments.peek(s) for s in segs)[:length]
 
     @property
     def max_value_size(self) -> int:

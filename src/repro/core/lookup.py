@@ -66,6 +66,11 @@ class CacheLookupTable:
             egress_port=entry["egress_port"],
         )
 
+    def peek(self, key: bytes) -> Optional[LookupResult]:
+        """:meth:`lookup` without the hit/miss count (for observers)."""
+        entry = self.table.peek(key)
+        return None if entry is None else LookupResult(**entry)
+
     def probe(self, key: bytes) -> Optional[dict]:
         """Raw action-data dict of a hit (hot path; treat as read-only).
 

@@ -65,6 +65,11 @@ class RegisterArray:
         self.reads += 1
         return self._data[index]
 
+    def peek(self, index: int) -> bytes:
+        """:meth:`read` without the access count (for observers)."""
+        self._check_index(index)
+        return self._data[index]
+
     def write(self, index: int, value: bytes) -> None:
         self._check_index(index)
         if len(value) > self.slot_bytes:
@@ -81,6 +86,13 @@ class RegisterArray:
     def read_int(self, index: int) -> int:
         self._check_index(index)
         self.reads += 1
+        if self._stamps[index] != self._epoch:
+            return 0
+        return int(self._ints[index])
+
+    def peek_int(self, index: int) -> int:
+        """:meth:`read_int` without the access count (for observers)."""
+        self._check_index(index)
         if self._stamps[index] != self._epoch:
             return 0
         return int(self._ints[index])
@@ -205,6 +217,10 @@ class MatchActionTable:
     def remove(self, match: bytes) -> bool:
         self.updates += 1
         return self._entries.pop(match, None) is not None
+
+    def peek(self, match: bytes) -> Optional[Dict[str, Any]]:
+        """:meth:`lookup` without the hit/miss count (for observers)."""
+        return self._entries.get(match)
 
     def lookup(self, match: bytes) -> Optional[Dict[str, Any]]:
         entry = self._entries.get(match)

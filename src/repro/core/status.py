@@ -26,6 +26,10 @@ class CacheStatusModule:
     def is_valid(self, key_index: int) -> bool:
         return bool(self.valid.read_int(key_index))
 
+    def peek_valid(self, key_index: int) -> bool:
+        """:meth:`is_valid` without the register access count."""
+        return bool(self.valid.peek_int(key_index))
+
     def set_valid(self, key_index: int) -> None:
         """Control-plane validation after an insertion."""
         self.valid.write_int(key_index, 1)

@@ -75,6 +75,12 @@ class ValueStore:
             self.arrays[array_idx].read(alloc.index) for array_idx in alloc.arrays
         )
 
+    def peek(self, alloc: Allocation) -> bytes:
+        """:meth:`read` without the register access counts."""
+        return b"".join(
+            self.arrays[array_idx].peek(alloc.index) for array_idx in alloc.arrays
+        )
+
     def clear(self, alloc: Allocation) -> None:
         """Zero the slots of a freed allocation (hygiene, not required)."""
         for array_idx in alloc.arrays:

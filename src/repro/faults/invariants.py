@@ -32,9 +32,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.analysis.coherence import CoherenceMonitor
 from repro.errors import ConfigurationError
 from repro.net.protocol import Op
+from repro.net.simulator import DeliveryObserver
 
 #: ops legal in a shim blocking queue.
 _WRITE_OPS = (Op.PUT, Op.PUT_CACHED, Op.DELETE, Op.DELETE_CACHED)
+_PUTS = (Op.PUT, Op.PUT_CACHED)
+_WRITE_REPLIES = (Op.PUT_REPLY, Op.DELETE_REPLY)
 
 
 @dataclasses.dataclass
@@ -235,7 +238,7 @@ class ExactlyOnceInvariant(InvariantChecker):
         self.on_tick(now, report)
 
 
-class WriteDurabilityInvariant(InvariantChecker):
+class WriteDurabilityInvariant(InvariantChecker, DeliveryObserver):
     """No acked write is lost: after quiesce, every key's stored value is
     explained by its write history.
 
@@ -245,6 +248,7 @@ class WriteDurabilityInvariant(InvariantChecker):
     window re-sends it) plus every sent-but-never-acked write (an in-flight
     write may or may not have applied).  A stored value outside that set
     means an acked write's effect vanished — the "acked but lost" failure.
+    The checker is its own (batch-capable) delivery hook.
     """
 
     name = "acked-write-durability"
@@ -257,20 +261,20 @@ class WriteDurabilityInvariant(InvariantChecker):
         super().bind(cluster)
         #: (client, seq) -> [key, value-or-None(delete), acked_at or None]
         self._writes: Dict[Tuple[int, int], list] = {}
-        cluster.sim.delivery_hooks.append(self._on_delivery)
+        cluster.sim.delivery_hooks.append(self)
         return self
 
-    def _on_delivery(self, now: float, src: int, dst: int, pkt) -> None:
-        if pkt.op in _WRITE_OPS:
-            wid = (pkt.src, pkt.seq)
+    def observe(self, time, src, dst, op, seq, client, server, key, value,
+                cached) -> None:
+        if op in _WRITE_OPS:
+            wid = (client, seq)
             if wid not in self._writes:
-                value = pkt.value if pkt.op in (Op.PUT, Op.PUT_CACHED) \
-                    else None
-                self._writes[wid] = [pkt.key, value, None]
-        elif pkt.op in (Op.PUT_REPLY, Op.DELETE_REPLY):
-            entry = self._writes.get((pkt.dst, pkt.seq))
+                self._writes[wid] = [key, value if op in _PUTS else None,
+                                     None]
+        elif op in _WRITE_REPLIES:
+            entry = self._writes.get((client, seq))
             if entry is not None and entry[2] is None:
-                entry[2] = now
+                entry[2] = time
 
     def on_quiesce(self, now: float, report: Report) -> None:
         per_key: Dict[bytes, list] = {}

@@ -104,8 +104,9 @@ class ChainedHashTable:
         self._size += 1
         return True
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        _, node, _ = self._find(key, self._hash(key))
+    def get(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
+        """Return the value or None; *h* as for :meth:`put`."""
+        _, node, _ = self._find(key, self._hash(key) if h is None else h)
         return node.value if node is not None else None
 
     def delete(self, key: bytes) -> bool:

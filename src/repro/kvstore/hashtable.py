@@ -131,9 +131,9 @@ class HashTable:
         self._size += 1
         return True
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value or None."""
-        idx, found = self._find(key, self._hash(key))
+    def get(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
+        """Return the value or None; *h* as for :meth:`put`."""
+        idx, found = self._find(key, self._hash(key) if h is None else h)
         return self._values[idx] if found else None
 
     def delete(self, key: bytes) -> bool:

@@ -124,6 +124,21 @@ class KVStore:
         self.gets += 1
         return self._shard(key).get(key)
 
+    def peek_batch(self, ids: np.ndarray,
+                   columns: ReadColumns) -> List[Optional[bytes]]:
+        """What reads of ``columns.keys[i] for i in ids`` would return now
+        (None where absent), moving no counter — ``gets``, ``core_ops`` or
+        the shards' probe totals — for delivery observers."""
+        shards, keys = self._shards, columns.keys
+        out = []
+        for i, c, h in zip(ids.tolist(), columns.core[ids].tolist(),
+                           columns.slot_hash[ids].tolist()):
+            shard = shards[c]
+            before = shard.total_probes, shard.total_lookups
+            out.append(shard.get(keys[i], h))
+            shard.total_probes, shard.total_lookups = before
+        return out
+
     def get_batch(self, ids: np.ndarray, columns: ReadColumns,
                   write_at: Sequence[int] = (), apply=None) -> None:
         """Read the keys ``columns.keys[i] for i in ids`` (with repeats)

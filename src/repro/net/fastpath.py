@@ -111,9 +111,26 @@ it works:
   stage, not per packet: each flush pass opens one ``fastpath.<stage>``
   span around a stage that takes rows (``fastpath.reports`` for the
   report lane).
+* **Delivery hooks ride the lanes.** A delivery hook with the batch form
+  ``on_delivery_batch(rows)`` (:class:`~repro.net.simulator.
+  DeliveryObserver`: the chaos suite's coherence monitor and durability
+  checker) keeps the rack in lanes.  While one is attached, each flush
+  collects the deliveries of all five hops, write rows included, merges
+  them by time (stage order on exact ties between chunks, counted in
+  :attr:`FastPathEngine.hook_ties`) and hands them over as
+  :class:`~repro.net.simulator.DeliveryRows` before it returns, so before
+  any event steps.  A read reply carries the value the scalar reply
+  would: a hit the cached value at classification, a miss the store's
+  value at completion, read in stream order between the slice's writes;
+  both reads are peeks that move no register or store counter.  Only the
+  engine's own delivery trace takes its unordered ``note_batch`` feed.
 * **Fault windows fall back.** A window is *clean* when the rack links
-  are deterministic (:meth:`Link.is_clean`) and the switch and clients
-  are up.  When a fault opens,
+  are deterministic (:meth:`Link.is_clean`), the switch and clients are
+  up and every foreign delivery hook takes rows.  What still falls back:
+  loss, duplication, reordering and down links (``link_fault``), a
+  crashed switch or client (``node_down``), a hook without the batch
+  form (``foreign_hook``) and any drop hook (``drop_hook``).  When a
+  fault opens,
   pending lane entries are materialized back into real delivery/
   completion events (with matching ``_outstanding`` and retry-timer
   bookkeeping) and the engine drives the clients with real per-packet
@@ -135,8 +152,10 @@ by event sequence number, which the lanes do not reproduce).  It shows as
 swapped neighbours in a client's latency list, and only where the engine
 counted a tie (:attr:`FastPathEngine.reply_ties`): the differential
 compares latency lists exactly when that count is zero and as multisets
-otherwise.  With the default non-zero link latencies a tie needs an exact
-float collision, which saturated server queues make reachable.
+otherwise.  Batch delivery hooks see such pairs in stage order
+(:attr:`FastPathEngine.hook_ties`), so what they derive is exact while
+that count is zero.  With the default non-zero link latencies a tie needs
+an exact float collision, which saturated server queues make reachable.
 ``tests/test_prop_simcore.py``, ``tests/test_sabotage_simcore.py`` and
 the ``simcore``/``simcore_mixed`` perf scenarios gate the contract.
 """
@@ -156,6 +175,7 @@ from repro.errors import ConfigurationError
 from repro.kvstore.store import ReadColumns
 from repro.net.packet import Packet, make_get
 from repro.net.protocol import Op
+from repro.net.simulator import DeliveryRows
 from repro.obs import runtime as _obs
 
 #: queries pre-drawn from the workload per refill (draw order per RNG
@@ -184,17 +204,19 @@ class _Chunk:
     the reply op behind it.  ``idx`` (client index) stays ``None`` on a
     single-client rack, ``val`` (write payloads) is carried only while
     ``w`` (the chunk may hold a write), ``hit`` marks cache-hit replies.
-    ``pos`` is the prefix a lane has already handed on.
+    ``rv`` holds the values replies carry, only while a batch delivery
+    hook listens.  ``pos`` is the prefix a lane has already handed on.
     """
 
     __slots__ = ("t", "items", "seqs", "sent", "op", "idx", "val", "w",
-                 "hit", "pos")
+                 "hit", "rv", "pos")
 
     def __init__(self, t, items, seqs, sent, op, idx=None, val=None,
-                 w=False, hit=False):
+                 w=False, hit=False, rv=None):
         self.t, self.items, self.seqs, self.sent, self.op = \
             t, items, seqs, sent, op
         self.idx, self.val, self.w, self.hit = idx, val, w, hit
+        self.rv = rv
         self.pos = 0
 
     def __len__(self) -> int:
@@ -209,7 +231,8 @@ class _Chunk:
                       self.seqs[sel], self.sent[sel],
                       self.op[sel] if op is None else op,
                       None if self.idx is None else self.idx[sel],
-                      self.val[sel] if w else None, w, self.hit)
+                      self.val[sel] if w else None, w, self.hit,
+                      None if self.rv is None else self.rv[sel])
 
 
 class _Reports:
@@ -371,6 +394,10 @@ class FastPathEngine:
             _ClientState(cl, i, sim.link_between(cl.node_id, self.tor_id))
             for i, cl in enumerate(clients)]
         self._multi = len(self._states) > 1
+        self._client_nodes = np.array([st.client.node_id
+                                       for st in self._states])
+        #: nodes whose crash dirties a window: the switch and the clients.
+        self._driven = {self.tor_id, *self._client_nodes.tolist()}
         if len({st.link.latency for st in self._states}) != 1:
             raise ConfigurationError(
                 "fast path needs a uniform client link latency")
@@ -462,6 +489,12 @@ class FastPathEngine:
             hook = trace.as_hook()
             sim.delivery_hooks.append(hook)
             self._own_hooks.add(hook)
+        #: the delivery hooks last found clean, the batch-capable ones
+        #: among them, and the deliveries a flush holds for those (see
+        #: _feed_hooks).
+        self._vetted_hooks: list = []
+        self._hooks: list = []
+        self._held: list = []
         #: windows handed to the scalar loop (telemetry, not gated).
         self.scalar_fallbacks = 0
         #: lane entries materialized into events on fallback (telemetry).
@@ -479,6 +512,10 @@ class FastPathEngine:
         #: a pair by stream position, the scalar heap by event sequence,
         #: so the client's latency list may hold the pair swapped.
         self.reply_ties = 0
+        #: deliveries fed to batch hooks at exactly the time of the one
+        #: before them, from another lane chunk: on such a pair the hooks
+        #: see stage order, the scalar loop event order.
+        self.hook_ties = 0
 
     # -- cleanliness --------------------------------------------------------------
 
@@ -489,14 +526,19 @@ class FastPathEngine:
         # events bound every lane flush.
         sim = self.sim
         down = sim._down_nodes
-        if self.tor_id in down:
+        if down and not down.isdisjoint(self._driven):
             return "node_down"
-        for st in self._states:
-            if st.client.node_id in down:
-                return "node_down"
-        for hook in sim.delivery_hooks:
-            if hook not in self._own_hooks:
+        hooks = sim.delivery_hooks
+        if hooks != self._vetted_hooks:
+            # A hook list not seen before: every hook must be the engine's
+            # own or take rows; the rest are the batch hooks to feed.
+            if not all(hook in self._own_hooks
+                       or hasattr(hook, "on_delivery_batch")
+                       for hook in hooks):
                 return "foreign_hook"
+            self._vetted_hooks = list(hooks)
+            self._hooks = [hook for hook in hooks
+                           if hook not in self._own_hooks]
         if sim.drop_hooks:
             return "drop_hook"
         now = sim.now
@@ -1021,6 +1063,8 @@ class FastPathEngine:
 
         A stage's lanes are all taken before any is flushed (a flush only
         feeds later stages), so one span covers the stage's whole pass.
+        The deliveries the passes make reach the batch delivery hooks
+        before this returns, so before any event steps.
         """
         events = self.events
         while True:
@@ -1052,6 +1096,57 @@ class FastPathEngine:
                 progressed = True
             if not progressed:
                 break
+        if self._held:
+            self._feed_hooks()
+
+    def _hold(self, rank: int, chunk: _Chunk, values=None,
+              cached=None) -> None:
+        """Keep the deliveries of *chunk* at stage *rank* (its index in the
+        stage table, which names the hop) for the batch hooks, with the
+        *values* and *cached* marks the packets carry (None = none)."""
+        self._held.append((chunk.t, rank, chunk.op, chunk.seqs, chunk.idx,
+                           chunk.items, values, cached))
+
+    def _feed_hooks(self) -> None:
+        """Hand the held deliveries to every batch hook as
+        :class:`DeliveryRows`, merged by time with stage order on exact
+        ties.  Passes are time-ordered (a pass leaves no row below its
+        limit, and the next takes none below it), so one merge per flush
+        is the merge of each pass in turn."""
+        held, self._held = self._held, []
+        sizes = [len(h[0]) for h in held]
+        t = np.concatenate([h[0] for h in held])
+        rank = np.repeat(np.array([h[1] for h in held]), sizes)
+        order = np.lexsort((rank, t))
+        t, rank = t[order], rank[order]
+        # The rows of one held chunk keep their stream order, which is the
+        # scalar order: only exact ties across chunks are counted.
+        block = np.repeat(np.arange(len(held)), sizes)[order]
+        self.hook_ties += int(np.count_nonzero(
+            (t[1:] == t[:-1]) & (block[1:] != block[:-1])))
+
+        def column(k: int, fill=None):
+            return np.concatenate([
+                np.full(n, fill) if h[k] is None else h[k]
+                for h, n in zip(held, sizes)])[order]
+
+        items = column(5)
+        server = self._server_of_item[items]
+        client = self._client_nodes[column(4)] if self._multi \
+            else self._states[0].client.node_id
+        # The hop of each stage: client -> switch -> server, then back.
+        tor = self.tor_id
+        src = np.where(rank == 0, client, np.where(rank == 3, server, tor))
+        dst = np.where(rank == 1, server, np.where(rank == 4, client, tor))
+        key_of = self._key_of_item
+        rows = DeliveryRows(
+            t.tolist(), src.tolist(), dst.tolist(), column(2).tolist(),
+            column(3).tolist(),
+            np.broadcast_to(client, t.shape).tolist(), server.tolist(),
+            [key_of[i] for i in items.tolist()], column(6).tolist(),
+            column(7, False).tolist())
+        for hook in self._hooks:
+            hook.on_delivery_batch(rows)
 
     def _note_ops(self, t, src: int, dst: int, ops, seqs,
                   uniform: bool = False) -> None:
@@ -1078,6 +1173,8 @@ class FastPathEngine:
     def _flush_switch_arrivals(self, _sid, chunks: List[_Chunk]) -> None:
         down = self.sim._down_nodes
         for chunk in chunks:
+            if self._hooks:
+                self._hold(0, chunk, chunk.val)
             if not chunk.w:
                 self._switch_segment(chunk)
                 continue
@@ -1193,6 +1290,13 @@ class FastPathEngine:
             replies = chunk.rows(
                 hit, op=np.full(nh, _GET_REPLY, np.int16), w=False)
             replies.hit = True
+            if self._hooks:
+                # The value each hit is served: no cached value changes
+                # inside a segment, so one peek per key.
+                peek = self.switch.dataplane.layout.peek_value
+                keys, inverse = np.unique(replies.items, return_inverse=True)
+                replies.rv = np.array(
+                    [peek(key_of[i]) for i in keys.tolist()], object)[inverse]
             self._count_client_sends(replies)
             latency = self._client_latency
             delays = res.hit_delays
@@ -1278,6 +1382,8 @@ class FastPathEngine:
             sim._count_delivered(n)
             self._note_ops(chunk.t, self.tor_id, sid, chunk.op, chunk.seqs,
                            uniform=not chunk.w)
+            if self._hooks:
+                self._hold(1, chunk, chunk.val)
             server.received += n
             chunk.t = self._server_completions(server, chunk.t)
             server._queued += n
@@ -1311,25 +1417,50 @@ class FastPathEngine:
         then one reply chunk in completion order."""
         sim = self.sim
         rops = np.full(len(chunk), _GET_REPLY, np.int16)
+        # With a batch hook listening, each read reply carries the value
+        # the store holds at its completion: peeked in stream order,
+        # between the slice's writes.
+        rv = None
+        if self._hooks:
+            rv = np.full(len(chunk), None)
         # The shim serves the value regardless of reachability; only the
         # reply transmission can drop.
         if chunk.w:
             reads = chunk.op == _GET
+            rpos = np.flatnonzero(reads)
             wpos = np.flatnonzero(~reads)
+            cuts = (wpos - np.arange(len(wpos))).tolist()
+            peeked = 0
+
+            def peek_reads(stop: int) -> None:
+                nonlocal peeked
+                pos = rpos[peeked:stop]
+                rv[pos] = server.store.peek_batch(chunk.items[pos],
+                                                  self._store_columns)
+                peeked = stop
 
             def apply(j: int) -> None:
+                if rv is not None:
+                    peek_reads(cuts[j])
                 rops[wpos[j]] = self._complete_write(
                     server, sid, chunk, int(wpos[j]))
 
-            server.store.get_batch(
-                chunk.items[reads], self._store_columns,
-                (wpos - np.arange(len(wpos))).tolist(), apply)
+            server.store.get_batch(chunk.items[reads], self._store_columns,
+                                   cuts, apply)
+            if rv is not None:
+                peek_reads(len(rpos))
             # Blocked and dropped writes get no lane reply.
             live = rops >= 0
             replies = chunk.rows(live, op=rops[live])
+            if rv is not None:
+                replies.rv = rv[live]
         else:
             server.store.get_batch(chunk.items, self._store_columns)
             replies = chunk.rows(slice(None), op=rops)
+            if rv is not None:
+                rv[:] = server.store.peek_batch(chunk.items,
+                                                self._store_columns)
+                replies.rv = rv
         if sid in sim._down_nodes:
             # send_reply(): transmit from a crashed source drops (the
             # writes were accounted one by one; what is left are reads).
@@ -1418,6 +1549,8 @@ class FastPathEngine:
             self.sim._count_delivered(n)
             self._note_ops(chunk.t, sid, self.tor_id, chunk.op, chunk.seqs,
                            uniform=not chunk.w)
+            if self._hooks:
+                self._hold(3, chunk, chunk.rv)
             self.switch.process_reply_batch(n)
             self._count_client_sends(chunk)
             chunk.t = chunk.t + self._client_latency
@@ -1436,6 +1569,9 @@ class FastPathEngine:
         if self._multi:
             idx = np.concatenate([c.idx for c in chunks])[order]
         self.sim._count_delivered(len(t))
+        if self._hooks:
+            for c in chunks:
+                self._hold(4, c, c.rv, np.full(len(c), c.hit))
         obs = _obs.ACTIVE
         if obs is not None:
             self._observe_replies(obs, t, seq, sent, hit, idx)
@@ -1538,7 +1674,8 @@ class FastPathEngine:
         reply = Packet(src=int(self._server_of_item[item]),
                        dst=self._state_of(chunk, i).client.node_id,
                        op=Op(int(chunk.op[i])), seq=int(chunk.seqs[i]),
-                       key=self._key_of_item[item])
+                       key=self._key_of_item[item],
+                       value=None if chunk.rv is None else chunk.rv[i])
         reply.served_by_cache = chunk.hit
         return reply
 

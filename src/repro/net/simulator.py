@@ -8,17 +8,80 @@ The simulator is intentionally small: nodes hand packets to
 :meth:`Simulator.transmit` naming the neighbour to deliver to (nodes know
 their attachment: clients/servers know their ToR; switches map ports to
 neighbours).  Loss and serialization happen on links.
+
+Delivery hooks observe every delivery as ``hook(time, src, dst, pkt)``.  A
+hook that also has ``on_delivery_batch(rows)`` is *batch-capable*: the
+batched engine (:mod:`repro.net.fastpath`) feeds it the deliveries it
+carries in its lanes as :class:`DeliveryRows`, in delivery order, instead
+of falling back to this loop.  :class:`DeliveryObserver` is the base for
+such hooks: one per-row body behind both forms.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.events import Event, EventQueue
 from repro.net.links import Link
 from repro.net.packet import Packet
+from repro.net.protocol import Op
 from repro.obs import runtime as _obs
+
+
+class DeliveryRows(NamedTuple):
+    """Deliveries in delivery order, one sequence per column: the batch
+    form of a delivery-hook call.
+
+    ``src``/``dst`` are the hop; ``op`` compares equal to an
+    :class:`~repro.net.protocol.Op`; ``client`` and ``server`` are the
+    packet's two ends (``pkt.src``/``pkt.dst`` of a query, swapped on a
+    reply); ``value`` and ``cached`` are the packet's ``value`` and
+    ``served_by_cache`` on delivery.
+    """
+
+    t: Sequence[float]
+    src: Sequence[int]
+    dst: Sequence[int]
+    op: Sequence[int]
+    seq: Sequence[int]
+    client: Sequence[int]
+    server: Sequence[int]
+    key: Sequence[bytes]
+    value: Sequence[Optional[bytes]]
+    cached: Sequence[bool]
+
+
+_REPLIES = frozenset((Op.GET_REPLY, Op.PUT_REPLY, Op.DELETE_REPLY))
+
+
+def delivery_row(time: float, src: int, dst: int, pkt: Packet) -> tuple:
+    """One delivery of *pkt* as a row of :class:`DeliveryRows` columns."""
+    op = pkt.op
+    if op in _REPLIES:
+        return (time, src, dst, op, pkt.seq, pkt.dst, pkt.src, pkt.key,
+                pkt.value, pkt.served_by_cache)
+    return (time, src, dst, op, pkt.seq, pkt.src, pkt.dst, pkt.key,
+            pkt.value, pkt.served_by_cache)
+
+
+class DeliveryObserver:
+    """A batch-capable delivery hook: subclasses write :meth:`observe`,
+    the per-row body both feeds run."""
+
+    def observe(self, time: float, src: int, dst: int, op: int, seq: int,
+                client: int, server: int, key: bytes,
+                value: Optional[bytes], cached: bool) -> None:
+        raise NotImplementedError
+
+    def __call__(self, time: float, src: int, dst: int, pkt: Packet) -> None:
+        self.observe(*delivery_row(time, src, dst, pkt))
+
+    def on_delivery_batch(self, rows: DeliveryRows) -> None:
+        observe = self.observe
+        for row in zip(*rows):
+            observe(*row)
 
 
 class Node:
@@ -60,7 +123,8 @@ class Simulator:
         self._started = False
         self._down_nodes: Set[int] = set()
         #: observers called as fn(time, src_id, dst_id, pkt) on delivery
-        #: (tracing/debugging; see repro.net.trace).
+        #: (tracing/debugging, see repro.net.trace; batch-capable ones,
+        #: see DeliveryObserver, also take the batched engine's rows).
         self.delivery_hooks: List[Callable] = []
         #: observers called as fn(time, link) on every link drop
         #: (fault accounting; see repro.faults).

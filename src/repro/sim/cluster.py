@@ -298,8 +298,9 @@ class Cluster:
         except ConfigurationError as exc:
             self.scalar_reason = str(exc)
             return
-        # Hooks and faults already in place (an invariant suite, a lossy
-        # link) keep the rack on the event loop for good.
+        # A hook the lanes cannot feed (a packet tracer; an invariant
+        # suite's hooks are batch-capable) or a fault already in place (a
+        # lossy link) keeps the rack on the event loop for good.
         self.scalar_reason = engine._dirty_reason()
         if self.scalar_reason is None:
             self.engine = engine

@@ -347,6 +347,20 @@ def test_key_map_agrees_across_install_evict_reinstall(name):
                 assert layout.key_index_of(key_of(num)) is None
 
 
+@pytest.mark.parametrize("name", ["paper", "setassoc", "orbit"])
+def test_peek_value_is_the_served_value_and_moves_no_counter(name):
+    layout = tiny_layout(name)
+    for i in range(3):
+        layout.install(key_of(i), b"%d" % i * (8 + 8 * i), 0)
+    layout.handle_write(key_of(1))          # cached, invalid
+    before = layout.snapshot_fields()
+    peeked = [layout.peek_value(key_of(i)) for i in range(4)]
+    assert layout.snapshot_fields() == before
+    assert peeked == [layout.read_cached_value(key_of(i)) for i in range(4)]
+    assert peeked[0] is not None and peeked[2] is not None
+    assert peeked[1] is None and peeked[3] is None
+
+
 class TestAdmissionPolicies:
     def test_sample_evict_picks_coldest_only_when_beaten(self):
         policy = SampleEvictPolicy()

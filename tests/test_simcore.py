@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.analysis.coherence import CoherenceMonitor
 from repro.client.tracefile import TraceWorkload, record
 from repro.errors import ConfigurationError
 from repro.faults import ChaosConfig, ChaosRunner
+from repro.faults.invariants import WriteDurabilityInvariant
 from repro.net import fastpath
 from repro.net.fastpath import FastPathEngine
-from repro.net.trace import DeliveryTrace
+from repro.net.trace import DeliveryTrace, PacketTracer
 from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 from repro.sim.experiments import fig10c_rack
@@ -255,16 +257,62 @@ class TestEligibility:
 FIG10C_CAPACITY = 8 * 50_000.0
 
 
+class TestBatchHooks:
+    """Batch-capable delivery hooks ride the lanes and see what the event
+    loop shows them, on every layout and with several clients."""
+
+    @pytest.mark.parametrize("layout,extra", [
+        ("paper", {}), ("setassoc", {}),
+        ("orbit", dict(value_size=96, num_value_stages=2))])
+    def test_hooks_fed_by_the_lanes_match_the_event_loop(self, layout,
+                                                         extra):
+        config = SimCoreConfig(
+            num_servers=4, num_keys=300, cache_items=32, lookup_entries=128,
+            write_ratio=0.2, num_clients=2, client_rates=(6e4, 3.7e4),
+            duration=0.02, seed=11, layout=layout, **extra)
+        runs = []
+        for lanes in (False, True):
+            cluster, client, _ = build_rack(config)
+            monitor = CoherenceMonitor(cluster.sim)
+            durability = WriteDurabilityInvariant().bind(cluster)
+            if lanes:
+                cluster.run(config.duration)
+            else:
+                cluster.sim.run_until(config.duration)
+            lost = []
+            durability.on_quiesce(cluster.sim.now,
+                                  lambda *violation: lost.append(violation))
+            runs.append(((monitor.violations, monitor.reads_checked,
+                          monitor.writes_seen, lost),
+                         counters_snapshot(cluster, client,
+                                           engine=cluster.engine),
+                         cluster.engine))
+        (seen, loop_snap, _), (lanes_seen, lanes_snap, engine) = runs
+        assert engine.coverage() == 1.0 and engine.hook_ties == 0
+        assert lanes_seen == seen
+        assert seen[1] > 0 and seen[2] > 0
+        assert diff_snapshots(loop_snap, lanes_snap) == []
+
+
 class TestClusterRun:
     """``Cluster.run`` picks the lanes engine once per rack and says why
     when it does not."""
 
     def test_scalar_reason_says_why(self, tmp_path):
-        # An invariant suite's delivery hook keeps a chaos rack scalar.
+        # An invariant suite's delivery hooks take rows: a chaos rack runs
+        # in lanes.
         runner = ChaosRunner(ChaosConfig(duration=0.005, drain=0.002))
+        runner.run()
+        assert runner.cluster.scalar_reason is None
+        assert runner.cluster.engine is not None
+        assert runner.cluster.engine.coverage() == 1.0
+        # A hook without the batch form keeps it on the event loop.
+        runner = ChaosRunner(ChaosConfig(duration=0.005, drain=0.002))
+        tracer = PacketTracer(runner.cluster.sim)
         runner.run()
         assert runner.cluster.engine is None
         assert runner.cluster.scalar_reason == "foreign_hook"
+        assert tracer.records
         # A replayed trace cannot be drawn in batches: the engine's
         # ConfigurationError is the reason.
         cluster, client = fig10c_rack(True, 2e4, num_servers=4,

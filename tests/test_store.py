@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError, ValueFormatError
-from repro.kvstore.store import KVStore
+import numpy as np
+
+from repro.kvstore.store import KVStore, ReadColumns
 
 
 class TestApi:
@@ -36,6 +38,25 @@ class TestApi:
         store.get(b"k")
         store.delete(b"k")
         assert (store.puts, store.gets, store.deletes) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("backend", ["open", "chained"])
+def test_peek_batch_reads_like_get_and_moves_no_counter(backend):
+    store = KVStore(num_cores=4, backend=backend)
+    keys = [f"key{i}".encode() for i in range(50)]
+    for key in keys[:40]:
+        store.put(key, key * 2)
+    columns = ReadColumns(keys, 4)
+    ids = np.array([3, 45, 3, 39, 0, 49])
+
+    def counters():
+        return (store.gets, list(store.core_ops), store.probe_totals())
+
+    before = counters()
+    peeked = store.peek_batch(ids, columns)
+    assert counters() == before
+    assert peeked == [store.get(keys[i]) for i in ids.tolist()]
+    assert peeked[1] is None and peeked[0] == keys[3] * 2
 
 
 class TestSharding:
