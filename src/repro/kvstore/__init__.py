@@ -6,7 +6,6 @@ from repro.kvstore.hashtable import HashTable
 from repro.kvstore.partition import HashPartitioner
 from repro.kvstore.server import StorageServer
 from repro.kvstore.shim import ServerShim
-from repro.kvstore.snapshot import clone_store, load_store, save_store
 from repro.kvstore.store import KVStore
 
 __all__ = [
@@ -16,7 +15,4 @@ __all__ = [
     "KVStore",
     "ServerShim",
     "StorageServer",
-    "clone_store",
-    "load_store",
-    "save_store",
 ]

@@ -31,12 +31,12 @@ it works:
   (``FastPathEngine._stages``, in pipeline order): the lanes of the hop
   by server id, ``flush(sid, chunks)`` for the rows a flush takes, and
   ``emit(sid, chunk, i)`` to turn one pending row back into the event
-  the scalar loop would hold.  Flushing, the retry scan and the
+  the scalar loop would hold.  Flushing, the retry timer floor and the
   fallback all walk the table, so a new hop is a new row.
-  A row that leaves the lanes for good (dropped at a crashed node,
-  blocked behind a cache update, materialized) passes through one hook,
+  A row that leaves the lanes (dropped at a crashed node, blocked behind
+  a cache update, materialized) passes through one hook,
   ``_scalarize_rows``, which registers the ``_Outstanding`` the scalar
-  client would hold.
+  client would hold; a row in the lanes never has one.
 * **Write lanes.** Writes ride the same lanes as reads.  At the switch
   they take the real write pipeline (:meth:`NetCacheSwitch.
   process_write_packet` → ``_process_write``: lookup, cache-hit
@@ -68,15 +68,12 @@ it works:
   bound true and — while a server is down or a write could block — the
   earliest retry timer a dropped or blocked request could get.  When the
   bound fails (a server queue grows, an event adds server work), the
-  engine examines the requests in flight at that moment and advances a
-  *flag horizon* in ``tmin`` steps — each taken only once no event is
-  left below it, so the window really is flushed — until the bound holds
-  again.  At each step an entry whose exact attempt-0 deadline falls
-  inside the next step is *scalarized*: its real ``_Outstanding``
-  (template, per-seq RNG, timer at the exact scalar deadline) is
-  registered and retransmissions run as ordinary events, while the
-  original packet keeps riding the lanes and its reply is resolved
-  per-entry.
+  window falls back like a fault window (``retry_bound``): every row in
+  flight was bounded until then, so its exact attempt-0 deadline lies
+  ahead of the clock, and materializing it gives it the real
+  ``_Outstanding`` (template, per-seq RNG, timer at that deadline) the
+  scalar client holds.  The engine steps events until the bound holds
+  again; requests sent meanwhile keep their real timers.
 * **Geometry lanes.** All three cache layouts run natively: the switch
   classification consumes each layout's vectorized batch probe
   (``CacheLayout.classify_reads`` — set-index + fingerprint kernels for
@@ -129,16 +126,17 @@ it works:
   up and every foreign delivery hook takes rows.  What still falls back:
   loss, duplication, reordering and down links (``link_fault``), a
   crashed switch or client (``node_down``), a hook without the batch
-  form (``foreign_hook``) and any drop hook (``drop_hook``).  When a
-  fault opens,
+  form (``foreign_hook``), any drop hook (``drop_hook``) and, on a
+  retry-armed rack, a failed reply-latency bound (``retry_bound``, checked
+  in :meth:`FastPathEngine.run_until`).  When a window falls back,
   pending lane entries are materialized back into real delivery/
   completion events (with matching ``_outstanding`` and retry-timer
   bookkeeping) and the engine drives the clients with real per-packet
-  send chains until the rack is clean again.  Down *servers* do not dirty
-  a window: their drops are deterministic node drops, accounted at the
-  same times as the scalar path.  Fallback reasons are tallied in
-  :attr:`fallback_reasons` and mirrored to ``fastpath.fallback.*`` obs
-  counters when a session is live.
+  send chains until the rack is clean, and the bound holds, again.  Down
+  *servers* do not dirty a window: their drops are deterministic node
+  drops, accounted at the same times as the scalar path.  Fallback
+  reasons are tallied in :attr:`fallback_reasons` and mirrored to
+  ``fastpath.fallback.*`` obs counters when a session is live.
 
 Equivalence contract: after ``run_until(t)`` every gated counter — sim
 delivered/lost/node_drops, client/server/switch/dataplane/statistics/
@@ -316,7 +314,7 @@ class _ClientState:
     __slots__ = ("client", "idx", "link", "policy",
                  "q_flags", "q_items", "q_pos",
                  "next_send", "prev_send", "pending_send",
-                 "scalarized", "lane_sends", "scalar_sends")
+                 "lane_sends", "scalar_sends")
 
     def __init__(self, client: WorkloadClient, idx: int, link):
         self.client = client
@@ -332,9 +330,6 @@ class _ClientState:
         #: stands in for the scalar heap's event sequence number.
         self.prev_send = -np.inf
         self.pending_send = None
-        #: seqs whose lane reply must be resolved per-entry because a real
-        #: ``_Outstanding`` (retry timer / blocked write) exists for them.
-        self.scalarized = set()
         self.lane_sends = 0
         self.scalar_sends = 0
 
@@ -470,17 +465,13 @@ class FastPathEngine:
         self._cached_mask_version = -1
 
         # Retry support: the smallest possible attempt-0 timeout across
-        # clients bounds every reply-latency bound, and how far lanes may
-        # run ahead of the flag horizon while the bound fails.
+        # clients bounds every reply-latency bound.
         tmins = [st.policy.min_delay() for st in self._states
                  if st.policy is not None]
         self._tmin: Optional[float] = min(tmins) if tmins else None
-        #: where the tmin steps stand; None while the bound holds.
-        self._flag_horizon: Optional[float] = -np.inf
         #: the highest flush limit: no lane row is below it, and no row
         #: was flushed past it.
         self._frontier = -np.inf
-        self._deadlines: Dict[tuple, float] = {}
 
         self._mode = _FAST
         self._started = False
@@ -503,10 +494,6 @@ class FastPathEngine:
         self.fallback_reasons: Dict[str, int] = {}
         #: lane entries handed a real _Outstanding for retry timing.
         self.retry_scalarized = 0
-        #: windows cut at the retry flag horizon (the bound failed).
-        self.capped_windows = 0
-        #: write completions that registered a real entry (blocked/queued).
-        self.write_scalarized = 0
         #: client replies delivered at exactly the time of the reply before
         #: them to the same client, within one flush: the lanes order such
         #: a pair by stream position, the scalar heap by event sequence,
@@ -565,10 +552,10 @@ class FastPathEngine:
             now = self.sim.now
             for st in self._states:
                 st.next_send = now
-            self._flag_horizon = now
         while True:
             if self._mode is _SCALAR:
-                if self._dirty_reason() is None:
+                if self._dirty_reason() is None \
+                        and self._retry_cut(t_end, True) is not None:
                     self._enter_fast()
                     continue
                 nev = events.peek_time()
@@ -581,11 +568,12 @@ class FastPathEngine:
                 self._enter_scalar(reason)
                 continue
             nev = events.peek_time()
-            tgt = t_end if nev is None else min(nev, t_end)
-            inclusive = nev is None or nev > t_end
-            capped = False
-            if self._tmin is not None:
-                tgt, inclusive, capped = self._retry_cut(tgt, inclusive)
+            cut = self._retry_cut(t_end if nev is None else min(nev, t_end),
+                                  nev is None or nev > t_end)
+            if cut is None:
+                self._enter_scalar("retry_bound")
+                continue
+            tgt, inclusive = cut
             self._generate_sends(tgt, inclusive)
             self._flush_lanes(tgt, inclusive)
             # Flushing may have scheduled cache updates or retry timers
@@ -596,12 +584,6 @@ class FastPathEngine:
             nev = events.peek_time()
             if nev is not None and nev <= tgt:
                 events.step()
-                continue
-            if capped:
-                # No event is left below `tgt`, so everything below it is
-                # resolved; examine the survivors (the in-flight
-                # pipeline) and move the horizon.
-                self._advance_flag_horizon(tgt)
                 continue
             if not inclusive:
                 continue
@@ -800,24 +782,18 @@ class FastPathEngine:
         pkt.created_at = float(chunk.sent[i])
         return pkt
 
-    def _scalarize_entry(self, st: _ClientState, chunk: _Chunk, i: int,
-                         track: bool = False) -> None:
+    def _scalarize_entry(self, st: _ClientState, chunk: _Chunk,
+                         i: int) -> None:
         """Register the real ``_Outstanding`` the scalar path would hold
         for row *i*.
 
         Replicates ``WorkloadClient._send`` exactly: same template fields,
         same per-seq RNG stream (one delay drawn for the attempt-0 timer),
         same timer time ``sent + delay(0)``.  Idempotent per seq.
-
-        *track* marks the seq as expecting a lane reply (the original
-        request keeps riding the lanes), switching the client's reply
-        flush to per-entry resolution; entries whose answer comes as a
-        real event (blocked writes, drops, materialized lanes) must NOT
-        be tracked or the set would leak.
         """
         client = st.client
         seq = int(chunk.seqs[i])
-        if seq in st.scalarized or seq in client._outstanding:
+        if seq in client._outstanding:
             return
         # The client's own op: a reply stands for its request, a
         # PUT_CACHED rewrite for the PUT that was sent.
@@ -834,16 +810,12 @@ class FastPathEngine:
                 max(deadline, self.events.now), client._on_timeout, seq)
             self.retry_scalarized += 1
         client._outstanding[seq] = entry
-        if track:
-            st.scalarized.add(seq)
 
     def _scalarize_rows(self, chunk: _Chunk, always: bool = False) -> None:
         """The one exit from the lanes: rows that were dropped at a
         crashed node, blocked behind a cache update or materialized keep
         their scalar retry state alive.
 
-        The lane entry is gone, so a previously-tracked seq stops
-        expecting a lane reply (whatever answers it is a real event).
         Without a retry policy the scalar client would still hold an
         ``_Outstanding``, but nothing could ever read it — unless the row
         itself becomes a real event whose reply looks its entry up:
@@ -856,54 +828,45 @@ class FastPathEngine:
             st = self._state_of(chunk, i)
             if always or st.policy is not None:
                 self._scalarize_entry(st, chunk, i)
-                st.scalarized.discard(int(chunk.seqs[i]))
 
     def _retry_cut(self, tgt: float, inclusive: bool):
-        """The window ``(end, inclusive, capped)`` that no unexamined
-        request can time out inside.
+        """The window ``(end, inclusive)`` up to *tgt* that no request in
+        the lanes can time out inside, or None when the reply-latency bound
+        fails (:meth:`_reply_room`).
 
-        While the reply-latency bound holds (:meth:`_reply_room`), the
-        window ends only where its sends would break it — a running client
-        issues at most ``length * rate + 2`` sends in a window, the float
-        chain drifting by less than one send — or where a request leaving
-        the lanes could get its retry timer (:meth:`_timer_floor`).
-        Otherwise it ends at the next ``tmin`` step of the flag horizon;
-        the window in which the bound fails first examines the requests
-        in flight, whose deadlines all lie ahead (each was bounded below
-        its own until now).
+        The window ends only where its sends would break the bound — a
+        running client issues at most ``length * rate + 2`` sends in a
+        window, the float chain drifting by less than one send — or where
+        a request leaving the lanes could get its retry timer
+        (:meth:`_timer_floor`).  Every row in flight was bounded until
+        now, so when the bound fails its attempt-0 deadline still lies
+        ahead of the clock, and the fallback gives it its exact timer.
         """
+        if self._tmin is None:
+            return tgt, inclusive
         # No request reaches a server before the lanes' frontier from here
         # on, nor before the clock.
         ref = max(self._frontier, self.events.now)
         room = self._reply_room(ref)
         running = [st for st in self._states if st.client.running]
         drift = 2 * len(running)
-        cut = -np.inf
-        if room > drift:
-            cut = self._timer_floor()
-            if running:
-                cut = min(cut, min(st.next_send for st in running) + (
-                    room - drift) / sum(st.client.rate for st in running))
-        if cut > ref:
-            self._flag_horizon = None
-            if cut < tgt or (cut == tgt and inclusive):
-                return cut, False, False
-            return tgt, inclusive, False
-        if self._flag_horizon is None:
-            self._advance_flag_horizon(ref)
-        safe = self._flag_horizon + self._tmin
-        if tgt > safe:
-            # Lanes may not outrun the retry flag horizon: an unexamined
-            # entry could time out inside the window.
-            self.capped_windows += 1
-            return safe, False, True
-        return tgt, inclusive, False
+        if room <= drift:
+            return None
+        cut = self._timer_floor()
+        if running:
+            cut = min(cut, min(st.next_send for st in running) + (
+                room - drift) / sum(st.client.rate for st in running))
+        if cut <= ref:
+            return None
+        if cut < tgt or (cut == tgt and inclusive):
+            return cut, False
+        return tgt, inclusive
 
     def _reply_room(self, ref: float) -> float:
         """How many sends the next window may add while every request in
-        flight, those included, is provably answered before its attempt-0
-        deadline (negative when the bound fails); no request reaches a
-        server before *ref*, and nothing was flushed past it.
+        the lanes, those included, is provably answered before its
+        attempt-0 deadline (negative when the bound fails); no request
+        reaches a server before *ref*, and nothing was flushed past it.
 
         A request ahead of its server is answered within ``P + W`` of its
         send.  ``P`` is the fixed path: both links both ways, the largest
@@ -912,20 +875,14 @@ class FastPathEngine:
         row wait longer when arrivals are added, so ``W`` is at most the
         largest backlog at *ref* plus one service time per row that can
         reach a server before it: every row ahead of the servers and every
-        send of the window.  A request past its server (or served by the
-        cache) is answered by ``ref + P + backlog``.
+        send of the window.
 
-        While the bound holds, every request passed its server under it,
-        so ``P + W < tmin`` is the whole test; work a stepped event adds
-        to a queue is in the backlog the next time this is asked, and an
-        event bounds every window.  Coming back from the ``tmin`` steps,
-        a request past its server may have waited long, and its deadline
-        is only known to lie past ``horizon + tmin``; so the bound must
-        also hold from the horizon, not just from *ref*.
+        A lane row passed its server under the bound, so ``P + W < tmin``
+        is the whole test; work a stepped event adds to a queue is in the
+        backlog the next time this is asked, and an event bounds every
+        window.  Requests the event loop sent hold real timers.
         """
         limit = self._tmin - _FLOAT_SLACK * (1.0 + abs(ref))
-        if self._flag_horizon is not None:
-            limit -= ref - self._flag_horizon
         service = max(srv.service_time for srv in self._servers.values())
         ahead = self._sw_arr.pending() + sum(
             lane.pending() for lane in self._srv_arr.values())
@@ -960,44 +917,6 @@ class FastPathEngine:
         any row that reaches its server from then on."""
         return max(0.0, max(srv._busy_until
                             for srv in self._servers.values()) - ref)
-
-    def _advance_flag_horizon(self, cursor: float) -> None:
-        """Examine every in-flight entry; scalarize the ones whose exact
-        attempt-0 deadline falls before the next horizon step.
-
-        Runs only while the reply-latency bound fails, once per
-        ``tmin``-sized step, over the pipeline depth only — everything
-        with a reply below *cursor* is already resolved and gone from the
-        lanes.  An entry survives unscalarized only while its exact
-        deadline lies beyond the next step, so its timer is always
-        scheduled in the future (never clamped) and always before the
-        lanes flush past it.
-        """
-        limit = cursor + self._tmin
-        fresh: Dict[tuple, float] = {}
-        for stage in self._stages:
-            for lane in stage.lanes.values():
-                for chunk in lane.rest():
-                    for i in range(len(chunk)):
-                        st = self._state_of(chunk, i)
-                        policy = st.policy
-                        if policy is None:
-                            continue
-                        seq = int(chunk.seqs[i])
-                        if seq in st.scalarized \
-                                or seq in st.client._outstanding:
-                            continue
-                        dkey = (st.idx, seq)
-                        deadline = self._deadlines.get(dkey)
-                        if deadline is None:
-                            deadline = float(chunk.sent[i]) + policy.delay(
-                                0, policy.make_rng(seq))
-                        if deadline <= limit:
-                            self._scalarize_entry(st, chunk, i, track=True)
-                        else:
-                            fresh[dkey] = deadline
-        self._deadlines = fresh
-        self._flag_horizon = cursor
 
     # -- lane flushing -------------------------------------------------------------
 
@@ -1327,7 +1246,7 @@ class FastPathEngine:
         process_write_packet` (real dataplane state).  Returns the
         forwarded op (``PUT`` or ``PUT_CACHED``) when the owner is up,
         ``None`` when the packet died at a crashed owner (in which case
-        the retry state has already been scalarized).
+        the row has already left the lanes with its retry state).
         """
         sim = self.sim
         pkt = self._request_packet(chunk, i)
@@ -1533,7 +1452,6 @@ class FastPathEngine:
             # real drain event will answer through the real transport,
             # which looks the entry up whatever the retry policy.
             self._scalarize_rows(chunk.rows(slice(i, i + 1)), always=True)
-            self.write_scalarized += 1
             return -1
         if down:
             sim._drop_at_node()
@@ -1574,72 +1492,25 @@ class FastPathEngine:
                 self._hold(4, c, c.rv, np.full(len(c), c.hit))
         obs = _obs.ACTIVE
         if obs is not None:
-            self._observe_replies(obs, t, seq, sent, hit, idx)
+            # What ``NetCacheClient.handle_packet`` feeds the session, in
+            # merged delivery order (the histogram's sum is order-sensitive).
+            obs.client_latency.observe_batch((t - sent) + CLIENT_OVERHEAD)
+            hits = int(hit.sum())
+            obs.client_hits.inc(hits)
+            obs.client_misses.inc(len(t) - hits)
         for st, sel in self._per_client(idx):
-            tc, sc = t[sel], seq[sel]
+            tc = t[sel]
             self.reply_ties += int(np.count_nonzero(tc[1:] == tc[:-1]))
-            self._note_ops(tc, self.tor_id, st.client.node_id, rop[sel], sc)
-            self._client_reply_batch(st, tc, sc, sent[sel], hit[sel])
-
-    def _observe_replies(self, obs, t, seq, sent, hit, idx) -> None:
-        """What ``NetCacheClient.handle_packet`` feeds the session, for a
-        flush's replies in merged delivery order (the histogram's sum is
-        order-sensitive): the latency and hit/miss of every reply that
-        finds its request.  The late duplicates ``_client_reply_one``
-        ignores are skipped here, before it consumes their entries."""
-        keep = np.ones(len(t), dtype=bool)
-        for st, sel in self._per_client(idx):
-            if st.scalarized:
-                live = st.client._outstanding
-                keep[sel] = [s not in st.scalarized or s in live
-                             for s in seq[sel].tolist()]
-        if not keep.all():
-            t, sent, hit = t[keep], sent[keep], hit[keep]
-        obs.client_latency.observe_batch((t - sent) + CLIENT_OVERHEAD)
-        hits = int(hit.sum())
-        obs.client_hits.inc(hits)
-        obs.client_misses.inc(len(t) - hits)
-
-    def _client_reply_batch(self, st: _ClientState, t, seq, sent,
-                            hit) -> None:
-        client = st.client
-        if st.scalarized:
-            # Some seqs carry real outstanding entries (retry timers,
-            # blocked writes); resolve the whole batch per-entry so the
-            # latency list keeps delivery-time order.
-            for i in range(len(t)):
-                self._client_reply_one(st, int(seq[i]), float(t[i]),
-                                       float(sent[i]), bool(hit[i]))
-            return
-        n = len(t)
-        client.received += n
-        client.cache_hits += int(hit.sum())
-        client._interval_received += n
-        latencies = (t - sent) + CLIENT_OVERHEAD
-        room = client.max_latency_samples - len(client.latencies)
-        if room > 0:
-            client.latencies.extend(latencies[:room].tolist())
-
-    def _client_reply_one(self, st: _ClientState, seq: int, t: float,
-                          sent: float, hit: bool) -> None:
-        """Scalar-exact reply handling for one lane entry
-        (mirrors ``NetCacheClient.handle_packet``)."""
-        client = st.client
-        if seq in st.scalarized:
-            st.scalarized.discard(seq)
-            entry = client._outstanding.pop(seq, None)
-            if entry is None:
-                # Already answered by a retransmission (or expired):
-                # the scalar path ignores the late duplicate.
-                return
-            if entry.timer is not None:
-                entry.timer.cancel()
-        client.received += 1
-        if hit:
-            client.cache_hits += 1
-        client._interval_received += 1
-        if len(client.latencies) < client.max_latency_samples:
-            client.latencies.append((t - sent) + CLIENT_OVERHEAD)
+            self._note_ops(tc, self.tor_id, st.client.node_id, rop[sel],
+                           seq[sel])
+            client = st.client
+            client.received += len(tc)
+            client.cache_hits += int(hit[sel].sum())
+            client._interval_received += len(tc)
+            room = client.max_latency_samples - len(client.latencies)
+            if room > 0:
+                latencies = (tc - sent[sel]) + CLIENT_OVERHEAD
+                client.latencies.extend(latencies[:room].tolist())
 
     # -- fault-window fallback -------------------------------------------------------
 
@@ -1648,8 +1519,6 @@ class FastPathEngine:
             if st.pending_send is not None:
                 st.pending_send.cancel()
                 st.pending_send = None
-        # The lanes are empty; no send is examined before the clock.
-        self._flag_horizon = self.events.now
         self._mode = _FAST
 
     def _enter_scalar(self, reason: str = "fault") -> None:
@@ -1705,9 +1574,8 @@ class FastPathEngine:
 
     def _materialize(self) -> None:
         """Every pending lane row becomes the event the scalar loop would
-        hold for it, with the ``_Outstanding`` its reply will look up (a
-        scalarized seq already has one); the lane entry and its reply
-        are real from here on."""
+        hold for it, with the ``_Outstanding`` its reply will look up; the
+        lane entry and its reply are real from here on."""
         for stage in self._stages:
             for sid, lane in stage.lanes.items():
                 for chunk in lane.rest():
@@ -1720,4 +1588,3 @@ class FastPathEngine:
             for t, key in zip(batch.t.tolist(), batch.keys):
                 self.events.schedule_abs(t, batch.handler, key)
         self._reports.clear()
-        self._deadlines.clear()

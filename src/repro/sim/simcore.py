@@ -276,7 +276,6 @@ def counters_snapshot(cluster: Cluster, client,
         snap["fastpath.fallbacks"] = dict(engine.fallback_reasons)
         snap["fastpath.reply_ties"] = engine.reply_ties
         snap["fastpath.hook_ties"] = engine.hook_ties
-        snap["fastpath.capped_windows"] = engine.capped_windows
     return snap
 
 

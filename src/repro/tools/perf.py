@@ -382,7 +382,7 @@ def _race(config: SimCoreConfig) -> Tuple[Dict, Dict]:
     latency sample and the delivery-trace digest byte-identical.  Returns
     ``(results, wall)``: the replay counters, the verdict and the engine's
     telemetry (the share of packets that ran under lanes, and why the
-    rest scalarized), then the two paths' host time.
+    rest fell back), then the two paths' host time.
     """
     start = perf_counter()
     batched = run_batched(config)

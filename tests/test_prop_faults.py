@@ -259,12 +259,24 @@ class TestChaosSabotage:
     is caught there, and a defect in what the lanes report is caught on
     the lanes side only."""
 
-    #: a retry timeout below the rack's reply latency, so that writes the
-    #: lanes carry are retransmitted and their duplicates reach the
-    #: shims' dedup windows.
-    RETRYING = dict(seed=4, duration=0.03, drain=0.03, client_retries=True,
-                    write_ratio=0.3, rate=50_000.0, retry_timeout=9e-6,
-                    retry_max=20, retry_backoff=1.0)
+    #: one server, under client retries, at 25k q/s and crashed for
+    #: 0.3 ms of every 1 ms: a write the lanes apply just before a crash
+    #: loses its reply, and its retransmission after the restart reaches
+    #: the shim's dedup window.
+    RETRYING = dict(seed=0, num_servers=1, duration=0.05, drain=0.03,
+                    client_retries=True, write_ratio=0.5, rate=20_000.0,
+                    retry_max=20)
+
+    def retrying_runner(self):
+        config = ChaosConfig(**self.RETRYING)
+        runner = ChaosRunner(config)
+        sid = runner.cluster.plan.server_ids[0]
+        runner.cluster.servers[sid].service_time = 40e-6
+        runner.schedule = FaultSchedule(seed=config.seed)
+        for ms in range(round(config.duration * 1e3)):
+            runner.schedule.crash_server(ms * 1e-3 + 5e-4, sid, 3e-4)
+        runner.injector = FaultInjector(runner.cluster, runner.schedule)
+        return runner
 
     def test_dedup_bypass_for_a_lane_applied_write_names_exactly_once(
             self, monkeypatch):
@@ -299,7 +311,7 @@ class TestChaosSabotage:
                             in_flush)
         monkeypatch.setattr(ServerShim, "_apply_write", note)
         monkeypatch.setattr(DedupWindow, "lookup", spot)
-        ChaosRunner(ChaosConfig(**self.RETRYING)).run()
+        self.retrying_runner().run()
         assert found
         monkeypatch.undo()
 
@@ -309,8 +321,7 @@ class TestChaosSabotage:
             return lookup(window, client, token)
 
         monkeypatch.setattr(DedupWindow, "lookup", bypass)
-        runs = loop_and_lanes(lambda: ChaosRunner(ChaosConfig(
-            **self.RETRYING)))
+        runs = loop_and_lanes(self.retrying_runner)
         client, token = found[0]
         for report, _, _ in runs:
             assert [v for v in report.violations
@@ -318,7 +329,10 @@ class TestChaosSabotage:
                     and f"client={client} token={token}" in v], \
                 report.violations
         (_, loop_snap, _), (_, lanes_snap, engine) = runs
-        assert engine.coverage() == 1.0
+        # The queue of the one server outgrows the retry budget at times,
+        # and the event loop takes those windows.
+        assert engine.coverage() > 0
+        assert set(engine.fallback_reasons) <= {"retry_bound"}
         assert diff_snapshots(loop_snap, lanes_snap) == []
 
     def test_pre_invalidation_hit_value_names_the_stale_read(

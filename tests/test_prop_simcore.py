@@ -156,6 +156,7 @@ def drive(config, cluster, client, trace, batched):
         engine.run(config.duration)
         snap = counters_snapshot(cluster, client, trace, engine=engine)
         snap["fastpath.reports_materialized"] = sum(in_lane)
+        snap["fastpath.ends_in_lanes"] = engine._mode == "fast"
         return snap
     cluster.sim.run_until(cluster.sim.now + config.duration)
     return counters_snapshot(cluster, client, trace)
@@ -240,12 +241,18 @@ NO_FAULTS = FaultPlan(flap_server=False, victim=0, loss_burst=False,
 
 
 class SlowServers:
-    """No fault: servers at ~9k q/s, so their queues outgrow the retry
-    budget and lane replies reach requests that already timed out."""
+    """No fault: servers at ~9k q/s from 30% to 45% of the run, so their
+    queues outgrow the retry budget.  The lanes' reply-latency bound
+    fails, the event loop retransmits, and once the queues drain the
+    bound holds and the lanes resume."""
 
     def apply(self, cluster, client, report_times=()):
+        ev = cluster.sim.events
         for server in cluster.servers.values():
-            server.service_time = 1.1e-4
+            ev.schedule_at(0.3 * DURATION, setattr, server, "service_time",
+                           1.1e-4)
+            ev.schedule_at(0.45 * DURATION, setattr, server, "service_time",
+                           server.service_time)
 
 
 @pytest.mark.parametrize("config, plan", [
@@ -266,12 +273,15 @@ def test_registry_replays_scalar_exactly(config, plan):
     assert scalar["obs.client.request"]["count"] > 0
     if isinstance(plan, SlowServers):
         assert scalar["obs.client.timeouts"]["value"] > 0
+        assert set(batched["fastpath.fallbacks"]) == {"retry_bound"}
+        assert 0.0 < batched["fastpath.coverage"] < 1.0
+        assert batched["fastpath.ends_in_lanes"]
     if config.write_ratio:
         assert scalar["obs.shim.cache_update.rtt"]["count"] > 0
     if getattr(plan, "loss_burst", False):
         assert batched["fastpath.fallbacks"] == {"link_fault": 1}
         assert scalar["obs.net.dropped"]["value"] > 0
-    else:
+    elif plan is NO_FAULTS:
         assert batched["fastpath.coverage"] == 1.0
 
 
@@ -339,8 +349,9 @@ def retry_configs(draw):
 def test_retry_racks_replay_scalar_exactly(config, rack):
     """Both sides of the reply-latency bound's threshold: service rate,
     offered load, retry timeout and jitter, and layout drawn at random;
-    the lanes take whole windows, ``tmin`` steps or both, and the
-    counters stay byte-identical to the event loop's.
+    the lanes take whole windows, the event loop steps while the bound
+    fails, or both, and the counters stay byte-identical to the event
+    loop's.
 
     Offered load stays below half the servers' capacity, during the
     burst too when the rack writes: an overloaded rack with writes
@@ -352,6 +363,6 @@ def test_retry_racks_replay_scalar_exactly(config, rack):
     scalar = run_path(config, rack, False)
     batched = run_path(config, rack, True)
     assert diff_snapshots(scalar, batched) == []
-    assert batched["fastpath.coverage"] == 1.0
-    event("tmin steps" if batched["fastpath.capped_windows"]
-          else "whole windows")
+    fallbacks = batched["fastpath.fallbacks"]
+    assert set(fallbacks) <= {"retry_bound"}
+    event("retry_bound fallback" if fallbacks else "whole windows")

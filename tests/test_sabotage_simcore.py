@@ -254,8 +254,8 @@ class TestBehavioralSabotage:
             orig = engine._scalarize_entry
             armed = {"live": True}
 
-            def sabotaged(st, chunk, i, track=False):
-                orig(st, chunk, i, track=track)
+            def sabotaged(st, chunk, i):
+                orig(st, chunk, i)
                 entry = st.client._outstanding.get(int(chunk.seqs[i]))
                 if armed["live"] and entry is not None \
                         and entry.timer is not None:
