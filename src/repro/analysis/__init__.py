@@ -1,35 +1,13 @@
-"""Analysis helpers: load-balancing theory, summary statistics, the
-DES-vs-model cross-validation, and the runtime coherence monitor."""
+"""Analysis helpers: the DES-vs-model cross-validation and the runtime
+coherence monitor."""
 
 from repro.analysis.coherence import CoherenceMonitor, Violation
 from repro.analysis.validation import ValidationPoint, drive_at, predict
-from repro.analysis.distributions import (
-    fraction_below,
-    latency_summary,
-    normalized,
-    percentile,
-)
-from repro.analysis.theory import (
-    caching_nodes_needed,
-    load_imbalance,
-    small_cache_bound,
-    utilization_at_saturation,
-    zipf_head_mass,
-)
 
 __all__ = [
     "CoherenceMonitor",
     "ValidationPoint",
     "Violation",
-    "caching_nodes_needed",
     "drive_at",
-    "fraction_below",
     "predict",
-    "latency_summary",
-    "load_imbalance",
-    "normalized",
-    "percentile",
-    "small_cache_bound",
-    "utilization_at_saturation",
-    "zipf_head_mass",
 ]

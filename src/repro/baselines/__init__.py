@@ -1,12 +1,12 @@
-"""Baselines and ablations: NoCache, server-based cache layer, selective
-replication, and cache-update policies under an update-rate budget."""
+"""Baselines and ablations: server-based cache layer, selective
+replication, consistent hashing, and cache-update policies under an
+update-rate budget.  NoCache is ``make_cluster(enable_cache=False)``."""
 
 from repro.baselines.consistent import (
     ConsistentHashRing,
     moved_keys_on_join,
     ring_load_vector,
 )
-from repro.baselines.nocache import make_nocache_cluster, nocache_equilibrium
 from repro.baselines.policies import (
     CachePolicy,
     LfuPolicy,
@@ -33,8 +33,6 @@ __all__ = [
     "ServerCacheResult",
     "ThresholdPolicy",
     "compare_policies",
-    "make_nocache_cluster",
-    "nocache_equilibrium",
     "simulate_replication",
     "simulate_server_cache",
 ]

@@ -2,20 +2,16 @@
 popularity churn, and rate adaptation."""
 
 from repro.client.api import NetCacheClient, SyncClient, WorkloadClient
-from repro.client.batch import BatchClient, BatchResult
 from repro.client.bigvalues import BigValueClient, ChunkedValueCodec
 from repro.client.dynamics import ChurnSchedule, PopularityMap
 from repro.client.hashedkeys import HashedKeyCodec, VariableKeyClient
 from repro.client.ratecontrol import AimdRateController
-from repro.client.tracefile import TraceWorkload, read_trace, record, write_trace
 from repro.client.workload import Workload, WorkloadSpec
 from repro.client.ycsb import ycsb_spec, ycsb_workload
 from repro.client.zipf import KeySpace, ZipfDistribution, ZipfGenerator
 
 __all__ = [
     "AimdRateController",
-    "BatchClient",
-    "BatchResult",
     "BigValueClient",
     "ChunkedValueCodec",
     "ChurnSchedule",
@@ -25,11 +21,7 @@ __all__ = [
     "NetCacheClient",
     "PopularityMap",
     "SyncClient",
-    "TraceWorkload",
     "Workload",
-    "read_trace",
-    "record",
-    "write_trace",
     "WorkloadClient",
     "WorkloadSpec",
     "ZipfDistribution",

@@ -108,11 +108,14 @@ class CacheLayout:
     order) behind :meth:`key_index_of`, :meth:`cached_keys`,
     :meth:`is_cached` and :meth:`cache_size`; the key-index free list
     behind :meth:`_claim_index`/:meth:`_release_index` (layouts whose key
-    index is their slot never claim); and :meth:`_status_fields`, the
-    snapshot of a single :class:`CacheStatusModule` held as ``status``.
-    A layout supplies its probe (:meth:`lookup_hit`,
-    :meth:`classify_reads`), its placement (:meth:`install`,
-    :meth:`evict`, value reads and updates) and its accounting.
+    index is their slot never claim); :meth:`_status_fields`, the
+    snapshot of a single :class:`CacheStatusModule` held as ``status``;
+    and the ``lookup_hits``/``lookup_misses`` probe counters behind
+    :meth:`_counted`/:meth:`_count_lookups` (the paper layout counts in
+    its lookup table instead).  A layout supplies its probe
+    (:meth:`lookup_hit`, :meth:`classify_reads`), its placement
+    (:meth:`install`, :meth:`evict`, value reads and updates) and its
+    accounting.
     """
 
     #: registry name ("paper", "setassoc", "orbit").
@@ -120,12 +123,18 @@ class CacheLayout:
     #: the largest extra reply latency a hit can carry (the largest
     #: ``hit_delays`` entry :meth:`classify_reads` can return).
     max_hit_delay = 0.0
+    #: True when :meth:`install` into a full cache displaces a victim it
+    #: picks itself (given a *candidate_count*), so a controller never
+    #: evicts on its behalf.
+    picks_own_victim = False
 
     def __init__(self, free_indexes: int = 0):
         #: key -> key index, in install order.
         self._index: Dict[bytes, int] = {}
         #: unclaimed key indexes, popped LIFO (lowest first when fresh).
         self._free_indexes: List[int] = list(range(free_indexes - 1, -1, -1))
+        self.lookup_hits = 0
+        self.lookup_misses = 0
 
     # -- the key map ----------------------------------------------------------------
 
@@ -152,6 +161,22 @@ class CacheLayout:
 
     def cache_size(self) -> int:
         return len(self._index)
+
+    # -- probe accounting -----------------------------------------------------------
+
+    def _counted(self, key_index: Optional[int]) -> Optional[int]:
+        """Count one probe that found *key_index* (None: a miss);
+        returns it."""
+        if key_index is None:
+            self.lookup_misses += 1
+        else:
+            self.lookup_hits += 1
+        return key_index
+
+    def _count_lookups(self, found: int, probed: int) -> None:
+        """Count a batch of *probed* probes, *found* of them hits."""
+        self.lookup_hits += found
+        self.lookup_misses += probed - found
 
     # -- data plane ---------------------------------------------------------------
 
@@ -564,6 +589,7 @@ class SetAssocLayout(CacheLayout):
     """
 
     name = "setassoc"
+    picks_own_victim = True
 
     def __init__(self,
                  num_pipes: int = NUM_PIPES,
@@ -593,8 +619,6 @@ class SetAssocLayout(CacheLayout):
         #: cleared whenever install/evict mutates fingerprints or keys.
         self._probe_cache: Dict[bytes, Tuple[int, int]] = {}
         # Telemetry.
-        self.lookup_hits = 0
-        self.lookup_misses = 0
         self.fingerprint_mismatches = 0
         self.auto_evictions = 0
 
@@ -626,12 +650,8 @@ class SetAssocLayout(CacheLayout):
     # -- data plane ---------------------------------------------------------------
 
     def lookup_hit(self, key: bytes) -> Optional[LayoutHit]:
-        idx = self._slot_of(key)
-        if idx is None:
-            self.lookup_misses += 1
-            return None
-        self.lookup_hits += 1
-        if not self.status.is_valid(idx):
+        idx = self._counted(self._slot_of(key))
+        if idx is None or not self.status.is_valid(idx):
             return None
         self._way_hits[idx] += 1
         return LayoutHit(idx, idx)
@@ -640,11 +660,9 @@ class SetAssocLayout(CacheLayout):
         return self.value.read(hit.handle)
 
     def handle_write(self, key: bytes) -> bool:
-        idx = self._slot_of(key)
+        idx = self._counted(self._slot_of(key))
         if idx is None:
-            self.lookup_misses += 1
             return False
-        self.lookup_hits += 1
         self.status.invalidate(idx)
         return True
 
@@ -680,9 +698,7 @@ class SetAssocLayout(CacheLayout):
             mismatches[j] = cached[1]
         self.fingerprint_mismatches += int(mismatches.sum())
         found_pos = np.flatnonzero(slots >= 0)
-        nf = len(found_pos)
-        self.lookup_hits += nf
-        self.lookup_misses += n - nf
+        self._count_lookups(len(found_pos), n)
         found_slots = slots[found_pos]
         valid_vals = self.status.valid.read_int_batch(found_slots)
         valid_sel = valid_vals != 0
@@ -856,8 +872,6 @@ class OrbitLayout(CacheLayout):
             [None] * entries
         self.status = CacheStatusModule(0, entries=entries)
         # Telemetry.
-        self.lookup_hits = 0
-        self.lookup_misses = 0
         self.recirculations = 0
 
     def _passes_for(self, size: int) -> int:
@@ -866,12 +880,8 @@ class OrbitLayout(CacheLayout):
     # -- data plane ---------------------------------------------------------------
 
     def lookup_hit(self, key: bytes) -> Optional[LayoutHit]:
-        key_index = self._index.get(key)
-        if key_index is None:
-            self.lookup_misses += 1
-            return None
-        self.lookup_hits += 1
-        if not self.status.is_valid(key_index):
+        key_index = self._counted(self._index.get(key))
+        if key_index is None or not self.status.is_valid(key_index):
             return None
         extent = self._extents[key_index]
         return LayoutHit(key_index, extent, extra_passes=len(extent[0]) - 1)
@@ -883,11 +893,9 @@ class OrbitLayout(CacheLayout):
         return raw[:length]
 
     def handle_write(self, key: bytes) -> bool:
-        key_index = self._index.get(key)
+        key_index = self._counted(self._index.get(key))
         if key_index is None:
-            self.lookup_misses += 1
             return False
-        self.lookup_hits += 1
         self.status.invalidate(key_index)
         return True
 
@@ -933,9 +941,7 @@ class OrbitLayout(CacheLayout):
                 found_pos.append(j)
                 found_idx.append(key_index)
                 found_segs.append(len(extents[key_index][0]))
-        nf = len(found_pos)
-        self.lookup_hits += nf
-        self.lookup_misses += n - nf
+        self._count_lookups(len(found_pos), n)
         idx_arr = np.asarray(found_idx, dtype=np.int64)
         valid_vals = self.status.valid.read_int_batch(idx_arr)
         valid_sel = valid_vals != 0

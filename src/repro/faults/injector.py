@@ -34,7 +34,7 @@ class FaultInjector:
         events = self.schedule.events()
         queue = self.cluster.sim.events
         for event in events:
-            queue.schedule_at(max(event.time, queue.now), self._fire, event)
+            queue.schedule_abs(max(event.time, queue.now), self._fire, event)
         return len(events)
 
     def note(self, time: float, message: str) -> None:

@@ -79,20 +79,15 @@ class EventQueue:
         self._live += 1
         return ev
 
-    def schedule_at(self, when: float, callback: Callback, *args: Any,
-                    priority: int = 0) -> Event:
-        """Schedule at an absolute time (must not precede the clock)."""
-        return self.schedule(when - self.now, callback, *args, priority=priority)
-
     def schedule_abs(self, when: float, callback: Callback, *args: Any,
                      priority: int = 0) -> Event:
         """Schedule at *exactly* the absolute time *when*.
 
-        :meth:`schedule_at` routes through a relative delay, so the event
-        lands at ``now + (when - now)`` — one ulp off *when* for most
-        floats.  The batched fast path needs events at bit-exact times (its
-        equivalence gate compares float timestamps), so this constructs the
-        event directly at *when*.
+        Routing through a relative delay would land the event at
+        ``now + (when - now)`` — one ulp off *when* for most floats.  The
+        batched fast path needs events at bit-exact times (its equivalence
+        gate compares float timestamps), so this constructs the event
+        directly at *when*.
         """
         if when < self.now:
             raise SimulationError(

@@ -188,15 +188,6 @@ class Link:
             copies.append(delay + max(self.latency, 1e-9))
         return copies
 
-    def delivery_delay(self, src: int, now: float) -> Optional[float]:
-        """Compute the delay from *now* until delivery, or None if dropped.
-
-        Single-copy view of :meth:`delivery_plan`, kept for callers that do
-        not model duplication.
-        """
-        plan = self.delivery_plan(src, now)
-        return plan[0] if plan else None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self.up else ", DOWN"
         return f"Link({self.a}<->{self.b}, {self.latency*1e6:.1f}us{state})"

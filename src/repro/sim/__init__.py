@@ -11,7 +11,6 @@ from repro.sim.emulation import (
 )
 from repro.sim.fabric import Fabric, FabricConfig
 from repro.sim.rotation import RotationConfig, RotationResult, ServerRotation
-from repro.sim.metrics import ThroughputMeter
 from repro.sim.microbench import (
     SnakeCheck,
     SnakeConfig,
@@ -54,7 +53,6 @@ __all__ = [
     "ScalingPoint",
     "SnakeCheck",
     "SnakeConfig",
-    "ThroughputMeter",
     "default_workload",
     "fast_partition_vector",
     "leaf_cache_throughput",

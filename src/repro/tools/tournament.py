@@ -41,7 +41,6 @@ from repro.core.geometry import (
     LAYOUTS,
     AdmissionPolicy,
     SampleEvictPolicy,
-    SetAssocLayout,
     UpdateBudget,
 )
 from repro.core.stats import QueryStatistics
@@ -146,18 +145,14 @@ class LayoutLabPolicy(AdmissionPolicy):
         for count, key in hot:
             if self.dp.is_cached(key):
                 continue
-            if isinstance(self.dp.layout, SetAssocLayout):
-                # The set either has a free way (1 update) or displaces
-                # its coldest way (2 updates) — decided inside the layout.
-                cost = 1 if self.dp.cache_size() < self.capacity else 2
+            free = self.dp.cache_size() < self.capacity
+            if free or self.dp.layout.picks_own_victim:
+                # A free slot takes 1 update; a layout that picks its own
+                # victim displaces it inside install (2 updates).
+                cost = 1 if free else 2
                 self.updates_attempted += cost
                 if budget.take(cost) and self.install(key, count):
                     self.updates_applied += cost
-                continue
-            if self.dp.cache_size() < self.capacity:
-                self.updates_attempted += 1
-                if budget.take(1) and self.install(key, count):
-                    self.updates_applied += 1
                 continue
             cached = self.dp.cached_keys()
             sample = (cached if len(cached) <= self.sample_size

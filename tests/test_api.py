@@ -18,6 +18,13 @@ class TestSyncClient:
             small_workload.popularity.item_at(390))
         assert client.get(cold) == small_workload.value_for(cold)
         assert small_cluster.clients[0].cache_hits == 0
+        # Of a mixed page of keys, the switch answers exactly the hot ones.
+        page = small_workload.hottest_keys(5) + [
+            small_workload.keyspace.key(small_workload.popularity.item_at(r))
+            for r in (380, 385, 390)]
+        for key in page:
+            assert client.get(key) == small_workload.value_for(key)
+        assert small_cluster.clients[0].cache_hits == 5
 
     def test_get_missing_key(self, small_cluster, small_workload):
         client = small_cluster.sync_client()
@@ -36,6 +43,11 @@ class TestSyncClient:
         hot = small_workload.hottest_keys(1)[0]
         client.put(hot, b"updated-value")
         assert client.get(hot) == b"updated-value"
+        # Two writes in flight to one key land in issue order.
+        small_cluster.clients[0].put(hot, b"first-write")
+        client.put(hot, b"final-write")
+        small_cluster.run(0.05)
+        assert client.get(hot) == b"final-write"
 
     def test_delete(self, small_cluster, small_workload):
         client = small_cluster.sync_client()

@@ -1,8 +1,7 @@
-"""Tests for baselines: NoCache, server cache layer, replication, policies."""
+"""Tests for baselines: server cache layer, replication, policies."""
 
 import pytest
 
-from repro.baselines.nocache import make_nocache_cluster, nocache_equilibrium
 from repro.baselines.policies import (
     LfuPolicy,
     LruPolicy,
@@ -23,17 +22,6 @@ def probs(skew=0.99, n=10_000):
 
 STORAGE = RateSimConfig(num_servers=16, server_rate=1000.0,
                         switch_rate=1e12, pipe_rate=1e12)
-
-
-class TestNoCacheBaseline:
-    def test_cluster_has_no_cache(self):
-        cluster = make_nocache_cluster(num_servers=4)
-        assert cluster.controller is None
-
-    def test_equilibrium_matches_simulate(self):
-        p = probs()
-        assert nocache_equilibrium(p, STORAGE).throughput == \
-            simulate(p, None, STORAGE).throughput
 
 
 class TestServerCacheLayer:

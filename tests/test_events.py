@@ -44,10 +44,10 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             q.schedule(-1.0, lambda: None)
 
-    def test_schedule_at_absolute(self):
+    def test_schedule_abs_at_absolute_time(self):
         q = EventQueue()
         seen = []
-        q.schedule_at(4.0, lambda: seen.append(q.now))
+        q.schedule_abs(4.0, lambda: seen.append(q.now))
         q.run()
         assert seen == [4.0]
 
@@ -66,8 +66,7 @@ class TestScheduling:
 class TestScheduleAbs:
     def test_lands_at_bit_exact_time(self):
         # A pair where now + (when - now) rounds one ulp away from when;
-        # schedule_abs must not take that detour (schedule_at does, and
-        # keeps doing so to preserve existing replay baselines).
+        # schedule_abs must not take that detour.
         now = 9.173988086863538e-06
         when = 1.8628264379002524
         assert now + (when - now) != when  # the pair stays adversarial
@@ -75,11 +74,9 @@ class TestScheduleAbs:
         q.schedule(now, lambda: None)
         q.run()
         seen = []
-        q.schedule_at(when, lambda: seen.append(q.now))
         q.schedule_abs(when, lambda: seen.append(q.now))
         q.run()
-        assert when in seen                # schedule_abs landed exactly
-        assert seen[0] != seen[1]          # schedule_at rounded away
+        assert seen == [when]
 
     def test_past_rejected(self):
         q = EventQueue()

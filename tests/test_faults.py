@@ -60,17 +60,16 @@ class TestLinkFaults:
     def test_down_link_drops_everything(self):
         link = Link(1, 2)
         link.take_down()
-        assert link.delivery_delay(1, 0.0) is None
+        assert link.delivery_plan(1, 0.0) == []
         assert link.dropped == 1
         link.bring_up()
-        assert link.delivery_delay(1, 0.0) is not None
+        assert link.delivery_plan(1, 0.0)
 
     def test_loss_burst_expires(self):
         link = Link(1, 2, seed=3)
         link.start_loss_burst(0.99, until=1.0)
-        in_burst = sum(link.delivery_delay(1, 0.5) is None
-                       for _ in range(100))
-        after = sum(link.delivery_delay(1, 2.0) is None for _ in range(100))
+        in_burst = sum(not link.delivery_plan(1, 0.5) for _ in range(100))
+        after = sum(not link.delivery_plan(1, 2.0) for _ in range(100))
         assert in_burst >= 90
         assert after == 0
 
@@ -92,7 +91,7 @@ class TestLinkFaults:
     def test_reordering_inflates_delay(self):
         link = Link(1, 2, latency=1e-6, seed=4)
         link.set_reordering(0.99)
-        delays = [link.delivery_delay(1, 0.0) for _ in range(50)]
+        delays = [link.delivery_plan(1, 0.0)[0] for _ in range(50)]
         assert link.reordered >= 45
         assert max(delays) > 1e-6
 
@@ -110,7 +109,7 @@ class TestLinkFaults:
         link = Link(1, 2)
         link.on_drop = lambda l, now: drops.append((l, now))
         link.take_down()
-        link.delivery_delay(1, 3.5)
+        link.delivery_plan(1, 3.5)
         assert drops == [(link, 3.5)]
 
 
@@ -125,11 +124,11 @@ class TestSimulatorFaults:
         assert link.dropped == 1
         assert sim.lost == 1
 
-    def test_direct_delivery_delay_also_counts_globally(self):
-        # The satellite fix: a drop counted on the link must reach the
-        # simulator even when transmit() is bypassed.
+    def test_direct_delivery_plan_also_counts_globally(self):
+        # A drop counted on the link must reach the simulator even when
+        # transmit() is bypassed.
         sim, a, b, link = two_node_sim(loss_prob=0.6, seed=2)
-        drops = sum(link.delivery_delay(1, 0.0) is None for _ in range(200))
+        drops = sum(not link.delivery_plan(1, 0.0) for _ in range(200))
         assert drops > 0
         assert sim.lost == drops == link.dropped
 

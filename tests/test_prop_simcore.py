@@ -53,23 +53,23 @@ class FaultPlan:
         ids = cluster.plan.server_ids
         if self.flap_server:
             sid = ids[self.victim % len(ids)]
-            ev.schedule_at(0.2 * d, cluster.crash_server, sid)
-            ev.schedule_at(0.6 * d, cluster.restart_server, sid)
+            ev.schedule_abs(0.2 * d, cluster.crash_server, sid)
+            ev.schedule_abs(0.6 * d, cluster.restart_server, sid)
         if self.loss_burst:
             link = cluster.link_to(client.node_id)
-            ev.schedule_at(0.3 * d, link.start_loss_burst,
-                           self.burst_prob, 0.55 * d)
+            ev.schedule_abs(0.3 * d, link.start_loss_burst,
+                            self.burst_prob, 0.55 * d)
         if self.dup_window:
             link = cluster.link_to(ids[(self.victim + 1) % len(ids)])
-            ev.schedule_at(0.4 * d, link.set_duplication, self.dup_prob)
-            ev.schedule_at(0.7 * d, link.set_duplication, 0.0)
+            ev.schedule_abs(0.4 * d, link.set_duplication, self.dup_prob)
+            ev.schedule_abs(0.7 * d, link.set_duplication, 0.0)
         if self.report_cut >= 0 and report_times:
             arrival = report_times[self.report_cut % len(report_times)]
             link = cluster.link_to(client.node_id)
-            ev.schedule_at(arrival - REPORT_LATENCY / 2,
-                           link.set_reordering, 0.3)
-            ev.schedule_at(arrival + 2 * REPORT_LATENCY,
-                           link.set_reordering, 0.0)
+            ev.schedule_abs(arrival - REPORT_LATENCY / 2,
+                            link.set_reordering, 0.3)
+            ev.schedule_abs(arrival + 2 * REPORT_LATENCY,
+                            link.set_reordering, 0.0)
 
 
 configs = st.builds(
@@ -249,10 +249,10 @@ class SlowServers:
     def apply(self, cluster, client, report_times=()):
         ev = cluster.sim.events
         for server in cluster.servers.values():
-            ev.schedule_at(0.3 * DURATION, setattr, server, "service_time",
-                           1.1e-4)
-            ev.schedule_at(0.45 * DURATION, setattr, server, "service_time",
-                           server.service_time)
+            ev.schedule_abs(0.3 * DURATION, setattr, server, "service_time",
+                            1.1e-4)
+            ev.schedule_abs(0.45 * DURATION, setattr, server, "service_time",
+                            server.service_time)
 
 
 @pytest.mark.parametrize("config, plan", [
@@ -307,10 +307,10 @@ class RetryRack:
             server.service_time = self.service_time
         if self.slowdown > 1.0:
             ev = cluster.sim.events
-            ev.schedule_at(0.4 * DURATION, setattr, servers[0],
-                           "service_time", self.service_time * self.slowdown)
-            ev.schedule_at(0.6 * DURATION, setattr, servers[0],
-                           "service_time", self.service_time)
+            ev.schedule_abs(0.4 * DURATION, setattr, servers[0],
+                            "service_time", self.service_time * self.slowdown)
+            ev.schedule_abs(0.6 * DURATION, setattr, servers[0],
+                            "service_time", self.service_time)
 
 
 retry_racks = st.builds(

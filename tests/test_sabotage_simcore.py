@@ -195,9 +195,9 @@ class TestBehavioralSabotage:
         def script(cluster, client):
             server = cluster.servers[cluster.plan.server_ids[0]]
             ev = cluster.sim.events
-            ev.schedule_at(0.010, setattr, server, "service_time", 5e-5)
-            ev.schedule_at(0.013, setattr, server, "service_time",
-                           server.service_time)
+            ev.schedule_abs(0.010, setattr, server, "service_time", 5e-5)
+            ev.schedule_abs(0.013, setattr, server, "service_time",
+                            server.service_time)
 
         def arm(engine):
             engine._backlog = lambda ref: 0.0
@@ -224,8 +224,8 @@ class TestBehavioralSabotage:
             cluster.switch.dataplane.stats.sampler.set_rate(0.5)
             sid = cluster.plan.server_ids[0]
             ev = cluster.sim.events
-            ev.schedule_at(0.0113, cluster.crash_server, sid)
-            ev.schedule_at(0.0153, cluster.restart_server, sid)
+            ev.schedule_abs(0.0113, cluster.crash_server, sid)
+            ev.schedule_abs(0.0153, cluster.restart_server, sid)
 
         def arm(engine):
             engine._timer_floor = lambda: np.inf
@@ -247,8 +247,8 @@ class TestBehavioralSabotage:
         def script(cluster, client):
             sid = cluster.plan.server_ids[0]
             ev = cluster.sim.events
-            ev.schedule_at(0.008, cluster.crash_server, sid)
-            ev.schedule_at(0.020, cluster.restart_server, sid)
+            ev.schedule_abs(0.008, cluster.crash_server, sid)
+            ev.schedule_abs(0.020, cluster.restart_server, sid)
 
         def arm(engine):
             orig = engine._scalarize_entry
@@ -357,7 +357,7 @@ class TestReadPathKernelSabotage:
             for server in cluster.servers.values():
                 for i in range(3000):
                     server.store.put(b"filler%d" % i, b"x")
-        cluster.sim.events.schedule_at(0.02, fill)
+        cluster.sim.events.schedule_abs(0.02, fill)
 
     def test_stale_store_columns_flag_the_probe_totals(self, monkeypatch):
         cfg = tiny()
@@ -532,7 +532,7 @@ class TestMixedLaneSabotage:
 
         def burst(cluster, client):
             link = cluster.link_to(cluster.plan.server_ids[0])
-            cluster.sim.events.schedule_at(
+            cluster.sim.events.schedule_abs(
                 0.02, link.start_loss_burst, 0.05, 0.03)
 
         armed = []

@@ -11,7 +11,6 @@ import pytest
 
 from repro import obs
 from repro.analysis.coherence import CoherenceMonitor
-from repro.client.tracefile import TraceWorkload, record
 from repro.errors import ConfigurationError
 from repro.faults import ChaosConfig, ChaosRunner
 from repro.faults.invariants import WriteDurabilityInvariant
@@ -21,6 +20,7 @@ from repro.net.trace import DeliveryTrace, PacketTracer
 from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 from repro.sim.experiments import fig10c_rack
+from repro.sim.rotation import PartitionFilteredWorkload
 from repro.sim.simcore import (
     SimCoreConfig,
     SimCoreRunner,
@@ -45,9 +45,9 @@ def slow_server_burst(cluster, client):
     after their timers fire, and then the queue drains."""
     server = cluster.servers[cluster.plan.server_ids[0]]
     ev = cluster.sim.events
-    ev.schedule_at(0.010, setattr, server, "service_time", 5e-5)
-    ev.schedule_at(0.013, setattr, server, "service_time",
-                   server.service_time)
+    ev.schedule_abs(0.010, setattr, server, "service_time", 5e-5)
+    ev.schedule_abs(0.013, setattr, server, "service_time",
+                    server.service_time)
 
 
 def run_with_script(config, script, batched):
@@ -87,11 +87,11 @@ class TestDifferential:
             ev = cluster.sim.events
             cl_link = cluster.link_to(client.node_id)
             srv_link = cluster.link_to(cluster.plan.server_ids[1])
-            ev.schedule_at(0.010, cluster.crash_server, sid["victim"])
-            ev.schedule_at(0.015, cl_link.start_loss_burst, 0.5, 0.033)
-            ev.schedule_at(0.020, srv_link.set_duplication, 0.3)
-            ev.schedule_at(0.030, cluster.restart_server, sid["victim"])
-            ev.schedule_at(0.035, srv_link.set_duplication, 0.0)
+            ev.schedule_abs(0.010, cluster.crash_server, sid["victim"])
+            ev.schedule_abs(0.015, cl_link.start_loss_burst, 0.5, 0.033)
+            ev.schedule_abs(0.020, srv_link.set_duplication, 0.3)
+            ev.schedule_abs(0.030, cluster.restart_server, sid["victim"])
+            ev.schedule_abs(0.035, srv_link.set_duplication, 0.0)
 
         a = run_with_script(cfg, script, batched=False)
         b = run_with_script(cfg, script, batched=True)
@@ -160,8 +160,8 @@ class TestDifferential:
         def script(cluster, client):
             sid["victim"] = cluster.plan.server_ids[0]
             ev = cluster.sim.events
-            ev.schedule_at(0.008, cluster.crash_server, sid["victim"])
-            ev.schedule_at(0.020, cluster.restart_server, sid["victim"])
+            ev.schedule_abs(0.008, cluster.crash_server, sid["victim"])
+            ev.schedule_abs(0.020, cluster.restart_server, sid["victim"])
 
         a = run_with_script(cfg, script, batched=False)
         b = run_with_script(cfg, script, batched=True)
@@ -298,7 +298,7 @@ class TestClusterRun:
     """``Cluster.run`` picks the lanes engine once per rack and says why
     when it does not."""
 
-    def test_scalar_reason_says_why(self, tmp_path):
+    def test_scalar_reason_says_why(self):
         # An invariant suite's delivery hooks take rows: a chaos rack runs
         # in lanes.
         runner = ChaosRunner(ChaosConfig(duration=0.005, drain=0.002))
@@ -313,18 +313,18 @@ class TestClusterRun:
         assert runner.cluster.engine is None
         assert runner.cluster.scalar_reason == "foreign_hook"
         assert tracer.records
-        # A replayed trace cannot be drawn in batches: the engine's
-        # ConfigurationError is the reason.
+        # A rejection-sampled workload cannot be drawn in batches: the
+        # engine's ConfigurationError is the reason.
         cluster, client = fig10c_rack(True, 2e4, num_servers=4,
                                       num_keys=300)
-        record(client.workload, tmp_path / "q.trace", 50)
         cluster.add_workload_client(
-            TraceWorkload(tmp_path / "q.trace", loop=True), rate=2e4)
+            PartitionFilteredWorkload(client.workload, cluster, (0, 1)),
+            rate=2e4)
         cluster.run(0.002)
         assert cluster.engine is None
         assert cluster.scalar_reason == (
             "fast path needs workloads that draw query batches over a "
-            "keyspace, not TraceWorkload")
+            "keyspace, not PartitionFilteredWorkload")
         assert cluster.total_received() > 0
         # A Fig 10(c) rack runs in lanes, saturated or not.
         for enable_cache in (False, True):
@@ -530,7 +530,7 @@ class TestCoverage:
     def test_link_fault_fallback_counted(self):
         def script(cluster, client):
             link = cluster.link_to(client.node_id)
-            cluster.sim.events.schedule_at(
+            cluster.sim.events.schedule_abs(
                 0.01, link.start_loss_burst, 0.5, 0.02)
 
         engine = self._run_engine(tiny(duration=0.04), script)
@@ -545,8 +545,8 @@ class TestCoverage:
         def script(cluster, client):
             ev = cluster.sim.events
             tor = cluster.plan.tor_id
-            ev.schedule_at(0.010, cluster.sim.set_node_down, tor, True)
-            ev.schedule_at(0.025, cluster.sim.set_node_down, tor, False)
+            ev.schedule_abs(0.010, cluster.sim.set_node_down, tor, True)
+            ev.schedule_abs(0.025, cluster.sim.set_node_down, tor, False)
 
         engine = self._run_engine(tiny(duration=0.04), script)
         assert engine.fallback_reasons.get("node_down", 0) > 0
@@ -557,8 +557,8 @@ class TestCoverage:
         def script(cluster, client):
             sid = cluster.plan.server_ids[0]
             ev = cluster.sim.events
-            ev.schedule_at(0.010, cluster.crash_server, sid)
-            ev.schedule_at(0.025, cluster.restart_server, sid)
+            ev.schedule_abs(0.010, cluster.crash_server, sid)
+            ev.schedule_abs(0.025, cluster.restart_server, sid)
 
         engine = self._run_engine(tiny(duration=0.04), script)
         assert engine.fallback_reasons == {}
@@ -567,7 +567,7 @@ class TestCoverage:
     def test_link_fault_fallback_mirrored_to_obs_counter(self):
         def script(cluster, client):
             link = cluster.link_to(client.node_id)
-            cluster.sim.events.schedule_at(
+            cluster.sim.events.schedule_abs(
                 0.01, link.start_loss_burst, 0.5, 0.02)
 
         with obs.session() as session:
