@@ -96,6 +96,10 @@ class CacheController:
             raise ConfigurationError("cache_capacity must be positive")
         if sample_size <= 0:
             raise ConfigurationError("sample_size must be positive")
+        if update_interval <= 0:
+            raise ConfigurationError("update_interval must be positive")
+        if stats_interval <= 0:
+            raise ConfigurationError("stats_interval must be positive")
         if heartbeat_interval <= 0:
             raise ConfigurationError("heartbeat_interval must be positive")
         if lease_timeout <= insertion_latency:
@@ -116,6 +120,10 @@ class CacheController:
         self._rng = random.Random(seed)
         self._pending: List[bytes] = []
         self._pending_set = set()
+        # The cached-key list victims are sampled from, kept until an
+        # install or evict moves the dataplane's contents_version.
+        self._cached: List[bytes] = []
+        self._cached_version = -1
         switch.hot_key_handler = self.report_hot_key
         # Reliability: failure detector, insertion leases, degraded keys.
         self.heartbeat_interval = heartbeat_interval
@@ -258,14 +266,19 @@ class CacheController:
         inserted = 0
         pending, self._pending = self._pending, []
         self._pending_set.clear()
-        for key in pending:
-            if self.switch.dataplane.is_cached(key):
+        dataplane = self.switch.dataplane
+        # The candidates' frequencies come from the Count-Min sketch (their
+        # reports already crossed the hot threshold).  Nothing in a round
+        # updates the sketch, so all of them are read up front.
+        estimates = dataplane.stats.sketch.estimate_batch(pending).tolist()
+        for key, estimate in zip(pending, estimates):
+            if dataplane.is_cached(key):
                 continue
-            if self._admit(key):
+            if self._admit(key, estimate):
                 inserted += 1
         return inserted
 
-    def _admit(self, key: bytes) -> bool:
+    def _admit(self, key: bytes, candidate_count: int) -> bool:
         """Try to cache *key*, evicting a colder victim if at capacity.
 
         The victim is chosen before but evicted only after the candidate's
@@ -273,30 +286,35 @@ class CacheController:
         """
         victim = None
         if self.switch.dataplane.cache_size() >= self.cache_capacity:
-            victim = self._pick_victim(key)
+            victim = self._pick_victim(candidate_count)
             if victim is None:
                 self.rejections += 1
                 return False
         return self._insert(key, victim=victim)
 
-    def _pick_victim(self, candidate: bytes) -> Optional[bytes]:
+    def _pick_victim(self, candidate_count: int) -> Optional[bytes]:
         """Sample cached keys; return the coldest if the candidate is hotter.
 
-        The candidate's frequency comes from the Count-Min sketch (its
-        report already crossed the hot threshold); cached keys' frequencies
-        come from their per-key counters.  Sampling avoids scanning tens of
-        thousands of counters per decision (§4.3).
+        Cached keys' frequencies come from their per-key counters, read in
+        one register gather.  Sampling avoids scanning tens of thousands
+        of counters per decision (§4.3).
         """
-        cached = self.switch.cached_keys()
+        dataplane = self.switch.dataplane
+        if self._cached_version != dataplane.contents_version:
+            self._cached = dataplane.cached_keys()
+            self._cached_version = dataplane.contents_version
+        cached = self._cached
         if not cached:
             return None
         sample = (cached if len(cached) <= self.sample_size
                   else self._rng.sample(cached, self.sample_size))
+        counts = dataplane.counters_of(sample)
+        # The comparison re-reads the coldest key's counter on the switch.
+        dataplane.stats.counters.note_batch_reads(1)
         # Counters and sketch are reset together, so the policy compares
         # same-interval (sampled) frequencies.
-        return self.policy.pick_victim(
-            candidate, sample, self.switch.counter_of,
-            self.switch.dataplane.stats.sketch.estimate)
+        position = self.policy.pick_victim(candidate_count, counts)
+        return None if position is None else sample[position]
 
     def _insert(self, key: bytes, victim: Optional[bytes] = None) -> bool:
         """Fetch the value from the owning server and install the entry.

@@ -318,6 +318,18 @@ class NetCacheDataplane:
             return 0
         return self.stats.read_counter(key_index)
 
+    def counters_of(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`counter_of` of several keys, as one register gather:
+        one read per cached key, 0 and no read for an uncached one."""
+        indexes = self.layout.key_indexes_of(keys)
+        if None not in indexes:
+            return self.stats.counters.read_int_batch(indexes)
+        cached = np.array([i is not None for i in indexes], dtype=bool)
+        counts = np.zeros(len(keys), dtype=np.int64)
+        counts[cached] = self.stats.counters.read_int_batch(
+            [i for i in indexes if i is not None])
+        return counts
+
     def reset_statistics(self) -> None:
         self.stats.reset()
 

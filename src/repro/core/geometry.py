@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import operator
 import zlib
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +152,10 @@ class CacheLayout:
 
     def key_index_of(self, key: bytes) -> Optional[int]:
         return self._index.get(key)
+
+    def key_indexes_of(self, keys: Sequence[bytes]) -> List[Optional[int]]:
+        """:meth:`key_index_of` of every key in *keys*."""
+        return list(map(self._index.get, keys))
 
     def cached_keys(self) -> List[bytes]:
         return list(self._index)
@@ -1097,9 +1101,9 @@ class AdmissionPolicy:
     """Who deserves a cache slot — one contract, two surfaces.
 
     *Control surface*: the live controller calls :meth:`pick_victim` with
-    a sampled set of cached keys, their counter reader, and the hot
-    candidate's frequency estimator; the policy decides whether (and whom)
-    to displace.  *Stream surface*: the budgeted policy ablation
+    the hot candidate's frequency estimate and the counters of a sampled
+    set of cached keys; the policy decides whether (and whom) to
+    displace.  *Stream surface*: the budgeted policy ablation
     (:func:`run_policy`) and the geometry tournament feed a query stream
     through :meth:`access`/:meth:`end_interval` under an
     :class:`UpdateBudget`.  Degenerate policies implement only one
@@ -1120,10 +1124,11 @@ class AdmissionPolicy:
 
     # -- control surface ----------------------------------------------------------
 
-    def pick_victim(self, candidate: bytes, sample: Sequence[bytes],
-                    counter_of: Callable[[bytes], int],
-                    estimate: Callable[[bytes], int]) -> Optional[bytes]:
-        """Victim among *sample* to evict for *candidate*; None = reject."""
+    def pick_victim(self, candidate_count: int,
+                    counts: Sequence[int]) -> Optional[int]:
+        """Position in the sample (whose counters are *counts*) of the
+        victim to evict for a candidate of *candidate_count*; None =
+        reject."""
         return None
 
     # -- stream surface -----------------------------------------------------------
@@ -1152,14 +1157,12 @@ class SampleEvictPolicy(AdmissionPolicy):
 
     name = "sample-evict"
 
-    def pick_victim(self, candidate: bytes, sample: Sequence[bytes],
-                    counter_of: Callable[[bytes], int],
-                    estimate: Callable[[bytes], int]) -> Optional[bytes]:
-        if not sample:
+    def pick_victim(self, candidate_count: int,
+                    counts: Sequence[int]) -> Optional[int]:
+        if not len(counts):
             return None
-        coldest = min(sample, key=counter_of)
-        candidate_count = estimate(candidate)
-        if candidate_count <= counter_of(coldest):
+        coldest = int(np.argmin(counts))   # the first minimum
+        if candidate_count <= counts[coldest]:
             return None
         return coldest
 

@@ -113,12 +113,13 @@ class RegisterArray:
                         self._ints[idx].astype(np.int64), 0)
 
     def note_batch_reads(self, count: int) -> None:
-        """Account *count* byte-slot reads without materializing them.
+        """Account *count* reads without materializing them.
 
         Batch kernels that classify a stream read each hit's value slot
         only for the register accounting (the scalar loop discards the
-        bytes too); this keeps the ``reads`` counter byte-identical
-        without the per-slot gather.
+        bytes too), and the controller's victim comparison re-reads a
+        counter it already gathered; this keeps the ``reads`` counter
+        byte-identical without the per-slot gather.
         """
         if count < 0:
             raise ConfigurationError("count must be non-negative")

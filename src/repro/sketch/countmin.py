@@ -14,7 +14,8 @@ estimates — is bit-for-bit identical to the scalar reference
 property-tested.  ``update_batch`` applies a whole index batch with a
 handful of numpy calls while returning exactly the estimates a sequential
 scalar loop would have produced (duplicate slots within a batch see their
-running, not final, counts).
+running, not final, counts); ``estimate_batch`` reads many keys' estimates
+with one hash kernel and one gather.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sketch.hashing import HashFamily
+from repro.sketch.hashing import HashFamily, hash_bytes_batch
 
 
 def _counter_dtype(counter_bits: int):
@@ -133,9 +134,12 @@ class CountMinSketch:
         estimates = np.full(n, max_count, dtype=np.int64)
         positions = np.arange(n, dtype=np.int64)
         scratch = np.empty(n, dtype=np.int64)
+        # A stable order is unique, so sorting the cells as uint16 (numpy's
+        # stable sort is a radix sort there) gives the int64 sort's order.
+        sort_dtype = np.uint16 if self.width <= 1 << 16 else np.int64
         for row in range(self.depth):
             cells = idx_matrix[:, row]
-            order = np.argsort(cells, kind="stable")
+            order = np.argsort(cells.astype(sort_dtype), kind="stable")
             sorted_cells = cells[order]
             counts_row = self._counts[row]
             stamps_row = self._stamps[row]
@@ -161,6 +165,18 @@ class CountMinSketch:
     def estimate(self, key: bytes) -> int:
         """Return the (over-)estimate of the key's count without updating."""
         return self.estimate_at(self._hashes.indexes(key, self.width))
+
+    def estimate_batch(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`estimate` of every key in *keys*, in the counters' dtype:
+        one hash kernel over the row seeds, one epoch-gated gather, the
+        minimum over rows."""
+        if not len(keys):
+            return np.zeros(0, dtype=self._counts.dtype)
+        cells = (hash_bytes_batch(keys, self._hashes.seeds)
+                 % np.uint64(self.width)).astype(np.int64)
+        rows = np.arange(self.depth)[:, None]
+        live = self._stamps[rows, cells] == self._epoch
+        return np.where(live, self._counts[rows, cells], 0).min(axis=0)
 
     def estimate_at(self, indexes: Sequence[int]) -> int:
         """Estimate by precomputed per-row slot indexes (digest fast path)."""

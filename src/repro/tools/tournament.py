@@ -157,15 +157,13 @@ class LayoutLabPolicy(AdmissionPolicy):
             cached = self.dp.cached_keys()
             sample = (cached if len(cached) <= self.sample_size
                       else self._rng.sample(cached, self.sample_size))
-            victim = self._victim_policy.pick_victim(
-                key, sample,
-                lambda k: self._hit_counts.get(k, 0),
-                lambda k: self._miss_counts.get(k, 0))
-            if victim is None:
+            position = self._victim_policy.pick_victim(
+                count, [self._hit_counts.get(k, 0) for k in sample])
+            if position is None:
                 continue
             self.updates_attempted += 2
             if budget.take(2):
-                self.dp.evict(victim)
+                self.dp.evict(sample[position])
                 if self.install(key, count):
                     self.updates_applied += 2
         # Counters reset each interval, like the statistics module.

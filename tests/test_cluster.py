@@ -23,6 +23,15 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             ClusterConfig(num_servers=0)
 
+    @pytest.mark.parametrize("field", ["controller_update_interval",
+                                       "stats_interval"])
+    @pytest.mark.parametrize("interval", [0.0, -0.1])
+    def test_non_positive_controller_interval_rejected(self, field,
+                                                       interval):
+        # A zero interval would reschedule its tick at delay 0 forever.
+        with pytest.raises(ConfigurationError, match="interval"):
+            Cluster(ClusterConfig(num_servers=2, **{field: interval}))
+
 
 class TestDataLoading:
     def test_items_land_on_owning_server(self, small_cluster, small_workload):

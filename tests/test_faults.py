@@ -455,3 +455,9 @@ class TestChaosRunner:
             ChaosConfig(duration=0.0)
         with pytest.raises(ConfigurationError):
             ChaosConfig(rate=-1.0)
+
+    @pytest.mark.parametrize("field", ["controller_update_interval",
+                                       "stats_interval"])
+    def test_zero_controller_interval_rejected(self, field):
+        with pytest.raises(ConfigurationError, match="interval"):
+            ChaosRunner(ChaosConfig(**{field: 0.0}))

@@ -364,15 +364,10 @@ def test_peek_value_is_the_served_value_and_moves_no_counter(name):
 class TestAdmissionPolicies:
     def test_sample_evict_picks_coldest_only_when_beaten(self):
         policy = SampleEvictPolicy()
-        counters = {b"a": 5, b"b": 1, b"c": 9}
-        sample = [b"a", b"b", b"c"]
-        pick = policy.pick_victim(b"new", sample, counters.get,
-                                  lambda k: 3)
-        assert pick == b"b"
-        assert policy.pick_victim(b"new", sample, counters.get,
-                                  lambda k: 1) is None
-        assert policy.pick_victim(b"new", [], counters.get,
-                                  lambda k: 99) is None
+        counts = [5, 1, 9]
+        assert policy.pick_victim(3, counts) == 1
+        assert policy.pick_victim(1, counts) is None
+        assert policy.pick_victim(99, []) is None
 
     def test_budget_denies_and_refills(self):
         budget = UpdateBudget(3)
@@ -388,8 +383,7 @@ class TestAdmissionPolicies:
             policy = cls(4)
             assert isinstance(policy, geometry.AdmissionPolicy)
             # Their control surface stays inert.
-            assert policy.pick_victim(b"x", [b"y"], lambda k: 0,
-                                      lambda k: 9) is None
+            assert policy.pick_victim(9, [0]) is None
 
     def test_baseline_capacity_still_validated(self):
         with pytest.raises(ConfigurationError):

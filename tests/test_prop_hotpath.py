@@ -69,21 +69,53 @@ def test_countmin_matches_scalar_reference(ops, counter_bits):
 def test_update_batch_is_sequential_equivalent(batches, counter_bits, count):
     """A batch update returns the running per-key estimates a scalar loop
     would have produced — including duplicate keys colliding on the same
-    cells inside one batch — and leaves identical counters behind."""
-    fast = CountMinSketch(width=32, depth=3, counter_bits=counter_bits,
-                          seed=9)
-    ref = ScalarCountMinSketch(width=32, depth=3, counter_bits=counter_bits,
-                               seed=9)
-    for keys in batches:
-        idx_matrix = np.array(
-            [fast.hash_family.indexes(k, fast.width) for k in keys],
-            dtype=np.int64)
-        got = fast.update_batch(idx_matrix, count=count)
-        expected = [ref.update(k, count) for k in keys]
-        assert list(got) == expected
-        for k in keys:
-            assert fast.estimate(k) == ref.estimate(k)
-        assert fast.total_updates == ref.total_updates
+    cells inside one batch — and leaves identical counters behind.  Rows
+    up to 1 << 16 cells wide sort as uint16, wider ones as int64: every
+    width below runs both sides."""
+    for width in (32, 1 << 16, (1 << 16) + 1):
+        fast = CountMinSketch(width=width, depth=3, counter_bits=counter_bits,
+                              seed=9)
+        ref = ScalarCountMinSketch(width=width, depth=3,
+                                   counter_bits=counter_bits, seed=9)
+        for keys in batches:
+            idx_matrix = np.array(
+                [fast.hash_family.indexes(k, fast.width) for k in keys],
+                dtype=np.int64)
+            got = fast.update_batch(idx_matrix, count=count)
+            expected = [ref.update(k, count) for k in keys]
+            assert list(got) == expected
+            for k in keys:
+                assert fast.estimate(k) == ref.estimate(k)
+            assert fast.total_updates == ref.total_updates
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(
+    st.one_of(
+        # update(key, count); 2**63 saturates every counter width
+        st.tuples(KEYS, st.integers(1, 7) | st.just(2**63)),
+        st.just("reset"),
+    ), max_size=40),
+    probes=st.lists(st.binary(max_size=20), max_size=20),
+    counter_bits=st.sampled_from([4, 16, 64]))
+def test_estimate_batch_is_the_estimate_loop(ops, probes, counter_bits):
+    """One hash kernel and one epoch-gated gather read every key's
+    estimate exactly as :meth:`CountMinSketch.estimate` does, across
+    resets (cells stamped in an old epoch read 0), key lengths and
+    saturated 64-bit counters."""
+    sketch = CountMinSketch(width=64, depth=3, counter_bits=counter_bits,
+                            seed=5)
+    updated = []
+    for op in ops:
+        if op == "reset":
+            sketch.reset()
+            continue
+        key, count = op
+        sketch.update(key, count)
+        updated.append(key)
+    keys = updated + probes
+    assert (sketch.estimate_batch(keys).tolist()
+            == [sketch.estimate(k) for k in keys])
 
 
 # -- Bloom filter ------------------------------------------------------------------
