@@ -21,49 +21,40 @@ from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker, InvariantSuite
 from repro.faults.schedule import FaultSchedule
 from repro.obs import runtime as _obs
-from repro.reliability.retry import RetryPolicy
-from repro.sim.cluster import Cluster, ClusterConfig
-from repro.client.workload import Workload, WorkloadSpec
+from repro.sim.simcore import SimCoreConfig, build_rack
 
 
-@dataclasses.dataclass
-class ChaosConfig:
-    """Parameters of one chaos run (small defaults keep DES runs fast)."""
+@dataclasses.dataclass(frozen=True)
+class ChaosConfig(SimCoreConfig):
+    """A rack, its traffic and a chaos phase (small defaults keep DES
+    runs fast).  ``retries`` turns on client retries with idempotency
+    tokens, plus versioned write values so lost or duplicated writes are
+    distinguishable."""
 
     num_servers: int = 4
-    num_keys: int = 200
     cache_items: int = 16
     lookup_entries: int = 256
-    value_slots: int = 256
-    skew: float = 0.99
+    controller_update_interval: float = 0.005
+    stats_interval: float = 0.05
+    hot_threshold: int = 4
+    num_keys: int = 200
     write_ratio: float = 0.1
     value_size: int = 32
-    #: open-loop client rate (queries/second).
     rate: float = 20_000.0
     #: seconds of faulted traffic before the heal-and-drain phase.
     duration: float = 0.4
     #: seconds of fault-free settling after the heal.
     drain: float = 0.2
-    hot_threshold: int = 4
-    controller_update_interval: float = 0.005
-    stats_interval: float = 0.05
     invariant_interval: float = 0.01
     #: chaos-friendly retry budget: partitions outlast the default 50.
     max_update_retries: int = 5_000
-    #: enable client-side retries with idempotency tokens (plus versioned
-    #: write values, so lost/duplicated writes are distinguishable).
-    client_retries: bool = False
-    retry_timeout: float = 400e-6
-    retry_backoff: float = 2.0
-    retry_max: int = 3
-    retry_jitter: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0 or self.drain <= 0:
-            raise ConfigurationError("duration and drain must be positive")
-        if self.rate <= 0:
-            raise ConfigurationError("rate must be positive")
+        super().__post_init__()
+        if self.drain <= 0:
+            raise ConfigurationError("drain must be positive")
+        if self.max_update_retries < 0:
+            raise ConfigurationError("max_update_retries must be >= 0")
 
 
 @dataclasses.dataclass
@@ -158,26 +149,7 @@ class ChaosRunner:
                  scenario: str = "custom"):
         self.config = config
         self.scenario = scenario
-        self.workload = Workload(WorkloadSpec(
-            num_keys=config.num_keys, read_skew=config.skew,
-            write_ratio=config.write_ratio, seed=config.seed,
-            value_size=config.value_size))
-        self.retry_policy: Optional[RetryPolicy] = None
-        if config.client_retries:
-            self.retry_policy = RetryPolicy(
-                timeout=config.retry_timeout, backoff=config.retry_backoff,
-                max_retries=config.retry_max, jitter=config.retry_jitter,
-                seed=config.seed)
-        self.cluster = Cluster(ClusterConfig(
-            num_servers=config.num_servers, cache_items=config.cache_items,
-            lookup_entries=config.lookup_entries,
-            value_slots=config.value_slots,
-            hot_threshold=config.hot_threshold,
-            controller_update_interval=config.controller_update_interval,
-            stats_interval=config.stats_interval, seed=config.seed,
-            client_retry_policy=self.retry_policy))
-        self.cluster.load_workload_data(self.workload)
-        self.cluster.warm_cache(self.workload, config.cache_items)
+        self.cluster, self.client, self.workload = build_rack(config)
         for server in self.cluster.servers.values():
             server.shim.max_update_retries = config.max_update_retries
         self.schedule = schedule if schedule is not None \
@@ -210,11 +182,7 @@ class ChaosRunner:
 
     def run(self) -> FaultReport:
         cfg = self.config
-        cluster = self.cluster
-        client = cluster.add_workload_client(
-            self.workload, rate=cfg.rate,
-            versioned_writes=cfg.client_retries)
-        cluster.start_controller()
+        cluster, client = self.cluster, self.client
         self.suite.start()
         self.injector.arm()
 
@@ -364,9 +332,9 @@ SCENARIOS = ("combo", "reboot", "partition", "loss-burst", "crash",
 #: partition-budget shrinks the update-retry budget so the partition
 #: actually exhausts it and forces degraded mode.
 SCENARIO_OVERRIDES = {
-    "loss-retry": {"client_retries": True, "write_ratio": 0.15},
-    "crash-insert": {"client_retries": True, "write_ratio": 0.2},
-    "partition-budget": {"client_retries": True, "write_ratio": 0.2,
+    "loss-retry": {"retries": True, "write_ratio": 0.15},
+    "crash-insert": {"retries": True, "write_ratio": 0.2},
+    "partition-budget": {"retries": True, "write_ratio": 0.2,
                          "max_update_retries": 40},
 }
 

@@ -31,12 +31,14 @@ from repro.net.topology import make_rack_plan
 from repro.reliability.retry import RetryPolicy
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ClusterConfig:
-    """Parameters of one simulated rack."""
+    """Parameters of one simulated rack: the base of the rack config
+    hierarchy.  ``SimCoreConfig`` (:mod:`repro.sim.simcore`) adds the
+    traffic, ``ChaosConfig`` (:mod:`repro.faults.runner`) the chaos phase,
+    and ``build_rack`` assembles any of them."""
 
     num_servers: int = 16
-    num_clients: int = 1
     server_rate: float = SERVER_RATE
     server_queue_limit: Optional[int] = None
     cache_items: int = DEFAULT_CACHE_ITEMS
@@ -45,31 +47,39 @@ class ClusterConfig:
     link_loss: float = 0.0
     #: lookup-table entries and per-pipe value slots for the switch model;
     #: small defaults keep tests fast, the microbenchmark uses full size.
+    #: ``value_slots=None`` means as many slots as lookup entries.
     lookup_entries: int = 16 * 1024
-    value_slots: int = 16 * 1024
+    value_slots: Optional[int] = None
     num_pipes: int = 2
     #: cache geometry for the switch ("paper", "setassoc", "orbit").
+    #: All three run natively under the lanes engine through their
+    #: vectorized batch probes (``CacheLayout.classify_reads``).
     layout: str = "paper"
     #: value stages available to the layout.  Fewer stages shrink a
     #: segment (stages x slot bytes), which is how packet-level Orbit runs
     #: exercise multi-pass serves within the wire format's value cap.
     num_value_stages: int = NUM_VALUE_STAGES
     controller_update_interval: float = 0.01
+    #: statistics epoch (controller counter-reset interval).
     stats_interval: float = 1.0
+    #: heavy-hitter report threshold; a high value models the settled
+    #: regime where the warm cache already holds the hot set.
     hot_threshold: int = 8
     sample_rate: float = 1.0
     seed: int = 0
     # Reliability layer (see docs/RELIABILITY.md).
-    #: retry policy installed on workload clients (None = fail-stop).
-    client_retry_policy: Optional[RetryPolicy] = None
     heartbeat_interval: float = 0.005
     failure_threshold: int = 3
     lease_timeout: float = 0.005
     insertion_latency: float = 200e-6
 
     def __post_init__(self):
-        if self.num_servers <= 0 or self.num_clients <= 0:
-            raise ConfigurationError("need at least one server and client")
+        if self.num_servers <= 0:
+            raise ConfigurationError("need at least one server")
+        if self.num_pipes <= 0:
+            raise ConfigurationError("num_pipes must be positive")
+        if self.insertion_latency < 0:
+            raise ConfigurationError("insertion_latency must be >= 0")
 
 
 class Cluster:
@@ -78,7 +88,7 @@ class Cluster:
     def __init__(self, config: ClusterConfig = ClusterConfig()):
         self.config = config
         self.sim = Simulator()
-        plan = make_rack_plan(config.num_servers, config.num_clients)
+        plan = make_rack_plan(config.num_servers)
         self.plan = plan
         self.partitioner = HashPartitioner(plan.server_ids)
 
@@ -94,10 +104,12 @@ class Cluster:
             self.switch: PlainSwitch = NetCacheSwitch(
                 plan.tor_id,
                 num_pipes=config.num_pipes,
-                ports_per_pipe=max(1, (config.num_servers + config.num_clients)
+                ports_per_pipe=max(1, (config.num_servers + 1)
                                    // config.num_pipes + 1),
                 entries=config.lookup_entries,
-                value_slots=config.value_slots,
+                value_slots=(config.lookup_entries
+                             if config.value_slots is None
+                             else config.value_slots),
                 num_value_stages=config.num_value_stages,
                 stats=stats,
                 layout=config.layout,
@@ -201,8 +213,6 @@ class Cluster:
         if aimd:
             controller = AimdRateController(initial_rate=rate,
                                             max_rate=rate * 100)
-        if retry_policy is None:
-            retry_policy = self.config.client_retry_policy
         client = WorkloadClient(node_id, gateway=self.plan.tor_id,
                                 partitioner=self.partitioner,
                                 workload=workload, rate=rate,

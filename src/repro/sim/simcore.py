@@ -1,12 +1,21 @@
-"""Simulator-core harness: scalar vs batched runs and their equivalence.
+"""One rack config, one rack builder, and the scalar-vs-batched harness.
 
-This module is the user-facing surface of the batched fast path
-(:mod:`repro.net.fastpath`):
+A rack is described by one config hierarchy, three levels deep:
 
-* :func:`build_rack` assembles one canonical read-benchmark rack the same
-  way under both paths (same seeds, same preload, same controller);
-* :func:`run_scalar` / :func:`run_batched` execute it with the per-packet
-  event loop (the executable specification) or the lanes engine;
+* :class:`~repro.sim.cluster.ClusterConfig` — the rack itself: servers,
+  switch geometry, links, controller and reliability timers;
+* :class:`SimCoreConfig` — that rack plus its traffic: keys, skew, write
+  ratio, open-loop clients, duration, warm-up and client retries;
+* :class:`~repro.faults.runner.ChaosConfig` — that plus the chaos phase:
+  drain window, invariant interval and the shim's update-retry budget.
+
+:func:`build_rack` assembles any of them (the simcore races, the chaos
+runs and perf's rack rows all call it).  On top of it this module is the
+user-facing surface of the batched fast path (:mod:`repro.net.fastpath`):
+
+* :func:`run_scalar` / :func:`run_batched` execute a rack with the
+  per-packet event loop (the executable specification) or the lanes
+  engine;
 * :func:`counters_snapshot` / :func:`diff_snapshots` capture and compare
   every gated counter — the equivalence contract is *exact equality*,
   enforced by ``tests/test_prop_simcore.py`` and the ``simcore`` perf/CI
@@ -33,46 +42,40 @@ from repro.sim.cluster import Cluster, ClusterConfig
 
 
 @dataclasses.dataclass(frozen=True)
-class SimCoreConfig:
-    """One simulator-core benchmark scenario (shared by both paths)."""
+class SimCoreConfig(ClusterConfig):
+    """A rack and its traffic: every :class:`ClusterConfig` field, small-
+    rack defaults, plus the open-loop clients that drive it."""
 
     num_servers: int = 8
-    num_keys: int = 5_000
     cache_items: int = 64
     lookup_entries: int = 1_024
+    num_keys: int = 5_000
     skew: float = 0.99
     write_ratio: float = 0.0
-    rate: float = 1e6
-    duration: float = 0.1
-    warm: bool = True
-    #: heavy-hitter report threshold; a high value models the settled
-    #: regime where the warm cache already holds the hot set.
-    hot_threshold: int = 8
-    #: statistics epoch (controller counter-reset interval).
-    stats_interval: float = 1.0
-    seed: int = 0
-    #: concurrent open-loop clients; each beyond the first draws from a
-    #: forked (reseeded) query stream over the same popularity map.
-    num_clients: int = 1
-    #: per-client rates overriding ``rate`` (length must be num_clients).
-    client_rates: Optional[Tuple[float, ...]] = None
-    #: give every client the default retry policy (seeded from ``seed``).
-    retries: bool = False
-    #: cache geometry for the switch ("paper", "setassoc", "orbit").
-    #: All three layouts run natively under the lanes engine through
-    #: their vectorized batch probes (``CacheLayout.classify_reads``);
-    #: the differential harness holds each one byte-identical to the
-    #: scalar loop, including Orbit's per-hit recirculation delays.
-    layout: str = "paper"
     #: bytes per stored value (threaded into the workload).  Values wider
     #: than one Orbit segment serve in multiple recirculation passes;
     #: values wider than a layout's ``max_value_size`` are uncacheable.
     value_size: int = 128
-    #: value stages for the switch (fewer stages -> narrower Orbit
-    #: segments -> multi-pass serves that still fit the wire format).
-    num_value_stages: int = 8
+    #: open-loop rate of each client (queries/second).
+    rate: float = 1e6
+    #: per-client rates overriding ``rate`` (length must be num_clients).
+    client_rates: Optional[Tuple[float, ...]] = None
+    #: concurrent open-loop clients; each beyond the first draws from a
+    #: forked (reseeded) query stream over the same popularity map.
+    num_clients: int = 1
+    duration: float = 0.1
+    #: preload the cache with its ``cache_items`` hottest keys.
+    warm: bool = True
+    #: give every client a retry policy (seeded from ``seed``) and
+    #: versioned write values, so lost or duplicated writes show.
+    retries: bool = False
+    retry_timeout: float = RetryPolicy.timeout
+    retry_backoff: float = RetryPolicy.backoff
+    retry_max: int = RetryPolicy.max_retries
+    retry_jitter: float = RetryPolicy.jitter
 
     def __post_init__(self):
+        super().__post_init__()
         if self.num_clients < 1:
             raise ConfigurationError("need at least one client")
         if (self.client_rates is not None
@@ -94,23 +97,16 @@ class SimCoreConfig:
 
 
 def build_rack(config: SimCoreConfig):
-    """Assemble the scenario rack; returns ``(cluster, client, workload)``.
+    """Assemble the rack *config* describes, data loaded, cache warmed,
+    clients attached and controller started; returns ``(cluster, client,
+    workload)`` with the first client.
 
-    Both paths call this with the same config, so every seed-derived
-    decision (partitioning, sampler, workload stream) is shared; only the
-    driving loop differs.
+    Every rack with traffic is built here (the simcore races, the chaos
+    runs, perf's rack rows), so the scalar and batched paths share every
+    seed-derived decision (partitioning, sampler, workload stream); only
+    the driving loop differs.
     """
-    cluster = Cluster(ClusterConfig(
-        num_servers=config.num_servers,
-        cache_items=config.cache_items,
-        lookup_entries=config.lookup_entries,
-        value_slots=config.lookup_entries,
-        hot_threshold=config.hot_threshold,
-        stats_interval=config.stats_interval,
-        seed=config.seed,
-        layout=config.layout,
-        num_value_stages=config.num_value_stages,
-    ))
+    cluster = Cluster(config)
     workload = Workload(WorkloadSpec(
         num_keys=config.num_keys, read_skew=config.skew,
         write_ratio=config.write_ratio, value_size=config.value_size,
@@ -118,18 +114,22 @@ def build_rack(config: SimCoreConfig):
     ))
     cluster.load_workload_data(workload)
     if config.warm:
-        cluster.warm_cache(workload, config.cache_items)
-    policy = RetryPolicy(seed=config.seed) if config.retries else None
-    rates = config.rates
-    client = cluster.add_workload_client(workload, rate=rates[0],
-                                         retry_policy=policy)
-    for i in range(1, config.num_clients):
-        # Forked stream: same popularity map (hot set agreement), own RNG
-        # streams — the 7919 stride keeps sibling seeds well separated.
-        cluster.add_workload_client(workload.fork(7919 * i), rate=rates[i],
-                                    retry_policy=policy)
+        cluster.warm_cache(workload)
+    policy = None
+    if config.retries:
+        policy = RetryPolicy(
+            timeout=config.retry_timeout, backoff=config.retry_backoff,
+            max_retries=config.retry_max, jitter=config.retry_jitter,
+            seed=config.seed)
+    clients = [cluster.add_workload_client(
+        # Clients beyond the first draw forked streams: same popularity
+        # map (hot set agreement), own RNG streams; the 7919 stride keeps
+        # sibling seeds well separated.
+        workload.fork(7919 * i) if i else workload, rate=rate,
+        retry_policy=policy, versioned_writes=config.retries)
+        for i, rate in enumerate(config.rates)]
     cluster.start_controller()
-    return cluster, client, workload
+    return cluster, clients[0], workload
 
 
 def run_scalar(config: SimCoreConfig) -> Dict:

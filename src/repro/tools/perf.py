@@ -7,11 +7,11 @@ metric moved — the gate CI holds against the committed ``BENCH_*.json``.
 
 A row is a :class:`Scenario`: its runner, its guard rows, its renderer
 and, where it has one, the writer of its ``--metrics-out`` file.  Each
-runner is bound to the config object it consumes — a ``ClusterConfig``, a
-``WorkloadSpec`` and a rate for the discrete-event rack rows, a
-``SimCoreConfig`` for a race of the lanes engine against the scalar event
-loop, the keywords of ``run_tournament`` for the geometry grid.  The gate
-and the renderer find their row by the snapshot's ``scenario`` name.
+runner is bound to the config object it consumes — a ``SimCoreConfig``
+for a discrete-event rack row or for a race of the lanes engine against
+the scalar event loop, the keywords of ``run_tournament`` for the
+geometry grid.  The gate and the renderer find their row by the
+snapshot's ``scenario`` name.
 
 Everything under ``results`` is a pure function of (scenario, seed) and is
 all a snapshot file holds; the rack rows are gated within ``--threshold``
@@ -37,10 +37,9 @@ from repro.core.dataplane import NetCacheDataplane
 from repro.core.stats import QueryStatistics
 from repro.errors import ConfigurationError
 from repro.net.routing import RoutingTable
-from repro.reliability.retry import RetryPolicy
-from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.simcore import (
     SimCoreConfig,
+    build_rack,
     diff_snapshots,
     run_batched,
     run_scalar,
@@ -95,31 +94,27 @@ LATENCY_COMPONENTS = (
 )
 
 
-def _run_rack(rack: ClusterConfig, spec: WorkloadSpec, rate: float,
-              length: float, seed: int, duration: Optional[float]):
-    """Run the rack for ``duration`` simulated seconds inside an obs
-    session, cache warmed with its ``cache_items`` hottest keys.  A rack
-    with a retry policy gets it reseeded and sends versioned writes."""
-    duration = length if duration is None else duration
-    policy = rack.client_retry_policy
-    if policy is not None:
-        policy = dataclasses.replace(policy, seed=seed)
-    rack = dataclasses.replace(rack, seed=seed, client_retry_policy=policy)
-    spec = dataclasses.replace(spec, seed=seed)
-    workload = Workload(spec)
-    cluster = Cluster(rack)
-    cluster.load_workload_data(workload)
-    with obs.session(clock=obs.sim_clock(cluster.sim)) as o:
-        cluster.warm_cache(workload, rack.cache_items)
-        client = cluster.add_workload_client(
-            workload, rate=rate, versioned_writes=policy is not None)
-        cluster.start_controller()
+def _at(config: SimCoreConfig, seed: int,
+        duration: Optional[float]) -> SimCoreConfig:
+    """*config* at *seed*, running ``duration`` seconds (None: its own)."""
+    return dataclasses.replace(
+        config, seed=seed,
+        duration=config.duration if duration is None else duration)
+
+
+def _run_rack(rack: SimCoreConfig, seed: int, duration: Optional[float]):
+    """Build the rack and run it, set-up included, inside an obs session."""
+    rack = _at(rack, seed, duration)
+    duration = rack.duration
+    cluster = None
+    # The session opens before the rack is built, so warm-up's spans land
+    # in it; simulated time is 0 until the rack runs.
+    with obs.session(clock=lambda: cluster.sim.now if cluster else 0.0) as o:
+        cluster, client, _ = build_rack(rack)
         cluster.run(duration)
         client.stop()
 
-    config = {"cluster": dataclasses.asdict(rack),
-              "workload": dataclasses.asdict(spec),
-              "rate": rate, "duration": duration}
+    config = dataclasses.asdict(rack)
     wall = {"time_shares": o.tracer.wall_shares(),
             "registry_jsonl": (obs.registry_to_jsonl(o.registry)
                                + obs.tracer_to_jsonl(o.tracer))}
@@ -208,10 +203,9 @@ RACK_GUARDS: Tuple[Guard, ...] = (
 )
 
 
-def _rack_row(description: str, rack: ClusterConfig, spec: WorkloadSpec,
-              rate: float, length: float) -> Scenario:
-    return Scenario(description, partial(_run_rack, rack, spec, rate, length),
-                    RACK_GUARDS, _render_rack, _registry_jsonl)
+def _rack_row(description: str, rack: SimCoreConfig) -> Scenario:
+    return Scenario(description, partial(_run_rack, rack), RACK_GUARDS,
+                    _render_rack, _registry_jsonl)
 
 
 # -- the statistics hot-path microbenchmark ----------------------------------------
@@ -421,9 +415,7 @@ def _race(config: SimCoreConfig) -> Tuple[Dict, Dict]:
 
 def _run_simcore(config: SimCoreConfig, seed: int,
                  duration: Optional[float]):
-    config = dataclasses.replace(
-        config, seed=seed,
-        duration=config.duration if duration is None else duration)
+    config = _at(config, seed, duration)
     return (dataclasses.asdict(config),) + _race(config)
 
 
@@ -547,27 +539,22 @@ TOURNAMENT_GUARDS: Tuple[Guard, ...] = tuple(
 # -- the table ---------------------------------------------------------------------
 
 #: the 8-server, 64-item rack and 5,000-key Zipf-0.99 read stream the
-#: paper-workload rack rows share.
-_RACK = ClusterConfig(num_servers=8, cache_items=64, lookup_entries=1024,
-                      value_slots=1024, stats_interval=0.5)
-_KEYS = WorkloadSpec(num_keys=5_000)
+#: paper-workload rack rows share (:class:`SimCoreConfig`'s defaults).
+_RACK = SimCoreConfig(stats_interval=0.5, rate=40_000.0, duration=1.0)
 
 SCENARIOS: Dict[str, Scenario] = {
     "zipf99": _rack_row(
-        "paper workload: Zipf 0.99 reads, warm 64-item cache",
-        _RACK, _KEYS, rate=40_000.0, length=1.0),
+        "paper workload: Zipf 0.99 reads, warm 64-item cache", _RACK),
     "smoke": _rack_row(
         "tiny CI scenario: seconds, not minutes",
-        ClusterConfig(num_servers=4, cache_items=16, lookup_entries=256,
-                      value_slots=256, stats_interval=0.5),
-        WorkloadSpec(num_keys=500), rate=10_000.0, length=0.2),
+        SimCoreConfig(num_servers=4, cache_items=16, lookup_entries=256,
+                      stats_interval=0.5, num_keys=500, rate=10_000.0,
+                      duration=0.2)),
     "lossy10": _rack_row(
         "10% per-link loss, client retries on (goodput must stay within "
         "10% of lossless)",
-        dataclasses.replace(_RACK, link_loss=0.10,
-                            client_retry_policy=RetryPolicy()),
-        dataclasses.replace(_KEYS, write_ratio=0.1),
-        rate=40_000.0, length=0.5),
+        dataclasses.replace(_RACK, link_loss=0.10, retries=True,
+                            write_ratio=0.1, duration=0.5)),
     "hotpath": Scenario(
         "statistics hot-path microbenchmark: batched observe_reads raced "
         "against the scalar reference",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults.runner import ChaosConfig
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 
 
@@ -22,6 +23,18 @@ class TestAssembly:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             ClusterConfig(num_servers=0)
+
+    @pytest.mark.parametrize("config_class, field, value", [
+        (ClusterConfig, "num_pipes", 0),
+        (ClusterConfig, "insertion_latency", -1.0),
+        (ChaosConfig, "max_update_retries", -1),
+    ])
+    def test_invalid_field_rejected_at_construction(self, config_class,
+                                                    field, value):
+        # Otherwise: a ZeroDivisionError in Cluster.__init__, a negative
+        # insertion delay, and an update-retry budget that acts as zero.
+        with pytest.raises(ConfigurationError, match=field):
+            config_class(**{field: value})
 
     @pytest.mark.parametrize("field", ["controller_update_interval",
                                        "stats_interval"])

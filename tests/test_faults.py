@@ -1,6 +1,8 @@
 """Unit tests for the fault-injection subsystem (repro.faults) and the
 link/simulator/cluster fault hooks it drives."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -461,3 +463,40 @@ class TestChaosRunner:
     def test_zero_controller_interval_rejected(self, field):
         with pytest.raises(ConfigurationError, match="interval"):
             ChaosRunner(ChaosConfig(**{field: 0.0}))
+
+
+#: ``run_chaos(name, seed=0, duration=0.2)``: the sha256 of its event log
+#: and its report counters, recorded before the rack config was merged
+#: into one hierarchy; the merge must not move a single one.
+REPLAY_PINS = {
+    "combo": (
+        "ed1a2e02196f77fb22a10c85f3f2e2e38bfdd0bdb78ddc68dd5494652ee1d8b6",
+        dict(faults_injected=4, queries_sent=4001, queries_received=3863,
+             cache_hits=1881, link_drops=141, node_drops=0, duplicates=0,
+             reorders=0, retries=3, updates_sent=30, updates_acked=27,
+             writes_blocked=0, invariant_ticks=39, reads_checked=1647,
+             recovery_time=0.0, client_retries=0, client_timeouts=0,
+             client_stale_drops=0, dedup_hits=0, degraded_entries=0,
+             degraded_recovered=0, insertion_aborts=0,
+             servers_detected_dead=1, failovers=1)),
+    "loss-retry": (
+        "815c642a0502e7c8452acf717dcd20f66f5880399ccfb732bae51a516b93aea9",
+        dict(faults_injected=2, queries_sent=4001, queries_received=3857,
+             cache_hits=1818, link_drops=921, node_drops=0, duplicates=0,
+             reorders=0, retries=73, updates_sent=114, updates_acked=41,
+             writes_blocked=0, invariant_ticks=39, reads_checked=2091,
+             recovery_time=0.0, client_retries=704, client_timeouts=144,
+             client_stale_drops=0, dedup_hits=34, degraded_entries=0,
+             degraded_recovered=0, insertion_aborts=0,
+             servers_detected_dead=0, failovers=0)),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(REPLAY_PINS))
+def test_chaos_replay_pinned(scenario):
+    digest, counters = REPLAY_PINS[scenario]
+    report = run_chaos(scenario, seed=0, duration=0.2)
+    assert report.violations == []
+    assert hashlib.sha256(
+        report.event_log_text().encode()).hexdigest() == digest
+    assert {name: getattr(report, name) for name in counters} == counters

@@ -108,7 +108,7 @@ def recorded_stream():
     reply of a written key is given a value no write made, so the stream
     carries stale reads as well."""
     runner = ChaosRunner(ChaosConfig(
-        seed=5, duration=0.02, drain=0.02, client_retries=True,
+        seed=5, duration=0.02, drain=0.02, retries=True,
         write_ratio=0.3, rate=50_000.0, retry_timeout=9e-6, retry_max=20,
         retry_backoff=1.0))
     stream = []

@@ -239,7 +239,7 @@ def test_faulted_racks_replay_in_lanes(seed, kind, prob, start, span, server,
     def make():
         config = ChaosConfig(seed=seed, duration=0.04, drain=0.04,
                              write_ratio=write_ratio,
-                             client_retries=kind == "loss-retry")
+                             retries=kind == "loss-retry")
         runner = ChaosRunner(config, scenario=kind)
         ids = runner.cluster.plan.server_ids
         d = config.duration
@@ -264,7 +264,7 @@ class TestChaosSabotage:
     #: loses its reply, and its retransmission after the restart reaches
     #: the shim's dedup window.
     RETRYING = dict(seed=0, num_servers=1, duration=0.05, drain=0.03,
-                    client_retries=True, write_ratio=0.5, rate=20_000.0,
+                    retries=True, write_ratio=0.5, rate=20_000.0,
                     retry_max=20)
 
     def retrying_runner(self):
@@ -357,7 +357,7 @@ class TestChaosSabotage:
         monkeypatch.setattr(geometry.PaperLayout, "peek_value", stale_peek)
         (loop, loop_snap, _), (lanes, lanes_snap, _) = loop_and_lanes(
             lambda: ChaosRunner(ChaosConfig(
-                seed=4, duration=0.05, drain=0.03, client_retries=True,
+                seed=4, duration=0.05, drain=0.03, retries=True,
                 write_ratio=0.3)))
         assert loop.clean
         diffs = diff_snapshots(loop_snap, lanes_snap)

@@ -26,7 +26,7 @@ class TestScenarioWiring:
     def test_scenarios_registered(self):
         for name in RELIABILITY_SCENARIOS:
             assert name in SCENARIOS
-            assert SCENARIO_OVERRIDES[name]["client_retries"] is True
+            assert SCENARIO_OVERRIDES[name]["retries"] is True
 
     def test_overrides_lose_to_explicit_kwargs(self):
         report = run_chaos("loss-retry", seed=0, duration=0.05, drain=0.05,

@@ -6,6 +6,8 @@ in ``tests/test_prop_simcore.py`` and the committed 100k-packet pin in
 ``tests/test_golden_simcore.py``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,37 @@ class TestDifferential:
         assert diff_snapshots(a, b) == []
         assert a["dataplane.invalidations"] > 0
         assert a["dataplane.updates_received"] > 0
+
+
+class TestRackConfig:
+    """``SimCoreConfig`` is a ``ClusterConfig``: ``build_rack`` hands the
+    config itself to the rack, so every rack field reaches it."""
+
+    def test_rack_fields_reach_the_rack(self):
+        cluster, client, _ = build_rack(tiny(server_rate=5e5,
+                                             link_latency=7e-6))
+        assert {s.service_rate for s in cluster.servers.values()} == {5e5}
+        ends = list(cluster.servers) + [c.node_id for c in cluster.clients]
+        assert {cluster.link_to(n).latency for n in ends} == {7e-6}
+
+    def test_value_slots_follow_lookup_entries(self):
+        config = dataclasses.replace(SimCoreConfig(), lookup_entries=4096)
+        cluster, _, _ = build_rack(config)
+        layout = cluster.switch.dataplane.layout
+        assert {m.slots_per_array for m in layout.memory} == {4096}
+
+    def test_retry_fields_reach_every_client(self):
+        cluster, client, _ = build_rack(tiny(num_clients=2, retries=True,
+                                             retry_max=7, retry_timeout=1e-3))
+        workers = cluster.clients[1:]
+        assert workers[0] is client and len(workers) == 2
+        for each in workers:
+            assert each.versioned_writes
+            assert each.retry_policy.max_retries == 7
+            assert each.retry_policy.timeout == 1e-3
+            assert each.retry_policy.seed == 3
+        cluster, client, _ = build_rack(tiny())
+        assert client.retry_policy is None and not client.versioned_writes
 
 
 class TestEligibility:
