@@ -23,30 +23,33 @@ from repro.errors import ConfigurationError
 
 
 class PopularityMap:
-    """Permutation rank -> item id (rank 0 is the hottest)."""
+    """Permutation rank -> item id (rank 0 is the hottest), held as one
+    int64 array so batches of ranks map to items with one gather."""
 
     def __init__(self, num_items: int, seed: int = 0):
         if num_items <= 0:
             raise ConfigurationError("num_items must be positive")
         self.num_items = num_items
         self._rng = random.Random(seed)
-        self._item_of_rank: List[int] = list(range(num_items))
+        self._item_of_rank = np.arange(num_items, dtype=np.int64)
         self.changes = 0
 
     def item_at(self, rank: int) -> int:
-        return self._item_of_rank[rank]
+        return int(self._item_of_rank[rank])
 
     def items_at(self, ranks) -> List[int]:
-        table = self._item_of_rank
-        return [table[r] for r in ranks]
+        return self._item_of_rank[np.asarray(ranks, dtype=np.int64)].tolist()
 
     def items_array(self) -> np.ndarray:
-        """Rank -> item id table as an int64 array (vectorized items_at)."""
-        return np.asarray(self._item_of_rank, dtype=np.int64)
+        """Rank -> item id table as an int64 array (vectorized items_at):
+        a read-only view of the live table, valid until the next churn."""
+        table = self._item_of_rank.view()
+        table.flags.writeable = False
+        return table
 
     def top_items(self, k: int) -> List[int]:
         """The *k* currently-hottest item ids, hottest first."""
-        return self._item_of_rank[:k]
+        return self._item_of_rank[:k].tolist()
 
     # -- churn operations --------------------------------------------------------
 
@@ -56,10 +59,10 @@ class PopularityMap:
         Returns the item ids that became hot.
         """
         n = self._clamp(n)
-        newly_hot = self._item_of_rank[-n:]
-        self._item_of_rank = newly_hot + self._item_of_rank[:-n]
+        table = self._item_of_rank
+        self._item_of_rank = np.concatenate([table[-n:], table[:-n]])
         self.changes += 1
-        return list(newly_hot)
+        return table[-n:].tolist()
 
     def hot_out(self, n: int) -> List[int]:
         """Move the *n* hottest items to the bottom (small change).
@@ -67,10 +70,10 @@ class PopularityMap:
         Returns the item ids that went cold.
         """
         n = self._clamp(n)
-        demoted = self._item_of_rank[:n]
-        self._item_of_rank = self._item_of_rank[n:] + demoted
+        table = self._item_of_rank
+        self._item_of_rank = np.concatenate([table[n:], table[:n]])
         self.changes += 1
-        return list(demoted)
+        return table[:n].tolist()
 
     def random_replace(self, n: int, top_m: int) -> List[int]:
         """Swap *n* random items of the top *top_m* with random cold items
@@ -80,15 +83,15 @@ class PopularityMap:
         n = min(self._clamp(n), top_m, self.num_items - top_m)
         if n <= 0:
             return []
-        hot_positions = self._rng.sample(range(top_m), n)
-        cold_positions = self._rng.sample(range(top_m, self.num_items), n)
+        # Distinct hot and distinct cold positions: the n swaps touch
+        # disjoint slots, so they apply as one exchange.
+        hot = np.array(self._rng.sample(range(top_m), n), dtype=np.int64)
+        cold = np.array(self._rng.sample(range(top_m, self.num_items), n),
+                        dtype=np.int64)
         table = self._item_of_rank
-        promoted = []
-        for hp, cp in zip(hot_positions, cold_positions):
-            table[hp], table[cp] = table[cp], table[hp]
-            promoted.append(table[hp])
+        table[hot], table[cold] = table[cold], table[hot]
         self.changes += 1
-        return promoted
+        return table[hot].tolist()
 
     def _clamp(self, n: int) -> int:
         if n <= 0:

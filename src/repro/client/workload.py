@@ -159,8 +159,7 @@ class Workload:
 
     def _item_probs(self, dist: ZipfDistribution) -> np.ndarray:
         probs = np.zeros(self.spec.num_keys)
-        items = np.asarray(self.popularity.items_at(range(self.spec.num_keys)))
-        probs[items] = dist.probs
+        probs[self.popularity.items_array()] = dist.probs
         return probs
 
     def hottest_keys(self, k: int) -> list:

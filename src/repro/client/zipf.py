@@ -134,6 +134,15 @@ class KeySpace:
             raise ConfigurationError(f"not a keyspace key: {key!r}")
         return int(key[1:])
 
+    def find(self, key: bytes) -> Optional[int]:
+        """The id of *key*, or None when it is not a key of this space
+        (:meth:`item` without the error)."""
+        body = key[1:]
+        if len(key) != 16 or key[:1] != self.PREFIX or not body.isdigit():
+            return None
+        item = int(body)
+        return item if item < self.num_keys else None
+
     def keys(self, items) -> list:
         """:meth:`key` of every id in *items* (an array or any iterable)."""
         ids = (items if isinstance(items, np.ndarray)

@@ -220,46 +220,55 @@ class NetCacheDataplane:
         self.cache_misses += 1
         return self.stats.heavy_hitter_count(key)
 
-    def _read_batch(self, keys: List[bytes],
-                    read_values: bool) -> "ReadBatchResult":
-        """The read pipeline over a batch: classify, sample, count.
+    def _read_batch(self, items, read_values: bool) -> "ReadBatchResult":
+        """The read pipeline over a batch of keyspace item ids: classify,
+        sample, count.
 
-        Classifies the whole stream against the cache layout (with
-        *read_values* each valid hit also reads its value registers,
-        which is the accounting difference between a real Get and a
-        statistics-only observation), draws every sampler decision in
-        stream order (hits and misses interleave exactly as the scalar
-        path would), then applies the hit counters and the miss
-        sketch/Bloom path with vectorized batch updates.
+        Classifies the whole stream against the cache layout by item id
+        (with *read_values* each valid hit also reads its value
+        registers, which is the accounting difference between a real Get
+        and a statistics-only observation), builds the batch's keys once
+        from the layout's key space for the statistics, draws every
+        sampler decision in stream order (hits and misses interleave
+        exactly as the scalar path would), then applies the hit counters
+        and the miss sketch/Bloom path with vectorized batch updates.
         """
-        if not keys:
+        items = np.asarray(items, dtype=np.int64)
+        if not len(items):
             return ReadBatchResult(np.zeros(0, dtype=bool), [])
         stats = self.stats
-        hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays = \
-            self.layout.classify_reads(keys, read_values)
-        self.cache_hits += len(hit_indexes)
-        self.cache_misses += len(miss_keys)
+        layout = self.layout
+        hit_mask, hit_indexes, hit_delays = \
+            layout.classify_reads(items, read_values)
+        keys = layout.keyspace.keys(items)
+        hits = len(hit_indexes)
+        self.cache_hits += hits
+        self.cache_misses += len(keys) - hits
         decisions = stats.sample_batch(keys)
-        if hit_indexes:
+        if hits:
             stats.cache_count_batch(hit_indexes, decisions[hit_mask])
         hot: List = []
-        if miss_keys:
+        if hits < len(keys):
+            miss = ~hit_mask
+            miss_pos = np.flatnonzero(miss).tolist()
             reported = stats.heavy_hitter_count_batch(
-                miss_keys, decisions=decisions[~hit_mask])
+                [keys[p] for p in miss_pos], decisions=decisions[miss])
             hot = [(miss_pos[p], key) for p, key in reported]
         return ReadBatchResult(hit_mask, hot, hit_delays)
 
-    def observe_reads(self, keys: Sequence[bytes]) -> List[bytes]:
-        """Batch :meth:`observe_read`: returns the keys to report hot.
+    def observe_reads(self, items) -> List[bytes]:
+        """Batch :meth:`observe_read` over keyspace item ids: returns the
+        keys to report hot.
 
-        Bit-for-bit equivalent to looping ``observe_read`` — that
-        equivalence is what makes it safe for the hybrid emulation's
-        sampled-query stream.
+        Bit-for-bit equivalent to looping ``observe_read`` on the items'
+        keys — that equivalence is what makes it safe for the hybrid
+        emulation's sampled-query stream.
         """
-        return [key for _, key in self._read_batch(list(keys), False).hot]
+        return [key for _, key in self._read_batch(items, False).hot]
 
-    def process_read_batch(self, keys: Sequence[bytes]) -> "ReadBatchResult":
-        """Run a batch of Get packets through the read pipeline.
+    def process_read_batch(self, items) -> "ReadBatchResult":
+        """Run a batch of Get packets, given by their keys' keyspace item
+        ids, through the read pipeline.
 
         Equivalent to calling :meth:`_process_get` once per key in stream
         order — same table/status/value-register accounting, same sampler
@@ -269,9 +278,7 @@ class NetCacheDataplane:
         ``(position, key)`` pairs so the caller can schedule each at its
         packet's arrival time.
         """
-        if not isinstance(keys, list):
-            keys = list(keys)
-        return self._read_batch(keys, True)
+        return self._read_batch(items, True)
 
     # -- control-plane API (used by the controller) ---------------------------------
 

@@ -10,7 +10,8 @@ swapped in instead of forked:
   install, evict, value placement, batch probes for the lanes engine, and
   honest SRAM accounting.  The base class owns what every geometry shares:
   the key map (key -> key index, in install order), the key-index free
-  list, and the snapshot fields of a :class:`CacheStatusModule` (valid
+  list, the item column the batch probes read (key index by keyspace
+  item id), and the snapshot fields of a :class:`CacheStatusModule` (valid
   bit + update version per key index, §4.3/§4.4.4).  A layout supplies
   only its probe, its value placement, and its accounting.  The paper's
   design is :class:`PaperLayout`; :class:`SetAssocLayout` models
@@ -37,10 +38,16 @@ asks its layout only for geometry decisions.
 
 from __future__ import annotations
 
-import itertools
-import operator
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -60,6 +67,9 @@ from repro.core.status import CacheStatusModule
 from repro.core.values import ValueStore
 from repro.errors import ConfigurationError
 
+if TYPE_CHECKING:
+    from repro.client.zipf import KeySpace
+
 __all__ = [
     "RECIRCULATION_DELAY",
     "CacheLayout",
@@ -74,10 +84,6 @@ __all__ = [
     "UpdateBudget",
     "run_policy",
 ]
-
-
-#: the lookup table's action data a read needs, in column order.
-_ACTION_DATA = operator.itemgetter("key_index", "egress_port", "bitmap")
 
 
 class LayoutHit:
@@ -107,8 +113,10 @@ class CacheLayout:
     The base owns the key map ``_index`` (key -> key index, in install
     order) behind :meth:`key_index_of`, :meth:`cached_keys`,
     :meth:`is_cached` and :meth:`cache_size`; the key-index free list
-    behind :meth:`_claim_index`/:meth:`_release_index` (layouts whose key
-    index is their slot never claim); :meth:`_status_fields`, the
+    and the item column (key index by keyspace item id, the batch
+    probes' map; see :meth:`bind_keyspace`), both written only by
+    :meth:`_claim_index`/:meth:`_release_index` (layouts whose key index
+    is their slot claim it by value); :meth:`_status_fields`, the
     snapshot of a single :class:`CacheStatusModule` held as ``status``;
     and the ``lookup_hits``/``lookup_misses`` probe counters behind
     :meth:`_counted`/:meth:`_count_lookups` (the paper layout counts in
@@ -131,24 +139,64 @@ class CacheLayout:
     def __init__(self, free_indexes: int = 0):
         #: key -> key index, in install order.
         self._index: Dict[bytes, int] = {}
-        #: unclaimed key indexes, popped LIFO (lowest first when fresh).
+        #: unclaimed key indexes, popped LIFO (lowest first when fresh);
+        #: a layout whose key index is its slot starts with none.
         self._free_indexes: List[int] = list(range(free_indexes - 1, -1, -1))
+        self._pooled = free_indexes > 0
+        #: the key space the batch probes read item ids from (see
+        #: :meth:`bind_keyspace`), and the item column: key index by item
+        #: id, -1 when the item is not cached.
+        self.keyspace: Optional[KeySpace] = None
+        self.item_column: Optional[np.ndarray] = None
         self.lookup_hits = 0
         self.lookup_misses = 0
 
     # -- the key map ----------------------------------------------------------------
 
-    def _claim_index(self, key: bytes) -> int:
-        """Map *key* to a free key index (caller checked one is free)."""
-        key_index = self._index[key] = self._free_indexes.pop()
+    def _claim_index(self, key: bytes, key_index: Optional[int] = None) -> int:
+        """Map *key* to *key_index*, by default a free one from the pool
+        (caller checked one is free)."""
+        if key_index is None:
+            key_index = self._free_indexes.pop()
+        self._index[key] = key_index
+        if self.keyspace is not None:
+            item = self.keyspace.find(key)
+            if item is not None:
+                self.item_column[item] = key_index
         return key_index
 
     def _release_index(self, key: bytes) -> Optional[int]:
-        """Unmap *key* and free its key index; None if it was not mapped."""
+        """Unmap *key* and return its key index to the pool; None if it
+        was not mapped."""
         key_index = self._index.pop(key, None)
         if key_index is not None:
-            self._free_indexes.append(key_index)
+            if self._pooled:
+                self._free_indexes.append(key_index)
+            if self.keyspace is not None:
+                item = self.keyspace.find(key)
+                if item is not None:
+                    self.item_column[item] = -1
         return key_index
+
+    def bind_keyspace(self, keyspace: KeySpace) -> None:
+        """Read batch item ids from *keyspace*: (re)build the item column
+        from the key map.  Keys outside the space stay in the map only."""
+        column = np.full(keyspace.num_keys, -1, dtype=np.int32)
+        for key, key_index in self._index.items():
+            item = keyspace.find(key)
+            if item is not None:
+                column[item] = key_index
+        self.keyspace = keyspace
+        self.item_column = column
+
+    def _bound_keyspace(self) -> KeySpace:
+        """The bound key space; a batch probe on an unbound layout
+        raises."""
+        if self.keyspace is None:
+            raise ConfigurationError(
+                f"{self.name} layout has no key space: batch probes take "
+                f"item ids, bind_keyspace() first")
+        return self.keyspace
 
     def key_index_of(self, key: bytes) -> Optional[int]:
         return self._index.get(key)
@@ -201,13 +249,15 @@ class CacheLayout:
         """CACHE_UPDATE path; True when the update was applicable."""
         raise NotImplementedError
 
-    def classify_reads(self, keys: Sequence[bytes], read_values: bool):
-        """Classify a read stream; the vectorized batch-probe contract.
+    def classify_reads(self, items: np.ndarray, read_values: bool):
+        """Classify a read stream of keyspace item ids (the layout must be
+        bound, :meth:`bind_keyspace`); the vectorized batch-probe contract.
 
-        Returns ``(hit_mask, hit_indexes, miss_keys, miss_pos,
-        hit_delays)`` exactly as N sequential :meth:`lookup_hit` calls
-        would produce them — same hit/miss split, same way/segment
-        choice, same per-register accounting totals.  ``hit_delays`` is
+        Returns ``(hit_mask, hit_indexes, hit_delays)`` exactly as N
+        sequential :meth:`lookup_hit` calls on the items' keys would
+        produce them — same hit/miss split, same way/segment choice, same
+        per-register accounting totals.  ``hit_indexes`` is an integer
+        array of the hits' key indexes in stream order.  ``hit_delays`` is
         None for single-pass layouts, or a float64 array (one entry per
         hit, in hit-stream order) of extra reply latency
         (``extra_passes * RECIRCULATION_DELAY``) for multi-pass layouts;
@@ -340,6 +390,10 @@ class PaperLayout(CacheLayout):
                                 slot_bytes=slot_bytes)
             for p in range(num_pipes)
         ]
+        #: egress pipe and value bitmap by key index, as the lookup
+        #: table's action data holds them (meaningful while cached).
+        self._pipe_of_index = np.zeros(entries, dtype=np.int64)
+        self._bitmap_of_index = np.zeros(entries, dtype=np.int64)
 
     def pipe_of_port(self, port: int) -> int:
         from repro.core.primitives import port_to_pipe
@@ -383,48 +437,44 @@ class PaperLayout(CacheLayout):
             # the entry stays invalid until the controller reinstalls it.
         return applied
 
-    def classify_reads(self, keys: Sequence[bytes], read_values: bool):
-        """Batch probe of the match-action table.
+    def classify_reads(self, items: np.ndarray, read_values: bool):
+        """Batch probe of the match-action table, by item id.
 
         Equivalent to looping :meth:`lookup_hit` (plus :meth:`read_value`
-        per valid hit when *read_values*).  One dict probe per key — the
-        table is its own memo, nothing to invalidate — then one live
-        validity gather per egress pipe (writes flip the bits between
-        batches, never inside one) and, from the hits' bitmaps, one read
-        total per value register array.
+        per valid hit when *read_values*) on the items' keys.  One gather
+        from the item column stands in for the table probes (the column
+        is written wherever the table is, so it holds the table's key
+        indexes); the hits' pipes and bitmaps come from per-key-index
+        columns kept at install and defragment; then one live validity
+        gather per egress pipe (writes flip the bits between batches,
+        never inside one) and, from the hits' bitmaps, one read total per
+        value register array.
         """
-        hit_mask = np.zeros(len(keys), dtype=bool)
-        hit_indexes: List[int] = []
-        entries = self.lookup.probe_batch(keys)
-        found_pos = [j for j, entry in enumerate(entries)
-                     if entry is not None]
-        if found_pos:
-            nf = len(found_pos)
-            key_index, ports, bitmaps = np.fromiter(
-                itertools.chain.from_iterable(
-                    _ACTION_DATA(entries[j]) for j in found_pos),
-                dtype=np.int64, count=3 * nf).reshape(nf, 3).T
-            pipes = (ports // self.ports_per_pipe) % self.num_pipes
-            valid = np.zeros(nf, dtype=bool)
-            for pipe in np.flatnonzero(np.bincount(pipes)).tolist():
-                sel = np.flatnonzero(pipes == pipe)
-                ok = self.status[pipe].valid.read_int_batch(
-                    key_index[sel]) != 0
-                valid[sel] = ok
-                if read_values:
-                    # The scalar path reads (and discards) each valid
-                    # hit's chunks; only the register accounting is
-                    # observable.
-                    arrays = self.values[pipe].arrays
-                    reads = ((bitmaps[sel[ok], None]
-                              >> np.arange(len(arrays))) & 1).sum(axis=0)
-                    for array, count in zip(arrays, reads.tolist()):
-                        array.note_batch_reads(count)
-            hit_mask[np.asarray(found_pos)[valid]] = True
-            hit_indexes = key_index[valid].tolist()
-        miss_pos = np.flatnonzero(~hit_mask).tolist()
-        miss_keys = [keys[p] for p in miss_pos]
-        return hit_mask, hit_indexes, miss_keys, miss_pos, None
+        self._bound_keyspace()
+        n = len(items)
+        key_index = self.item_column[items]
+        found_pos = np.flatnonzero(key_index >= 0)
+        key_index = key_index[found_pos]
+        self.lookup.note_probes(len(found_pos), n)
+        pipes = self._pipe_of_index[key_index]
+        valid = np.zeros(len(found_pos), dtype=bool)
+        for pipe in np.flatnonzero(np.bincount(pipes)).tolist():
+            sel = np.flatnonzero(pipes == pipe)
+            ok = self.status[pipe].valid.read_int_batch(
+                key_index[sel]) != 0
+            valid[sel] = ok
+            if read_values:
+                # The scalar path reads (and discards) each valid hit's
+                # chunks; only the register accounting is observable.
+                arrays = self.values[pipe].arrays
+                bitmaps = self._bitmap_of_index[key_index[sel[ok]]]
+                reads = ((bitmaps[:, None]
+                          >> np.arange(len(arrays))) & 1).sum(axis=0)
+                for array, count in zip(arrays, reads.tolist()):
+                    array.note_batch_reads(count)
+        hit_mask = np.zeros(n, dtype=bool)
+        hit_mask[found_pos[valid]] = True
+        return hit_mask, key_index[valid], None
 
     # -- control plane ------------------------------------------------------------
 
@@ -439,6 +489,8 @@ class PaperLayout(CacheLayout):
             return False
         key_index = self._claim_index(key)
         self.lookup.insert(key, alloc, egress_port, key_index)
+        self._pipe_of_index[key_index] = pipe
+        self._bitmap_of_index[key_index] = alloc.bitmap
         self.values[pipe].write(alloc, value)
         self.status[pipe].reset_entry(key_index)
         self.status[pipe].set_valid(key_index)
@@ -501,6 +553,7 @@ class PaperLayout(CacheLayout):
             entry = self.lookup.table.lookup(key)
             entry["bitmap"] = new.bitmap
             entry["value_index"] = new.index
+            self._bitmap_of_index[entry["key_index"]] = new.bitmap
         return len(staged)
 
     def try_defragment(self, egress_port: int) -> None:
@@ -679,15 +732,17 @@ class SetAssocLayout(CacheLayout):
             self.value.write(idx, value)
         return True  # a stale duplicate is acked but not applied
 
-    def classify_reads(self, keys: Sequence[bytes], read_values: bool):
+    def classify_reads(self, items: np.ndarray, read_values: bool):
         """Vectorized set-index + fingerprint batch probe.
 
         Equivalent to looping :meth:`lookup_hit` (plus one way-value read
-        per valid hit when *read_values*): the per-key walk is memoized in
-        ``_probe_cache`` and every counter — lookup hits/misses,
-        fingerprint mismatches, valid-bit reads, per-way hit counters,
-        value-register reads — receives the same totals numpy-side.
+        per valid hit when *read_values*) on the items' keys: the per-key
+        walk is memoized in ``_probe_cache`` and every counter — lookup
+        hits/misses, fingerprint mismatches, valid-bit reads, per-way hit
+        counters, value-register reads — receives the same totals
+        numpy-side.
         """
+        keys = self._bound_keyspace().keys(items)
         n = len(keys)
         hit_mask = np.zeros(n, dtype=bool)
         slots = np.empty(n, dtype=np.int64)
@@ -714,10 +769,7 @@ class SetAssocLayout(CacheLayout):
             # The scalar path reads (and discards) each valid hit's way
             # value; only the register accounting is observable here.
             self.value.note_batch_reads(len(hit_slots))
-        hit_indexes = hit_slots.tolist()
-        miss_pos = np.flatnonzero(~hit_mask).tolist()
-        miss_keys = [keys[p] for p in miss_pos]
-        return hit_mask, hit_indexes, miss_keys, miss_pos, None
+        return hit_mask, hit_slots, None
 
     # -- control plane ------------------------------------------------------------
 
@@ -749,7 +801,7 @@ class SetAssocLayout(CacheLayout):
         self._fp[free] = fp
         self._keys[free] = key
         self._way_hits[free] = 0
-        self._index[key] = free
+        self._claim_index(key, free)
         self._probe_cache.clear()
         self.status.version.write_int(free, 0)
         self.value.write(free, value)
@@ -764,7 +816,7 @@ class SetAssocLayout(CacheLayout):
         self._probe_cache.clear()
         self.status.reset_entry(idx)
         self.value.write(idx, b"")
-        self._index.pop(key, None)
+        self._release_index(key)
 
     def evict(self, key: bytes) -> bool:
         idx = self._index.get(key)
@@ -922,16 +974,18 @@ class OrbitLayout(CacheLayout):
         for i, seg in enumerate(segs):
             self.segments.write(seg, value[i * sb:(i + 1) * sb])
 
-    def classify_reads(self, keys: Sequence[bytes], read_values: bool):
+    def classify_reads(self, items: np.ndarray, read_values: bool):
         """Vectorized segment-pool batch probe.
 
         Equivalent to looping :meth:`lookup_hit` (plus one
-        :meth:`read_value` per valid hit when *read_values*): same
-        hit/miss split, same valid-bit reads, same recirculation and
-        segment-read totals.  ``hit_delays[i]`` is the i-th hit's extra
-        reply latency, ``(segments - 1) * RECIRCULATION_DELAY`` — the
-        exact float the scalar serve would pass to ``sim.schedule``.
+        :meth:`read_value` per valid hit when *read_values*) on the
+        items' keys: same hit/miss split, same valid-bit reads, same
+        recirculation and segment-read totals.  ``hit_delays[i]`` is the
+        i-th hit's extra reply latency, ``(segments - 1) *
+        RECIRCULATION_DELAY`` — the exact float the scalar serve would
+        pass to ``sim.schedule``.
         """
+        keys = self._bound_keyspace().keys(items)
         n = len(keys)
         hit_mask = np.zeros(n, dtype=bool)
         index = self._index
@@ -957,11 +1011,8 @@ class OrbitLayout(CacheLayout):
             # valid hit; only the pool accounting is observable here.
             self.recirculations += int(passes.sum())
             self.segments.note_batch_reads(int((passes + 1).sum()))
-        hit_indexes = idx_arr[valid_sel].tolist()
-        miss_pos = np.flatnonzero(~hit_mask).tolist()
-        miss_keys = [keys[p] for p in miss_pos]
         hit_delays = passes.astype(np.float64) * RECIRCULATION_DELAY
-        return hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays
+        return hit_mask, idx_arr[valid_sel], hit_delays
 
     # -- control plane ------------------------------------------------------------
 

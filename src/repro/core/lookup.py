@@ -15,7 +15,7 @@ resource accounting.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 from repro.constants import KEY_SIZE, LOOKUP_TABLE_ENTRIES
 from repro.core.memory import Allocation
@@ -71,18 +71,11 @@ class CacheLookupTable:
         entry = self.table.peek(key)
         return None if entry is None else LookupResult(**entry)
 
-    def probe(self, key: bytes) -> Optional[dict]:
-        """Raw action-data dict of a hit (hot path; treat as read-only).
-
-        Same table access and hit/miss accounting as :meth:`lookup`, minus
-        the per-call :class:`LookupResult` allocation — the batch
-        statistics path probes thousands of keys per step.
-        """
-        return self.table.lookup(key)
-
-    def probe_batch(self, keys) -> List[Optional[dict]]:
-        """:meth:`probe` once per key, in order."""
-        return self.table.lookup_batch(keys)
+    def note_probes(self, found: int, probed: int) -> None:
+        """Account *probed* lookups, *found* of them hits, that a batch
+        probe resolved through the layout's item column."""
+        self.table.hits += found
+        self.table.misses += probed - found
 
     # -- control plane -----------------------------------------------------------
 

@@ -103,14 +103,19 @@ class RegisterArray:
         Equivalent to calling :meth:`read_int` once per index — same
         epoch gating, same ``reads`` accounting — as one numpy gather.
         """
-        idx = np.asarray(indexes, dtype=np.int64)
-        if idx.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if idx.min() < 0 or idx.max() >= self.slots:
-            raise IndexError(f"{self.name}: batch index out of [0, {self.slots})")
+        idx = self._batch_indexes(indexes)
         self.reads += idx.size
-        return np.where(self._stamps[idx] == self._epoch,
-                        self._ints[idx].astype(np.int64), 0)
+        values = self._ints[idx].astype(np.int64)
+        values[self._stamps[idx] != self._epoch] = 0
+        return values
+
+    def _batch_indexes(self, indexes) -> np.ndarray:
+        """*indexes* as int64, bounds-checked with one reduction: a
+        negative index reads as a huge unsigned one."""
+        idx = np.asarray(indexes, dtype=np.int64)
+        if idx.size and idx.view(np.uint64).max() >= self.slots:
+            raise IndexError(f"{self.name}: batch index out of [0, {self.slots})")
+        return idx
 
     def note_batch_reads(self, count: int) -> None:
         """Account *count* reads without materializing them.
@@ -149,25 +154,23 @@ class RegisterArray:
         """Saturating add of *delta* at each of *indexes* (with repeats).
 
         Equivalent to calling :meth:`add` once per index: positive
-        increments make saturation commute with summation, so accumulating
-        and clipping once per touched slot reproduces the sequential
-        result.
+        increments make saturation commute with summation, so adding each
+        touched slot's total once, clipped at the width limit, reproduces
+        the sequential result.
         """
-        idx = np.asarray(indexes, dtype=np.int64)
+        idx = self._batch_indexes(indexes)
         if idx.size == 0:
             return
         if delta <= 0:
             raise ConfigurationError("delta must be positive")
-        if idx.min() < 0 or idx.max() >= self.slots:
-            raise IndexError(f"{self.name}: batch index out of [0, {self.slots})")
         self.writes += idx.size
-        touched = np.unique(idx)
-        stale = touched[self._stamps[touched] != self._epoch]
-        self._ints[stale] = 0
+        touched, counts = np.unique(idx, return_counts=True)
+        base = self._ints[touched]
+        base[self._stamps[touched] != self._epoch] = 0
+        room = np.uint64(self.max_int) - base
+        self._ints[touched] = base + np.minimum(
+            counts.astype(np.uint64) * np.uint64(delta), room)
         self._stamps[touched] = self._epoch
-        np.add.at(self._ints, idx, np.uint64(delta))
-        over = touched[self._ints[touched] > self.max_int]
-        self._ints[over] = self.max_int
 
     def clear(self) -> None:
         """Zero the array (control-plane reset).  O(1) for integer slots:
@@ -230,16 +233,6 @@ class MatchActionTable:
         else:
             self.hits += 1
         return entry
-
-    def lookup_batch(self, matches) -> List[Optional[Dict[str, Any]]]:
-        """:meth:`lookup` once per element of *matches*, in order — one
-        dict probe each, the hit/miss accounting applied as totals."""
-        get = self._entries.get
-        found = [get(match) for match in matches]
-        misses = found.count(None)
-        self.misses += misses
-        self.hits += len(found) - misses
-        return found
 
     def entries(self) -> Dict[bytes, Dict[str, Any]]:
         """Copy of the current entries (control-plane read)."""

@@ -127,10 +127,11 @@ class QueryStatistics:
 
     def cache_count_batch(self, key_indexes: Sequence[int],
                           decisions: np.ndarray) -> None:
-        """Batch of cache-hit counts: *key_indexes* aligned with the
-        boolean *decisions* mask (from :meth:`sample_batch`)."""
-        idx = np.asarray(key_indexes, dtype=np.int64)
-        self.counters.add_batch(idx[np.asarray(decisions, dtype=bool)], 1)
+        """Batch of cache-hit counts: *key_indexes* (a layout's hit-index
+        array, taken as it is) aligned with the boolean *decisions* mask
+        (from :meth:`sample_batch`)."""
+        self.counters.add_batch(
+            np.asarray(key_indexes)[np.asarray(decisions, dtype=bool)], 1)
 
     def heavy_hitter_count_batch(
             self, keys: Sequence[bytes],

@@ -80,11 +80,12 @@ class PlainSwitch(Node):
     def cached_keys(self):
         return []
 
-    def process_read_batch(self, keys) -> ReadBatchResult:
-        """Batch arrival of Get packets: each is routed on, one
-        ``forwarded`` apiece, with no cache hit and no hot-key report."""
-        self.forwarded += len(keys)
-        return ReadBatchResult(np.zeros(len(keys), dtype=bool), [])
+    def process_read_batch(self, items) -> ReadBatchResult:
+        """Batch arrival of Get packets (their keys' item ids): each is
+        routed on, one ``forwarded`` apiece, with no cache hit and no
+        hot-key report."""
+        self.forwarded += len(items)
+        return ReadBatchResult(np.zeros(len(items), dtype=bool), [])
 
     def process_write_packet(self, pkt: Packet) -> None:
         """One write arrival, routed on unchanged: one ``forwarded``."""
@@ -137,17 +138,18 @@ class NetCacheSwitch(PlainSwitch):
 
     # -- batched fast path (see repro.net.fastpath) -----------------------------------
 
-    def process_read_batch(self, keys) -> ReadBatchResult:
-        """Batch arrival of Get packets: switch counters + read pipeline.
+    def process_read_batch(self, items) -> ReadBatchResult:
+        """Batch arrival of Get packets, given by their keys' keyspace
+        item ids: switch counters + read pipeline.
 
         Per-packet accounting matches :meth:`handle_packet` for a Get: one
         ``processed`` and — since every read forwards exactly one packet,
         the cache reply or the miss forward — one ``forwarded``.  Actual
         transmission and hot-report scheduling stay with the caller.
         """
-        n = len(keys)
+        n = len(items)
         self.processed += n
-        result = self.dataplane.process_read_batch(keys)
+        result = self.dataplane.process_read_batch(items)
         self.forwarded += n
         return result
 

@@ -421,8 +421,15 @@ class FastPathEngine:
         if len(num_keys) != 1:
             raise ConfigurationError(
                 "fast path needs one shared keyspace across clients")
-        keyspace = self._keyspace = clients[0].workload.keyspace
+        keyspace = clients[0].workload.keyspace
         self._key_of_item = keyspace.keys(range(keyspace.num_keys))
+        # Reads reach the layout as item ids: its item column must cover
+        # the clients' key space.
+        self._layout = layout
+        if layout is not None and (
+                layout.keyspace is None
+                or layout.keyspace.num_keys < keyspace.num_keys):
+            layout.bind_keyspace(keyspace)
         partitioner = clients[0].partitioner
         self._server_of_item = np.asarray(
             partitioner.server_ids,
@@ -458,11 +465,6 @@ class FastPathEngine:
         #: a stage: a report is no request (no seq or client, nothing to
         #: scalarize or answer), and tests swap this lane on a built engine.
         self._reports = _Lane()
-
-        # Cached-set membership by item id, for the write-safe bound
-        # (recomputed whenever the controller installs or evicts).
-        self._cached_mask: Optional[np.ndarray] = None
-        self._cached_mask_version = -1
 
         # Retry support: the smallest possible attempt-0 timeout across
         # clients bounds every reply-latency bound.
@@ -920,20 +922,16 @@ class FastPathEngine:
 
     # -- lane flushing -------------------------------------------------------------
 
-    def _cached_item_mask(self) -> np.ndarray:
-        """Boolean cached-set membership by item id.
+    def _cached(self, items: np.ndarray) -> np.ndarray:
+        """Whether each item is cached, from the layout's item column.
 
         Membership only changes through controller install/evict (real
-        events, which always bound a flush), so within one flush pass the
-        mask is frozen; ``contents_version`` invalidates it across passes.
-        """
-        switch = self.switch
-        if self._cached_mask_version != switch.contents_version:
-            mask = np.zeros(len(self._key_of_item), dtype=bool)
-            mask[self._keyspace.items(switch.cached_keys())] = True
-            self._cached_mask = mask
-            self._cached_mask_version = switch.contents_version
-        return self._cached_mask
+        events, which always bound a flush), so within one flush pass it
+        is frozen."""
+        layout = self._layout
+        if layout is None:
+            return np.zeros(len(items), dtype=bool)
+        return layout.item_column[items] >= 0
 
     def _write_safe_limit(self) -> float:
         """Earliest time a pending write could mutate switch state again.
@@ -958,8 +956,8 @@ class FastPathEngine:
                         continue
                     op = chunk.op[chunk.pos:]
                     if lane is self._sw_arr:
-                        w = (op != _GET) & self._cached_item_mask()[
-                            chunk.items[chunk.pos:]]
+                        w = (op != _GET) & self._cached(
+                            chunk.items[chunk.pos:])
                     else:
                         w = op == _PUT_CACHED
                     w = np.flatnonzero(w)
@@ -1114,7 +1112,7 @@ class FastPathEngine:
                 # surrounding reads (no sampler RNG, no read-visible
                 # switch state), so whole segments between barriers flush
                 # as one merged batch instead of one batch per read run.
-                alone &= self._cached_item_mask()[chunk.items]
+                alone &= self._cached(chunk.items)
             seg = 0
             for p in np.flatnonzero(alone).tolist():
                 if p > seg:
@@ -1200,8 +1198,7 @@ class FastPathEngine:
         for st, sel in self._per_client(chunk.idx):
             self._note_ops(t[sel], st.client.node_id, self.tor_id,
                            chunk.op, chunk.seqs[sel], uniform=True)
-        res = self.switch.process_read_batch(
-            [key_of[i] for i in chunk.items.tolist()])
+        res = self.switch.process_read_batch(chunk.items)
         self._push_reports(t, res.hot)
         hit = res.hit_mask
         nh = int(hit.sum())

@@ -181,10 +181,15 @@ class Cluster:
     # -- setup helpers -------------------------------------------------------------
 
     def load_workload_data(self, workload: Workload) -> None:
-        """Preload every item into its owning server's store."""
+        """Preload every item into its owning server's store, and bind
+        the switch's cache layout to the workload's key space (its batch
+        probes take item ids)."""
         load_stores(self.servers, self.partitioner,
                     workload.keyspace.keys(range(workload.spec.num_keys)),
                     workload.value_for)
+        dataplane = getattr(self.switch, "dataplane", None)
+        if dataplane is not None:
+            dataplane.layout.bind_keyspace(workload.keyspace)
 
     def warm_cache(self, workload: Workload,
                    items: Optional[int] = None) -> int:
@@ -222,7 +227,9 @@ class Cluster:
                                 versioned_writes=versioned_writes)
         self.sim.add_node(client)
         self.sim.connect(self.plan.tor_id, node_id,
-                         latency=self.config.link_latency)
+                         latency=self.config.link_latency,
+                         loss_prob=self.config.link_loss,
+                         seed=self.config.seed)
         port = max(self.plan.client_ports.values()) + 1 + len(
             [c for c in self.clients if isinstance(c, WorkloadClient)])
         self.switch.attach_neighbor(port, node_id)

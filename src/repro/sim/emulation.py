@@ -34,7 +34,7 @@ from repro.kvstore.partition import HashPartitioner
 from repro.kvstore.server import StorageServer, load_stores
 from repro.net.simulator import Simulator
 from repro.net.topology import make_rack_plan
-from repro.sim.ratesim import CacheContentsMask, RateSimConfig, simulate
+from repro.sim.ratesim import RateSimConfig, simulate
 
 
 @dataclasses.dataclass
@@ -164,12 +164,13 @@ class DynamicsEmulator:
         self._probs_generation = -1
         self._capacity = 0.0
         self._capacity_key = None
-        self._mask = CacheContentsMask(self.switch, self.workload.keyspace)
 
     def _load_stores(self) -> None:
+        keyspace = self.workload.keyspace
         load_stores(self.servers, self.partitioner,
-                    self.workload.keyspace.keys(range(self.config.num_keys)),
+                    keyspace.keys(range(self.config.num_keys)),
                     self.workload.value_for)
+        self.switch.dataplane.layout.bind_keyspace(keyspace)
 
     # -- pieces of one step ------------------------------------------------------
 
@@ -177,16 +178,15 @@ class DynamicsEmulator:
         """Push a sampled batch of the current read stream through the real
         statistics path and report hot keys to the controller.
 
-        Uses the data plane's batch entry point, so the per-step cost is a
-        key-materialization pass plus a handful of numpy calls instead of
-        ~8 hash computations per sampled query (bit-for-bit identical
-        decisions; see docs/PERFORMANCE.md)."""
+        Uses the data plane's batch entry point on item ids (ranks map to
+        items with one gather), so the per-step cost is a handful of
+        numpy calls instead of ~8 hash computations per sampled query
+        (bit-for-bit identical decisions; see docs/PERFORMANCE.md)."""
         count = self.config.samples_per_step
         ranks = self.workload._read_gen.sample(count)
-        items = self.popularity.items_at(ranks)
-        keys = self.workload.keyspace.keys(items)
+        items = self.popularity.items_array()[ranks]
         report = self.controller.report_hot_key
-        for hot in self.switch.dataplane.observe_reads(keys):
+        for hot in self.switch.dataplane.observe_reads(items):
             report(hot)
 
     def _saturated_throughput(self) -> float:
@@ -203,7 +203,8 @@ class DynamicsEmulator:
         if self._capacity_key != key:
             # Invalid entries (just-written keys) don't serve; with a
             # read-only dynamics workload every cached key is valid.
-            self._capacity = simulate(self._read_probs, self._mask.mask(),
+            cached = self.switch.dataplane.layout.item_column >= 0
+            self._capacity = simulate(self._read_probs, cached,
                                       self.rate_config).throughput
             self._capacity_key = key
         return self._capacity

@@ -101,30 +101,6 @@ def pipe_vector(num_keys: int, num_servers: int, num_pipes: int,
     return pipes
 
 
-class CacheContentsMask:
-    """Contents-version-keyed cache of the cached-items mask.
-
-    Rebuilding the per-item boolean mask from the switch's key list is the
-    expensive part of re-running the equilibrium model every step of the
-    hybrid emulation; the dataplane bumps ``contents_version`` on every
-    install/evict, so the mask is reused until the cache actually changes.
-    """
-
-    def __init__(self, switch, keyspace: KeySpace):
-        self._switch = switch
-        self._keyspace = keyspace
-        self._mask: Optional[np.ndarray] = None
-        self._version = -1
-
-    def mask(self) -> np.ndarray:
-        dataplane = self._switch.dataplane
-        if self._mask is None or self._version != dataplane.contents_version:
-            self._mask = mask_from_keys(self._switch.cached_keys(),
-                                        self._keyspace)
-            self._version = dataplane.contents_version
-        return self._mask
-
-
 @dataclasses.dataclass(frozen=True)
 class RateSimConfig:
     """Inputs to one equilibrium computation."""

@@ -117,12 +117,8 @@ class ServerRotation:
         probe = self._fresh_cluster()
         probs = self.workload.read_item_probs()
         if self.config.enable_cache:
-            from repro.sim.ratesim import mask_from_keys
-
-            mask = mask_from_keys(probe.switch.dataplane.cached_keys()
-                                  if probe.controller else [],
-                                  self.workload.keyspace)
-            probs = np.where(mask, 0.0, probs)
+            cached = probe.switch.dataplane.layout.item_column >= 0
+            probs = np.where(cached, 0.0, probs)
         shares = np.zeros(self.config.num_partitions)
         for item in np.flatnonzero(probs):
             key = self.workload.keyspace.key(int(item))

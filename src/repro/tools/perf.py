@@ -239,6 +239,7 @@ def _run_hotpath(seed: int, duration: Optional[float]):
         cfg["packets"] * (1.0 if duration is None else duration))))
     workload = Workload(WorkloadSpec(num_keys=cfg["num_keys"], seed=seed))
     stream = [key for _op, key in workload.queries(total)]
+    items = workload.keyspace.items(stream)
     cached = workload.hottest_keys(cfg["cache_items"])
 
     def build(stats_class) -> NetCacheDataplane:
@@ -248,6 +249,7 @@ def _run_hotpath(seed: int, duration: Optional[float]):
             stats=stats_class(entries=cfg["entries"],
                               hot_threshold=cfg["hot_threshold"],
                               sample_rate=1.0, seed=seed))
+        dp.layout.bind_keyspace(workload.keyspace)
         ports = dp.num_pipes * dp.ports_per_pipe
         for i, key in enumerate(cached):
             dp.install(key, workload.value_for(key), i % ports)
@@ -262,11 +264,11 @@ def _run_hotpath(seed: int, duration: Optional[float]):
         while pos < total:
             end = min(pos + batch_size, total,
                       (pos // reset_every + 1) * reset_every)
-            chunk = stream[pos:end]
             if batched:
-                hot.extend(dp.observe_reads(chunk))
+                hot.extend(dp.observe_reads(items[pos:end]))
             else:
-                hot.extend(key for key in map(dp.observe_read, chunk)
+                hot.extend(key for key in map(dp.observe_read,
+                                              stream[pos:end])
                            if key is not None)
             pos = end
             if pos % reset_every == 0:
@@ -551,8 +553,8 @@ SCENARIOS: Dict[str, Scenario] = {
                       stats_interval=0.5, num_keys=500, rate=10_000.0,
                       duration=0.2)),
     "lossy10": _rack_row(
-        "10% per-link loss, client retries on (goodput must stay within "
-        "10% of lossless)",
+        "10% loss on every client and server cable, client retries on "
+        "(goodput must stay within 10% of lossless)",
         dataclasses.replace(_RACK, link_loss=0.10, retries=True,
                             write_ratio=0.1, duration=0.5)),
     "hotpath": Scenario(

@@ -1,9 +1,79 @@
 """Tests for popularity churn (hot-in / random / hot-out)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.client.dynamics import ChurnSchedule, PopularityMap
 from repro.errors import ConfigurationError
+
+
+class ListPopularityMap:
+    """The rank -> item permutation as a Python list, one swap at a
+    time: the executable spec of :class:`PopularityMap`'s array form."""
+
+    def __init__(self, num_items, seed=0):
+        self.num_items = num_items
+        self._rng = random.Random(seed)
+        self._item_of_rank = list(range(num_items))
+        self.changes = 0
+
+    def hot_in(self, n):
+        n = min(n, self.num_items)
+        newly_hot = self._item_of_rank[-n:]
+        self._item_of_rank = newly_hot + self._item_of_rank[:-n]
+        self.changes += 1
+        return list(newly_hot)
+
+    def hot_out(self, n):
+        n = min(n, self.num_items)
+        demoted = self._item_of_rank[:n]
+        self._item_of_rank = self._item_of_rank[n:] + demoted
+        self.changes += 1
+        return list(demoted)
+
+    def random_replace(self, n, top_m):
+        n = min(n, self.num_items, top_m, self.num_items - top_m)
+        if n <= 0:
+            return []
+        hot_positions = self._rng.sample(range(top_m), n)
+        cold_positions = self._rng.sample(range(top_m, self.num_items), n)
+        table = self._item_of_rank
+        promoted = []
+        for hp, cp in zip(hot_positions, cold_positions):
+            table[hp], table[cp] = table[cp], table[hp]
+            promoted.append(table[hp])
+        self.changes += 1
+        return promoted
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_items=st.integers(1, 60), seed=st.integers(0, 3),
+       ops=st.lists(st.tuples(
+           st.sampled_from(["hot-in", "hot-out", "random"]),
+           st.integers(1, 70), st.integers(0, 60)), max_size=12))
+def test_array_map_is_the_list_map(num_items, seed, ops):
+    """Same returns, same permutation and the same RNG state after every
+    churn: both forms draw ``random.sample`` identically."""
+    fast = PopularityMap(num_items, seed=seed)
+    spec = ListPopularityMap(num_items, seed=seed)
+    for kind, n, top_m in ops:
+        if kind == "hot-in":
+            assert fast.hot_in(n) == spec.hot_in(n)
+        elif kind == "hot-out":
+            assert fast.hot_out(n) == spec.hot_out(n)
+        else:
+            top_m = min(top_m, num_items)
+            assert fast.random_replace(n, top_m) == \
+                spec.random_replace(n, top_m)
+        table = spec._item_of_rank
+        assert fast.items_array().tolist() == table
+        assert fast.items_at(range(num_items)) == table
+        assert fast.top_items(3) == table[:3]
+        assert fast.item_at(num_items - 1) == table[-1]
+        assert fast.changes == spec.changes
+        assert fast._rng.getstate() == spec._rng.getstate()
 
 
 class TestPopularityMap:

@@ -57,6 +57,18 @@ class TestRegisterArray:
     def test_sram_accounting(self):
         assert RegisterArray("r", 64, 16).sram_bytes == 1024
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_batch_index_bounds(self, bad):
+        # One unsigned reduction checks both ends: -1 reads as 2**64 - 1.
+        arr = RegisterArray("r", slots=8, slot_bytes=4)
+        with pytest.raises(IndexError):
+            arr.read_int_batch([0, bad, 7])
+        with pytest.raises(IndexError):
+            arr.add_batch([bad])
+        assert arr.reads == 0 and arr.writes == 0
+        arr.add_batch([0, 7, 7])
+        assert arr.read_int_batch([0, 7]).tolist() == [1, 2]
+
 
 class TestMatchActionTable:
     def test_lookup_hit_and_miss(self):

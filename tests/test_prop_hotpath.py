@@ -13,6 +13,7 @@ long as every property here holds.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core.primitives import RegisterArray
 from repro.core.stats import QueryStatistics
 from repro.net.routing import RoutingTable
 from repro.sketch.bloom import BloomFilter
@@ -249,9 +250,11 @@ def test_observe_reads_matches_observe_read_loop(picks, mode, rate, seed):
     """The data plane's batch entry point splits hits from misses yet
     replays exactly like the per-packet path: same reports in order, same
     hit/miss accounting, same counters, straddling a statistics reset."""
+    from repro.client.zipf import KeySpace
     from repro.core.dataplane import NetCacheDataplane
 
-    universe = [b"key-%02d" % i for i in range(40)]
+    keyspace = KeySpace(40)
+    universe = keyspace.keys(range(40))
     cached = universe[:10]
 
     def build():
@@ -260,17 +263,19 @@ def test_observe_reads_matches_observe_read_loop(picks, mode, rate, seed):
             stats=QueryStatistics(entries=64, hot_threshold=2,
                                   sample_rate=rate, seed=seed,
                                   sampler_mode=mode))
+        dp.layout.bind_keyspace(keyspace)
         for i, key in enumerate(cached):
             assert dp.install(key, b"v" * 8, i % 128)
         return dp
 
     stream = [universe[p] for p in picks]
+    items = np.array(picks, dtype=np.int64)
     half = len(stream) // 2
     batched, scalar = build(), build()
 
-    hot_batched = list(batched.observe_reads(stream[:half]))
+    hot_batched = list(batched.observe_reads(items[:half]))
     batched.reset_statistics()
-    hot_batched += batched.observe_reads(stream[half:])
+    hot_batched += batched.observe_reads(items[half:])
 
     hot_scalar = []
     for key in stream[:half]:
@@ -293,3 +298,37 @@ def test_observe_reads_matches_observe_read_loop(picks, mode, rate, seed):
         assert batched.counter_of(key) == scalar.counter_of(key)
         assert batched.stats.sketch.estimate(key) == \
             scalar.stats.sketch.estimate(key)
+
+
+# -- register batch kernels ----------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("add"), st.lists(st.integers(0, 7), max_size=40),
+              st.integers(1, 100)),
+    st.tuples(st.just("read"), st.lists(st.integers(0, 7), max_size=10),
+              st.just(0)),
+    st.tuples(st.just("clear"), st.just([]), st.just(0))), max_size=30),
+    slot_bytes=st.sampled_from([1, 2, 8]))
+def test_add_batch_is_the_add_loop(ops, slot_bytes):
+    """``add_batch`` and ``read_int_batch`` against one ``add`` /
+    ``read_int`` per index: saturation at the slot width (one byte
+    saturates within a batch), repeats inside a batch, and slots left
+    stale by an epoch-bump clear."""
+    batch = RegisterArray("batch", 8, slot_bytes)
+    loop = RegisterArray("loop", 8, slot_bytes)
+    for kind, indexes, delta in ops:
+        if kind == "add":
+            batch.add_batch(np.array(indexes, dtype=np.int64), delta)
+            for i in indexes:
+                loop.add(i, delta)
+        elif kind == "read":
+            assert batch.read_int_batch(indexes).tolist() == \
+                [loop.read_int(i) for i in indexes]
+        else:
+            batch.clear()
+            loop.clear()
+        assert [batch.peek_int(i) for i in range(8)] == \
+            [loop.peek_int(i) for i in range(8)]
+        assert (batch.reads, batch.writes) == (loop.reads, loop.writes)

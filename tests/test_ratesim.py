@@ -7,7 +7,6 @@ from repro.client.zipf import KeySpace, ZipfDistribution
 from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
 from repro.sim.ratesim import (
-    CacheContentsMask,
     RateSimConfig,
     fast_partition_vector,
     mask_from_keys,
@@ -161,25 +160,23 @@ class TestMaskHelpers:
             mask_from_keys([KeySpace(100).key(50)], KeySpace(50))
 
 
-class TestCacheContentsMask:
+class TestItemColumnMask:
+    """``column >= 0`` of the switch layout's item column is the cached
+    set the hybrid emulation hands the model, live through churn."""
+
     def test_tracks_switch_contents(self, small_cluster, small_workload):
-        mask = CacheContentsMask(small_cluster.switch,
-                                 small_workload.keyspace)
+        column = small_cluster.switch.dataplane.layout.item_column
         expected = mask_from_keys(small_cluster.switch.cached_keys(),
                                   small_workload.keyspace)
-        assert np.array_equal(mask.mask(), expected)
-        assert mask.mask().sum() == 32  # warm cache
+        assert np.array_equal(column >= 0, expected)
+        assert (column >= 0).sum() == 32  # warm cache
 
-    def test_mask_cached_until_version_bumps(self, small_cluster,
-                                             small_workload):
-        mask = CacheContentsMask(small_cluster.switch,
-                                 small_workload.keyspace)
-        first = mask.mask()
-        assert mask.mask() is first  # same version -> same array object
+    def test_follows_an_evict(self, small_cluster, small_workload):
+        layout = small_cluster.switch.dataplane.layout
+        first = layout.item_column >= 0
         victim = small_cluster.switch.cached_keys()[0]
         assert small_cluster.switch.dataplane.evict(victim)
-        second = mask.mask()
-        assert second is not first
+        second = layout.item_column >= 0
         assert second.sum() == first.sum() - 1
         assert not second[small_workload.keyspace.item(victim)]
 

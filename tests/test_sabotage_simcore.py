@@ -321,15 +321,15 @@ class TestGeometryKernelSabotage:
         orig = geometry.OrbitLayout.classify_reads
         armed = {"live": True}
 
-        def sabotaged(self, keys, read_values):
-            hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays = \
-                orig(self, keys, read_values)
+        def sabotaged(self, items, read_values):
+            hit_mask, hit_indexes, hit_delays = orig(self, items,
+                                                     read_values)
             if armed["live"] and hit_delays is not None and hit_delays.size:
                 pos = np.flatnonzero(hit_delays > 0)
                 if pos.size:
                     armed["live"] = False
                     hit_delays[pos[0]] -= geometry.RECIRCULATION_DELAY
-            return hit_mask, hit_indexes, miss_keys, miss_pos, hit_delays
+            return hit_mask, hit_indexes, hit_delays
 
         monkeypatch.setattr(geometry.OrbitLayout, "classify_reads",
                             sabotaged)
@@ -338,6 +338,34 @@ class TestGeometryKernelSabotage:
         assert diffs, "a dropped recirculation pass must not pass the gate"
         fields = {d.split(":")[0] for d in diffs}
         assert any(f.endswith(".latencies") for f in fields), diffs
+
+
+class TestItemColumnSabotage:
+    """The item column is the batch probes' only map from item id to key
+    index; a column that misses one mutation must be named."""
+
+    def test_column_not_cleared_on_evict_flags_the_cache(self, monkeypatch):
+        # A lanes_bigkeys-shaped rack: the cache fills from empty and then
+        # churns, so evicted items keep their stale key index here and
+        # classify against whatever reuses it.
+        cfg = SimCoreConfig(num_keys=20_000, cache_items=256,
+                            lookup_entries=1024, num_servers=16, warm=False,
+                            rate=1e6, duration=0.05, seed=1)
+        scalar = run_scalar(cfg)
+        assert scalar["controller.evictions"] > 0
+
+        def sabotaged(self, key):
+            key_index = self._index.pop(key, None)
+            if key_index is not None and self._pooled:
+                self._free_indexes.append(key_index)
+            return key_index    # wrong: the column keeps the item
+
+        monkeypatch.setattr(geometry.CacheLayout, "_release_index",
+                            sabotaged)
+        diffs = diff_snapshots(scalar, run_batched(cfg))
+        assert diffs, "a stale item column must not pass the gate"
+        fields = {d.split(":")[0] for d in diffs}
+        assert "lookup.hits" in fields, diffs
 
 
 class TestReadPathKernelSabotage:

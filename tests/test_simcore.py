@@ -211,6 +211,15 @@ class TestRackConfig:
         cluster, client, _ = build_rack(tiny())
         assert client.retry_policy is None and not client.versioned_writes
 
+    def test_link_loss_reaches_the_client_cable(self):
+        cluster, client, _ = build_rack(SimCoreConfig(link_loss=0.1,
+                                                      rate=2e4,
+                                                      duration=0.05))
+        cluster.run(0.05)
+        link = cluster.link_to(client.node_id)
+        assert link.loss_prob == 0.1
+        assert link.dropped > 0
+
 
 class TestEligibility:
     def _rack(self, **cluster_over):
