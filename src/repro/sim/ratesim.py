@@ -20,8 +20,9 @@ Cost.  The figure sweeps and the Fig 11 emulation solve hundreds of these
 equilibria over up to a million items, so :func:`simulate` does per-item
 work only where validity can change it: a pass rewrites the cached items'
 entries (``flatnonzero(cached_mask)``) of per-item arrays built once per
-call, whose other entries do not depend on validity.  With no writes
-validity cannot move, and the first pass is the answer.
+call, whose other entries do not depend on validity.  With no writes, or
+no cached entry to invalidate, validity cannot move and the first pass is
+the answer; a read-only point builds no write arrays (``x + 0.0 == x``).
 Every reduction still runs over the full per-item arrays in item order —
 the per-server and per-pipe ``bincount`` and the ``sum`` of the hit and
 server-traffic arrays — so the result is bit-identical to recomputing
@@ -136,6 +137,10 @@ class RateSimConfig:
             raise ConfigurationError("num_servers must be positive")
         if not 0.0 <= self.write_ratio <= 1.0:
             raise ConfigurationError("write_ratio must be in [0, 1]")
+        rates = (self.server_rate, self.switch_rate, self.pipe_rate)
+        if (self.num_pipes <= 0 or self.num_upstream_pipes < 0
+                or not all(rate > 0 for rate in rates)):
+            raise ConfigurationError("impossible pipe count or capacity")
 
 
 @dataclasses.dataclass
@@ -192,19 +197,24 @@ def simulate(read_probs: np.ndarray,
     pipes = pipe_vector(n_items, config.num_servers, config.num_pipes,
                         config.partition_seed, config.exact_partition)
     read_rate = (1.0 - w) * read_probs          # per unit client rate
-    write_rate = (w * write_probs) if w > 0 else np.zeros(n_items)
-    replies = read_rate.sum() + write_rate.sum()
-    cached_reads, cached_write_rate = read_rate[idx], write_rate[idx]
+    cached_reads = read_rate[idx]
 
     # Validity cannot change any write's server work (a cached key's
     # carries the coherence surcharge), nor so an uncached item's server
     # traffic: it is computed once, in place of the rates, and a pass
     # rewrites only the cached items' entries of it and of the hits.
-    server_write = write_rate
-    server_write[idx] *= 1.0 + config.coherence_overhead
-    cached_server_write = server_write[idx]
-    server_traffic = np.add(read_rate, server_write, out=server_write)
-    del read_rate, write_rate, server_write
+    if w > 0:
+        server_write = w * write_probs
+        replies = read_rate.sum() + server_write.sum()
+        cached_write_rate = server_write[idx]
+        server_write[idx] *= 1.0 + config.coherence_overhead
+        cached_server_write = server_write[idx]
+        server_traffic = np.add(read_rate, server_write, out=server_write)
+    else:
+        replies, server_traffic = read_rate.sum(), read_rate
+        cached_write_rate = cached_server_write = np.zeros(len(idx))
+    del read_rate
+    one_pass = _validity_fixed(w, len(idx))
     hit_rate = np.zeros(n_items)
     pipe_traffic = np.empty(n_items)
 
@@ -249,7 +259,7 @@ def simulate(read_probs: np.ndarray,
             raise ConfigurationError("workload has no traffic")
         binding = min(bounds, key=bounds.get)
         new_rate = bounds[binding]
-        if w == 0:
+        if one_pass:
             # Validity cannot move: a second pass would repeat this one.
             rate = new_rate
             break
@@ -263,7 +273,7 @@ def simulate(read_probs: np.ndarray,
         rate, validity = new_rate, new_validity
         if settled:
             break
-    if w > 0:
+    if not one_pass:
         misses, per_server = traffic(validity)
 
     per_server = per_server * rate
@@ -283,6 +293,11 @@ def simulate(read_probs: np.ndarray,
         hit_ratio=cache_tput / total if total else 0.0,
         binding=binding,
     )
+
+
+def _validity_fixed(write_ratio: float, num_cached: int) -> bool:
+    """No write to invalidate an entry, or no cached entry to invalidate."""
+    return write_ratio == 0 or num_cached == 0
 
 
 def _settled(new_rate: float, rate: float) -> bool:

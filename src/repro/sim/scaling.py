@@ -16,6 +16,17 @@ servers) under three designs:
 
 This follows the paper's simulation assumptions: read-only workload and
 switch caches that fully absorb queries to the items they hold.
+
+Hot sets.  The spine's is the ``spine_cache_items`` largest probabilities,
+chosen once per :func:`sweep`.  Items are grouped by rack once per rack
+count (a stable argsort of the rack ids, runs bounded by a ``bincount``
+``cumsum``) for both cache designs, and each leaf's hot set is its run's
+``leaf_cache_items`` largest loads, by ``argpartition``.  That is exact:
+racks are disjoint, so a rack's residual depends only on which of its
+items it zeroes; Zipf probabilities (skew > 0) are distinct, so the hot
+set is unique up to items a higher tier already zeroed; and every
+``bincount`` runs over the full per-item arrays in item order
+(``tests/test_prop_scaling.py`` keeps the per-rack ``argsort`` loop).
 """
 
 from __future__ import annotations
@@ -51,6 +62,8 @@ class ScalingConfig:
     def __post_init__(self):
         if self.servers_per_rack <= 0 or self.num_keys <= 0:
             raise ConfigurationError("rack and key space must be non-empty")
+        if self.leaf_cache_items < 0 or self.spine_cache_items < 0:
+            raise ConfigurationError("cache sizes must be non-negative")
 
 
 @dataclasses.dataclass
@@ -63,94 +76,106 @@ class ScalingPoint:
     throughput: float
 
 
-def _layout(num_racks: int, config: ScalingConfig):
-    """(per-item probs, item -> server, item -> rack)."""
-    num_servers = num_racks * config.servers_per_rack
-    dist = ZipfDistribution(config.num_keys, config.skew)
-    part = fast_partition_vector(config.num_keys, num_servers,
-                                 config.partition_seed)
-    racks = part // config.servers_per_rack
-    return dist.probs, part, racks, num_servers
+def _probs(config: ScalingConfig) -> np.ndarray:
+    return ZipfDistribution(config.num_keys, config.skew).probs
+
+
+def _top(values: np.ndarray, k: int) -> np.ndarray:
+    """Indexes of the *k* largest *values* (all of them if k >= len)."""
+    if k >= len(values):
+        return np.arange(len(values))
+    return np.argpartition(values, -k)[-k:] if k else np.empty(0, np.intp)
+
+
+def _after_spine(probs: np.ndarray, config: ScalingConfig) -> np.ndarray:
+    """Per-item load the spine tier leaves to the racks."""
+    load = probs.copy()
+    load[_top(probs, config.spine_cache_items)] = 0.0
+    return load
+
+
+def _group_bounds(racks: np.ndarray, num_racks: int) -> np.ndarray:
+    """Each rack's run's start in the stable rack order, then the end."""
+    counts = np.bincount(racks, minlength=num_racks)
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+class _Racks:
+    """One rack count's item -> server and item -> rack maps (the rack ids
+    in their narrowest dtype), and each rack's items in item order."""
+
+    def __init__(self, num_racks: int, config: ScalingConfig):
+        self.config = config
+        self.part = fast_partition_vector(config.num_keys,
+                                          num_racks * config.servers_per_rack,
+                                          config.partition_seed)
+        self.racks = (self.part // config.servers_per_rack
+                      ).astype(np.min_scalar_type(num_racks - 1))
+        order = np.argsort(self.racks, kind="stable")
+        self.groups = np.split(order, _group_bounds(self.racks,
+                                                    num_racks)[1:-1])
+
+    def nocache(self, probs: np.ndarray) -> float:
+        per_server = np.bincount(self.part, weights=probs, minlength=len(
+            self.groups) * self.config.servers_per_rack)
+        return float(self.config.server_rate / per_server.max())
+
+    def cached(self, load: np.ndarray) -> float:
+        """Two constraints per rack: (i) its servers carry the load the
+        ToR leaves (its rack's top items absorbed), evenly because the
+        leaf cache balanced the rack; (ii) *all* of the rack's query
+        replies — cache hits included — leave through the rack's
+        fixed-capacity uplinks, so the rack with the most demand binds."""
+        config, residual = self.config, load.copy()
+        for items in self.groups:
+            residual[items[_top(load[items], config.leaf_cache_items)]] = 0.0
+        rack_demand, rack_residual = (
+            np.bincount(self.racks, weights=w, minlength=len(self.groups))
+            for w in (load, residual))
+        bounds = []
+        if rack_demand.max() > 0:
+            bounds.append(config.rack_uplink_rate / rack_demand.max())
+        per_server_worst = rack_residual.max() / config.servers_per_rack
+        if per_server_worst > 0:
+            bounds.append(config.server_rate / per_server_worst)
+        if not bounds:
+            raise ConfigurationError("caches absorbed the entire workload")
+        return float(min(bounds))
 
 
 def nocache_throughput(num_racks: int,
                        config: ScalingConfig = ScalingConfig()) -> float:
     """Saturated throughput without any cache (hottest server binds)."""
-    probs, part, _racks, num_servers = _layout(num_racks, config)
-    per_server = np.bincount(part, weights=probs, minlength=num_servers)
-    return float(config.server_rate / per_server.max())
-
-
-def _leaf_residual(probs: np.ndarray, racks: np.ndarray, num_racks: int,
-                   items_per_leaf: int) -> np.ndarray:
-    """Per-item server-bound load after each ToR absorbs its rack's top
-    items."""
-    residual = probs.copy()
-    for rack in range(num_racks):
-        items = np.flatnonzero(racks == rack)
-        if items.size == 0:
-            continue
-        hot = items[np.argsort(residual[items])[::-1][:items_per_leaf]]
-        residual[hot] = 0.0
-    return residual
+    return _Racks(num_racks, config).nocache(_probs(config))
 
 
 def leaf_cache_throughput(num_racks: int,
                           config: ScalingConfig = ScalingConfig()) -> float:
-    """ToR caches only: intra-rack balance, inter-rack imbalance remains.
-
-    Two constraints per rack: (i) its servers carry the residual (uncached)
-    load, evenly because the leaf cache balanced the rack; (ii) *all* of the
-    rack's query replies — cache hits included — leave through the rack's
-    fixed-capacity uplinks, so the rack with the most total demand binds.
-    """
-    probs, _part, racks, _ = _layout(num_racks, config)
-    residual = _leaf_residual(probs, racks, num_racks,
-                              config.leaf_cache_items)
-    rack_demand = np.bincount(racks, weights=probs, minlength=num_racks)
-    rack_residual = np.bincount(racks, weights=residual, minlength=num_racks)
-
-    bounds = [config.rack_uplink_rate / rack_demand.max()]
-    per_server_worst = rack_residual.max() / config.servers_per_rack
-    if per_server_worst > 0:
-        bounds.append(config.server_rate / per_server_worst)
-    return float(min(bounds))
+    """ToR caches only: intra-rack balance, inter-rack imbalance remains."""
+    return _Racks(num_racks, config).cached(_probs(config))
 
 
 def leaf_spine_throughput(num_racks: int,
                           config: ScalingConfig = ScalingConfig()) -> float:
     """Spine + ToR caches: the spine absorbs the globally hottest items, so
     no single rack concentrates demand and throughput scales linearly."""
-    probs, _part, racks, _ = _layout(num_racks, config)
-    after_spine = probs.copy()
-    order = np.argsort(probs)[::-1]
-    after_spine[order[: config.spine_cache_items]] = 0.0
-    residual = _leaf_residual(after_spine, racks, num_racks,
-                              config.leaf_cache_items)
-    rack_demand = np.bincount(racks, weights=after_spine, minlength=num_racks)
-    rack_residual = np.bincount(racks, weights=residual, minlength=num_racks)
-
-    bounds = []
-    if rack_demand.max() > 0:
-        bounds.append(config.rack_uplink_rate / rack_demand.max())
-    per_server_worst = rack_residual.max() / config.servers_per_rack
-    if per_server_worst > 0:
-        bounds.append(config.server_rate / per_server_worst)
-    if not bounds:
-        raise ConfigurationError("caches absorbed the entire workload")
-    return float(min(bounds))
+    return _Racks(num_racks, config).cached(
+        _after_spine(_probs(config), config))
 
 
 def sweep(rack_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
           config: ScalingConfig = ScalingConfig()) -> List[ScalingPoint]:
     """Run all three designs over *rack_counts* (the Fig 10f series)."""
+    probs = _probs(config)
+    after_spine = _after_spine(probs, config)
     points: List[ScalingPoint] = []
-    for racks in rack_counts:
-        n = racks * config.servers_per_rack
-        points.append(ScalingPoint("NoCache", racks, n,
-                                   nocache_throughput(racks, config)))
-        points.append(ScalingPoint("Leaf-Cache", racks, n,
-                                   leaf_cache_throughput(racks, config)))
-        points.append(ScalingPoint("Leaf-Spine-Cache", racks, n,
-                                   leaf_spine_throughput(racks, config)))
+    for num_racks in rack_counts:
+        n = num_racks * config.servers_per_rack
+        racks = _Racks(num_racks, config)
+        points += [ScalingPoint("NoCache", num_racks, n, racks.nocache(probs)),
+                   ScalingPoint("Leaf-Cache", num_racks, n,
+                                racks.cached(probs)),
+                   ScalingPoint("Leaf-Spine-Cache", num_racks, n,
+                                racks.cached(after_spine))]
+        del racks   # not alive while the next rack count's is built
     return points

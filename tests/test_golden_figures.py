@@ -12,7 +12,9 @@ Sizes are cut down from the paper's so the file runs in tier-1: the static
 figures use 50 000 keys and a 500-item cache (the paper's 1% ratio), and
 Fig 11 is a short hot-in run with one switch reboot and one controller
 stall window.  A change that moves the model on purpose regenerates
-``EXPECTED`` from :func:`figures_fingerprint` and says so.
+``EXPECTED`` from :func:`figures_fingerprint` and says so.  One slow test
+pins Figs 10(d) and 10(f) at their defaults (1 M keys, 10 000 cached
+items), the size the repository benchmark runs, as ``EXPECTED_FULL``.
 """
 
 import hashlib
@@ -100,6 +102,21 @@ def test_static_figure_rows_are_bit_identical(figures, figure):
     assert len(figures[figure]) == len(expected)
     for got, want in zip(figures[figure], expected):
         assert got == want
+
+
+@pytest.mark.slow
+def test_full_size_fig10d_and_fig10f_rows_are_bit_identical():
+    got = {
+        "fig10d": [(r.write_dist, r.write_ratio, _hex(r.nocache_bqps),
+                    _hex(r.netcache_bqps))
+                   for r in experiments.fig10d_write_ratio()],
+        "fig10f": [(p.design, p.num_racks, p.num_servers, _hex(p.throughput))
+                   for p in experiments.fig10f_scalability()],
+    }
+    for figure, rows in EXPECTED_FULL.items():
+        assert len(got[figure]) == len(rows)
+        for row, want in zip(got[figure], rows):
+            assert row == want, figure
 
 
 def test_fig11_trace_is_bit_identical():
@@ -289,3 +306,46 @@ EXPECTED_FIG11 = {'throughput': ['0x1.3880000000000p+17', '0x1.9640000000000p+17
                  '0x1.d99999999999ap+1', '0x1.e666666666667p+1',
                  '0x1.f333333333334p+1', '0x1.0000000000000p+2',
                  '0x1.0666666666667p+2']}
+
+#: Recorded on the code before the Fig 10(f) grouping and the one-pass
+#: empty-cache solve.
+EXPECTED_FULL = {
+    'fig10d': [
+        ('uniform', 0.0, '0x1.227ec4c2aae4fp-3', '0x1.e48ebe0d8a964p+0'),
+        ('uniform', 0.05, '0x1.3008a433708fbp-3', '0x1.e5ce6e581d881p+0'),
+        ('uniform', 0.1, '0x1.3ee55c72a4265p-3', '0x1.e70fc58e9362fp+0'),
+        ('uniform', 0.2, '0x1.6173a5c23caefp-3', '0x1.e99775ed87bc6p+0'),
+        ('uniform', 0.4, '0x1.c33f20d13227bp-3', '0x1.eebb3ca82790fp+0'),
+        ('uniform', 0.6, '0x1.37edf8ab2066dp-2', '0x1.a38d89e58d2b5p+0'),
+        ('uniform', 0.8, '0x1.f92b277b07e5fp-2', '0x1.6c802f3cc9897p+0'),
+        ('uniform', 1.0, '0x1.3e17695a1548ep+0', '0x1.3d315e2e4f4fep+0'),
+        ('zipf-0.99', 0.0, '0x1.227ec4c2aae4fp-3', '0x1.e48ebe0d8a964p+0'),
+        ('zipf-0.99', 0.05, '0x1.227ec4c2aae4fp-3', '0x1.487125f57d8a4p-3'),
+        ('zipf-0.99', 0.1, '0x1.227ec4c2aae4fp-3', '0x1.33690e96956d5p-3'),
+        ('zipf-0.99', 0.2, '0x1.227ec4c2aae4fp-3', '0x1.2136862c5a77dp-3'),
+        ('zipf-0.99', 0.4, '0x1.227ec4c2aae4fp-3', '0x1.0bb0330dfce27p-3'),
+        ('zipf-0.99', 0.6, '0x1.227ec4c2aae4fp-3', '0x1.f6b68420924b4p-4'),
+        ('zipf-0.99', 0.8, '0x1.227ec4c2aae4fp-3', '0x1.db02fda369b8bp-4'),
+        ('zipf-0.99', 1.0, '0x1.227ec4c2aae4fp-3', '0x1.c2b6338ce08d3p-4'),
+    ],
+    'fig10f': [
+        ('NoCache', 1, 128, '0x1.0e8b734d06fc9p+27'),
+        ('Leaf-Cache', 1, 128, '0x1.dcd64ffffffd1p+30'),
+        ('Leaf-Spine-Cache', 1, 128, '0x1.0a97e5baed173p+32'),
+        ('NoCache', 2, 256, '0x1.170cddb4a0cafp+27'),
+        ('Leaf-Cache', 2, 256, '0x1.d5943e6756d7fp+31'),
+        ('Leaf-Spine-Cache', 2, 256, '0x1.2830939e3c080p+33'),
+        ('NoCache', 4, 512, '0x1.1e792b81ac173p+27'),
+        ('Leaf-Cache', 4, 512, '0x1.a2d9ff466bfe6p+32'),
+        ('Leaf-Spine-Cache', 4, 512, '0x1.58c0bdfc43770p+34'),
+        ('NoCache', 8, 1024, '0x1.215944a4106fep+27'),
+        ('Leaf-Cache', 8, 1024, '0x1.5ec87d44f992bp+33'),
+        ('Leaf-Spine-Cache', 8, 1024, '0x1.5fe783715717fp+35'),
+        ('NoCache', 16, 2048, '0x1.22941a9e22dc1p+27'),
+        ('Leaf-Cache', 16, 2048, '0x1.0ad5e43cd88b7p+34'),
+        ('Leaf-Spine-Cache', 16, 2048, '0x1.5cb0038211aa8p+36'),
+        ('NoCache', 32, 4096, '0x1.2301ba4c1d879p+27'),
+        ('Leaf-Cache', 32, 4096, '0x1.3f7f8cc4c9e10p+34'),
+        ('Leaf-Spine-Cache', 32, 4096, '0x1.58ac86a06ffaep+37'),
+    ],
+}

@@ -2,8 +2,9 @@
 
 ``reference_simulate`` is :func:`repro.sim.ratesim.simulate` as the plain
 loop it was first written as: every pass recomputes every per-item array
-with ``np.where`` over the cached mask, and a read-only point runs the
-same pass twice before the fixed point sees the rate stand still.  The
+with ``np.where`` over the cached mask, and a read-only point, like a
+written one with nothing cached, runs the same pass twice before the fixed
+point sees the rate stand still.  The
 solver must return the *same bits* — every :class:`RateSimResult` field,
 floats by ``float.hex`` and the per-server vector by its bytes — because
 it keeps every reduction over the full per-item arrays in item order.
@@ -13,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.client.zipf import ZipfDistribution
 from repro.errors import ConfigurationError
@@ -168,9 +169,19 @@ def points(draw):
     return read_probs, mask, config, write_probs
 
 
+# Written points with no cached entry: the solver stops after one pass.
+_READS = _probs(np.random.default_rng(3), 60, 4.0)
+_WRITES = _probs(np.random.default_rng(4), 60, 1.0)
+_WRITTEN = RateSimConfig(num_servers=8, server_rate=1e5, write_ratio=0.3)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(point=points())
+@example(point=(_READS, None, _WRITTEN, _WRITES))
+@example(point=(_READS, np.zeros(60, dtype=bool), _WRITTEN, _WRITES))
+@example(point=(_READS, np.zeros(60, dtype=bool),
+                dataclasses.replace(_WRITTEN, write_ratio=1.0), _WRITES))
 def test_simulate_is_bitwise_the_per_item_loop(point):
     read_probs, mask, config, write_probs = point
     try:
@@ -217,3 +228,18 @@ def test_stopping_one_pass_early_is_named(monkeypatch):
         lambda new, old: seen.append(1) or len(seen) == len(passes) - 1)
     got = simulate(probs, mask, config, probs)
     assert "throughput" in differing_fields(got, want)
+
+
+def test_one_pass_on_a_cached_written_point_is_named(monkeypatch):
+    """Sabotage: take the one-pass shortcut on every written point, cached
+    entries included.  The twin must name what moved."""
+    probs = ZipfDistribution(2_000, 0.99).probs
+    mask = top_k_mask(probs, 100)
+    config = RateSimConfig(num_servers=16, server_rate=1e5,
+                           write_ratio=0.2)
+    want = reference_simulate(probs, mask, config, probs)
+    assert differing_fields(simulate(probs, mask, config, probs), want) == []
+
+    monkeypatch.setattr(ratesim, "_validity_fixed", lambda w, n: True)
+    assert "throughput" in differing_fields(
+        simulate(probs, mask, config, probs), want)

@@ -188,6 +188,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RateSimConfig(write_ratio=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_pipes", 0), ("num_pipes", -1), ("server_rate", 0.0),
+        ("server_rate", -1.0), ("switch_rate", 0.0), ("pipe_rate", 0.0),
+        ("pipe_rate", float("nan")), ("num_upstream_pipes", -1)])
+    def test_impossible_capacity_is_refused(self, field, value):
+        # These used to return a negative or zero throughput, warn of a
+        # division by zero, or be ignored.
+        with pytest.raises(ConfigurationError):
+            RateSimConfig(**{field: value})
+        RateSimConfig(num_upstream_pipes=0)     # no upstream bound: allowed
+
     def test_mask_of_another_length_is_refused(self):
         # A short mask used to be accepted silently once only the cached
         # items' indexes are taken from it.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.scaling import (
     ScalingConfig,
     leaf_cache_throughput,
@@ -55,3 +56,15 @@ class TestSweep:
 
     def test_throughputs_positive(self):
         assert all(p.throughput > 0 for p in sweep((1, 4), CFG))
+
+
+class TestValidation:
+    # A negative size used to slice [:-k]: every leaf cached all but one of
+    # its items (2.0 BQPS at one rack), or the spine nearly everything.
+    def test_negative_leaf_cache_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            ScalingConfig(leaf_cache_items=-1)
+
+    def test_negative_spine_cache_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            ScalingConfig(spine_cache_items=-1)
