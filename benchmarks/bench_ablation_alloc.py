@@ -61,9 +61,9 @@ def run():
     return rep, idx, bmp, frag, fail_before, fail_after, util
 
 
-def test_ablation_alloc(benchmark, report):
+def test_ablation_alloc(report):
     rep, idx, bmp, frag, fail_before, fail_after, util = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
+        run()
     report("Ablation A2 - lookup layouts and Algorithm 2 packing",
            format_table(
                ["metric", "value"],

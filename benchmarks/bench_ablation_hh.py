@@ -63,8 +63,8 @@ def run():
     return rows, len(netcache_reports), len(nc_set)
 
 
-def test_ablation_hh(benchmark, report):
-    rows, reports, unique = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_hh(report):
+    rows, reports, unique = run()
     report("Ablation A1 - heavy-hitter detector designs", format_table(
         ["detector", "recall@100", "reports", "approx_bytes"], rows))
     by_name = {r[0]: r for r in rows}

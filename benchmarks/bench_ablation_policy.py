@@ -35,8 +35,8 @@ def run():
     return rows
 
 
-def test_ablation_policy(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_policy(report):
+    rows = run()
     report("Ablation A3 - update policies vs table-update budget",
            format_table(
                ["budget", "policy", "hit_ratio", "updates_applied"], rows))

@@ -46,8 +46,8 @@ def run():
     return rows
 
 
-def test_ablation_reset(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_reset(report):
+    rows = run()
     report("Ablation A5 - statistics clearing cycle vs reaction speed",
            format_table(
                ["reset_interval_s", "mean_dip_fraction",

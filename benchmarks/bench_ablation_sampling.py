@@ -50,8 +50,8 @@ def run():
     return rows
 
 
-def test_ablation_sampling(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_sampling(report):
+    rows = run()
     report("Ablation A4 - sampling rate vs heavy-hitter detection",
            format_table(
                ["sample_rate", "threshold", "recall@50", "reports",

@@ -59,8 +59,8 @@ def run():
     return rows
 
 
-def test_baseline_layers(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_baseline_layers(report):
+    rows = run()
     report("§2 - caching-layer placement comparison (Zipf 0.99)",
            format_table(["design", "BQPS"], rows))
     tput = dict(rows)

@@ -12,8 +12,8 @@ def run():
     return fig09a_value_size()
 
 
-def test_fig09a(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig09a(report):
+    rows = run()
     report("Fig 9(a) - throughput vs value size (snake test)", format_table(
         ["value_bytes", "read_BQPS", "update_BQPS", "passes", "verified"],
         [[r.x, r.read_bqps, r.update_bqps, r.pipeline_passes, r.verified]

@@ -11,8 +11,8 @@ def run():
     return fig09b_cache_size()
 
 
-def test_fig09b(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig09b(report):
+    rows = run()
     report("Fig 9(b) - throughput vs cache size (snake test)", format_table(
         ["cache_items", "read_BQPS", "update_BQPS", "verified"],
         [[r.x, r.read_bqps, r.update_bqps, r.verified] for r in rows],

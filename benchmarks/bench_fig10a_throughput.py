@@ -13,8 +13,8 @@ def run():
     return fig10a_throughput()
 
 
-def test_fig10a(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10a(report):
+    rows = run()
     report("Fig 10(a) - throughput under skew (128 servers)", format_table(
         ["workload", "NoCache_BQPS", "NetCache_BQPS", "cache_BQPS",
          "servers_BQPS", "improvement"],

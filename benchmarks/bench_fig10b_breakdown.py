@@ -15,8 +15,8 @@ def run():
     return fig10b_breakdown()
 
 
-def test_fig10b(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10b(report):
+    rows = run()
     table_rows = []
     for r in rows:
         loads = r.per_server_normalized

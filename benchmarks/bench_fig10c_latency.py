@@ -17,8 +17,8 @@ def run():
     )
 
 
-def test_fig10c(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10c(report):
+    rows = run()
     report("Fig 10(c) - latency vs throughput (scaled rack, 8 servers)",
            format_table(
                ["system", "offered/capacity", "tput_qps", "mean_us",

@@ -13,8 +13,8 @@ def run():
     return fig10d_write_ratio()
 
 
-def test_fig10d(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10d(report):
+    rows = run()
     report("Fig 10(d) - throughput vs write ratio (Zipf 0.99 reads)",
            format_table(
                ["write_dist", "write_ratio", "NoCache_BQPS",

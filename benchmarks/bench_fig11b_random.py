@@ -14,8 +14,8 @@ def run():
     return fig11_dynamics("random", duration=30.0)
 
 
-def test_fig11b(benchmark, report):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig11b(report):
+    result = run()
     per_second = result.rebinned(1.0)
     report("Fig 11(b) - random churn (200 of top-10000 per second)",
            format_table(

@@ -14,8 +14,8 @@ def run():
     return fig11_dynamics("hot-out", duration=30.0)
 
 
-def test_fig11c(benchmark, report):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig11c(report):
+    result = run()
     per_second = result.rebinned(1.0)
     report("Fig 11(c) - hot-out churn (200 hottest per second)",
            format_table(

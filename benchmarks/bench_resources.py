@@ -12,8 +12,8 @@ def run():
     return paper_prototype_report()
 
 
-def test_resources(benchmark, report):
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_resources(report):
+    result = run()
     report("§6 - switch SRAM footprint (paper prototype geometry)",
            result.render())
     assert result.fits_half_chip

@@ -32,8 +32,8 @@ def run():
     return rows
 
 
-def test_rotation_methodology(benchmark, report):
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_rotation_methodology(report):
+    rows = run()
     report("§7.1 - server rotation vs direct equilibrium (8 partitions)",
            format_table(
                ["system", "rotation_qps", "model_qps", "ratio",

@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every ``bench_*`` file regenerates one table/figure from the paper's
-evaluation (§7) and prints the series the paper reports.  pytest-benchmark
-times the regeneration; the printed tables are the reproduction artifact
-(recorded in EXPERIMENTS.md).
+evaluation (§7), asserts its shape and prints the series the paper
+reports; the printed tables are the reproduction artifact (recorded in
+EXPERIMENTS.md).  Host timing is ``benchmarks/e2e``'s job.
 """
 
 import pytest

@@ -48,9 +48,10 @@ def simulate_replication(read_probs: np.ndarray,
                              minlength=storage.num_servers)
     # Replica placement: deterministic stride from the primary.
     replicated = np.flatnonzero(mask)
+    primary = part[replicated].astype(np.intp)
     share = read_probs[replicated] / config.replicas
     for r in range(config.replicas):
-        targets = (part[replicated] + r * 17) % storage.num_servers
+        targets = (primary + r * 17) % storage.num_servers
         per_server += np.bincount(targets, weights=share,
                                   minlength=storage.num_servers)
     if per_server.max() <= 0:

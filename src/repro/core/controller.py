@@ -65,13 +65,28 @@ class CacheController:
         the seeded random stream.
     async_insertions:
         When True (set by :class:`~repro.sim.cluster.Cluster`), the
-        ``finish_insertion`` control RPC completes ``insertion_latency``
+        ``finish_insertion`` control RPC completes :attr:`INSERTION_LATENCY`
         seconds later under an insertion lease instead of synchronously —
         modelling the real fetch→finish window so a server crash inside it
         is survivable (the lease expires and the insertion is rolled
         back).  Off by default: harnesses that drive the controller
         without running the simulator rely on synchronous insertions.
     """
+
+    #: seconds between memory-reorganization checks (§4.4.2).
+    REORGANIZE_INTERVAL = 10.0
+    #: free-slot fragmentation above which a check repacks the values.
+    FRAGMENTATION_THRESHOLD = 0.5
+    # Reliability layer (see docs/RELIABILITY.md).
+    #: seconds between failure-detector heartbeat rounds.
+    HEARTBEAT_INTERVAL = 0.005
+    #: consecutive missed heartbeats that declare a server dead.
+    FAILURE_THRESHOLD = 3
+    #: seconds an insertion lease lives before the reaper aborts it; it
+    #: must outlast INSERTION_LATENCY.
+    LEASE_TIMEOUT = 0.005
+    #: seconds from fetching a value to the ``finish_insertion`` RPC.
+    INSERTION_LATENCY = 200e-6
 
     def __init__(self,
                  switch: NetCacheSwitch,
@@ -83,12 +98,6 @@ class CacheController:
                  update_interval: float = 0.1,
                  seed: int = 42,
                  port_resolver=None,
-                 reorganize_interval: float = 10.0,
-                 fragmentation_threshold: float = 0.5,
-                 heartbeat_interval: float = 0.005,
-                 failure_threshold: int = 3,
-                 lease_timeout: float = 0.005,
-                 insertion_latency: float = 200e-6,
                  async_insertions: bool = False,
                  server_probe: Optional[Callable[[int], bool]] = None,
                  policy: Optional[AdmissionPolicy] = None):
@@ -100,11 +109,6 @@ class CacheController:
             raise ConfigurationError("update_interval must be positive")
         if stats_interval <= 0:
             raise ConfigurationError("stats_interval must be positive")
-        if heartbeat_interval <= 0:
-            raise ConfigurationError("heartbeat_interval must be positive")
-        if lease_timeout <= insertion_latency:
-            raise ConfigurationError(
-                "lease_timeout must exceed insertion_latency")
         self.switch = switch
         self.partitioner = partitioner
         self.servers = servers
@@ -114,8 +118,8 @@ class CacheController:
         self.update_interval = update_interval
         self._port_of = port_resolver or switch.egress_port_of
         self.policy = policy or SampleEvictPolicy()
-        self.reorganize_interval = reorganize_interval
-        self.fragmentation_threshold = fragmentation_threshold
+        self.reorganize_interval = self.REORGANIZE_INTERVAL
+        self.fragmentation_threshold = self.FRAGMENTATION_THRESHOLD
         self.reorganizations = 0
         self._rng = random.Random(seed)
         self._pending: List[bytes] = []
@@ -126,13 +130,10 @@ class CacheController:
         self._cached_version = -1
         switch.hot_key_handler = self.report_hot_key
         # Reliability: failure detector, insertion leases, degraded keys.
-        self.heartbeat_interval = heartbeat_interval
-        self.failure_threshold = failure_threshold
-        self.insertion_latency = insertion_latency
         self.async_insertions = async_insertions
         self._server_probe = server_probe
         self.detector: Optional[FailureDetector] = None
-        self.leases = LeaseTable(lease_timeout)
+        self.leases = LeaseTable(self.LEASE_TIMEOUT)
         self._degraded_queue: Deque[Tuple[int, bytes]] = deque()
         # Telemetry.
         self.reports_received = 0
@@ -166,10 +167,10 @@ class CacheController:
         if self.detector is None:
             self.detector = FailureDetector(
                 list(self.servers), self._probe_server,
-                threshold=self.failure_threshold)
+                threshold=self.FAILURE_THRESHOLD)
         sim.schedule(self.update_interval, self._update_tick)
         sim.schedule(self.stats_interval, self._reset_tick)
-        sim.schedule(self.heartbeat_interval, self._heartbeat_tick)
+        sim.schedule(self.HEARTBEAT_INTERVAL, self._heartbeat_tick)
         if self.reorganize_interval > 0:
             sim.schedule(self.reorganize_interval, self._reorganize_tick)
         self._process_degraded()
@@ -209,7 +210,7 @@ class CacheController:
             for latency in self.detector.failover_latencies[before:]:
                 obs.failover_latency.observe(latency)
         self._reap_leases(now)
-        sim.schedule(self.heartbeat_interval, self._heartbeat_tick)
+        sim.schedule(self.HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _reap_leases(self, now: float) -> None:
         for lease in self.leases.expired(now):
@@ -374,10 +375,10 @@ class CacheController:
             sim = self.switch.sim
             if installed and self.async_insertions and sim is not None:
                 # Model the finish_insertion control RPC: it lands
-                # insertion_latency later, bounded by a lease so a server
+                # INSERTION_LATENCY later, bounded by a lease so a server
                 # crash inside the window cannot wedge its blocked writes.
                 self.leases.grant(key, server_id, sim.now)
-                sim.schedule(self.insertion_latency,
+                sim.schedule(self.INSERTION_LATENCY,
                              self._complete_insertion, key, server_id)
             else:
                 server.finish_insertion(key)
@@ -430,10 +431,10 @@ class CacheController:
             server.shim.clear_degraded(key)
             return
         if not self._probe_server(server_id):
-            sim.schedule(self.heartbeat_interval, self._ack_degraded,
+            sim.schedule(self.HEARTBEAT_INTERVAL, self._ack_degraded,
                          server_id, key)
             return
-        sim.schedule(self.insertion_latency, server.shim.clear_degraded, key)
+        sim.schedule(self.INSERTION_LATENCY, server.shim.clear_degraded, key)
 
     # -- bulk operations for experiment setup ------------------------------------------
 

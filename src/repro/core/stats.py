@@ -13,7 +13,7 @@ fast the cache reacts to workload changes (§7.4 uses one second).
 
 All per-key derived indexes route through a :class:`~repro.sketch.digest.
 DigestTable`: the steady-state cost of one statistics pass is a dict probe
-plus a handful of array ops instead of ~8 hash computations, and a batch
+plus a handful of array ops instead of 7 hash computations, and a batch
 hashes the keys it has not seen in one kernel call.  The batch
 entry points (:meth:`QueryStatistics.sample_batch`,
 :meth:`QueryStatistics.heavy_hitter_count_batch`,
@@ -42,7 +42,7 @@ from repro.core.primitives import RegisterArray
 from repro.errors import ConfigurationError
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.countmin import CountMinSketch
-from repro.sketch.digest import KeyDigest, digest_table_for
+from repro.sketch.digest import digest_table_for
 from repro.sketch.sampler import PacketSampler
 
 
@@ -53,13 +53,10 @@ class QueryStatistics:
                  entries: int = LOOKUP_TABLE_ENTRIES,
                  hot_threshold: int = HOT_THRESHOLD,
                  sample_rate: float = SAMPLE_RATE,
-                 seed: int = 0,
-                 sampler_mode: str = "random",
-                 digest_capacity: Optional[int] = None):
+                 seed: int = 0):
         if hot_threshold <= 0:
             raise ConfigurationError("hot_threshold must be positive")
-        self.sampler = PacketSampler(rate=sample_rate, seed=seed ^ 0x5A,
-                                     mode=sampler_mode)
+        self.sampler = PacketSampler(rate=sample_rate, seed=seed ^ 0x5A)
         self.counters = RegisterArray("cache_counters", entries,
                                       CM_COUNTER_BITS // 8)
         self.sketch = CountMinSketch(width=CM_SKETCH_WIDTH, depth=CM_SKETCH_ROWS,
@@ -67,27 +64,16 @@ class QueryStatistics:
         self.bloom = BloomFilter(bits=BLOOM_BITS, num_hashes=BLOOM_HASHES,
                                  seed=seed ^ 0xB10)
         #: per-key derived-index intern table shared by every path below.
-        self.digests = digest_table_for(self.sketch, self.bloom, self.sampler,
-                                        capacity=digest_capacity)
+        self.digests = digest_table_for(self.sketch, self.bloom)
         self.hot_threshold = hot_threshold
         self.reports = 0
         self.resets = 0
 
     # -- data-plane operations -----------------------------------------------
 
-    def _sample_one(self, key: bytes, digest: Optional[KeyDigest]) -> bool:
-        """One sampler decision, feeding it the interned hash when useful."""
-        sampler = self.sampler
-        if sampler.mode == "hash" and 0.0 < sampler.rate < 1.0:
-            if digest is None:
-                digest = self.digests.get(key)
-            h = self.digests.sampler_hash(digest, sampler.epoch)
-            return sampler.sample(key, h=h)
-        return sampler.sample(key)
-
     def cache_count(self, key: bytes, key_index: int) -> None:
         """Count a cache hit for the key at *key_index* (Alg 1 line 5)."""
-        if self._sample_one(key, None):
+        if self.sampler.sample(key):
             self.counters.add(key_index, 1)
 
     def heavy_hitter_count(self, key: bytes) -> Optional[bytes]:
@@ -98,7 +84,7 @@ class QueryStatistics:
         the Bloom filter so each is reported at most once per interval.
         """
         digest = self.digests.get(key)
-        if not self._sample_one(key, digest):
+        if not self.sampler.sample(key):
             return None
         estimate = self.sketch.update_at(digest.cm_indexes)
         if estimate < self.hot_threshold:
@@ -110,20 +96,9 @@ class QueryStatistics:
 
     # -- batch data-plane operations ------------------------------------------
 
-    def sample_batch(self, keys: Sequence[bytes],
-                     rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sampler decisions for a key batch (boolean mask, key order).
-
-        *rows* are the keys' digest rows when the caller has already
-        looked them up (:meth:`DigestTable.get_batch`).
-        """
-        sampler = self.sampler
-        hashes = None
-        if sampler.mode == "hash" and 0.0 < sampler.rate < 1.0:
-            if rows is None:
-                rows = self.digests.get_batch(keys)
-            hashes = self.digests.sampler_hashes(rows, sampler.epoch)
-        return sampler.sample_batch(keys, hashes=hashes)
+    def sample_batch(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Sampler decisions for a key batch (boolean mask, key order)."""
+        return self.sampler.sample_batch(keys)
 
     def cache_count_batch(self, key_indexes: Sequence[int],
                           decisions: np.ndarray) -> None:
@@ -150,7 +125,7 @@ class QueryStatistics:
         table = self.digests
         rows = table.get_batch(keys)
         if decisions is None:
-            decisions = self.sample_batch(keys, rows=rows)
+            decisions = self.sample_batch(keys)
         sampled_pos = np.flatnonzero(np.asarray(decisions, dtype=bool))
         if not len(sampled_pos):
             return []
@@ -185,14 +160,12 @@ class QueryStatistics:
         """Clear counters, sketch, and Bloom filter (periodic, §4.4.3).
 
         O(1) in every structure's width: each reset is an epoch bump (see
-        docs/PERFORMANCE.md).  Interned digests stay valid — they hold only
-        epoch-independent indexes plus a sampler hash that re-derives
-        itself when the epoch moves.
+        docs/PERFORMANCE.md).  Interned digests stay valid: they hold only
+        indexes that no reset moves.
         """
         self.counters.clear()
         self.sketch.reset()
         self.bloom.reset()
-        self.sampler.advance_epoch()
         self.resets += 1
 
     @property

@@ -304,7 +304,7 @@ def scripted_schedule(name: str, config: ChaosConfig,
     elif name == "crash-insert":
         # Reboot empties the cache so the controller re-inserts hot keys,
         # then a server crash lands inside the async insertion window
-        # (completions run insertion_latency after an update tick): the
+        # (completions run INSERTION_LATENCY after an update tick): the
         # lease reaper must abort the wedged insertions.
         schedule.reboot_switch(0.25 * d)
         schedule.crash_server(0.2625 * d + 1e-4, first, 0.3 * d)

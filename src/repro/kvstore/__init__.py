@@ -1,7 +1,6 @@
 """Storage substrate: hash table, sharded store, partitioning, server node,
 and the coherence shim."""
 
-from repro.kvstore.chained import ChainedHashTable
 from repro.kvstore.hashtable import HashTable
 from repro.kvstore.partition import HashPartitioner
 from repro.kvstore.server import StorageServer
@@ -9,7 +8,6 @@ from repro.kvstore.shim import ServerShim
 from repro.kvstore.store import KVStore
 
 __all__ = [
-    "ChainedHashTable",
     "HashPartitioner",
     "HashTable",
     "KVStore",

@@ -14,19 +14,10 @@ import numpy as np
 
 from repro.constants import MAX_VALUE_SIZE
 from repro.errors import ConfigurationError, ValueFormatError
-from repro.kvstore.chained import ChainedHashTable
 from repro.kvstore.hashtable import HashTable
 from repro.sketch.hashing import hash_bytes, hash_bytes_batch
 
 _CORE_SEED = 0xC04E
-
-#: Selectable hash-table backends: open addressing (default) or the
-#: TommyDS-style chained table the paper's servers use (§6).
-BACKENDS = {
-    "open": HashTable,
-    "chained": ChainedHashTable,
-}
-
 
 def _shard_seed(core):
     """Hash seed of the shard of *core* (an int or an array of them)."""
@@ -82,25 +73,16 @@ class KVStore:
     max_value_size:
         Upper bound on value length (storage servers can hold values larger
         than the switch cache; default allows 8x the switch maximum).
-    backend:
-        ``"open"`` (open addressing) or ``"chained"`` (TommyDS-style).
     """
 
     def __init__(self, num_cores: int = 16,
-                 max_value_size: int = 8 * MAX_VALUE_SIZE,
-                 backend: str = "open"):
+                 max_value_size: int = 8 * MAX_VALUE_SIZE):
         if num_cores <= 0:
             raise ConfigurationError("num_cores must be positive")
-        table_cls = BACKENDS.get(backend)
-        if table_cls is None:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
-            )
         self.num_cores = num_cores
         self.max_value_size = max_value_size
-        self.backend = backend
         self._shards = [
-            table_cls(seed=_shard_seed(i)) for i in range(num_cores)
+            HashTable(seed=_shard_seed(i)) for i in range(num_cores)
         ]
         self.core_ops: List[int] = [0] * num_cores
         #: per core, how often a key's probe length may have changed.

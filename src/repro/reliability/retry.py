@@ -55,9 +55,10 @@ class RetryPolicy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.timeout <= 0:
+        # ``not x > 0`` rejects NaN too.
+        if not self.timeout > 0:
             raise ConfigurationError("retry timeout must be positive")
-        if self.backoff < 1.0:
+        if not self.backoff >= 1.0:
             raise ConfigurationError("retry backoff must be >= 1")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")

@@ -30,6 +30,9 @@ from repro.net.simulator import Simulator
 from repro.net.topology import make_rack_plan
 from repro.reliability.retry import RetryPolicy
 
+#: pipes of the rack switch; the servers and clients spread over them.
+RACK_PIPES = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
@@ -50,7 +53,6 @@ class ClusterConfig:
     #: ``value_slots=None`` means as many slots as lookup entries.
     lookup_entries: int = 16 * 1024
     value_slots: Optional[int] = None
-    num_pipes: int = 2
     #: cache geometry for the switch ("paper", "setassoc", "orbit").
     #: All three run natively under the lanes engine through their
     #: vectorized batch probes (``CacheLayout.classify_reads``).
@@ -65,21 +67,11 @@ class ClusterConfig:
     #: heavy-hitter report threshold; a high value models the settled
     #: regime where the warm cache already holds the hot set.
     hot_threshold: int = 8
-    sample_rate: float = 1.0
     seed: int = 0
-    # Reliability layer (see docs/RELIABILITY.md).
-    heartbeat_interval: float = 0.005
-    failure_threshold: int = 3
-    lease_timeout: float = 0.005
-    insertion_latency: float = 200e-6
 
     def __post_init__(self):
         if self.num_servers <= 0:
             raise ConfigurationError("need at least one server")
-        if self.num_pipes <= 0:
-            raise ConfigurationError("num_pipes must be positive")
-        if self.insertion_latency < 0:
-            raise ConfigurationError("insertion_latency must be >= 0")
 
 
 class Cluster:
@@ -95,17 +87,18 @@ class Cluster:
         if config.enable_cache:
             from repro.core.stats import QueryStatistics
 
+            # A packet-level rack is small enough to count every query.
             stats = QueryStatistics(
                 entries=config.lookup_entries,
                 hot_threshold=config.hot_threshold,
-                sample_rate=config.sample_rate,
+                sample_rate=1.0,
                 seed=config.seed,
             )
             self.switch: PlainSwitch = NetCacheSwitch(
                 plan.tor_id,
-                num_pipes=config.num_pipes,
+                num_pipes=RACK_PIPES,
                 ports_per_pipe=max(1, (config.num_servers + 1)
-                                   // config.num_pipes + 1),
+                                   // RACK_PIPES + 1),
                 entries=config.lookup_entries,
                 value_slots=(config.lookup_entries
                              if config.value_slots is None
@@ -157,10 +150,6 @@ class Cluster:
                 stats_interval=config.stats_interval,
                 update_interval=config.controller_update_interval,
                 seed=config.seed,
-                heartbeat_interval=config.heartbeat_interval,
-                failure_threshold=config.failure_threshold,
-                lease_timeout=config.lease_timeout,
-                insertion_latency=config.insertion_latency,
                 async_insertions=True,
                 server_probe=self._server_reachable,
             )

@@ -57,7 +57,6 @@ class EmulationConfig:
     #: statistics samples drawn per step (the sampled-query stream).
     samples_per_step: int = 4_000
     hot_threshold: int = 8
-    controller_sample_size: int = 32
     #: simulated times at which the switch reboots with an empty cache
     #: (§3's failure story; the cache must refill from HH reports).
     reboot_times: tuple = ()
@@ -151,7 +150,6 @@ class DynamicsEmulator:
         self.controller = CacheController(
             self.switch, self.partitioner, self.servers,
             cache_capacity=config.cache_items,
-            sample_size=config.controller_sample_size,
         )
         self._load_stores()
 

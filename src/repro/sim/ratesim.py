@@ -9,7 +9,7 @@ bottleneck, this is exactly what the paper measures by physically rotating
 two servers through 128 partitions.
 
 Write queries are modelled with an invalidation window: a write to a cached
-key makes the entry invalid for ``invalidation_window`` seconds (server
+key makes the entry invalid for :data:`INVALIDATION_WINDOW` seconds (server
 queueing + processing + the data-plane update round trip), during which reads
 on that key fall through to the server.  Validity therefore depends on the
 absolute query rate, which itself depends on validity — a fixed point the
@@ -43,6 +43,9 @@ from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
 from repro.client.zipf import KeySpace
 
+#: fixed part of the invalidation window (propagation, update RTT), seconds.
+INVALIDATION_WINDOW = 10e-6
+
 
 @functools.lru_cache(maxsize=32)
 def partition_vector(num_keys: int, num_servers: int,
@@ -65,7 +68,8 @@ def fast_partition_vector(num_keys: int, num_servers: int,
     Statistically equivalent to :func:`partition_vector` (any uniform hash
     yields the same load distribution); used by the large-keyspace static
     experiments where hashing every key byte string in Python would dominate
-    the runtime.
+    the runtime.  Cached, so it comes in the narrowest unsigned dtype that
+    holds a server index and read-only, like :func:`pipe_vector`.
     """
     mask64 = np.uint64(0xFFFFFFFFFFFFFFFF)
     x = np.arange(num_keys, dtype=np.uint64)
@@ -75,7 +79,10 @@ def fast_partition_vector(num_keys: int, num_servers: int,
         x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & mask64
         x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & mask64
     x = x ^ (x >> np.uint64(31))
-    return (x % np.uint64(num_servers)).astype(np.int64)
+    part = (x % np.uint64(num_servers)).astype(
+        np.min_scalar_type(num_servers - 1))
+    part.flags.writeable = False
+    return part
 
 
 def _partitions(num_keys: int, num_servers: int, seed: int,
@@ -117,8 +124,6 @@ class RateSimConfig:
     #: system at ~2 BQPS in Fig 10(c).
     num_upstream_pipes: int = 2
     write_ratio: float = 0.0
-    #: fixed part of the invalidation window (propagation, update RTT).
-    invalidation_window: float = 10e-6
     #: queueing/processing part, in units of server service times: a write
     #: keeps the entry invalid while it waits in and is served by the
     #: (loaded) owning server, which scales with 1/server_rate.
@@ -265,7 +270,7 @@ def simulate(read_probs: np.ndarray,
             break
 
         # Update validity from absolute write rates.
-        window = (config.invalidation_window +
+        window = (INVALIDATION_WINDOW +
                   config.invalidation_service_factor / config.server_rate)
         inv = new_rate * cached_write_rate * window
         new_validity = 1.0 / (1.0 + inv)

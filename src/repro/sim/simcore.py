@@ -3,7 +3,7 @@
 A rack is described by one config hierarchy, three levels deep:
 
 * :class:`~repro.sim.cluster.ClusterConfig` — the rack itself: servers,
-  switch geometry, links, controller and reliability timers;
+  switch geometry, links and controller intervals;
 * :class:`SimCoreConfig` — that rack plus its traffic: keys, skew, write
   ratio, open-loop clients, duration, warm-up and client retries;
 * :class:`~repro.faults.runner.ChaosConfig` — that plus the chaos phase:
@@ -72,7 +72,6 @@ class SimCoreConfig(ClusterConfig):
     retry_timeout: float = RetryPolicy.timeout
     retry_backoff: float = RetryPolicy.backoff
     retry_max: int = RetryPolicy.max_retries
-    retry_jitter: float = RetryPolicy.jitter
 
     def __post_init__(self):
         super().__post_init__()
@@ -82,9 +81,11 @@ class SimCoreConfig(ClusterConfig):
                 and len(self.client_rates) != self.num_clients):
             raise ConfigurationError(
                 "client_rates must have one rate per client")
-        if self.duration <= 0:
+        # ``not x > 0`` rejects NaN too.
+        if not self.duration > 0:
             raise ConfigurationError("duration must be positive")
-        if self.rate <= 0 or any(r <= 0 for r in self.client_rates or ()):
+        if not (self.rate > 0
+                and all(r > 0 for r in self.client_rates or ())):
             raise ConfigurationError("rate and client_rates must be positive")
 
     @property
@@ -119,8 +120,7 @@ def build_rack(config: SimCoreConfig):
     if config.retries:
         policy = RetryPolicy(
             timeout=config.retry_timeout, backoff=config.retry_backoff,
-            max_retries=config.retry_max, jitter=config.retry_jitter,
-            seed=config.seed)
+            max_retries=config.retry_max, seed=config.seed)
     clients = [cluster.add_workload_client(
         # Clients beyond the first draw forked streams: same popularity
         # map (hot set agreement), own RNG streams; the 7919 stride keeps

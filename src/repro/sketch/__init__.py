@@ -10,7 +10,6 @@ from repro.sketch.countmin import CountMinSketch
 from repro.sketch.digest import DigestTable, KeyDigest, digest_table_for
 from repro.sketch.hashing import (
     HashFamily,
-    fingerprint,
     hash_bytes,
     hash_bytes_batch,
     hash_key,
@@ -27,7 +26,6 @@ __all__ = [
     "PacketSampler",
     "SpaceSaving",
     "digest_table_for",
-    "fingerprint",
     "hash_bytes",
     "hash_bytes_batch",
     "hash_key",

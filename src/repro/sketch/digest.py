@@ -1,41 +1,36 @@
 """Key-digest interning: compute every per-key derived index once.
 
-Each packet that reaches the query-statistics engine needs ~8 independent
-hashes of its key — one per Count-Min row, one per Bloom array, a
-fingerprint, one for the hash-mode sampler — all of them pure functions of
-the raw key bytes.  The Tofino computes these in parallel hash units at
-line rate; in Python they dominate the wall-clock cost of a run.
+Each packet that reaches the query-statistics engine needs 7 independent
+hashes of its key — one per Count-Min row and one per Bloom array — all of
+them pure functions of the raw key bytes.  The Tofino computes these in
+parallel hash units at line rate; in Python they dominate the wall-clock
+cost of a run.
 
 :class:`DigestTable` keeps them as numpy columns: a dict maps a key to a
-row, and row *r* of ``cm``, ``bloom`` and ``fingerprint`` holds exactly the
-values the scalar code would compute — same hash family, same seeds, same
-modular reduction — so cached and uncached lookups are bit-for-bit
+row, and row *r* of ``cm`` and ``bloom`` holds exactly the values the
+scalar code would compute — same hash family, same seeds, same modular
+reduction — so cached and uncached lookups are bit-for-bit
 interchangeable (property-tested in ``tests/test_prop_digest.py``).  The
 table is bounded; rows are recycled as a FIFO ring.  The batch path
 (:meth:`DigestTable.get_batch`) fills every missed row of a batch with one
 :func:`~repro.sketch.hashing.hash_bytes_batch` call; the scalar path
 (:meth:`DigestTable.get`, :meth:`DigestTable.compute`) hashes key by key
 with :func:`~repro.sketch.hashing.hash_bytes` and is the executable spec.
-
-The sampler hash is the one epoch-dependent derived value: hash mode seeds
-the key hash with ``seed ^ (epoch * SAMPLER_EPOCH_GAMMA)`` so decisions
-decorrelate across statistics intervals.  Its column carries the epoch it
-was computed at and is refreshed lazily when the epoch moves, which keeps a
-statistics ``reset()`` O(1) with respect to the digest table as well.
+No digest depends on the statistics epoch, so a statistics ``reset()``
+leaves the table as it is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sketch.hashing import HashFamily, hash_bytes, hash_bytes_batch
-from repro.sketch.sampler import SAMPLER_EPOCH_GAMMA
 
-#: default bound on interned keys; at 80 bytes of columns per row this is
-#: 5 MB, comfortably covering the hot head plus the recently-seen tail of
+#: default bound on interned keys; at 56 bytes of columns per row this is
+#: 3.5 MB, comfortably covering the hot head plus the recently-seen tail of
 #: a Zipf stream.
 DEFAULT_CAPACITY = 64 * 1024
 
@@ -43,23 +38,17 @@ DEFAULT_CAPACITY = 64 * 1024
 class KeyDigest:
     """All derived indexes of one key, as the scalar path hands them out.
 
-    ``cm_indexes`` are the Count-Min slot indexes (one per row),
-    ``bloom_bits`` the Bloom filter bit positions (one per array), and
-    ``fingerprint`` the short collision-check fingerprint of hashed-key
-    mode.  ``row`` is the table row the key held when the digest was
-    read (-1 for a digest that was only computed).
+    ``cm_indexes`` are the Count-Min slot indexes (one per row) and
+    ``bloom_bits`` the Bloom filter bit positions (one per array).
     """
 
-    __slots__ = ("key", "cm_indexes", "bloom_bits", "fingerprint", "row")
+    __slots__ = ("key", "cm_indexes", "bloom_bits")
 
     def __init__(self, key: bytes, cm_indexes: Tuple[int, ...],
-                 bloom_bits: Tuple[int, ...], fingerprint: int,
-                 row: int = -1):
+                 bloom_bits: Tuple[int, ...]):
         self.key = key
         self.cm_indexes = cm_indexes
         self.bloom_bits = bloom_bits
-        self.fingerprint = fingerprint
-        self.row = row
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"KeyDigest({self.key!r}, cm={self.cm_indexes}, "
@@ -83,9 +72,6 @@ class DigestTable:
     def __init__(self,
                  cm_family: HashFamily, cm_width: int,
                  bloom_family: HashFamily, bloom_bits: int,
-                 sampler_seed: int = 0,
-                 fingerprint_bits: int = 32,
-                 fingerprint_seed: int = 0xF1F1,
                  capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ConfigurationError("digest capacity must be positive")
@@ -95,29 +81,21 @@ class DigestTable:
         self._cm_width = cm_width
         self._bloom_seeds = tuple(bloom_family.seeds)
         self._bloom_bits = bloom_bits
-        self._sampler_seed = sampler_seed
-        self._fp_shift = 64 - fingerprint_bits
-        self._fp_seed = fingerprint_seed
         #: one kernel call hashes a key under all of these.
-        self._seeds = np.array(
-            self._cm_seeds + self._bloom_seeds + (fingerprint_seed,),
-            dtype=np.uint64)
+        self._seeds = np.array(self._cm_seeds + self._bloom_seeds,
+                               dtype=np.uint64)
         self.capacity = capacity
         self._row_of: Dict[bytes, int] = {}
         #: key held by each row that has been used so far.
         self._key_of: List[bytes] = []
         #: ring position: the row the next new key takes.
         self._next = 0
-        # Uninitialised on purpose (zeroing would commit 5 MB per table
+        # Uninitialised on purpose (zeroing would commit 3.5 MB per table
         # up front): a row is written when a key takes it, before
         # anything reads it.
         self.cm = np.empty((capacity, len(self._cm_seeds)), dtype=np.int64)
         self.bloom = np.empty((capacity, len(self._bloom_seeds)),
                               dtype=np.int64)
-        self.fingerprint = np.empty(capacity, dtype=np.uint64)
-        self._sampler_hash = np.empty(capacity, dtype=np.uint64)
-        #: epoch ``_sampler_hash`` was computed at; -1 = not yet.
-        self._sampler_epoch = np.empty(capacity, dtype=np.int64)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -133,8 +111,7 @@ class DigestTable:
                    for s in self._cm_seeds)
         bloom = tuple(hash_bytes(key, s) % self._bloom_bits
                       for s in self._bloom_seeds)
-        fp = hash_bytes(key, self._fp_seed) >> self._fp_shift
-        return KeyDigest(key, cm, bloom, fp)
+        return KeyDigest(key, cm, bloom)
 
     def get(self, key: bytes) -> KeyDigest:
         """Memoized digest of *key* (computes and interns on miss)."""
@@ -142,32 +119,13 @@ class DigestTable:
         if row is not None:
             self.hits += 1
             return KeyDigest(key, tuple(self.cm[row].tolist()),
-                             tuple(self.bloom[row].tolist()),
-                             int(self.fingerprint[row]), row)
+                             tuple(self.bloom[row].tolist()))
         self.misses += 1
         digest = self.compute(key)
-        row = digest.row = self._admit(key)
+        row = self._admit(key)
         self.cm[row] = digest.cm_indexes
         self.bloom[row] = digest.bloom_bits
-        self.fingerprint[row] = digest.fingerprint
-        self._sampler_epoch[row] = -1
         return digest
-
-    def sampler_hash(self, digest: KeyDigest, epoch: int) -> int:
-        """Epoch-dependent sampler hash of a digest from :meth:`get`,
-        memoized in its row for as long as the key holds it."""
-        row = digest.row
-        held = row >= 0 and self._key_of[row] == digest.key
-        if held and self._sampler_epoch[row] == epoch:
-            return int(self._sampler_hash[row])
-        h = hash_bytes(digest.key, self._epoch_seed(epoch))
-        if held:
-            self._sampler_hash[row] = h
-            self._sampler_epoch[row] = epoch
-        return h
-
-    def _epoch_seed(self, epoch: int) -> int:
-        return self._sampler_seed ^ (epoch * SAMPLER_EPOCH_GAMMA)
 
     def _admit(self, key: bytes) -> int:
         """Give *key* the next ring row, evicting the key that holds it."""
@@ -222,17 +180,12 @@ class DigestTable:
         lost = taken[miss_pos[last] > taken]
         if len(lost):
             rows[lost] = self._scratch_rows(len(lost))
-            # A row is only lost once the ring has wrapped, so every ring
-            # row has a key and the scratch keys go right after them.
-            self._key_of[capacity:] = [keys[p] for p in lost.tolist()]
             fill = np.union1d(miss_pos, lost)
         fill_rows = rows[fill]
         h = hash_bytes_batch([keys[p] for p in fill.tolist()], self._seeds)
         depth = len(self._cm_seeds)
         self.cm[fill_rows] = (h[:depth] % self._cm_width).T
-        self.bloom[fill_rows] = (h[depth:-1] % self._bloom_bits).T
-        self.fingerprint[fill_rows] = h[-1] >> self._fp_shift
-        self._sampler_epoch[fill_rows] = -1
+        self.bloom[fill_rows] = (h[depth:] % self._bloom_bits).T
         return rows
 
     def _scratch_rows(self, count: int) -> np.ndarray:
@@ -240,25 +193,11 @@ class DigestTable:
         them; their contents last until the next batch."""
         short = self.capacity + count - len(self.cm)
         if short > 0:
-            for name in ("cm", "bloom", "fingerprint", "_sampler_hash",
-                         "_sampler_epoch"):
+            for name in ("cm", "bloom"):
                 column = getattr(self, name)
                 pad = np.empty((short,) + column.shape[1:], column.dtype)
                 setattr(self, name, np.concatenate([column, pad]))
         return np.arange(self.capacity, self.capacity + count)
-
-    def sampler_hashes(self, rows: np.ndarray, epoch: int) -> np.ndarray:
-        """Epoch-dependent sampler hash of each of *rows* (from
-        :meth:`get_batch`); rows last hashed at another epoch are
-        refreshed with one kernel call."""
-        stale = rows[self._sampler_epoch[rows] != epoch]
-        if len(stale):
-            key_of = self._key_of
-            self._sampler_hash[stale] = hash_bytes_batch(
-                [key_of[r] for r in stale.tolist()],
-                (self._epoch_seed(epoch),))[0]
-            self._sampler_epoch[stale] = epoch
-        return self._sampler_hash[rows]
 
     def stats(self) -> Dict[str, int]:
         """Telemetry snapshot (perf scenarios embed this)."""
@@ -267,12 +206,8 @@ class DigestTable:
                 "evictions": self.evictions}
 
 
-def digest_table_for(sketch, bloom, sampler,
-                     capacity: Optional[int] = None) -> DigestTable:
-    """Wire a :class:`DigestTable` to live sketch/bloom/sampler instances."""
-    return DigestTable(
-        sketch.hash_family, sketch.width,
-        bloom.hash_family, bloom.bits,
-        sampler_seed=sampler.hash_seed,
-        capacity=capacity if capacity is not None else DEFAULT_CAPACITY,
-    )
+def digest_table_for(sketch, bloom,
+                     capacity: int = DEFAULT_CAPACITY) -> DigestTable:
+    """Wire a :class:`DigestTable` to live sketch/bloom instances."""
+    return DigestTable(sketch.hash_family, sketch.width,
+                       bloom.hash_family, bloom.bits, capacity=capacity)

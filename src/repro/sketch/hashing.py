@@ -153,14 +153,6 @@ class HashFamily:
         return self.num_hashes
 
 
-def fingerprint(key: bytes, bits: int = 32, seed: int = 0xF1F1) -> int:
-    """Short fingerprint of a key (used for collision checks in hashed-key
-    mode, §5 "Restricted key-value interface")."""
-    if not 0 < bits <= 64:
-        raise ValueError("bits must be in (0, 64]")
-    return hash_bytes(key, seed) >> (64 - bits)
-
-
 def combined_hash(parts: Iterable[bytes], seed: int = 0) -> int:
     """Hash a sequence of byte strings order-sensitively."""
     h = _splitmix64(seed)

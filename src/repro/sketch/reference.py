@@ -135,12 +135,10 @@ class ScalarQueryStatistics:
                  entries: int = LOOKUP_TABLE_ENTRIES,
                  hot_threshold: int = HOT_THRESHOLD,
                  sample_rate: float = SAMPLE_RATE,
-                 seed: int = 0,
-                 sampler_mode: str = "random"):
+                 seed: int = 0):
         if hot_threshold <= 0:
             raise ConfigurationError("hot_threshold must be positive")
-        self.sampler = PacketSampler(rate=sample_rate, seed=seed ^ 0x5A,
-                                     mode=sampler_mode)
+        self.sampler = PacketSampler(rate=sample_rate, seed=seed ^ 0x5A)
         self._counters = [0] * entries
         self._counter_max = (1 << (8 * (CM_COUNTER_BITS // 8))) - 1
         self.sketch = ScalarCountMinSketch(
@@ -184,5 +182,4 @@ class ScalarQueryStatistics:
         self._counters = [0] * len(self._counters)
         self.sketch.reset()
         self.bloom.reset()
-        self.sampler.advance_epoch()
         self.resets += 1

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.runner import ChaosConfig
+from repro.reliability.retry import RetryPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
+from repro.sim.simcore import SimCoreConfig
 
 
 class TestAssembly:
@@ -25,16 +27,27 @@ class TestAssembly:
             ClusterConfig(num_servers=0)
 
     @pytest.mark.parametrize("config_class, field, value", [
-        (ClusterConfig, "num_pipes", 0),
-        (ClusterConfig, "insertion_latency", -1.0),
         (ChaosConfig, "max_update_retries", -1),
+        (SimCoreConfig, "duration", float("nan")),
+        (SimCoreConfig, "rate", float("nan")),
+        (SimCoreConfig, "client_rates", (float("nan"),)),
     ])
     def test_invalid_field_rejected_at_construction(self, config_class,
                                                     field, value):
-        # Otherwise: a ZeroDivisionError in Cluster.__init__, a negative
-        # insertion delay, and an update-retry budget that acts as zero.
+        # Otherwise: an update-retry budget that acts as zero; a NaN
+        # duration that never ends a run, and a NaN rate that fails late
+        # converting the packet count to an integer.
         with pytest.raises(ConfigurationError, match=field):
             config_class(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("timeout", float("nan")), ("timeout", 0.0),
+        ("backoff", float("nan")), ("backoff", 0.5),
+    ])
+    def test_retry_policy_rejects_nan_and_out_of_range(self, field, value):
+        # A NaN timeout puts a NaN deadline on the event heap.
+        with pytest.raises(ConfigurationError, match=field):
+            RetryPolicy(**{field: value})
 
     @pytest.mark.parametrize("field", ["controller_update_interval",
                                        "stats_interval"])

@@ -1,7 +1,7 @@
 """Golden-value pins for the hash substrate.
 
-Every derived index in the system — Count-Min rows, Bloom bits, sampler
-decisions, digest fingerprints — is a pure function of
+Every derived index in the system — Count-Min rows, Bloom bits, store
+shards and slots — is a pure function of
 :func:`repro.sketch.hashing.hash_bytes`.  The vectorized hot path, the
 committed BENCH baselines, and the chaos replay logs all assume those
 values never move, so this module pins literal outputs for a fixed corpus.
@@ -12,14 +12,7 @@ deliberately, not silently.
 
 import pytest
 
-from repro.sketch.digest import SAMPLER_EPOCH_GAMMA
-from repro.sketch.hashing import (
-    HashFamily,
-    fingerprint,
-    hash_bytes,
-    hash_bytes_batch,
-)
-from repro.sketch.sampler import PacketSampler
+from repro.sketch.hashing import HashFamily, hash_bytes, hash_bytes_batch
 
 #: key -> (hash_bytes seed 0, seed 1, seed 0xDEADBEEF)
 GOLDEN_HASHES = {
@@ -66,8 +59,8 @@ GOLDEN_BLOOM_INDEXES = {
     b"nine-char": [165858, 152729, 245279],
 }
 
-#: key -> (fingerprint(key), fingerprint(key, bits=16, seed=7))
-GOLDEN_FINGERPRINTS = {
+#: key -> (hash_bytes(key, 0xF1F1) >> 32, hash_bytes(key, 7) >> 48)
+GOLDEN_HIGH_BITS = {
     b"": (0x867D7809, 0x63CB),
     b"a": (0x6FB252AC, 0x02EB),
     b"key-0": (0x7BD32487, 0x1AD3),
@@ -99,11 +92,11 @@ def test_hash_bytes_batch_is_pinned():
     bloom = hash_bytes_batch(CORPUS,
                              HashFamily(3, seed=1).seeds) % (256 * 1024)
     assert bloom.T.tolist() == [GOLDEN_BLOOM_INDEXES[key] for key in CORPUS]
-    fp = hash_bytes_batch(CORPUS, (0xF1F1, 7))
-    assert (fp[0] >> 32).tolist() == \
-        [GOLDEN_FINGERPRINTS[key][0] for key in CORPUS]
-    assert (fp[1] >> 48).tolist() == \
-        [GOLDEN_FINGERPRINTS[key][1] for key in CORPUS]
+    high = hash_bytes_batch(CORPUS, (0xF1F1, 7))
+    assert (high[0] >> 32).tolist() == \
+        [GOLDEN_HIGH_BITS[key][0] for key in CORPUS]
+    assert (high[1] >> 48).tolist() == \
+        [GOLDEN_HIGH_BITS[key][1] for key in CORPUS]
 
 
 @pytest.mark.parametrize("key", CORPUS)
@@ -112,13 +105,6 @@ def test_hash_family_indexes_are_pinned(key):
         GOLDEN_CM_INDEXES[key]
     assert HashFamily(3, seed=1).indexes(key, 256 * 1024) == \
         GOLDEN_BLOOM_INDEXES[key]
-
-
-@pytest.mark.parametrize("key", CORPUS)
-def test_fingerprint_is_pinned(key):
-    full, short = GOLDEN_FINGERPRINTS[key]
-    assert fingerprint(key) == full
-    assert fingerprint(key, bits=16, seed=7) == short
 
 
 def test_family_row_seeds_are_pinned():
@@ -137,16 +123,3 @@ def test_index_matches_indexes_per_row():
     for key in CORPUS:
         whole = fam.indexes(key, 1 << 16)
         assert [fam.index(r, key, 1 << 16) for r in range(4)] == whole
-
-
-def test_sampler_epoch_hash_identity():
-    # Hash-mode sampling at epoch e must equal a raw hash_bytes call with
-    # the epoch-mixed seed — the digest table relies on this identity to
-    # memoize the decision hash per epoch.
-    sampler = PacketSampler(rate=0.5, seed=99, mode="hash")
-    for _ in range(3):
-        for key in CORPUS:
-            expected = hash_bytes(
-                key, sampler.hash_seed ^ (sampler.epoch * SAMPLER_EPOCH_GAMMA))
-            assert sampler.key_hash(key) == expected
-        sampler.advance_epoch()

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sketch.digest import SAMPLER_EPOCH_GAMMA
 from repro.sketch.hashing import (
     HashFamily,
     combined_hash,
-    fingerprint,
     hash_bytes,
     hash_bytes_batch,
     hash_key,
@@ -91,20 +89,6 @@ class TestHashFamily:
             HashFamily(0)
 
 
-class TestFingerprint:
-    def test_width(self):
-        assert 0 <= fingerprint(b"abc", bits=8) < 256
-
-    def test_full_width(self):
-        assert 0 <= fingerprint(b"abc", bits=64) < (1 << 64)
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            fingerprint(b"abc", bits=0)
-        with pytest.raises(ValueError):
-            fingerprint(b"abc", bits=65)
-
-
 class TestCombinedHash:
     def test_order_sensitive(self):
         assert combined_hash([b"a", b"b"]) != combined_hash([b"b", b"a"])
@@ -144,15 +128,6 @@ class TestHashBytesBatch:
         assert hash_bytes_batch(keys, seeds).tolist() == [
             [hash_bytes(k, a) for k, a, _ in pairs],
             [hash_bytes(k, b) for k, _, b in pairs]]
-
-    @settings(max_examples=100, deadline=None)
-    @given(keys=BATCH_KEYS, seed=st.integers(0, 2 ** 32),
-           epochs=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4))
-    def test_epoch_mixed_sampler_seeds_equal_scalar(self, keys, seed,
-                                                    epochs):
-        seeds = [seed ^ (e * SAMPLER_EPOCH_GAMMA) for e in epochs]
-        assert hash_bytes_batch(keys, seeds).tolist() == [
-            [hash_bytes(k, s) for k in keys] for s in seeds]
 
     def test_seeds_are_taken_modulo_2_64_like_the_scalar(self):
         keys = [b"", b"abc", b"0123456789abcdef"]

@@ -14,16 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.stats import QueryStatistics
 from repro.sketch.digest import DigestTable
-from repro.sketch.hashing import HashFamily, fingerprint, hash_bytes
+from repro.sketch.hashing import HashFamily
 
 KEYS = st.binary(min_size=0, max_size=24)
 
 
-def make_table(capacity: int, cm_seed: int = 0, bloom_seed: int = 1,
-               sampler_seed: int = 7) -> DigestTable:
+def make_table(capacity: int, cm_seed: int = 0,
+               bloom_seed: int = 1) -> DigestTable:
     return DigestTable(HashFamily(4, seed=cm_seed), 1 << 10,
                        HashFamily(3, seed=bloom_seed), 1 << 12,
-                       sampler_seed=sampler_seed, capacity=capacity)
+                       capacity=capacity)
 
 
 def assert_digest_matches_reference(table: DigestTable, digest) -> None:
@@ -32,7 +32,6 @@ def assert_digest_matches_reference(table: DigestTable, digest) -> None:
     bloom_fam = HashFamily(3, seed=1)
     assert list(digest.cm_indexes) == cm_fam.indexes(key, 1 << 10)
     assert list(digest.bloom_bits) == bloom_fam.indexes(key, 1 << 12)
-    assert digest.fingerprint == fingerprint(key)
 
 
 @settings(max_examples=100, deadline=None)
@@ -46,7 +45,6 @@ def test_cached_digests_equal_reference_under_churn(stream, capacity):
         assert served.key == ref.key == key
         assert served.cm_indexes == ref.cm_indexes
         assert served.bloom_bits == ref.bloom_bits
-        assert served.fingerprint == ref.fingerprint
         assert_digest_matches_reference(table, served)
         assert len(table) <= capacity
     stats = table.stats()
@@ -73,37 +71,30 @@ def test_eviction_is_fifo_and_recomputation_identical(stream, capacity):
         assert list(table._row_of) == fifo
         # Whatever later eviction does to this entry, recomputation (the
         # post-eviction path) yields the identical digest.
-        snapshot = (first.cm_indexes, first.bloom_bits, first.fingerprint)
+        snapshot = (first.cm_indexes, first.bloom_bits)
         again = table.compute(key)
-        assert (again.cm_indexes, again.bloom_bits,
-                again.fingerprint) == snapshot
+        assert (again.cm_indexes, again.bloom_bits) == snapshot
 
 
 @settings(max_examples=150, deadline=None)
 @given(batches=st.lists(st.lists(st.binary(min_size=0, max_size=2),
                                  max_size=24), min_size=1, max_size=5),
-       capacity=st.integers(1, 8), epochs=st.lists(st.integers(0, 3),
-                                                   min_size=5, max_size=5))
-def test_get_batch_is_sequential_get(batches, capacity, epochs):
+       capacity=st.integers(1, 8))
+def test_get_batch_is_sequential_get(batches, capacity):
     """``get_batch`` against looping ``get`` on a twin table: every
-    returned row holds its own key's digest and sampler hash (also where a
-    later miss of the same batch recycled the row), and the counters and
-    the FIFO order agree after every batch — with fewer rows than keys in
-    a batch, and keys evicted and asked for again inside one batch."""
+    returned row holds its own key's digest (also where a later miss of
+    the same batch recycled the row), and the counters and the FIFO order
+    agree after every batch — with fewer rows than keys in a batch, and
+    keys evicted and asked for again inside one batch."""
     batch, scalar = make_table(capacity), make_table(capacity)
-    for keys, epoch in zip(batches, epochs):
+    for keys in batches:
         rows = batch.get_batch(keys)
-        hashes = batch.sampler_hashes(rows, epoch)
         served = [scalar.get(k) for k in keys]
         assert rows.shape == (len(keys),)
         assert batch.cm[rows].tolist() == \
             [list(d.cm_indexes) for d in served]
         assert batch.bloom[rows].tolist() == \
             [list(d.bloom_bits) for d in served]
-        assert batch.fingerprint[rows].tolist() == \
-            [d.fingerprint for d in served]
-        assert hashes.tolist() == \
-            [hash_bytes(k, 7 ^ (epoch * 0x9E37)) for k in keys]
         assert batch.stats() == scalar.stats()
         assert list(batch._row_of.items()) == list(scalar._row_of.items())
         # Scalar reads of the batch-filled table see the same digests.
@@ -112,10 +103,8 @@ def test_get_batch_is_sequential_get(batches, capacity, epochs):
                 d = batch.get(key)
                 batch.hits -= 1
                 ref = batch.compute(key)
-                assert (d.cm_indexes, d.bloom_bits, d.fingerprint) == \
-                    (ref.cm_indexes, ref.bloom_bits, ref.fingerprint)
-                assert batch.sampler_hash(d, epoch) == \
-                    hash_bytes(key, 7 ^ (epoch * 0x9E37))
+                assert (d.cm_indexes, d.bloom_bits) == \
+                    (ref.cm_indexes, ref.bloom_bits)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,44 +112,27 @@ def test_get_batch_is_sequential_get(batches, capacity, epochs):
        resets=st.integers(1, 4))
 def test_stats_reset_invalidates_nothing_it_should_not(keys, resets):
     """reset() clears the counting state and nothing else: interned keys
-    keep their rows, their epoch-independent fields are untouched, and
-    only the sampler hash re-derives at the new epoch."""
+    keep their rows and their fields are untouched."""
     stats = QueryStatistics(entries=64, hot_threshold=2, sample_rate=0.5,
-                            seed=3, sampler_mode="hash")
+                            seed=3)
     for key in keys:
         stats.heavy_hitter_count(key)
     table = stats.digests
-    before = {k: table.get(k) for k in keys}
-    fields = {k: (d.cm_indexes, d.bloom_bits, d.fingerprint)
-              for k, d in before.items()}
-    hashes_by_epoch = {}
+
+    def fields_of(key):
+        digest = table.get(key)
+        return digest.cm_indexes, digest.bloom_bits
+
+    rows = dict(table._row_of)
+    fields = {k: fields_of(k) for k in keys}
     for _ in range(resets):
-        epoch = stats.sampler.epoch
-        hashes_by_epoch[epoch] = {
-            k: table.sampler_hash(before[k], epoch) for k in keys}
         size_before = len(table)
         stats.reset()
         # Digest table untouched: same size, same rows, same fields.
         assert len(table) == size_before
-        for k in keys:
-            d = table.get(k)
-            assert d.row == before[k].row
-            assert (d.cm_indexes, d.bloom_bits, d.fingerprint) == fields[k]
-        # Counting state is gone...
+        assert table._row_of == rows
+        assert {k: fields_of(k) for k in keys} == fields
+        # Counting state is gone.
         assert all(stats.read_counter(i) == 0 for i in range(64))
         assert all(stats.sketch.estimate(k) == 0 for k in keys)
         assert not any(stats.bloom.contains(k) for k in keys)
-        # ...and the sampler hash re-derives to the documented mix for the
-        # *new* epoch while old-epoch hashes stay reproducible.
-        new_epoch = stats.sampler.epoch
-        assert new_epoch == epoch + 1
-        for k in keys:
-            assert table.sampler_hash(before[k], new_epoch) == \
-                stats.sampler.key_hash(k)
-    # Every epoch's hash is a pure function of (key, epoch): recomputing
-    # an old epoch after many resets reproduces the recorded value.
-    for epoch, per_key in hashes_by_epoch.items():
-        for k, h in per_key.items():
-            assert table.sampler_hash(before[k], epoch) == h
-            assert h == hash_bytes(
-                k, stats.sampler.hash_seed ^ (epoch * 0x9E37))

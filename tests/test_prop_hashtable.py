@@ -1,21 +1,17 @@
-"""Property-based tests: both hash-table backends behave exactly like a
-dict under arbitrary operation sequences, and the store's batch read is
-the scalar ``get`` loop on either of them."""
+"""Property-based tests: the hash table behaves exactly like a dict under
+arbitrary operation sequences, and the store's batch read is the scalar
+``get`` loop."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.kvstore.chained import ChainedHashTable
 from repro.kvstore.hashtable import HashTable
-from repro.kvstore.store import BACKENDS as STORE_BACKENDS, KVStore, ReadColumns
+from repro.kvstore.store import KVStore, ReadColumns
 
 keys = st.binary(min_size=1, max_size=12)
 values = st.binary(max_size=16)
-
-BACKENDS = [HashTable, ChainedHashTable]
-
 
 def ops():
     return st.lists(
@@ -28,11 +24,10 @@ def ops():
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=150, deadline=None)
 @given(op_list=ops())
-def test_matches_dict_semantics(backend, op_list):
-    table = backend(initial_capacity=8)
+def test_matches_dict_semantics(op_list):
+    table = HashTable(initial_capacity=8)
     model = {}
     for kind, key, value in op_list:
         if kind == "put":
@@ -47,11 +42,10 @@ def test_matches_dict_semantics(backend, op_list):
     assert dict(table.items()) == model
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=75, deadline=None)
 @given(key_set=st.sets(keys, max_size=100))
-def test_all_inserted_keys_retrievable(backend, key_set):
-    table = backend(initial_capacity=8)
+def test_all_inserted_keys_retrievable(key_set):
+    table = HashTable(initial_capacity=8)
     for i, key in enumerate(sorted(key_set)):
         table.put(key, str(i).encode())
     for i, key in enumerate(sorted(key_set)):
@@ -105,18 +99,17 @@ def store_counters(store):
             [s.total_lookups for s in store._shards])
 
 
-@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
 @settings(max_examples=150, deadline=None)
 @given(op_list=store_ops())
-def test_store_batch_read_equals_the_scalar_get_loop(backend, op_list):
+def test_store_batch_read_equals_the_scalar_get_loop(op_list):
     """Twin stores take the same put/overwrite/delete stream; one reads
     through ``get_batch`` and loads through ``put_batch``, the other
     through ``get`` and ``put`` per key.  Values and all five counters
     must agree after every op, including across a resize and a
     delete-then-reinsert of the same key — also when those happen inside
     a slice whose reads ``get_batch`` charges around its writes."""
-    batch = KVStore(num_cores=3, backend=backend)
-    scalar = KVStore(num_cores=3, backend=backend)
+    batch = KVStore(num_cores=3)
+    scalar = KVStore(num_cores=3)
     for store in (batch, scalar):
         for shard in store._shards:
             shard.clear()               # down to the 8-slot minimum
@@ -169,9 +162,8 @@ def test_store_batch_read_equals_the_scalar_get_loop(backend, op_list):
         assert store_counters(batch) == store_counters(scalar)
 
 
-@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
-def test_overwrites_keep_the_read_columns(backend):
-    store = KVStore(num_cores=2, backend=backend)
+def test_overwrites_keep_the_read_columns():
+    store = KVStore(num_cores=2)
     for key in UNIVERSE:
         store.put(key, b"old")
     columns = ReadColumns(UNIVERSE, 2)
@@ -187,14 +179,13 @@ def test_overwrites_keep_the_read_columns(backend):
     assert (columns.stamp != stamps).any()
 
 
-@pytest.mark.parametrize("backend", sorted(STORE_BACKENDS))
-def test_hash_columns_are_the_scalar_hashes_across_a_resize(backend):
+def test_hash_columns_are_the_scalar_hashes_across_a_resize():
     """``ReadColumns.core``/``slot_hash`` are what ``_core_of`` and the
     owning shard's ``_hash`` compute key by key, and a lookup from the
     stored hash walks the same probes as one that hashes — before and
     after every shard has rebuilt."""
     universe = [b"key%03d" % i for i in range(150)]
-    store = KVStore(num_cores=3, backend=backend)
+    store = KVStore(num_cores=3)
     columns = ReadColumns(universe, 3)
     assert columns.core.tolist() == [store._core_of(k) for k in universe]
     assert columns.slot_hash.tolist() == [

@@ -184,19 +184,17 @@ def drain_scalar(stats, stream):
 
 @settings(max_examples=30, deadline=None)
 @given(stream=st.lists(KEYS, max_size=120),
-       mode=st.sampled_from(["random", "hash"]),
        rate=st.sampled_from([1.0, 0.5]),
        seed=st.integers(0, 3))
 def test_scalar_statistics_engine_matches_vectorized_scalar_path(
-        stream, mode, rate, seed):
+        stream, rate, seed):
     """The reference engine the hotpath microbench races against really is
     the same machine: per-key calls through both engines produce identical
     reports, counters, and sampler decisions."""
     fast = QueryStatistics(entries=16, hot_threshold=3, sample_rate=rate,
-                           seed=seed, sampler_mode=mode)
+                           seed=seed)
     ref = ScalarQueryStatistics(entries=16, hot_threshold=3,
-                                sample_rate=rate, seed=seed,
-                                sampler_mode=mode)
+                                sample_rate=rate, seed=seed)
     for j, key in enumerate(stream):
         if j % 5 == 4:
             fast.reset()
@@ -214,18 +212,15 @@ def test_scalar_statistics_engine_matches_vectorized_scalar_path(
 
 @settings(max_examples=30, deadline=None)
 @given(batches=st.lists(st.lists(KEYS, max_size=30), min_size=1, max_size=4),
-       mode=st.sampled_from(["random", "hash"]),
        rate=st.sampled_from([1.0, 0.5, 0.0]),
        seed=st.integers(0, 3))
-def test_heavy_hitter_batch_matches_scalar_loop(batches, mode, rate, seed):
-    """Batched miss counting = scalar miss counting, across resets, for
-    both sampler modes at full, fractional, and zero rates."""
+def test_heavy_hitter_batch_matches_scalar_loop(batches, rate, seed):
+    """Batched miss counting = scalar miss counting, across resets, at
+    full, fractional, and zero sample rates."""
     batch_stats = QueryStatistics(entries=16, hot_threshold=2,
-                                  sample_rate=rate, seed=seed,
-                                  sampler_mode=mode)
+                                  sample_rate=rate, seed=seed)
     loop_stats = QueryStatistics(entries=16, hot_threshold=2,
-                                 sample_rate=rate, seed=seed,
-                                 sampler_mode=mode)
+                                 sample_rate=rate, seed=seed)
     for i, stream in enumerate(batches):
         assert batch_stats.heavy_hitter_count_batch(stream) == \
             drain_scalar(loop_stats, stream)
@@ -243,10 +238,9 @@ def test_heavy_hitter_batch_matches_scalar_loop(batches, mode, rate, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(picks=st.lists(st.integers(0, 39), min_size=1, max_size=150),
-       mode=st.sampled_from(["random", "hash"]),
        rate=st.sampled_from([1.0, 0.5]),
        seed=st.integers(0, 2))
-def test_observe_reads_matches_observe_read_loop(picks, mode, rate, seed):
+def test_observe_reads_matches_observe_read_loop(picks, rate, seed):
     """The data plane's batch entry point splits hits from misses yet
     replays exactly like the per-packet path: same reports in order, same
     hit/miss accounting, same counters, straddling a statistics reset."""
@@ -261,8 +255,7 @@ def test_observe_reads_matches_observe_read_loop(picks, mode, rate, seed):
         dp = NetCacheDataplane(
             RoutingTable(default_port=0), entries=64, value_slots=64,
             stats=QueryStatistics(entries=64, hot_threshold=2,
-                                  sample_rate=rate, seed=seed,
-                                  sampler_mode=mode))
+                                  sample_rate=rate, seed=seed))
         dp.layout.bind_keyspace(keyspace)
         for i, key in enumerate(cached):
             assert dp.install(key, b"v" * 8, i % 128)

@@ -20,6 +20,7 @@ from repro.client.zipf import ZipfDistribution
 from repro.errors import ConfigurationError
 from repro.sim import ratesim
 from repro.sim.ratesim import (
+    INVALIDATION_WINDOW,
     RateSimConfig,
     RateSimResult,
     fast_partition_vector,
@@ -81,7 +82,7 @@ def reference_simulate(read_probs, cached_mask, config, write_probs=None):
         new_rate = bounds[binding]
 
         if w > 0:
-            window = (config.invalidation_window +
+            window = (INVALIDATION_WINDOW +
                       config.invalidation_service_factor / config.server_rate)
             inv = new_rate * write_rate * window
             new_validity = 1.0 / (1.0 + inv)

@@ -46,6 +46,16 @@ class TestPartitionVectors:
         b = fast_partition_vector(1000, 8, seed=1)
         assert np.array_equal(a, b)
 
+    def test_fast_vector_is_cached_narrow_and_read_only(self):
+        # Every caller shares the cached array, so none may write it, and
+        # a server index needs two bytes, not eight.
+        for num_servers, dtype in ((8, np.uint8), (256, np.uint8),
+                                   (257, np.uint16), (4096, np.uint16)):
+            vec = fast_partition_vector(1000, num_servers, seed=5)
+            assert vec is fast_partition_vector(1000, num_servers, seed=5)
+            assert vec.dtype == dtype and not vec.flags.writeable
+            assert vec.max() < num_servers
+
     def test_pipe_vector_is_a_byte_an_item(self):
         # Cached for the life of the process next to the partition vector,
         # so it holds a pipe index in the narrowest dtype, read-only.

@@ -492,7 +492,7 @@ class TestHashKernelSabotage:
         def small_table(cluster, client):
             stats = cluster.switch.dataplane.stats
             stats.digests = digest_table_for(
-                stats.sketch, stats.bloom, stats.sampler, capacity=48)
+                stats.sketch, stats.bloom, capacity=48)
 
         scalar = run_faulted(cfg, small_table, batched=False)
         assert scalar["stats.reports"] > 0

@@ -34,30 +34,6 @@ class TestRates:
         assert s.sample(b"k")
 
 
-class TestHashMode:
-    def test_deterministic_per_key_per_epoch(self):
-        s = PacketSampler(rate=0.5, mode="hash", seed=1)
-        first = s.sample(b"key")
-        assert all(s.sample(b"key") == first for _ in range(10))
-
-    def test_epoch_changes_decisions(self):
-        s = PacketSampler(rate=0.5, mode="hash", seed=1)
-        keys = [f"k{i}".encode() for i in range(200)]
-        before = [s.sample(k) for k in keys]
-        s.advance_epoch()
-        after = [s.sample(k) for k in keys]
-        assert before != after  # astronomically unlikely to match
-
-    def test_hash_mode_rate_rough(self):
-        s = PacketSampler(rate=0.1, mode="hash", seed=4)
-        hits = sum(s.sample(f"k{i}".encode()) for i in range(5000))
-        assert 350 <= hits <= 650
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            PacketSampler(mode="quantum")
-
-
 class TestCounters:
     def test_reset_stats(self):
         s = PacketSampler(rate=1.0)

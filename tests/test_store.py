@@ -40,9 +40,8 @@ class TestApi:
         assert (store.puts, store.gets, store.deletes) == (1, 1, 1)
 
 
-@pytest.mark.parametrize("backend", ["open", "chained"])
-def test_peek_batch_reads_like_get_and_moves_no_counter(backend):
-    store = KVStore(num_cores=4, backend=backend)
+def test_peek_batch_reads_like_get_and_moves_no_counter():
+    store = KVStore(num_cores=4)
     keys = [f"key{i}".encode() for i in range(50)]
     for key in keys[:40]:
         store.put(key, key * 2)
