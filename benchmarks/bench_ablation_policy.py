@@ -8,9 +8,13 @@ threshold-insertion policy on identical Zipf streams under (i) an unlimited
 budget and (ii) a realistic budget, reporting hit ratio and updates used.
 """
 
-from repro.baselines.policies import LfuPolicy, LruPolicy, ThresholdPolicy
+from repro.baselines.policies import (
+    LfuPolicy,
+    LruPolicy,
+    ThresholdPolicy,
+    run_policy,
+)
 from repro.client.zipf import ZipfGenerator
-from repro.core.geometry import run_policy
 from repro.sim.experiments import format_table
 
 NUM_KEYS = 20_000

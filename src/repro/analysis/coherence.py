@@ -106,11 +106,6 @@ class CoherenceMonitor(DeliveryObserver):
         self.reads_checked = 0
         self.writes_seen = 0
         sim.delivery_hooks.append(self)
-        self._sim = sim
-
-    def detach(self) -> None:
-        if self in self._sim.delivery_hooks:
-            self._sim.delivery_hooks.remove(self)
 
     def _history(self, key: bytes) -> _KeyHistory:
         hist = self._histories.get(key)

@@ -40,10 +40,6 @@ class ValidationPoint:
     def delivery_ratio(self) -> float:
         return self.delivered / self.offered
 
-    @property
-    def hit_ratio_error(self) -> float:
-        return abs(self.des_hit_ratio - self.model_hit_ratio)
-
 
 def predict(num_servers: int, server_rate: float, workload,
             cached_keys=None) -> RateSimResult:

@@ -2,17 +2,12 @@
 replication, consistent hashing, and cache-update policies under an
 update-rate budget.  NoCache is ``make_cluster(enable_cache=False)``."""
 
-from repro.baselines.consistent import (
-    ConsistentHashRing,
-    moved_keys_on_join,
-    ring_load_vector,
-)
+from repro.baselines.consistent import ConsistentHashRing, ring_load_vector
 from repro.baselines.policies import (
     CachePolicy,
     LfuPolicy,
     LruPolicy,
     ThresholdPolicy,
-    compare_policies,
 )
 from repro.baselines.replication import ReplicationConfig, simulate_replication
 from repro.baselines.servercache import (
@@ -24,7 +19,6 @@ from repro.baselines.servercache import (
 __all__ = [
     "CachePolicy",
     "ConsistentHashRing",
-    "moved_keys_on_join",
     "ring_load_vector",
     "LfuPolicy",
     "LruPolicy",
@@ -32,7 +26,6 @@ __all__ = [
     "ServerCacheConfig",
     "ServerCacheResult",
     "ThresholdPolicy",
-    "compare_policies",
     "simulate_replication",
     "simulate_server_cache",
 ]

@@ -3,15 +3,11 @@
 The related-work baseline: "Traditional methods use consistent hashing
 [Karger et al.] and virtual nodes [Dabek et al.] to mitigate load
 imbalance, but these solutions fall short when dealing with workload
-changes."  This module implements the ring properly — sorted virtual-node
-tokens, binary-search lookup, replica walking — so the claim can be
-measured: virtual nodes even out *key-count* imbalance across servers, but
-they cannot split the load of a single hot key, so Zipf skew still
-concentrates on whoever owns the head.
-
-Doubles as an alternative partitioner for the cluster builder (it exposes
-the same ``server_for``/``partition_of`` surface as
-:class:`~repro.kvstore.partition.HashPartitioner`).
+changes."  This module implements the ring — sorted virtual-node tokens,
+binary-search lookup — so the claim can be measured: virtual nodes even
+out *key-count* imbalance across servers, but they cannot split the load
+of a single hot key, so Zipf skew still concentrates on whoever owns the
+head.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError
 from repro.sketch.hashing import hash_bytes
 
 RING_SEED = 0xC0F5
@@ -69,61 +65,6 @@ class ConsistentHashRing:
 
     def partition_of(self, key: bytes) -> int:
         return self._index_of[self.server_for(key)]
-
-    def owns(self, server_id: int, key: bytes) -> bool:
-        if server_id not in self._index_of:
-            raise PartitionError(f"{server_id} is not a ring member")
-        return self.server_for(key) == server_id
-
-    def partition_index(self, server_id: int) -> int:
-        idx = self._index_of.get(server_id)
-        if idx is None:
-            raise PartitionError(f"{server_id} is not a ring member")
-        return idx
-
-    def preference_list(self, key: bytes, n: int) -> List[int]:
-        """The *n* distinct servers clockwise from the key (replication)."""
-        if n > len(self.server_ids):
-            raise ConfigurationError("n exceeds ring membership")
-        point = hash_bytes(key, self.seed ^ 0x5A5A)
-        idx = bisect.bisect_right(self._tokens, point)
-        out: List[int] = []
-        for step in range(len(self._tokens)):
-            owner = self._owners[(idx + step) % len(self._tokens)]
-            if owner not in out:
-                out.append(owner)
-                if len(out) == n:
-                    break
-        return out
-
-    # -- membership changes (the ring's selling point) ---------------------------
-
-    def arc_share(self, server_id: int) -> float:
-        """Fraction of the ring the server owns (ideal: 1/N)."""
-        if server_id not in self._index_of:
-            raise PartitionError(f"{server_id} is not a ring member")
-        total = 0
-        ring = 1 << 64
-        for i, owner in enumerate(self._owners):
-            if owner != server_id:
-                continue
-            lo = self._tokens[i - 1] if i > 0 else self._tokens[-1] - ring
-            total += self._tokens[i] - lo
-        return total / ring
-
-
-def moved_keys_on_join(keys: Sequence[bytes], server_ids: Sequence[int],
-                       new_server: int, virtual_nodes: int = 64) -> float:
-    """Fraction of keys that change owner when *new_server* joins.
-
-    Consistent hashing's defining guarantee: ~1/(N+1), vs ~N/(N+1) for
-    modulo hashing.
-    """
-    before = ConsistentHashRing(server_ids, virtual_nodes)
-    after = ConsistentHashRing(list(server_ids) + [new_server],
-                               virtual_nodes)
-    moved = sum(1 for k in keys if before.server_for(k) != after.server_for(k))
-    return moved / max(1, len(keys))
 
 
 def ring_load_vector(probs: np.ndarray, keyspace, ring: ConsistentHashRing

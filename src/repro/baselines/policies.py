@@ -10,37 +10,91 @@ query stream under a *table-update budget per interval*; updates beyond the
 budget are dropped (the switch driver simply cannot apply them), and the
 resulting hit ratio is what the ablation benchmark compares.
 
-Since the cache-geometry seam, the shared contract lives in
-:mod:`repro.core.geometry`: every policy here is an
-:class:`~repro.core.geometry.AdmissionPolicy` implementing only the stream
-surface (they never drive the live controller's victim sampling), driven
-by that module's ``UpdateBudget`` and ``run_policy`` like the geometry
-tournament — import those from there.
+:class:`CachePolicy` is the one base: :func:`run_policy` feeds it a query
+stream through :meth:`~CachePolicy.access` and
+:meth:`~CachePolicy.end_interval` under an :class:`UpdateBudget`.  The
+geometry tournament's layout policy (:mod:`repro.tools.tournament`)
+subclasses it too.  None of them drives the live controller, whose
+eviction is :func:`repro.core.controller.pick_victim`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Tuple
 
-from repro.core.geometry import AdmissionPolicy, UpdateBudget, run_policy
 from repro.errors import ConfigurationError
 
 
-class CachePolicy(AdmissionPolicy):
-    """Stream-surface policy base: feed keys, observe hits, count updates.
+class UpdateBudget:
+    """Table-entry updates available per interval (switch driver limit)."""
 
-    Degenerate :class:`~repro.core.geometry.AdmissionPolicy`: the control
-    surface stays inert (``pick_victim`` returns None — these policies do
-    their own eviction inline) and the capacity must be a real cache size.
-    """
+    def __init__(self, per_interval: int):
+        if per_interval < 0:
+            raise ConfigurationError("budget must be non-negative")
+        self.per_interval = per_interval
+        self.remaining = per_interval
+        self.spent = 0
+        self.denied = 0
+
+    def take(self, n: int = 1) -> bool:
+        if self.remaining >= n:
+            self.remaining -= n
+            self.spent += n
+            return True
+        self.denied += n
+        return False
+
+    def refill(self) -> None:
+        self.remaining = self.per_interval
+
+
+class CachePolicy:
+    """Stream policy base: feed keys, observe hits, count updates."""
 
     name = "abstract"
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ConfigurationError("capacity must be positive")
-        super().__init__(capacity)
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self.updates_attempted = 0
+        self.updates_applied = 0
+
+    def access(self, key: bytes, budget: UpdateBudget) -> bool:
+        raise NotImplementedError
+
+    def end_interval(self, budget: UpdateBudget) -> None:
+        """Hook for policies that batch updates per interval."""
+
+    @property
+    def hit_ratio(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+def run_policy(policy: CachePolicy, stream: Iterable[bytes],
+               queries_per_interval: int,
+               updates_per_interval: int) -> Tuple[float, int]:
+    """Feed *stream* through *policy* with interval-based update budgets.
+
+    Returns (hit_ratio, updates_applied).
+    """
+    if queries_per_interval <= 0:
+        raise ConfigurationError("queries_per_interval must be positive")
+    budget = UpdateBudget(updates_per_interval)
+    in_interval = 0
+    for key in stream:
+        policy.access(key, budget)
+        in_interval += 1
+        if in_interval >= queries_per_interval:
+            policy.end_interval(budget)
+            budget.refill()
+            in_interval = 0
+    policy.end_interval(budget)
+    return policy.hit_ratio, policy.updates_applied
 
 
 class LruPolicy(CachePolicy):
@@ -146,19 +200,3 @@ class ThresholdPolicy(CachePolicy):
         self._miss_counts.clear()
         for k in self._cache:
             self._cache[k] = 0
-
-
-def compare_policies(stream_factory, capacity: int,
-                     queries_per_interval: int,
-                     updates_per_interval: int,
-                     threshold: int = 8) -> List[Tuple[str, float, int]]:
-    """Run all three policies on identical streams; returns
-    (name, hit_ratio, updates) rows."""
-    rows = []
-    for policy in (LruPolicy(capacity), LfuPolicy(capacity),
-                   ThresholdPolicy(capacity, threshold=threshold)):
-        hit_ratio, updates = run_policy(policy, stream_factory(),
-                                        queries_per_interval,
-                                        updates_per_interval)
-        rows.append((policy.name, hit_ratio, updates))
-    return rows

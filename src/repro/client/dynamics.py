@@ -37,11 +37,8 @@ class PopularityMap:
     def item_at(self, rank: int) -> int:
         return int(self._item_of_rank[rank])
 
-    def items_at(self, ranks) -> List[int]:
-        return self._item_of_rank[np.asarray(ranks, dtype=np.int64)].tolist()
-
     def items_array(self) -> np.ndarray:
-        """Rank -> item id table as an int64 array (vectorized items_at):
+        """Rank -> item id table as an int64 array (vectorized item_at):
         a read-only view of the live table, valid until the next churn."""
         table = self._item_of_rank.view()
         table.flags.writeable = False

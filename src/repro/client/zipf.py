@@ -39,20 +39,10 @@ class ZipfDistribution:
         # Guard against floating-point drift in searchsorted.
         self._cdf[-1] = 1.0
 
-    def head_mass(self, k: int) -> float:
-        """Probability mass of the *k* most popular ranks."""
-        if k <= 0:
-            return 0.0
-        return float(self._cdf[min(k, self.num_items) - 1])
-
     def sample_ranks(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw *count* ranks (0-based) by inverse-CDF lookup."""
         u = rng.random(count)
         return np.searchsorted(self._cdf, u, side="left")
-
-    def rank_probability(self, rank: int) -> float:
-        """Probability of the 0-based *rank*."""
-        return float(self.probs[rank])
 
 
 class ZipfGenerator:

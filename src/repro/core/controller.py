@@ -14,16 +14,17 @@ statistics module every ``stats_interval`` seconds.
 from __future__ import annotations
 
 import random
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from collections import deque
+
+import numpy as np
 
 from repro.constants import (
     COUNTER_SAMPLE_SIZE,
     DEFAULT_CACHE_ITEMS,
     STATS_RESET_INTERVAL,
 )
-from repro.core.geometry import AdmissionPolicy, SampleEvictPolicy
 from repro.core.switch import NetCacheSwitch
 from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
@@ -31,6 +32,22 @@ from repro.kvstore.server import StorageServer
 from repro.obs import runtime as _obs
 from repro.reliability.failure import FailureDetector
 from repro.reliability.lease import LeaseTable
+
+
+def pick_victim(candidate_count: int,
+                counts: Sequence[int]) -> Optional[int]:
+    """The paper's sample-and-compare eviction rule (§4.3).
+
+    Position in the sample (whose counters are *counts*) of the coldest
+    key — the first minimum — when the candidate's frequency estimate
+    *candidate_count* beats it; None = reject the candidate.
+    """
+    if not len(counts):
+        return None
+    coldest = int(np.argmin(counts))   # the first minimum
+    if candidate_count <= counts[coldest]:
+        return None
+    return coldest
 
 
 class CacheController:
@@ -57,12 +74,6 @@ class CacheController:
         Maps a server id to this switch's egress port toward it.  Defaults
         to the switch's own neighbour table (a ToR); a spine cache passes a
         resolver that routes through the server's rack.
-    policy:
-        The :class:`~repro.core.geometry.AdmissionPolicy` deciding victim
-        selection when the cache is at capacity.  Defaults to the paper's
-        :class:`~repro.core.geometry.SampleEvictPolicy`; the controller
-        still owns the sampling RNG so swapping policies cannot perturb
-        the seeded random stream.
     async_insertions:
         When True (set by :class:`~repro.sim.cluster.Cluster`), the
         ``finish_insertion`` control RPC completes :attr:`INSERTION_LATENCY`
@@ -99,15 +110,15 @@ class CacheController:
                  seed: int = 42,
                  port_resolver=None,
                  async_insertions: bool = False,
-                 server_probe: Optional[Callable[[int], bool]] = None,
-                 policy: Optional[AdmissionPolicy] = None):
+                 server_probe: Optional[Callable[[int], bool]] = None):
         if cache_capacity <= 0:
             raise ConfigurationError("cache_capacity must be positive")
         if sample_size <= 0:
             raise ConfigurationError("sample_size must be positive")
-        if update_interval <= 0:
+        # ``not x > 0`` rejects NaN too.
+        if not update_interval > 0:
             raise ConfigurationError("update_interval must be positive")
-        if stats_interval <= 0:
+        if not stats_interval > 0:
             raise ConfigurationError("stats_interval must be positive")
         self.switch = switch
         self.partitioner = partitioner
@@ -117,7 +128,6 @@ class CacheController:
         self.stats_interval = stats_interval
         self.update_interval = update_interval
         self._port_of = port_resolver or switch.egress_port_of
-        self.policy = policy or SampleEvictPolicy()
         self.reorganize_interval = self.REORGANIZE_INTERVAL
         self.fragmentation_threshold = self.FRAGMENTATION_THRESHOLD
         self.reorganizations = 0
@@ -312,9 +322,9 @@ class CacheController:
         counts = dataplane.counters_of(sample)
         # The comparison re-reads the coldest key's counter on the switch.
         dataplane.stats.counters.note_batch_reads(1)
-        # Counters and sketch are reset together, so the policy compares
+        # Counters and sketch are reset together, so the rule compares
         # same-interval (sampled) frequencies.
-        position = self.policy.pick_victim(candidate_count, counts)
+        position = pick_victim(candidate_count, counts)
         return None if position is None else sample[position]
 
     def _insert(self, key: bytes, victim: Optional[bytes] = None) -> bool:

@@ -1,39 +1,30 @@
-"""Pluggable cache geometry: layouts and admission policies.
+"""Pluggable cache geometry: where cached bytes live.
 
 NetCache's evaluation fixes one data-plane design — an exact-match lookup
-table plus values spread across per-stage register arrays, with
-controller-driven sample-and-compare eviction (§4.2–4.3).  This module
-carves that design out behind two seams so competing geometries can be
-swapped in instead of forked:
+table plus values spread across per-stage register arrays (§4.2).  This
+module carves that design out behind one seam so competing geometries can
+be swapped in instead of forked.
 
-* :class:`CacheLayout` is the *where-do-bytes-live* contract: lookup,
-  install, evict, value placement, batch probes for the lanes engine, and
-  honest SRAM accounting.  The base class owns what every geometry shares:
-  the key map (key -> key index, in install order), the key-index free
-  list, the item column the batch probes read (key index by keyspace
-  item id), and the snapshot fields of a :class:`CacheStatusModule` (valid
-  bit + update version per key index, §4.3/§4.4.4).  A layout supplies
-  only its probe, its value placement, and its accounting.  The paper's
-  design is :class:`PaperLayout`; :class:`SetAssocLayout` models
-  limited-associativity set-based caching (fixed-width sets, fingerprint
-  match, in-set victim choice), and :class:`OrbitLayout` models
-  OrbitCache-style variable-length values via bounded recirculation
-  passes, surfaced as extra pipeline latency.
+:class:`CacheLayout` is the *where-do-bytes-live* contract: lookup,
+install, evict, value placement, batch probes for the lanes engine, and
+honest SRAM accounting.  The base class owns what every geometry shares:
+the key map (key -> key index, in install order), the key-index free
+list, the item column the batch probes read (key index by keyspace item
+id), and the snapshot fields of a :class:`CacheStatusModule` (valid bit +
+update version per key index, §4.3/§4.4.4).  A layout supplies only its
+probe, its value placement, and its accounting.  The paper's design is
+:class:`PaperLayout`; :class:`SetAssocLayout` models limited-associativity
+set-based caching (fixed-width sets, fingerprint match, in-set victim
+choice), and :class:`OrbitLayout` models OrbitCache-style variable-length
+values via bounded recirculation passes, surfaced as extra pipeline
+latency.
 
-* :class:`AdmissionPolicy` is the *who-deserves-a-slot* contract.  It has
-  two complementary surfaces sharing one object: the **control surface**
-  (:meth:`~AdmissionPolicy.pick_victim`) used by the live controller's
-  sample-and-compare eviction, and the **stream surface**
-  (:meth:`~AdmissionPolicy.access` / :meth:`~AdmissionPolicy.end_interval`)
-  used by the budgeted policy ablation (:func:`run_policy`) and the
-  geometry tournament.  The paper's eviction is :class:`SampleEvictPolicy`;
-  the classical LRU/LFU/threshold baselines in
-  :mod:`repro.baselines.policies` subclass the same base as degenerate
-  cases (stream surface only).
-
-Layouts never touch the statistics engine: sampling, sketches, and per-key
-counters stay with :class:`~repro.core.dataplane.NetCacheDataplane`, which
-asks its layout only for geometry decisions.
+Who deserves a slot is not a layout's decision: the controller's
+sample-and-compare eviction (§4.3) is
+:func:`repro.core.controller.pick_victim`.  Layouts never touch the
+statistics engine either: sampling, sketches, and per-key counters stay
+with :class:`~repro.core.dataplane.NetCacheDataplane`, which asks its
+layout only for geometry decisions.
 """
 
 from __future__ import annotations
@@ -42,7 +33,6 @@ import zlib
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -79,10 +69,6 @@ __all__ = [
     "OrbitLayout",
     "LAYOUTS",
     "make_layout",
-    "AdmissionPolicy",
-    "SampleEvictPolicy",
-    "UpdateBudget",
-    "run_policy",
 ]
 
 
@@ -1120,121 +1106,3 @@ def make_layout(spec, **geometry) -> CacheLayout:
             f"unknown cache layout {spec!r}; choose from "
             f"{', '.join(sorted(LAYOUTS))}")
     return cls(**geometry)
-
-
-# -- admission policies -------------------------------------------------------------
-
-
-class UpdateBudget:
-    """Table-entry updates available per interval (switch driver limit)."""
-
-    def __init__(self, per_interval: int):
-        if per_interval < 0:
-            raise ConfigurationError("budget must be non-negative")
-        self.per_interval = per_interval
-        self.remaining = per_interval
-        self.spent = 0
-        self.denied = 0
-
-    def take(self, n: int = 1) -> bool:
-        if self.remaining >= n:
-            self.remaining -= n
-            self.spent += n
-            return True
-        self.denied += n
-        return False
-
-    def refill(self) -> None:
-        self.remaining = self.per_interval
-
-
-class AdmissionPolicy:
-    """Who deserves a cache slot — one contract, two surfaces.
-
-    *Control surface*: the live controller calls :meth:`pick_victim` with
-    the hot candidate's frequency estimate and the counters of a sampled
-    set of cached keys; the policy decides whether (and whom) to
-    displace.  *Stream surface*: the budgeted policy ablation
-    (:func:`run_policy`) and the geometry tournament feed a query stream
-    through :meth:`access`/:meth:`end_interval` under an
-    :class:`UpdateBudget`.  Degenerate policies implement only one
-    surface; the defaults keep the other inert (never evict / no stream
-    model).
-    """
-
-    name = "abstract"
-
-    def __init__(self, capacity: int = 0):
-        if capacity < 0:
-            raise ConfigurationError("capacity must be non-negative")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.updates_attempted = 0
-        self.updates_applied = 0
-
-    # -- control surface ----------------------------------------------------------
-
-    def pick_victim(self, candidate_count: int,
-                    counts: Sequence[int]) -> Optional[int]:
-        """Position in the sample (whose counters are *counts*) of the
-        victim to evict for a candidate of *candidate_count*; None =
-        reject."""
-        return None
-
-    # -- stream surface -----------------------------------------------------------
-
-    def access(self, key: bytes, budget: "UpdateBudget") -> bool:
-        raise NotImplementedError
-
-    def end_interval(self, budget: "UpdateBudget") -> None:
-        """Hook for policies that batch updates per interval."""
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class SampleEvictPolicy(AdmissionPolicy):
-    """The paper's sample-and-compare eviction (§4.3).
-
-    The coldest of the sampled cached keys is displaced only when the
-    candidate's estimated frequency (Count-Min sketch in the live
-    controller) exceeds the coldest counter.  Counters and sketch are
-    reset together, so the comparison is between same-interval (sampled)
-    frequencies.
-    """
-
-    name = "sample-evict"
-
-    def pick_victim(self, candidate_count: int,
-                    counts: Sequence[int]) -> Optional[int]:
-        if not len(counts):
-            return None
-        coldest = int(np.argmin(counts))   # the first minimum
-        if candidate_count <= counts[coldest]:
-            return None
-        return coldest
-
-
-def run_policy(policy: AdmissionPolicy, stream: Iterable[bytes],
-               queries_per_interval: int,
-               updates_per_interval: int) -> Tuple[float, int]:
-    """Feed *stream* through *policy* with interval-based update budgets.
-
-    Returns (hit_ratio, updates_applied).
-    """
-    if queries_per_interval <= 0:
-        raise ConfigurationError("queries_per_interval must be positive")
-    budget = UpdateBudget(updates_per_interval)
-    in_interval = 0
-    for key in stream:
-        policy.access(key, budget)
-        in_interval += 1
-        if in_interval >= queries_per_interval:
-            policy.end_interval(budget)
-            budget.refill()
-            in_interval = 0
-    policy.end_interval(budget)
-    return policy.hit_ratio, policy.updates_applied

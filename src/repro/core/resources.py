@@ -9,7 +9,7 @@ renders the resource table the benchmarks print.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import List
 
 from repro.constants import CHIP_SRAM_BYTES
 from repro.core.dataplane import NetCacheDataplane
@@ -47,12 +47,6 @@ class ResourceReport:
     def fits_half_chip(self) -> bool:
         """The paper's headline claim: under 50% of on-chip memory."""
         return self.utilization < 0.5
-
-    def as_dict(self) -> Dict[str, float]:
-        out = {line.component: line.sram_mb for line in self.lines}
-        out["total_mb"] = self.total_bytes / (1024 * 1024)
-        out["utilization"] = self.utilization
-        return out
 
     def render(self) -> str:
         width = max(len(line.component) for line in self.lines) + 2

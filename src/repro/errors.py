@@ -39,10 +39,6 @@ class RoutingError(NetCacheError):
     """No route exists for a destination, or a port is invalid."""
 
 
-class PartitionError(NetCacheError):
-    """A query reached a server that does not own the key's partition."""
-
-
 class CoherenceError(NetCacheError):
     """The coherence protocol reached an inconsistent state."""
 

@@ -178,12 +178,6 @@ class HashTable:
     def load_factor(self) -> float:
         return self._size / self._capacity
 
-    def mean_probe_length(self) -> float:
-        """Average probes per lookup since construction (diagnostic)."""
-        if not self.total_lookups:
-            return 0.0
-        return self.total_probes / self.total_lookups
-
     def __len__(self) -> int:
         return self._size
 

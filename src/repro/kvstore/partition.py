@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError
 from repro.sketch.hashing import hash_bytes, hash_bytes_batch
 
 PARTITION_SEED = 0x5EED
@@ -28,9 +28,6 @@ class HashPartitioner:
             raise ConfigurationError("server ids must be unique")
         self.server_ids: List[int] = list(server_ids)
         self.seed = seed
-        self._index_of: Dict[int, int] = {
-            sid: i for i, sid in enumerate(self.server_ids)
-        }
 
     @property
     def num_partitions(self) -> int:
@@ -48,20 +45,6 @@ class HashPartitioner:
     def server_for(self, key: bytes) -> int:
         """Node id of the server that owns *key*."""
         return self.server_ids[self.partition_of(key)]
-
-    def owns(self, server_id: int, key: bytes) -> bool:
-        """True if *server_id* is the owner of *key*."""
-        idx = self._index_of.get(server_id)
-        if idx is None:
-            raise PartitionError(f"{server_id} is not a storage server")
-        return self.partition_of(key) == idx
-
-    def partition_index(self, server_id: int) -> int:
-        """Partition index served by *server_id*."""
-        idx = self._index_of.get(server_id)
-        if idx is None:
-            raise PartitionError(f"{server_id} is not a storage server")
-        return idx
 
     def split_keys(self, keys: Sequence[bytes]) -> Dict[int, List[bytes]]:
         """Group *keys* by owning partition index (load-analysis helper)."""

@@ -46,7 +46,7 @@ class StorageServer(Node):
                  queue_limit: Optional[int] = None,
                  num_cores: int = 16):
         super().__init__(node_id)
-        if service_rate <= 0:
+        if not service_rate > 0:   # NaN too
             raise ConfigurationError("service_rate must be positive")
         if queue_limit is not None and queue_limit < 1:
             raise ConfigurationError("queue_limit must be >= 1 or None")
@@ -115,10 +115,6 @@ class StorageServer(Node):
         """Bulk-load (key, value) pairs without going through the network."""
         for key, value in items:
             self.store.put(key, value)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queued
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of *elapsed* time spent serving queries."""

@@ -13,7 +13,6 @@ from repro.net.packet import (
 from repro.net.protocol import Op
 from repro.net.routing import RoutingTable
 from repro.net.simulator import Node, Simulator
-from repro.net.trace import PacketTracer, TraceRecord
 from repro.net.topology import (
     LeafSpinePlan,
     NodeIdAllocator,
@@ -31,9 +30,7 @@ __all__ = [
     "NodeIdAllocator",
     "Op",
     "Packet",
-    "PacketTracer",
     "RackPlan",
-    "TraceRecord",
     "RoutingTable",
     "Simulator",
     "make_cache_update",

@@ -53,9 +53,6 @@ class Event:
             return self.priority < other.priority
         return self.seq < other.seq
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
 
 class EventQueue:
     """Heap-based future event list with a current-time clock."""

@@ -45,7 +45,7 @@ class Link:
                  seed: int = 0):
         if a == b:
             raise ConfigurationError("link endpoints must differ")
-        if latency < 0:
+        if not latency >= 0:   # NaN too
             raise ConfigurationError("latency must be non-negative")
         if rate_pps is not None and rate_pps <= 0:
             raise ConfigurationError("rate_pps must be positive")
@@ -94,10 +94,6 @@ class Link:
         raise ConfigurationError(f"node {node} is not on this link")
 
     # -- fault-injection controls (driven by repro.faults) --------------------
-
-    def set_loss_prob(self, prob: float) -> None:
-        """Change the steady-state loss probability (same bound as ctor)."""
-        self.loss_prob = self._validate_loss_prob(prob)
 
     def take_down(self) -> None:
         """Partition the link: every transmission drops until healed."""

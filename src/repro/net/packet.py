@@ -113,19 +113,6 @@ class Packet:
             )
         return value
 
-    # -- sizes --------------------------------------------------------------
-
-    # eth + ipv4 + l4 (UDP header / TCP stub, both 8 B) + NetCache fixed
-    # fields (magic 2, op 1, flags 1, seq 4, value_len 2); KEY, VALUE and
-    # the optional idempotency token are added per packet.
-    HEADER_OVERHEAD = 14 + 20 + 8 + 10
-
-    def wire_size(self) -> int:
-        """Approximate on-wire size in bytes (for bandwidth accounting)."""
-        value_len = len(self.value) if self.value is not None else 0
-        token_len = 8 if self.token is not None else 0
-        return self.HEADER_OVERHEAD + len(self.key) + token_len + value_len
-
     def copy(self) -> "Packet":
         """Deep-enough copy (bytes are immutable) with a fresh packet id."""
         clone = dataclasses.replace(self, pkt_id=next(_packet_ids))

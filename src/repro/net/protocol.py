@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import enum
 
-from repro.constants import NETCACHE_PORT
-
 
 class Op(enum.IntEnum):
     """NetCache operation codes carried in the OP header field."""
@@ -55,9 +53,6 @@ CLIENT_OPS = frozenset({Op.GET, Op.PUT, Op.DELETE})
 #: Ops that mutate the store.
 WRITE_OPS = frozenset({Op.PUT, Op.DELETE, Op.PUT_CACHED, Op.DELETE_CACHED})
 
-#: Ops the switch treats as read queries.
-READ_OPS = frozenset({Op.GET})
-
 #: Replies, keyed by request op.
 REPLY_FOR = {
     Op.GET: Op.GET_REPLY,
@@ -85,21 +80,6 @@ HDR_FLAG_HAS_VALUE = 0x02
 HDR_FLAG_IDEMPOTENT = 0x04
 
 
-def is_netcache_port(port: int) -> bool:
-    """True if *port* is the reserved NetCache L4 port."""
-    return port == NETCACHE_PORT
-
-
-def is_read(op: Op) -> bool:
-    """True for read queries (UDP path in the paper)."""
-    return op in READ_OPS
-
-
 def is_write(op: Op) -> bool:
     """True for write queries (TCP path in the paper)."""
     return op in WRITE_OPS
-
-
-def is_reply(op: Op) -> bool:
-    """True for reply opcodes."""
-    return op in (Op.GET_REPLY, Op.PUT_REPLY, Op.DELETE_REPLY)

@@ -9,7 +9,7 @@ switches and the NetCache switch use.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.errors import RoutingError
 
@@ -32,14 +32,6 @@ class RoutingTable:
             raise RoutingError(f"invalid port {port}")
         self._routes[dst] = port
 
-    def add_routes(self, dsts: Iterable[int], port: int) -> None:
-        """Install the same egress port for several destinations."""
-        for dst in dsts:
-            self.add_route(dst, port)
-
-    def remove_route(self, dst: int) -> None:
-        self._routes.pop(dst, None)
-
     def lookup(self, dst: int) -> int:
         """Return the egress port for *dst*.
 
@@ -53,9 +45,6 @@ class RoutingTable:
         if self.default_port is not None:
             return self.default_port
         raise RoutingError(f"no route to node {dst}")
-
-    def has_route(self, dst: int) -> bool:
-        return dst in self._routes
 
     def __len__(self) -> int:
         return len(self._routes)

@@ -113,9 +113,6 @@ class Simulator:
         self.events = EventQueue()
         self.nodes: Dict[int, Node] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
-        #: node id -> directly-linked node ids, maintained by add_link so
-        #: neighbors() never scans the full link set.
-        self._adjacency: Dict[int, List[int]] = {}
         self.delivered = 0
         self.lost = 0
         #: subset of ``lost`` dropped because an endpoint was down.
@@ -123,7 +120,7 @@ class Simulator:
         self._started = False
         self._down_nodes: Set[int] = set()
         #: observers called as fn(time, src_id, dst_id, pkt) on delivery
-        #: (tracing/debugging, see repro.net.trace; batch-capable ones,
+        #: (the delivery digest, see repro.net.trace; batch-capable ones,
         #: see DeliveryObserver, also take the batched engine's rows).
         self.delivery_hooks: List[Callable] = []
         #: observers called as fn(time, link) on every link drop
@@ -150,8 +147,6 @@ class Simulator:
             if end not in self.nodes:
                 raise ConfigurationError(f"link endpoint {end} is not a node")
         self._links[key] = link
-        self._adjacency.setdefault(link.a, []).append(link.b)
-        self._adjacency.setdefault(link.b, []).append(link.a)
         # Per-link drops must also reach the simulator-wide counters, no
         # matter which code path attempted the transmission.
         link.on_drop = self._on_link_drop
@@ -170,11 +165,6 @@ class Simulator:
         if link is None:
             raise SimulationError(f"no link between {a} and {b}")
         return link
-
-    def neighbors(self, node_id: int) -> List[int]:
-        """Node ids directly linked to *node_id* (O(degree) adjacency
-        lookup, in link-insertion order)."""
-        return list(self._adjacency.get(node_id, ()))
 
     # -- time ----------------------------------------------------------------
 
@@ -256,10 +246,6 @@ class Simulator:
         """
         return self.events.schedule_abs(when, self._deliver, src_id, dst_id,
                                         pkt)
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the next pending event, or None (see EventQueue.peek_time)."""
-        return self.events.peek_time()
 
     def _deliver(self, src_id: int, dst_id: int, pkt: Packet) -> None:
         node = self.nodes.get(dst_id)

@@ -1,15 +1,11 @@
-"""Packet tracing: record and render packet journeys through the fabric.
-
-Attach a :class:`PacketTracer` to a simulator and every delivery is
-recorded as a :class:`TraceRecord`.  Journeys can then be filtered by key
-or sequence number and rendered as a hop-by-hop text timeline — the tool
-that makes "why did this Get go to the server?" answerable at a glance.
+"""Delivery digest: an order-independent fingerprint of every packet
+delivery, the check that the lanes engine and the scalar event loop
+deliver the same packets at the same times.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -17,27 +13,6 @@ from repro.net.packet import Packet
 from repro.net.simulator import Simulator
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceRecord:
-    """One packet delivery."""
-
-    time: float
-    src: int
-    dst: int
-    op: str
-    seq: int
-    key: bytes
-    value_len: Optional[int]
-    served_by_cache: bool
-
-    def render(self) -> str:
-        value = "" if self.value_len is None else f" value[{self.value_len}]"
-        cache = " (cache)" if self.served_by_cache else ""
-        return (f"{self.time * 1e6:10.2f}us  {self.src:>4} -> {self.dst:<4} "
-                f"{self.op:<16} seq={self.seq}{value}{cache}")
-
-
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
 _S33 = np.uint64(33)
@@ -173,60 +148,3 @@ class DeliveryTrace:
         """``<sum(16 hex)>:<count>`` — commit this literal in golden tests."""
         self._flush()
         return f"{self._sum:016x}:{self.count}"
-
-
-class PacketTracer:
-    """Records deliveries on a simulator; optionally filtered."""
-
-    def __init__(self, sim: Simulator,
-                 key_filter: Optional[bytes] = None,
-                 predicate: Optional[Callable[[Packet], bool]] = None,
-                 max_records: int = 100_000):
-        self.records: List[TraceRecord] = []
-        self.key_filter = key_filter
-        self.predicate = predicate
-        self.max_records = max_records
-        self.dropped_records = 0
-        sim.delivery_hooks.append(self._on_delivery)
-        self._sim = sim
-
-    def detach(self) -> None:
-        """Stop recording."""
-        if self._on_delivery in self._sim.delivery_hooks:
-            self._sim.delivery_hooks.remove(self._on_delivery)
-
-    def _on_delivery(self, time: float, src: int, dst: int,
-                     pkt: Packet) -> None:
-        if self.key_filter is not None and pkt.key != self.key_filter:
-            return
-        if self.predicate is not None and not self.predicate(pkt):
-            return
-        if len(self.records) >= self.max_records:
-            self.dropped_records += 1
-            return
-        self.records.append(TraceRecord(
-            time=time, src=src, dst=dst, op=pkt.op.name, seq=pkt.seq,
-            key=pkt.key,
-            value_len=None if pkt.value is None else len(pkt.value),
-            served_by_cache=pkt.served_by_cache,
-        ))
-
-    # -- queries -----------------------------------------------------------------
-
-    def journey(self, seq: int) -> List[TraceRecord]:
-        """All hops of the request/reply with sequence number *seq*."""
-        return [r for r in self.records if r.seq == seq]
-
-    def for_key(self, key: bytes) -> List[TraceRecord]:
-        return [r for r in self.records if r.key == key]
-
-    def hops(self, seq: int) -> int:
-        return len(self.journey(seq))
-
-    def render(self, records: Optional[List[TraceRecord]] = None) -> str:
-        """Text timeline of *records* (default: everything recorded)."""
-        records = self.records if records is None else records
-        return "\n".join(r.render() for r in records)
-
-    def __len__(self) -> int:
-        return len(self.records)

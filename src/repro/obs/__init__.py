@@ -12,7 +12,7 @@ Typical use::
 
     with obs.session(clock=obs.sim_clock(cluster.sim)) as o:
         cluster.run(1.0)
-    print(obs.registry_to_prometheus(o.registry))
+    print(obs.registry_to_jsonl(o.registry))
 """
 
 from repro.obs.export import (
@@ -20,7 +20,6 @@ from repro.obs.export import (
     parse_jsonl,
     registry_from_jsonl,
     registry_to_jsonl,
-    registry_to_prometheus,
     tracer_to_jsonl,
 )
 from repro.obs.metrics import (
@@ -28,15 +27,12 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     exponential_edges,
-    linear_edges,
 )
 from repro.obs.registry import Registry
 from repro.obs.runtime import (
     Observability,
-    active,
     disable,
     enable,
-    is_enabled,
     session,
     sim_clock,
 )
@@ -51,17 +47,13 @@ __all__ = [
     "Span",
     "SpanStats",
     "Tracer",
-    "active",
     "disable",
     "enable",
     "exponential_edges",
-    "is_enabled",
     "latency_summary",
-    "linear_edges",
     "parse_jsonl",
     "registry_from_jsonl",
     "registry_to_jsonl",
-    "registry_to_prometheus",
     "session",
     "sim_clock",
     "tracer_to_jsonl",

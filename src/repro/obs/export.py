@@ -1,24 +1,19 @@
-"""Exporters: JSON-lines (machine round-trippable) and Prometheus text.
+"""Exporters: JSON lines, machine round-trippable.
 
 The JSONL form is the archival format — one metric per line, sorted by
 name, every field needed to reconstruct the metric —
 so ``registry_from_jsonl(registry_to_jsonl(r))`` is exact and
-re-serializing yields byte-identical text (tested).  The Prometheus form
-is the scrape/debug format: counters and gauges as plain samples,
-histograms as cumulative ``le`` buckets with ``_sum``/``_count``.
+re-serializing yields byte-identical text (tested).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import Registry
 from repro.obs.span import Tracer
-
-_PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def registry_to_jsonl(registry: Registry) -> str:
@@ -78,40 +73,6 @@ def registry_from_jsonl(text: str) -> Registry:
         else:
             raise ConfigurationError(f"unknown metric type {kind!r}")
     return registry
-
-
-def prom_name(name: str) -> str:
-    """Sanitize a dotted metric name into a Prometheus identifier."""
-    return _PROM_NAME.sub("_", name)
-
-
-def registry_to_prometheus(registry: Registry,
-                           prefix: str = "netcache") -> str:
-    """Prometheus text exposition of every metric in the registry."""
-    lines: List[str] = []
-    for name, snap in registry.collect().items():
-        full = f"{prefix}_{prom_name(name)}" if prefix else prom_name(name)
-        kind = snap["type"]
-        if kind in ("counter", "gauge"):
-            lines.append(f"# TYPE {full} {kind}")
-            lines.append(f"{full} {_fmt(snap['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {full} histogram")
-            cum = 0
-            for edge, count in zip(snap["edges"], snap["counts"]):
-                cum += count
-                lines.append(f'{full}_bucket{{le="{_fmt(edge)}"}} {cum}')
-            cum += snap["counts"][-1]
-            lines.append(f'{full}_bucket{{le="+Inf"}} {cum}')
-            lines.append(f"{full}_sum {_fmt(snap['sum'])}")
-            lines.append(f"{full}_count {snap['count']}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def tracer_to_jsonl(tracer: Tracer) -> str:

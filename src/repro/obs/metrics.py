@@ -39,14 +39,6 @@ def exponential_edges(lo: float, hi: float,
     return edges
 
 
-def linear_edges(lo: float, hi: float, width: float) -> List[float]:
-    """Fixed-width bucket upper edges from *lo* until *hi* is covered."""
-    if width <= 0 or hi <= lo:
-        raise ConfigurationError("need lo < hi and positive width")
-    count = int(math.ceil((hi - lo) / width))
-    return [lo + i * width for i in range(count + 1)]
-
-
 DEFAULT_EDGES = tuple(exponential_edges(1e-6, 10.0))
 
 
@@ -89,9 +81,6 @@ class Gauge:
 
     def inc(self, n: float = 1.0) -> None:
         self._value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self._value -= n
 
     @property
     def value(self) -> float:
@@ -188,13 +177,6 @@ class Histogram:
     @property
     def mean(self) -> Optional[float]:
         return self.sum / self.count if self.count else None
-
-    def bucket_bounds(self, v: float) -> tuple:
-        """(lower, upper) edges of the bucket that *v* falls into."""
-        i = bisect_left(self.edges, v)
-        lower = self.edges[i - 1] if i > 0 else float("-inf")
-        upper = self.edges[i] if i < len(self.edges) else float("inf")
-        return lower, upper
 
     def reset(self) -> None:
         self.counts = [0] * (len(self.edges) + 1)

@@ -98,14 +98,6 @@ def disable() -> Optional[Observability]:
     return previous
 
 
-def is_enabled() -> bool:
-    return ACTIVE is not None
-
-
-def active() -> Optional[Observability]:
-    return ACTIVE
-
-
 @contextlib.contextmanager
 def session(clock: Optional[Callable[[], float]] = None,
             wall_clock: Optional[Callable[[], float]] = None,

@@ -73,10 +73,6 @@ class Span:
         return None if self.end is None else self.end - self.start
 
     @property
-    def wall_duration(self) -> Optional[float]:
-        return None if self.wall_end is None else self.wall_end - self.wall_start
-
-    @property
     def exclusive(self) -> Optional[float]:
         d = self.duration
         return None if d is None else d - self.child_time
@@ -197,10 +193,6 @@ class Tracer:
             return {name: 0.0 for name in sorted(self._stats)}
         return {name: self._stats[name].wall_exclusive / total
                 for name in sorted(self._stats)}
-
-    def wall_totals(self) -> Dict[str, Dict[str, float]]:
-        return {name: {"total": s.wall_total, "exclusive": s.wall_exclusive}
-                for name, s in sorted(self._stats.items())}
 
     def reset(self) -> None:
         self._stack.clear()

@@ -64,9 +64,6 @@ class DedupWindow:
             return
         self._insert(key, DedupState.APPLIED, reply_op)
 
-    def forget(self, client: int, token: int) -> None:
-        self._entries.pop((client, token), None)
-
     def _insert(self, key, state: DedupState, reply_op) -> None:
         self._entries[key] = (state, reply_op)
         while len(self._entries) > self.capacity:

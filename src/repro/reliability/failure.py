@@ -49,10 +49,6 @@ class FailureDetector:
     def is_alive(self, server: int) -> bool:
         return server not in self._dead
 
-    @property
-    def dead_servers(self) -> List[int]:
-        return sorted(self._dead)
-
     def poll(self, now: float) -> List[HealthEvent]:
         """Run one heartbeat round; returns the transitions it caused."""
         transitions: List[HealthEvent] = []

@@ -13,7 +13,6 @@ from repro.sim.fabric import Fabric, FabricConfig
 from repro.sim.rotation import RotationConfig, RotationResult, ServerRotation
 from repro.sim.microbench import (
     SnakeCheck,
-    SnakeConfig,
     pipeline_passes,
     snake_throughput,
     verify_pipeline,
@@ -27,14 +26,7 @@ from repro.sim.ratesim import (
     simulate,
     top_k_mask,
 )
-from repro.sim.scaling import (
-    ScalingConfig,
-    ScalingPoint,
-    leaf_cache_throughput,
-    leaf_spine_throughput,
-    nocache_throughput,
-    sweep,
-)
+from repro.sim.scaling import ScalingConfig, ScalingPoint, sweep
 
 __all__ = [
     "Cluster",
@@ -52,14 +44,10 @@ __all__ = [
     "ServerRotation",
     "ScalingPoint",
     "SnakeCheck",
-    "SnakeConfig",
     "default_workload",
     "fast_partition_vector",
-    "leaf_cache_throughput",
-    "leaf_spine_throughput",
     "make_cluster",
     "mask_from_keys",
-    "nocache_throughput",
     "partition_vector",
     "pipeline_passes",
     "run_dynamics",

@@ -72,6 +72,13 @@ class ClusterConfig:
     def __post_init__(self):
         if self.num_servers <= 0:
             raise ConfigurationError("need at least one server")
+        # ``not x >= 0`` and ``not x > 0`` reject NaN too.
+        if not self.link_latency >= 0:
+            raise ConfigurationError("link_latency must be non-negative")
+        for name in ("server_rate", "stats_interval",
+                     "controller_update_interval"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive")
 
 
 class Cluster:

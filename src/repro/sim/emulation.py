@@ -63,15 +63,6 @@ class EmulationConfig:
     #: (start, end) windows during which the controller is stalled: no
     #: update rounds and no statistics resets (missed 1-second clears).
     controller_stall_windows: tuple = ()
-    #: cache geometry for the switch ("paper", "setassoc", "orbit").  The
-    #: sampled statistics stream is fed through ``observe_reads``, which
-    #: rides every layout's vectorized batch probe (``classify_reads``) —
-    #: non-paper geometries run the emulation natively, not via a scalar
-    #: per-key loop.
-    layout: str = "paper"
-    #: value stages for the switch (fewer stages narrow an Orbit segment,
-    #: mirroring the :class:`~repro.sim.cluster.ClusterConfig` knob).
-    num_value_stages: int = 8
     seed: int = 0
 
     def __post_init__(self):
@@ -131,8 +122,6 @@ class DynamicsEmulator:
             plan.tor_id, num_pipes=2,
             ports_per_pipe=config.num_servers // 2 + 1,
             entries=entries, value_slots=entries,
-            num_value_stages=config.num_value_stages,
-            layout=config.layout,
         )
         self.switch.dataplane.stats.set_hot_threshold(config.hot_threshold)
         # samples_per_step already models the data plane's sampler; a
@@ -263,7 +252,7 @@ class DynamicsEmulator:
 
 
 def run_dynamics(kind: str, duration: float = 40.0,
-                 seed: int = 0, **overrides) -> EmulationResult:
+                 seed: int = 0) -> EmulationResult:
     """Convenience wrapper: run one of the three §7.4 scenarios.
 
     ``hot-in`` uses the paper's 10-second churn period; ``random`` and
@@ -271,5 +260,5 @@ def run_dynamics(kind: str, duration: float = 40.0,
     """
     interval = 10.0 if kind == "hot-in" else 1.0
     config = EmulationConfig(churn_kind=kind, churn_interval=interval,
-                             duration=duration, seed=seed, **overrides)
+                             duration=duration, seed=seed)
     return DynamicsEmulator(config).run()

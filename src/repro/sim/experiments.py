@@ -342,9 +342,9 @@ def fig10f_scalability(
 # ---------------------------------------------------------------------------
 
 def fig11_dynamics(kind: str, duration: float = 40.0,
-                   seed: int = 0, **overrides) -> EmulationResult:
+                   seed: int = 0) -> EmulationResult:
     """Fig 11(a/b/c): throughput trace under hot-in / random / hot-out."""
-    return run_dynamics(kind, duration=duration, seed=seed, **overrides)
+    return run_dynamics(kind, duration=duration, seed=seed)
 
 
 def dynamics_summary(result: EmulationResult) -> Dict[str, float]:

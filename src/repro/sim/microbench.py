@@ -37,36 +37,22 @@ from repro.net.routing import RoutingTable
 from repro.core.dataplane import Action, NetCacheDataplane
 
 
-@dataclasses.dataclass(frozen=True)
-class SnakeConfig:
-    """Snake-test parameters (defaults mirror §7.2)."""
-
-    num_generators: int = 2
-    generator_rate: float = CLIENT_RATE
-    replication: int = SNAKE_REPLICATION
-    switch_rate: float = SWITCH_RATE
-    num_value_stages: int = NUM_VALUE_STAGES
-    slot_bytes: int = VALUE_SLOT_SIZE
-
-    @property
-    def offered_rate(self) -> float:
-        """Load the generators can offer, after snake replication."""
-        return self.num_generators * self.generator_rate * self.replication
-
-    @property
-    def one_pass_bytes(self) -> int:
-        return self.num_value_stages * self.slot_bytes
+#: snake-test generators (§7.2): two, each offering CLIENT_RATE.
+NUM_GENERATORS = 2
+#: load the generators offer, after snake replication.
+OFFERED_RATE = NUM_GENERATORS * CLIENT_RATE * SNAKE_REPLICATION
+#: value bytes one pipeline pass serves (8 stages x 16 B).
+ONE_PASS_BYTES = NUM_VALUE_STAGES * VALUE_SLOT_SIZE
 
 
-def pipeline_passes(value_size: int, config: SnakeConfig = SnakeConfig()) -> int:
+def pipeline_passes(value_size: int) -> int:
     """Pipeline traversals needed to serve a value (§5: recirculation)."""
     if value_size <= 0:
         raise ConfigurationError("value_size must be positive")
-    return -(-value_size // config.one_pass_bytes)
+    return -(-value_size // ONE_PASS_BYTES)
 
 
-def snake_throughput(value_size: int, cache_size: int,
-                     config: SnakeConfig = SnakeConfig()) -> float:
+def snake_throughput(value_size: int, cache_size: int) -> float:
     """Measured snake-test throughput (queries/second).
 
     Values beyond one pipeline pass recirculate, dividing the chip's
@@ -77,9 +63,9 @@ def snake_throughput(value_size: int, cache_size: int,
         raise ConfigurationError(
             f"cache_size must be in [1, {LOOKUP_TABLE_ENTRIES}]"
         )
-    passes = pipeline_passes(value_size, config)
-    switch_bound = config.switch_rate / passes
-    return min(config.offered_rate, switch_bound)
+    passes = pipeline_passes(value_size)
+    switch_bound = SWITCH_RATE / passes
+    return min(OFFERED_RATE, switch_bound)
 
 
 @dataclasses.dataclass

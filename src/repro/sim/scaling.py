@@ -143,26 +143,6 @@ class _Racks:
         return float(min(bounds))
 
 
-def nocache_throughput(num_racks: int,
-                       config: ScalingConfig = ScalingConfig()) -> float:
-    """Saturated throughput without any cache (hottest server binds)."""
-    return _Racks(num_racks, config).nocache(_probs(config))
-
-
-def leaf_cache_throughput(num_racks: int,
-                          config: ScalingConfig = ScalingConfig()) -> float:
-    """ToR caches only: intra-rack balance, inter-rack imbalance remains."""
-    return _Racks(num_racks, config).cached(_probs(config))
-
-
-def leaf_spine_throughput(num_racks: int,
-                          config: ScalingConfig = ScalingConfig()) -> float:
-    """Spine + ToR caches: the spine absorbs the globally hottest items, so
-    no single rack concentrates demand and throughput scales linearly."""
-    return _Racks(num_racks, config).cached(
-        _after_spine(_probs(config), config))
-
-
 def sweep(rack_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
           config: ScalingConfig = ScalingConfig()) -> List[ScalingPoint]:
     """Run all three designs over *rack_counts* (the Fig 10f series)."""

@@ -8,12 +8,7 @@ configurable sampler, plus a SpaceSaving summary used as a software baseline.
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.digest import DigestTable, KeyDigest, digest_table_for
-from repro.sketch.hashing import (
-    HashFamily,
-    hash_bytes,
-    hash_bytes_batch,
-    hash_key,
-)
+from repro.sketch.hashing import HashFamily, hash_bytes, hash_bytes_batch
 from repro.sketch.sampler import PacketSampler
 from repro.sketch.spacesaving import SpaceSaving
 
@@ -28,5 +23,4 @@ __all__ = [
     "digest_table_for",
     "hash_bytes",
     "hash_bytes_batch",
-    "hash_key",
 ]

@@ -115,13 +115,3 @@ class BloomFilter:
     def sram_bytes(self) -> int:
         """SRAM consumed by the filter (1 bit per slot)."""
         return self.num_hashes * self.bits // 8
-
-    def false_positive_rate(self) -> float:
-        """Analytic false-positive probability at the current fill level."""
-        # Each hash has its own array of `bits` slots, so the per-row fill is
-        # inserted / bits, and the FP probability is the product of per-row
-        # hit probabilities.
-        import math
-
-        per_row = 1.0 - math.exp(-self.inserted / self.bits)
-        return per_row ** self.num_hashes

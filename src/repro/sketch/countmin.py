@@ -203,11 +203,6 @@ class CountMinSketch:
         """SRAM consumed by the sketch's register arrays."""
         return self.depth * self.width * self.counter_bits // 8
 
-    def row_load(self, row: int) -> float:
-        """Fraction of nonzero slots in *row* (diagnostic)."""
-        live = (self._stamps[row] == self._epoch) & (self._counts[row] != 0)
-        return int(np.count_nonzero(live)) / self.width
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CountMinSketch(width={self.width}, depth={self.depth}, "

@@ -9,7 +9,7 @@ module so experiments are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -113,14 +113,6 @@ def hash_bytes_batch(keys: Sequence[bytes], seeds) -> np.ndarray:
     return out
 
 
-def hash_key(key: bytes, seed: int = 0, modulus: int = 0) -> int:
-    """Hash a key; if *modulus* is positive, reduce into ``[0, modulus)``."""
-    h = hash_bytes(key, seed)
-    if modulus > 0:
-        return h % modulus
-    return h
-
-
 class HashFamily:
     """A family of independent hash functions indexed by row.
 
@@ -151,11 +143,3 @@ class HashFamily:
 
     def __len__(self) -> int:
         return self.num_hashes
-
-
-def combined_hash(parts: Iterable[bytes], seed: int = 0) -> int:
-    """Hash a sequence of byte strings order-sensitively."""
-    h = _splitmix64(seed)
-    for part in parts:
-        h = _splitmix64(h ^ hash_bytes(part, seed))
-    return h

@@ -72,10 +72,6 @@ class ScalarCountMinSketch:
                 row[i] = 0
         self.total_updates = 0
 
-    def row_load(self, row: int) -> float:
-        cells = self._rows[row]
-        return sum(1 for c in cells if c) / len(cells)
-
 
 class ScalarBloomFilter:
     """Pre-vectorization Bloom filter: bytearrays, hash per access."""

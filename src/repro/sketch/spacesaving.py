@@ -20,9 +20,10 @@ from repro.errors import ConfigurationError
 class SpaceSaving:
     """SpaceSaving top-k summary over byte-string keys.
 
-    Maintains at most *capacity* (key, count, error) entries.  When a new key
+    Maintains at most *capacity* (key, count) entries.  When a new key
     arrives and the summary is full, the minimum-count entry is evicted and
-    the new key inherits its count (recorded as estimation error).
+    the new key inherits its count, so a tracked key's count never
+    underestimates.
     """
 
     def __init__(self, capacity: int):
@@ -30,7 +31,6 @@ class SpaceSaving:
             raise ConfigurationError("capacity must be positive")
         self.capacity = capacity
         self._counts: Dict[bytes, int] = {}
-        self._errors: Dict[bytes, int] = {}
         self.total = 0
 
     def update(self, key: bytes, count: int = 1) -> None:
@@ -41,34 +41,22 @@ class SpaceSaving:
             return
         if len(self._counts) < self.capacity:
             self._counts[key] = count
-            self._errors[key] = 0
             return
         victim = min(self._counts, key=self._counts.__getitem__)
         victim_count = self._counts.pop(victim)
-        self._errors.pop(victim)
         self._counts[key] = victim_count + count
-        self._errors[key] = victim_count
 
     def estimate(self, key: bytes) -> int:
         """Upper-bound estimate of the key's count (0 if not tracked)."""
         return self._counts.get(key, 0)
-
-    def guaranteed(self, key: bytes) -> int:
-        """Lower-bound (guaranteed) count for the key."""
-        return self._counts.get(key, 0) - self._errors.get(key, 0)
 
     def top(self, k: int) -> List[Tuple[bytes, int]]:
         """Return the *k* highest-count entries as (key, estimate) pairs."""
         items = sorted(self._counts.items(), key=lambda kv: kv[1], reverse=True)
         return items[:k]
 
-    def heavy_hitters(self, threshold: int) -> List[Tuple[bytes, int]]:
-        """Entries whose estimate meets *threshold*."""
-        return [(k, c) for k, c in self._counts.items() if c >= threshold]
-
     def reset(self) -> None:
         self._counts.clear()
-        self._errors.clear()
         self.total = 0
 
     def __len__(self) -> int:

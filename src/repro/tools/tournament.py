@@ -5,8 +5,8 @@ The geometry seam (:mod:`repro.core.geometry`) makes competing cache
 designs swappable; this lab makes them comparable.  Every grid cell runs
 the same seeded Zipf query stream (reads, writes, and interval-batched
 admission under a table-update budget) against one
-:class:`~repro.core.geometry.CacheLayout`, driven through the shared
-:class:`~repro.core.geometry.AdmissionPolicy` stream contract that the
+:class:`~repro.core.geometry.CacheLayout`, driven through the
+:class:`~repro.baselines.policies.CachePolicy` stream contract that the
 policy ablation uses.  Layouts in the same (skew, value size, write ratio)
 cell see byte-identical streams, so hit-ratio differences are pure
 geometry:
@@ -35,14 +35,11 @@ from typing import Dict, List, Optional
 
 import random
 
+from repro.baselines.policies import CachePolicy, UpdateBudget
 from repro.client.workload import Workload, WorkloadSpec
+from repro.core.controller import pick_victim
 from repro.core.dataplane import NetCacheDataplane
-from repro.core.geometry import (
-    LAYOUTS,
-    AdmissionPolicy,
-    SampleEvictPolicy,
-    UpdateBudget,
-)
+from repro.core.geometry import LAYOUTS
 from repro.core.stats import QueryStatistics
 from repro.net.protocol import Op
 from repro.net.routing import RoutingTable
@@ -53,7 +50,7 @@ SKEWS = (0.90, 0.99)
 VALUE_SIZES = (64, 512)
 WRITE_RATIOS = (0.0, 0.1)
 
-#: stream-surface interval geometry (mirrors the policy ablation).
+#: stream interval geometry (mirrors the policy ablation).
 QUERIES_PER_INTERVAL = 2_000
 UPDATES_PER_INTERVAL = 64
 HOT_THRESHOLD = 8
@@ -83,19 +80,19 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(name for name, _fmt in CSV_COLUMNS)
 
 
-class LayoutLabPolicy(AdmissionPolicy):
-    """Stream-surface bridge between a query stream and a live layout.
+class LayoutLabPolicy(CachePolicy):
+    """Stream policy bridging a query stream and a live layout.
 
     Reads go through the data plane's control-plane read (valid-aware, so
     write invalidations cost real misses until the update lands); misses
     accumulate per-interval counts and :meth:`end_interval` batch-admits
     keys past the hot threshold, NetCache style, under the caller's
     :class:`UpdateBudget`.  Victim selection at capacity reuses the
-    paper's :class:`SampleEvictPolicy` over policy-local counters — except
-    for the set-associative layout, whose displacement is necessarily
-    in-set (a globally-sampled victim cannot free a slot in the
-    candidate's set), so the layout is handed the candidate's count and
-    picks its own way.
+    paper's :func:`~repro.core.controller.pick_victim` over policy-local
+    counters — except for the set-associative layout, whose displacement
+    is necessarily in-set (a globally-sampled victim cannot free a slot
+    in the candidate's set), so the layout is handed the candidate's
+    count and picks its own way.
     """
 
     name = "layout-lab"
@@ -110,7 +107,6 @@ class LayoutLabPolicy(AdmissionPolicy):
         self.threshold = threshold
         self.sample_size = sample_size
         self._rng = random.Random(seed)
-        self._victim_policy = SampleEvictPolicy()
         self._hit_counts: Counter = Counter()
         self._miss_counts: Counter = Counter()
         self.installs_failed = 0
@@ -126,8 +122,6 @@ class LayoutLabPolicy(AdmissionPolicy):
             return True
         self.installs_failed += 1
         return False
-
-    # -- stream surface -----------------------------------------------------------
 
     def access(self, key: bytes, budget: UpdateBudget) -> bool:
         if self.dp.read_cached_value(key) is not None:
@@ -157,7 +151,7 @@ class LayoutLabPolicy(AdmissionPolicy):
             cached = self.dp.cached_keys()
             sample = (cached if len(cached) <= self.sample_size
                       else self._rng.sample(cached, self.sample_size))
-            position = self._victim_policy.pick_victim(
+            position = pick_victim(
                 count, [self._hit_counts.get(k, 0) for k in sample])
             if position is None:
                 continue

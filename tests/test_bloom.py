@@ -48,12 +48,6 @@ class TestFalsePositives:
         # Analytic rate at this fill is ~0.01%; allow generous slack.
         assert fps < 20
 
-    def test_analytic_fp_estimate_monotone(self, bloom):
-        before = bloom.false_positive_rate()
-        for i in range(500):
-            bloom.add(f"k{i}".encode())
-        assert bloom.false_positive_rate() > before
-
 
 class TestReset:
     def test_reset_clears(self, bloom):

@@ -31,12 +31,18 @@ class TestAssembly:
         (SimCoreConfig, "duration", float("nan")),
         (SimCoreConfig, "rate", float("nan")),
         (SimCoreConfig, "client_rates", (float("nan"),)),
+        (ClusterConfig, "link_latency", float("nan")),
+        (ClusterConfig, "server_rate", float("nan")),
+        (ClusterConfig, "stats_interval", float("nan")),
+        (ClusterConfig, "controller_update_interval", float("nan")),
     ])
     def test_invalid_field_rejected_at_construction(self, config_class,
                                                     field, value):
         # Otherwise: an update-retry budget that acts as zero; a NaN
         # duration that never ends a run, and a NaN rate that fails late
-        # converting the packet count to an integer.
+        # converting the packet count to an integer.  A NaN link latency
+        # delivers nothing, a NaN server rate leaves every queue's clock
+        # NaN, and a NaN statistics or controller interval fails mid-run.
         with pytest.raises(ConfigurationError, match=field):
             config_class(**{field: value})
 

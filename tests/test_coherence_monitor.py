@@ -89,12 +89,3 @@ class TestDetection:
         violation = monitor.violations[0]
         assert violation.key == hot
         assert violation.served_by_cache
-
-    def test_detach(self):
-        cluster, workload, monitor = rig()
-        assert cluster.sim.delivery_hooks == [monitor]
-        monitor.detach()
-        assert cluster.sim.delivery_hooks == []
-        client = cluster.sync_client()
-        client.put(workload.hottest_keys(1)[0], b"x")
-        assert monitor.writes_seen == 0

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines.consistent import (
-    ConsistentHashRing,
-    moved_keys_on_join,
-    ring_load_vector,
-)
+from repro.baselines.consistent import ConsistentHashRing, ring_load_vector
 from repro.client.zipf import KeySpace, ZipfDistribution
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture()
@@ -32,38 +28,8 @@ class TestLookup:
         key = b"akey"
         assert ring.server_ids[ring.partition_of(key)] == ring.server_for(key)
 
-    def test_owns(self, ring):
-        key = b"akey"
-        owner = ring.server_for(key)
-        assert ring.owns(owner, key)
-        with pytest.raises(PartitionError):
-            ring.owns(999, key)
-
-    def test_preference_list_distinct(self, ring):
-        prefs = ring.preference_list(b"akey", 3)
-        assert len(prefs) == len(set(prefs)) == 3
-        assert prefs[0] == ring.server_for(b"akey")
-
-    def test_preference_list_too_long(self, ring):
-        with pytest.raises(ConfigurationError):
-            ring.preference_list(b"akey", 5)
-
 
 class TestVirtualNodes:
-    def test_more_vnodes_smooth_arc_shares(self):
-        coarse = ConsistentHashRing([1, 2, 3, 4], virtual_nodes=2)
-        fine = ConsistentHashRing([1, 2, 3, 4], virtual_nodes=256)
-
-        def spread(ring):
-            shares = [ring.arc_share(s) for s in ring.server_ids]
-            return max(shares) / min(shares)
-
-        assert spread(fine) < spread(coarse)
-
-    def test_arc_shares_sum_to_one(self, ring):
-        total = sum(ring.arc_share(s) for s in ring.server_ids)
-        assert total == pytest.approx(1.0)
-
     def test_key_count_roughly_uniform(self, ring):
         counts = {s: 0 for s in ring.server_ids}
         for i in range(8000):
@@ -74,7 +40,10 @@ class TestVirtualNodes:
 class TestMinimalDisruption:
     def test_join_moves_about_one_over_n(self):
         keys = [f"key{i}".encode() for i in range(4000)]
-        moved = moved_keys_on_join(keys, [1, 2, 3, 4, 5, 6, 7], 8)
+        before = ConsistentHashRing([1, 2, 3, 4, 5, 6, 7])
+        after = ConsistentHashRing([1, 2, 3, 4, 5, 6, 7, 8])
+        moved = sum(before.server_for(k) != after.server_for(k)
+                    for k in keys) / len(keys)
         assert 0.04 < moved < 0.25  # ideal 1/8 = 0.125
 
     def test_modulo_hashing_would_move_most(self):

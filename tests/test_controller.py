@@ -151,6 +151,10 @@ class TestPeriodicDriving:
         sim, switch, servers, part, _ = rig()
         with pytest.raises(ConfigurationError):
             CacheController(switch, part, servers, cache_capacity=0)
+        for interval in ("update_interval", "stats_interval"):
+            with pytest.raises(ConfigurationError, match=interval):
+                CacheController(switch, part, servers,
+                                **{interval: float("nan")})
 
 
 class TestReorganization:

@@ -76,11 +76,6 @@ class TestGeometry:
         sketch = CountMinSketch(width=64 * 1024, depth=4, counter_bits=16)
         assert sketch.sram_bytes == 4 * 64 * 1024 * 2  # paper geometry
 
-    def test_row_load(self, sketch):
-        assert sketch.row_load(0) == 0.0
-        sketch.update(b"k")
-        assert sketch.row_load(0) == pytest.approx(1 / 1024)
-
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigurationError):
             CountMinSketch(width=0)

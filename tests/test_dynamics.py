@@ -69,7 +69,6 @@ def test_array_map_is_the_list_map(num_items, seed, ops):
                 spec.random_replace(n, top_m)
         table = spec._item_of_rank
         assert fast.items_array().tolist() == table
-        assert fast.items_at(range(num_items)) == table
         assert fast.top_items(3) == table[:3]
         assert fast.item_at(num_items - 1) == table[-1]
         assert fast.changes == spec.changes
@@ -79,7 +78,7 @@ def test_array_map_is_the_list_map(num_items, seed, ops):
 class TestPopularityMap:
     def test_identity_at_start(self):
         pm = PopularityMap(10)
-        assert pm.items_at(range(10)) == list(range(10))
+        assert pm.items_array().tolist() == list(range(10))
 
     def test_hot_in_promotes_coldest(self):
         pm = PopularityMap(10)
@@ -87,14 +86,14 @@ class TestPopularityMap:
         assert promoted == [7, 8, 9]
         assert pm.top_items(3) == [7, 8, 9]
         # Everyone else shifted down, order preserved.
-        assert pm.items_at(range(3, 10)) == [0, 1, 2, 3, 4, 5, 6]
+        assert pm.items_array()[3:].tolist() == [0, 1, 2, 3, 4, 5, 6]
 
     def test_hot_out_demotes_hottest(self):
         pm = PopularityMap(10)
         demoted = pm.hot_out(2)
         assert demoted == [0, 1]
         assert pm.item_at(0) == 2
-        assert pm.items_at(range(8, 10)) == [0, 1]
+        assert pm.items_array()[8:].tolist() == [0, 1]
 
     def test_random_replace_swaps_hot_and_cold(self):
         pm = PopularityMap(100, seed=5)
@@ -103,19 +102,19 @@ class TestPopularityMap:
         # Promoted items came from outside the old top-20.
         assert all(p >= 20 for p in promoted)
         # Permutation is preserved.
-        assert sorted(pm.items_at(range(100))) == list(range(100))
+        assert sorted(pm.items_array().tolist()) == list(range(100))
 
     def test_permutation_invariant_under_all_ops(self):
         pm = PopularityMap(50, seed=2)
         pm.hot_in(7)
         pm.hot_out(3)
         pm.random_replace(5, top_m=10)
-        assert sorted(pm.items_at(range(50))) == list(range(50))
+        assert sorted(pm.items_array().tolist()) == list(range(50))
 
     def test_change_size_clamped(self):
         pm = PopularityMap(5)
         pm.hot_in(100)  # clamps to 5, a rotation
-        assert sorted(pm.items_at(range(5))) == list(range(5))
+        assert sorted(pm.items_array().tolist()) == list(range(5))
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigurationError):

@@ -184,4 +184,3 @@ class TestLiveCounter:
         b = q.schedule(1.0, lambda: None, priority=-1)
         c = q.schedule(0.5, lambda: None)
         assert c < b < a  # time first, then priority, then sequence
-        assert a.sort_key() == (1.0, 0, 0)

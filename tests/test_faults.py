@@ -50,15 +50,6 @@ def two_node_sim(**link_kwargs):
 
 
 class TestLinkFaults:
-    def test_set_loss_prob_validates_like_ctor(self):
-        link = Link(1, 2)
-        with pytest.raises(ConfigurationError):
-            link.set_loss_prob(1.0)
-        with pytest.raises(ConfigurationError):
-            link.set_loss_prob(-0.1)
-        link.set_loss_prob(0.5)
-        assert link.loss_prob == 0.5
-
     def test_down_link_drops_everything(self):
         link = Link(1, 2)
         link.take_down()

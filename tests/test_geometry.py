@@ -1,11 +1,11 @@
 """Tests for the pluggable cache-geometry seam.
 
 Covers the :mod:`repro.core.geometry` contracts directly (registry,
-layouts, admission policies), the data-plane integration (recirculation
-delay, empty-switch guards), the lanes engine on every layout (all
-three run natively via their vectorized batch probes, byte-identical to
-the scalar loop), and the geometry tournament's determinism and
-divergence claims.
+layouts), the eviction rule and the update budget, the data-plane
+integration (recirculation delay, empty-switch guards), the lanes engine
+on every layout (all three run natively via their vectorized batch
+probes, byte-identical to the scalar loop), and the geometry
+tournament's determinism and divergence claims.
 """
 
 import random
@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import policies as baselines
+from repro.baselines.policies import UpdateBudget
 from repro.core import geometry
+from repro.core.controller import pick_victim
 from repro.core.dataplane import NetCacheDataplane
 from repro.core.geometry import (
     RECIRCULATION_DELAY,
     OrbitLayout,
     PaperLayout,
-    SampleEvictPolicy,
     SetAssocLayout,
-    UpdateBudget,
     make_layout,
 )
 from repro.errors import ConfigurationError
@@ -363,11 +363,10 @@ def test_peek_value_is_the_served_value_and_moves_no_counter(name):
 
 class TestAdmissionPolicies:
     def test_sample_evict_picks_coldest_only_when_beaten(self):
-        policy = SampleEvictPolicy()
         counts = [5, 1, 9]
-        assert policy.pick_victim(3, counts) == 1
-        assert policy.pick_victim(1, counts) is None
-        assert policy.pick_victim(99, []) is None
+        assert pick_victim(3, counts) == 1
+        assert pick_victim(1, counts) is None
+        assert pick_victim(99, []) is None
 
     def test_budget_denies_and_refills(self):
         budget = UpdateBudget(3)
@@ -375,15 +374,6 @@ class TestAdmissionPolicies:
         assert (budget.spent, budget.denied) == (2, 2)
         budget.refill()
         assert budget.take(3)
-
-    def test_baseline_policies_share_the_geometry_contract(self):
-        # The ablation baselines fold into AdmissionPolicy.
-        for cls in (baselines.LruPolicy, baselines.LfuPolicy,
-                    baselines.ThresholdPolicy):
-            policy = cls(4)
-            assert isinstance(policy, geometry.AdmissionPolicy)
-            # Their control surface stays inert.
-            assert policy.pick_victim(9, [0]) is None
 
     def test_baseline_capacity_still_validated(self):
         with pytest.raises(ConfigurationError):

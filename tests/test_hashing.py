@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sketch.hashing import (
-    HashFamily,
-    combined_hash,
-    hash_bytes,
-    hash_bytes_batch,
-    hash_key,
-)
+from repro.sketch.hashing import HashFamily, hash_bytes, hash_bytes_batch
 
 
 class TestHashBytes:
@@ -48,17 +42,10 @@ class TestHashBytes:
 
 
 class TestHashKey:
-    def test_modulus_reduces(self):
-        for i in range(50):
-            assert 0 <= hash_key(str(i).encode(), modulus=7) < 7
-
-    def test_zero_modulus_full_range(self):
-        assert hash_key(b"abc", modulus=0) == hash_bytes(b"abc", 0)
-
     def test_uniformity_rough(self):
         buckets = [0] * 10
         for i in range(5000):
-            buckets[hash_key(f"key{i}".encode(), modulus=10)] += 1
+            buckets[hash_bytes(f"key{i}".encode()) % 10] += 1
         assert min(buckets) > 350  # expected 500 each
 
 
@@ -87,15 +74,6 @@ class TestHashFamily:
     def test_zero_hashes_rejected(self):
         with pytest.raises(ValueError):
             HashFamily(0)
-
-
-class TestCombinedHash:
-    def test_order_sensitive(self):
-        assert combined_hash([b"a", b"b"]) != combined_hash([b"b", b"a"])
-
-    def test_concatenation_differs(self):
-        # ["ab"] and ["a", "b"] must not collide by construction.
-        assert combined_hash([b"ab"]) != combined_hash([b"a", b"b"])
 
 
 # -- the batched kernel is hash_bytes, bit for bit --------------------------------

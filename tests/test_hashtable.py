@@ -112,7 +112,7 @@ class TestDiagnostics:
         t = HashTable()
         t.put(b"k", b"v")
         t.get(b"k")
-        assert t.mean_probe_length() >= 1.0
+        assert t.total_lookups and t.total_probes >= t.total_lookups
 
     def test_items_iterates_live_entries(self):
         t = HashTable()

@@ -19,6 +19,10 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             Link(1, 1)
 
+    def test_nan_latency_rejected(self):
+        with pytest.raises(ConfigurationError, match="latency"):
+            Link(1, 2, latency=float("nan"))
+
     def test_plain_delay_is_latency(self):
         link = Link(1, 2, latency=5e-6)
         assert link.delivery_plan(1, now=0.0) == [pytest.approx(5e-6)]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.microbench import (
-    SnakeConfig,
+    OFFERED_RATE,
     pipeline_passes,
     snake_throughput,
     verify_pipeline,
@@ -43,7 +43,7 @@ class TestCapacityModel:
             snake_throughput(128, 64 * 1024 + 1)
 
     def test_offered_rate(self):
-        assert SnakeConfig().offered_rate == pytest.approx(2.24e9)
+        assert OFFERED_RATE == pytest.approx(2.24e9)
 
 
 class TestFunctionalCheck:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.constants import KEY_SIZE, MAX_VALUE_SIZE, NETCACHE_PORT
+from repro.constants import MAX_VALUE_SIZE, NETCACHE_PORT
 from repro.errors import KeyFormatError, ValueFormatError
 from repro.net.packet import (
     Packet,
@@ -82,17 +82,6 @@ class TestReplies:
         pkt = make_get(3, 4, KEY)
         with pytest.raises(ValueFormatError):
             pkt.turn_around(Op.GET_REPLY, value=b"x" * (MAX_VALUE_SIZE + 1))
-
-
-class TestSizes:
-    def test_wire_size_grows_with_value(self):
-        small = make_put(1, 2, KEY, b"v")
-        large = make_put(1, 2, KEY, b"v" * 100)
-        assert large.wire_size() == small.wire_size() + 99
-
-    def test_get_wire_size(self):
-        pkt = make_get(1, 2, KEY)
-        assert pkt.wire_size() == Packet.HEADER_OVERHEAD + KEY_SIZE
 
 
 class TestCopy:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError
 from repro.kvstore.partition import HashPartitioner
 
 
@@ -25,22 +25,6 @@ class TestMapping:
         for i in range(50):
             k = f"k{i}".encode()
             assert part.partition_of(k) == other.partition_of(k)
-
-    def test_owns(self, part):
-        key = b"akey"
-        owner = part.server_for(key)
-        assert part.owns(owner, key)
-        others = [s for s in part.server_ids if s != owner]
-        assert not part.owns(others[0], key)
-
-    def test_owns_rejects_non_server(self, part):
-        with pytest.raises(PartitionError):
-            part.owns(999, b"k")
-
-    def test_partition_index(self, part):
-        assert part.partition_index(30) == 2
-        with pytest.raises(PartitionError):
-            part.partition_index(31)
 
 
 class TestBalance:

@@ -58,8 +58,8 @@ def test_countmin_matches_scalar_reference(ops, counter_bits):
         assert fast.total_updates == ref.total_updates
     for key in seen:
         assert fast.estimate(key) == ref.estimate(key)
-    for row in range(3):
-        assert fast.row_load(row) == ref.row_load(row)
+    live = fast._stamps == fast._epoch
+    assert np.where(live, fast._counts, 0).tolist() == ref._rows
 
 
 @settings(max_examples=60, deadline=None)

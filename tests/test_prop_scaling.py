@@ -137,18 +137,6 @@ def test_sweep_is_bitwise_the_per_rack_loop(case):
     assert differing_points(sweep(rack_counts, config), want) == []
 
 
-def test_designs_called_alone_are_the_sweep():
-    config = ScalingConfig(servers_per_rack=8, num_keys=20_000,
-                           leaf_cache_items=300, spine_cache_items=300)
-    want = reference_sweep([1, 3, 8], config)
-    alone = {"NoCache": scaling.nocache_throughput,
-             "Leaf-Cache": scaling.leaf_cache_throughput,
-             "Leaf-Spine-Cache": scaling.leaf_spine_throughput}
-    got = [ScalingPoint(p.design, p.num_racks, p.num_servers,
-                        alone[p.design](p.num_racks, config)) for p in want]
-    assert differing_points(got, want) == []
-
-
 def test_off_by_one_group_bounds_are_named(monkeypatch):
     """Sabotage: each rack's run starts one item late, so it takes its
     successor's first item.  The twin must name the cached designs."""

@@ -1,29 +1,20 @@
 """Tests for protocol opcodes and classification."""
 
-from repro.constants import NETCACHE_PORT
 from repro.net.protocol import (
     CACHED_WRITE_REWRITE,
     REPLY_FOR,
     Op,
-    is_netcache_port,
-    is_read,
-    is_reply,
     is_write,
 )
 
 
 class TestClassification:
     def test_get_is_read(self):
-        assert is_read(Op.GET) and not is_write(Op.GET)
+        assert not is_write(Op.GET)
 
     def test_put_delete_are_writes(self):
         for op in (Op.PUT, Op.DELETE, Op.PUT_CACHED, Op.DELETE_CACHED):
-            assert is_write(op) and not is_read(op)
-
-    def test_replies(self):
-        for op in (Op.GET_REPLY, Op.PUT_REPLY, Op.DELETE_REPLY):
-            assert is_reply(op)
-        assert not is_reply(Op.GET)
+            assert is_write(op)
 
     def test_internal_ops_not_client_visible(self):
         from repro.net.protocol import CLIENT_OPS
@@ -40,9 +31,3 @@ class TestRewrites:
     def test_reply_for_cached_ops_matches_plain(self):
         assert REPLY_FOR[Op.PUT_CACHED] == REPLY_FOR[Op.PUT]
         assert REPLY_FOR[Op.DELETE_CACHED] == REPLY_FOR[Op.DELETE]
-
-
-class TestPort:
-    def test_reserved_port(self):
-        assert is_netcache_port(NETCACHE_PORT)
-        assert not is_netcache_port(NETCACHE_PORT + 1)

@@ -40,10 +40,6 @@ class TestReportMechanics:
         text = self._small().render()
         assert "TOTAL" in text and "cache_lookup" in text
 
-    def test_as_dict_keys(self):
-        d = self._small().as_dict()
-        assert "total_mb" in d and "utilization" in d
-
     def test_value_arrays_scale_with_pipes(self):
         one = NetCacheDataplane(RoutingTable(default_port=0), num_pipes=1,
                                 entries=256, value_slots=256)

@@ -25,18 +25,6 @@ class TestRoutes:
         table.add_route(5, 2)
         assert table.lookup(5) == 2
 
-    def test_add_routes_bulk(self):
-        table = RoutingTable()
-        table.add_routes([1, 2, 3], port=9)
-        assert all(table.lookup(d) == 9 for d in (1, 2, 3))
-        assert len(table) == 3
-
-    def test_remove_route(self):
-        table = RoutingTable()
-        table.add_route(1, 1)
-        table.remove_route(1)
-        assert not table.has_route(1)
-
     def test_negative_port_rejected(self):
         with pytest.raises(RoutingError):
             RoutingTable().add_route(1, -1)

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.scaling import (
-    ScalingConfig,
-    leaf_cache_throughput,
-    leaf_spine_throughput,
-    nocache_throughput,
-    sweep,
-)
+from repro.sim.scaling import ScalingConfig, sweep
 
 # Scaled-down geometry; the uplink is ~2.5x one rack's server capacity,
 # matching the full-scale ratio (2 BQPS uplink vs 1.28 BQPS of servers).
@@ -18,32 +12,36 @@ CFG = ScalingConfig(servers_per_rack=16, num_keys=50_000,
                     server_rate=1e6, rack_uplink_rate=4e7)
 
 
+def throughputs(num_racks):
+    """Design -> saturated throughput at *num_racks* racks."""
+    return {p.design: p.throughput for p in sweep((num_racks,), CFG)}
+
+
 class TestShapes:
     def test_nocache_flat(self):
-        t1 = nocache_throughput(1, CFG)
-        t8 = nocache_throughput(8, CFG)
+        t1 = throughputs(1)["NoCache"]
+        t8 = throughputs(8)["NoCache"]
         # Adding 8x servers barely helps (bottlenecked by hottest key).
         assert t8 < 2.0 * t1
 
     def test_leaf_cache_sublinear(self):
-        t1 = leaf_cache_throughput(1, CFG)
-        t16 = leaf_cache_throughput(16, CFG)
+        t1 = throughputs(1)["Leaf-Cache"]
+        t16 = throughputs(16)["Leaf-Cache"]
         assert t16 > t1  # grows...
         assert t16 < 12 * t1  # ...but clearly sublinearly
 
     def test_leaf_spine_scales_linearly(self):
-        t1 = leaf_spine_throughput(1, CFG)
-        t16 = leaf_spine_throughput(16, CFG)
+        t1 = throughputs(1)["Leaf-Spine-Cache"]
+        t16 = throughputs(16)["Leaf-Spine-Cache"]
         assert t16 > 8 * t1
 
     def test_ordering_at_scale(self):
-        racks = 16
-        assert (nocache_throughput(racks, CFG)
-                < leaf_cache_throughput(racks, CFG)
-                < leaf_spine_throughput(racks, CFG))
+        t = throughputs(16)
+        assert t["NoCache"] < t["Leaf-Cache"] < t["Leaf-Spine-Cache"]
 
     def test_cache_designs_beat_nocache_at_one_rack(self):
-        assert leaf_cache_throughput(1, CFG) > 3 * nocache_throughput(1, CFG)
+        t = throughputs(1)
+        assert t["Leaf-Cache"] > 3 * t["NoCache"]
 
 
 class TestSweep:

@@ -104,6 +104,8 @@ class TestConfig:
     def test_invalid_rate(self):
         with pytest.raises(ConfigurationError):
             StorageServer(5, gateway=1, service_rate=0)
+        with pytest.raises(ConfigurationError):
+            StorageServer(5, gateway=1, service_rate=float("nan"))
 
     def test_invalid_queue(self):
         with pytest.raises(ConfigurationError):

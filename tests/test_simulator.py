@@ -49,10 +49,6 @@ class TestWiring:
         with pytest.raises(ConfigurationError):
             sim.connect(2, 1)
 
-    def test_neighbors(self):
-        sim, _, _ = two_node_sim()
-        assert sim.neighbors(1) == [2]
-
 
 class TestDelivery:
     def test_packet_delivered_with_latency(self):
@@ -166,9 +162,9 @@ class TestRunSemantics:
 
     def test_next_event_time_peeks_without_popping(self):
         sim, a, b = two_node_sim(latency=4e-6)
-        assert sim.next_event_time() is None
+        assert sim.events.peek_time() is None
         sim.transmit(1, 2, make_get(1, 2, KEY))
-        assert sim.next_event_time() == pytest.approx(4e-6)
+        assert sim.events.peek_time() == pytest.approx(4e-6)
         assert len(sim.events) == 1  # still pending
 
     def test_deliver_at_lands_at_exact_time(self):

@@ -26,13 +26,6 @@ class TestBasics:
         assert ss.estimate(b"c") == 4
         assert ss.estimate(b"b") == 0
 
-    def test_guaranteed_lower_bound(self):
-        ss = SpaceSaving(capacity=2)
-        ss.update(b"a", count=10)
-        ss.update(b"b", count=3)
-        ss.update(b"c")
-        assert ss.guaranteed(b"c") == 1  # 4 estimate - 3 error
-
     def test_overestimates_only(self):
         ss = SpaceSaving(capacity=8)
         truth = {}
@@ -46,7 +39,7 @@ class TestBasics:
         # Tracked keys never underestimate.
         for key in truth:
             if ss.estimate(key):
-                assert ss.estimate(key) >= ss.guaranteed(key)
+                assert ss.estimate(key) >= truth[key]
 
 
 class TestTopK:
@@ -63,13 +56,6 @@ class TestTopK:
         for i in range(3000):
             ss.update(b"HOT" if i % 3 == 0 else f"k{i}".encode())
         assert dict(ss.top(1))[b"HOT"] >= 1000
-
-    def test_heavy_hitters_threshold(self):
-        ss = SpaceSaving(capacity=8)
-        ss.update(b"a", count=100)
-        ss.update(b"b", count=5)
-        hh = dict(ss.heavy_hitters(50))
-        assert b"a" in hh and b"b" not in hh
 
 
 class TestLifecycle:

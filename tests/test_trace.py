@@ -1,11 +1,13 @@
-"""Tests for the packet tracer and the delivery digest."""
+"""Tests for the delivery digest, and the hops a plain delivery hook sees."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.net.packet import make_get
 from repro.net.protocol import Op
-from repro.net.trace import DeliveryTrace, PacketTracer
+from repro.net.trace import DeliveryTrace
 
 
 class TestDeliveryTrace:
@@ -65,88 +67,58 @@ class TestDeliveryTrace:
 
 @pytest.fixture()
 def traced(small_cluster, small_workload):
-    tracer = PacketTracer(small_cluster.sim)
-    return small_cluster, small_workload, tracer
+    """The rack with a plain delivery hook recording every hop."""
+    hops = []
+
+    def record(time, src, dst, pkt):
+        hops.append(SimpleNamespace(dst=dst, op=pkt.op.name, seq=pkt.seq,
+                                    key=pkt.key,
+                                    served_by_cache=pkt.served_by_cache))
+
+    small_cluster.sim.delivery_hooks.append(record)
+    return small_cluster, small_workload, hops
+
+
+def for_key(hops, key):
+    return [hop for hop in hops if hop.key == key]
 
 
 class TestRecording:
     def test_cache_hit_journey_skips_servers(self, traced):
-        cluster, workload, tracer = traced
+        cluster, workload, hops = traced
         client = cluster.sync_client()
         hot = workload.hottest_keys(1)[0]
         client.get(hot)
-        journey = tracer.for_key(hot)
+        journey = for_key(hops, hot)
         # client -> switch, switch -> client: exactly two hops.
         assert len(journey) == 2
         assert journey[-1].served_by_cache
         server_ids = set(cluster.servers)
-        assert not any(r.dst in server_ids for r in journey)
+        assert not any(hop.dst in server_ids for hop in journey)
 
     def test_miss_journey_visits_server(self, traced):
-        cluster, workload, tracer = traced
+        cluster, workload, hops = traced
         client = cluster.sync_client()
         cold = workload.keyspace.key(workload.popularity.item_at(395))
         client.get(cold)
-        journey = tracer.for_key(cold)
+        journey = for_key(hops, cold)
         assert len(journey) == 4  # client->tor->server->tor->client
         server_ids = set(cluster.servers)
-        assert any(r.dst in server_ids for r in journey)
+        assert any(hop.dst in server_ids for hop in journey)
 
     def test_write_journey_includes_cache_update(self, traced):
-        cluster, workload, tracer = traced
+        cluster, workload, hops = traced
         client = cluster.sync_client()
         hot = workload.hottest_keys(1)[0]
         client.put(hot, b"traced-write")
         cluster.run(0.01)
-        ops = {r.op for r in tracer.for_key(hot)}
+        ops = {hop.op for hop in for_key(hops, hot)}
         assert "PUT_CACHED" in ops
         assert "CACHE_UPDATE" in ops and "CACHE_UPDATE_ACK" in ops
 
     def test_journey_by_seq(self, traced):
-        cluster, workload, tracer = traced
+        cluster, workload, hops = traced
         client = cluster.sync_client()
         client.get(workload.hottest_keys(1)[0])
-        seq = tracer.records[0].seq
-        assert tracer.hops(seq) == 2
-
-
-class TestFiltersAndLimits:
-    def test_key_filter(self, small_cluster, small_workload):
-        hot = small_workload.hottest_keys(1)[0]
-        tracer = PacketTracer(small_cluster.sim, key_filter=hot)
-        client = small_cluster.sync_client()
-        client.get(hot)
-        client.get(small_workload.keyspace.key(
-            small_workload.popularity.item_at(399)))
-        assert all(r.key == hot for r in tracer.records)
-
-    def test_predicate_filter(self, small_cluster, small_workload):
-        tracer = PacketTracer(small_cluster.sim,
-                              predicate=lambda p: p.served_by_cache)
-        client = small_cluster.sync_client()
-        client.get(small_workload.hottest_keys(1)[0])
-        assert len(tracer.records) == 1
-
-    def test_max_records(self, small_cluster, small_workload):
-        tracer = PacketTracer(small_cluster.sim, max_records=1)
-        client = small_cluster.sync_client()
-        client.get(small_workload.hottest_keys(1)[0])
-        assert len(tracer) == 1
-        assert tracer.dropped_records >= 1
-
-    def test_detach_stops_recording(self, small_cluster, small_workload):
-        tracer = PacketTracer(small_cluster.sim)
-        tracer.detach()
-        client = small_cluster.sync_client()
-        client.get(small_workload.hottest_keys(1)[0])
-        assert len(tracer) == 0
-
-
-class TestRendering:
-    def test_render_timeline(self, traced):
-        cluster, workload, tracer = traced
-        client = cluster.sync_client()
-        client.get(workload.hottest_keys(1)[0])
-        text = tracer.render()
-        assert "GET" in text and "us" in text
-        assert "(cache)" in text
+        seq = hops[0].seq
+        assert sum(hop.seq == seq for hop in hops) == 2

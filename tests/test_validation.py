@@ -21,7 +21,7 @@ class TestNetCacheRack:
 
     def test_hit_ratio_agrees(self):
         point = drive_at(0.9, enable_cache=True)
-        assert point.hit_ratio_error < 0.02
+        assert abs(point.des_hit_ratio - point.model_hit_ratio) < 0.02
 
 
 class TestNoCacheRack:
@@ -46,4 +46,4 @@ class TestAcrossSkews:
     def test_agreement_holds_per_skew(self, skew):
         point = drive_at(1.0, skew=skew, enable_cache=True)
         assert point.delivery_ratio > 0.93
-        assert point.hit_ratio_error < 0.03
+        assert abs(point.des_hit_ratio - point.model_hit_ratio) < 0.03
