@@ -43,6 +43,9 @@ class WorkloadSpec:
 class Workload:
     """Executable workload: query stream + exact probability vectors."""
 
+    #: ids from which a value's seedling takes one more digit than ten.
+    _WIDER = 10 ** np.arange(10, 15, dtype=np.int64)
+
     def __init__(self, spec: WorkloadSpec,
                  popularity: Optional[PopularityMap] = None):
         self.spec = spec
@@ -144,6 +147,26 @@ class Workload:
         seedling = f"v{item:010d}".encode()
         reps = -(-self.spec.value_size // len(seedling))
         return (seedling * reps)[: self.spec.value_size]
+
+    def values_for(self, items: np.ndarray) -> list:
+        """:meth:`value_for` of the key of each id in *items*, built as
+        one byte matrix per seedling width: ``v`` and the id's decimal
+        digits, at least ten of them, repeated out to the value size."""
+        items = np.asarray(items, dtype=np.int64)
+        size = self.spec.value_size
+        widths = 10 + np.searchsorted(self._WIDER, items, side="right")
+        out = np.empty(len(items), dtype=f"S{size}")
+        for width in np.unique(widths).tolist():
+            rows = np.flatnonzero(widths == width)
+            seedling = np.empty((len(rows), width + 1), dtype=np.uint8)
+            seedling[:, 0] = ord("v")
+            rest = items[rows]
+            for column in range(width, 0, -1):
+                seedling[:, column] = rest % 10 + ord("0")
+                rest //= 10
+            tiled = seedling.take(np.arange(size) % (width + 1), axis=1)
+            out[rows] = tiled.view(f"S{size}").ravel()
+        return out.tolist()
 
     # -- exact probability vectors (rate simulator) ----------------------------------
 

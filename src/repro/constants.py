@@ -72,9 +72,6 @@ PIPE_RATE = 1e9
 #: Snake-test replication factor: each query traverses 32 egress ports.
 SNAKE_REPLICATION = 32
 
-#: Number of storage servers (partitions) in the full evaluated rack.
-RACK_SERVERS = 128
-
 #: Default cache size used by the system experiments (§7.1).
 DEFAULT_CACHE_ITEMS = 10_000
 
@@ -88,12 +85,6 @@ LINK_LATENCY = 2e-6
 #: Client-side processing overhead per query (seconds); the paper attributes
 #: most of the 7 us cache-hit latency to the client.
 CLIENT_OVERHEAD = 3e-6
-
-#: Switch forwarding latency (seconds); sub-microsecond on Tofino.
-SWITCH_LATENCY = 0.4e-6
-
-#: Storage-server base service time (seconds).
-SERVER_SERVICE_TIME = 4e-6
 
 #: Modeled latency of one extra recirculation pass through the pipeline
 #: (Tofino recirculation adds on the order of a few hundred nanoseconds).

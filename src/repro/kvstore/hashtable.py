@@ -5,14 +5,16 @@ store with TommyDS" (§6).  TommyDS is a C library we cannot import, so we
 build the equivalent substrate: an open-addressing table with linear probing,
 tombstone deletion, and load-factor-driven resizing.  The storage server and
 the shim layer sit on top of this table rather than a Python ``dict`` so the
-substrate is genuinely implemented, testable, and instrumentable (probe-length
-statistics feed the server service-time model).
+substrate is genuinely implemented, testable, and instrumentable.  Probe
+statistics (``total_probes``/``total_lookups``) are diagnostics: a server's
+service time is fixed at ``1/service_rate``, and the dual-path diff compares
+them between the two engines (``server*.store.probes``).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sketch.hashing import hash_bytes
@@ -81,20 +83,36 @@ class HashTable:
             idx = (idx + 1) & (self._capacity - 1)
 
     def _resize(self, new_capacity: int) -> None:
-        old = [
-            (self._keys[i], self._values[i], self._hashes[i])
-            for i in range(self._capacity)
-            if self._states[i] == _FULL
-        ]
+        """Rebuild at *new_capacity*: re-insert every FULL slot in slot
+        order, as :meth:`put` would, and charge each re-insertion's probe
+        walk to the statistics.  The new table holds no tombstone and no
+        duplicate, so each walk ends at the first empty slot."""
+        mask = new_capacity - 1
+        new_keys: List[Optional[bytes]] = [None] * new_capacity
+        new_values: List[Optional[bytes]] = [None] * new_capacity
+        new_hashes = array("Q", bytes(8 * new_capacity))
+        new_states = [_EMPTY] * new_capacity
+        moved = probes = 0
+        # A slot holds a key exactly when it is FULL.
+        for key, value, h in zip(self._keys, self._values, self._hashes):
+            if key is None:
+                continue
+            idx = h & mask
+            probes += 1
+            while new_keys[idx] is not None:
+                idx = (idx + 1) & mask
+                probes += 1
+            new_keys[idx] = key
+            new_values[idx] = value
+            new_hashes[idx] = h
+            new_states[idx] = _FULL
+            moved += 1
         self._capacity = new_capacity
-        self._states = [_EMPTY] * new_capacity
-        self._keys = [None] * new_capacity
-        self._values = [None] * new_capacity
-        self._hashes = array("Q", bytes(8 * new_capacity))
-        self._size = 0
-        self._occupied = 0
-        for key, value, h in old:
-            self.put(key, value, h)
+        self._states, self._keys, self._values, self._hashes = (
+            new_states, new_keys, new_values, new_hashes)
+        self._size = self._occupied = moved
+        self.total_probes += probes
+        self.total_lookups += moved
 
     def _grow(self) -> None:
         # Double if genuinely full; same size rebuild clears tombstones.
@@ -130,6 +148,72 @@ class HashTable:
         self._hashes[idx] = h
         self._size += 1
         return True
+
+    def put_batch(self, keys: Sequence[bytes], values: Sequence[bytes],
+                  hashes: Sequence[int]) -> int:
+        """:meth:`put` of each ``(key, value, hash)`` in order; returns how
+        many keys were new.  Slots, rebuilds and probe statistics are those
+        of the scalar loop: one tight pass with the probe walk inlined."""
+        states, tkeys, tvalues, thashes = (
+            self._states, self._keys, self._values, self._hashes)
+        mask = self._capacity - 1
+        limit = int(self._capacity * self._max_load)
+        size, occupied = self._size, self._occupied
+        start = size
+        probes = lookups = 0
+        for key, value, h in zip(keys, values, hashes):
+            idx = h & mask
+            tombstone = -1
+            walked = 1
+            while True:
+                state = states[idx]
+                if state == _EMPTY:
+                    break
+                if state == _TOMBSTONE:
+                    if tombstone < 0:
+                        tombstone = idx
+                elif tkeys[idx] == key:
+                    break
+                idx = (idx + 1) & mask
+                walked += 1
+            if state == _FULL:
+                probes += walked
+                lookups += 1
+                tvalues[idx] = value
+                continue
+            if occupied + 1 > limit:
+                # As in put: the rebuild moves every slot, and only the
+                # lookup in the rebuilt table is charged.
+                self._size, self._occupied = size, occupied
+                self.total_probes += probes
+                self.total_lookups += lookups
+                self._grow()
+                states, tkeys, tvalues, thashes = (
+                    self._states, self._keys, self._values, self._hashes)
+                mask = self._capacity - 1
+                limit = int(self._capacity * self._max_load)
+                size, occupied = self._size, self._occupied
+                probes = lookups = 0
+                idx = h & mask
+                walked = 1
+                while states[idx] != _EMPTY:
+                    idx = (idx + 1) & mask
+                    walked += 1
+            elif tombstone >= 0:
+                idx = tombstone
+            probes += walked
+            lookups += 1
+            if states[idx] != _TOMBSTONE:
+                occupied += 1
+            states[idx] = _FULL
+            tkeys[idx] = key
+            tvalues[idx] = value
+            thashes[idx] = h
+            size += 1
+        self._size, self._occupied = size, occupied
+        self.total_probes += probes
+        self.total_lookups += lookups
+        return size - start
 
     def get(self, key: bytes, h: Optional[int] = None) -> Optional[bytes]:
         """Return the value or None; *h* as for :meth:`put`."""

@@ -46,9 +46,10 @@ class HashPartitioner:
         """Node id of the server that owns *key*."""
         return self.server_ids[self.partition_of(key)]
 
-    def split_keys(self, keys: Sequence[bytes]) -> Dict[int, List[bytes]]:
-        """Group *keys* by owning partition index (load-analysis helper)."""
-        out: Dict[int, List[bytes]] = {i: [] for i in range(self.num_partitions)}
-        for key, part in zip(keys, self.partitions_of(keys).tolist()):
-            out[part].append(key)
-        return out
+    def split_keys(self, keys: Sequence[bytes]) -> Dict[int, np.ndarray]:
+        """Positions in *keys* of the keys each partition index owns,
+        ascending: one kernel call and one stable sort."""
+        parts = self.partitions_of(keys)
+        order = np.argsort(parts, kind="stable")
+        counts = np.bincount(parts, minlength=self.num_partitions)
+        return dict(enumerate(np.split(order, np.cumsum(counts)[:-1])))

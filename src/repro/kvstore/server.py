@@ -12,7 +12,9 @@ the paper's two methodologies:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.constants import SERVER_RATE
 from repro.errors import ConfigurationError
@@ -109,13 +111,6 @@ class StorageServer(Node):
         writes without installing anything."""
         self.shim.abort_insertion(key)
 
-    # -- state loading (experiment setup) ---------------------------------------------
-
-    def load(self, items) -> None:
-        """Bulk-load (key, value) pairs without going through the network."""
-        for key, value in items:
-            self.store.put(key, value)
-
     def utilization(self, elapsed: float) -> float:
         """Fraction of *elapsed* time spent serving queries."""
         if elapsed <= 0:
@@ -125,10 +120,11 @@ class StorageServer(Node):
 
 def load_stores(servers: Dict[int, StorageServer], partitioner,
                 keys: Sequence[bytes],
-                value_for: Callable[[bytes], bytes]) -> None:
-    """Put ``value_for(key)`` under each of *keys* in the store of the
-    server that owns it: one kernel call partitions the keys, and each
-    store hashes its share in bulk."""
-    for part, owned in partitioner.split_keys(keys).items():
+                values_for: Callable[[np.ndarray], List[bytes]]) -> None:
+    """Put a value under each of *keys* in the store of the server that
+    owns it: one kernel call partitions the keys, and each store takes
+    its share in one bulk put, with ``values_for(ids)`` building the
+    values of the keys at positions *ids*, one partition at a time."""
+    for part, ids in partitioner.split_keys(keys).items():
         store = servers[partitioner.server_ids[part]].store
-        store.put_batch(owned, [value_for(key) for key in owned])
+        store.put_batch([keys[i] for i in ids.tolist()], values_for(ids))

@@ -217,18 +217,31 @@ class KVStore:
 
     def put_batch(self, keys: Sequence[bytes],
                   values: Sequence[bytes]) -> None:
-        """:meth:`put` for each ``(key, value)`` pair in order, with every
-        core and slot hash taken from two kernel calls (bulk loads)."""
+        """:meth:`put` for each ``(key, value)`` pair in order (bulk
+        loads): the cores and slot hashes come from two kernel calls, the
+        rows are grouped by core with one stable sort, and each shard
+        takes its rows in one :meth:`HashTable.put_batch` call.  Value
+        sizes are checked before anything is stored."""
+        if len(keys) != len(values):
+            raise ConfigurationError(
+                f"{len(keys)} keys but {len(values)} values")
+        if not keys:
+            return
+        self._check_value(max(values, key=len))
         cores, slot_hashes = _hash_columns(keys, self.num_cores)
-        shards, core_ops, structure = \
-            self._shards, self.core_ops, self._structure
-        for key, value, core, h in zip(keys, values, cores.tolist(),
-                                       slot_hashes.tolist()):
-            self._check_value(value)
-            self.puts += 1
-            core_ops[core] += 1
-            if shards[core].put(key, value, h):
-                structure[core] += 1
+        order = np.argsort(cores, kind="stable")
+        rows, hashes = order.tolist(), slot_hashes[order].tolist()
+        self.puts += len(keys)
+        end = 0
+        for core, count in enumerate(
+                np.bincount(cores, minlength=self.num_cores).tolist()):
+            if not count:
+                continue
+            start, end = end, end + count
+            self.core_ops[core] += count
+            self._structure[core] += self._shards[core].put_batch(
+                [keys[i] for i in rows[start:end]],
+                [values[i] for i in rows[start:end]], hashes[start:end])
 
     def delete(self, key: bytes) -> bool:
         """Remove *key*; returns True if it existed."""

@@ -47,9 +47,6 @@ class Op(enum.IntEnum):
     INVALID = 0
 
 
-#: Ops that clients may issue.
-CLIENT_OPS = frozenset({Op.GET, Op.PUT, Op.DELETE})
-
 #: Ops that mutate the store.
 WRITE_OPS = frozenset({Op.PUT, Op.DELETE, Op.PUT_CACHED, Op.DELETE_CACHED})
 

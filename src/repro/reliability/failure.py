@@ -11,7 +11,7 @@ measurable, and keeps an append-only event log for reports and tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 

@@ -182,7 +182,7 @@ class Cluster:
         probes take item ids)."""
         load_stores(self.servers, self.partitioner,
                     workload.keyspace.keys(range(workload.spec.num_keys)),
-                    workload.value_for)
+                    workload.values_for)
         dataplane = getattr(self.switch, "dataplane", None)
         if dataplane is not None:
             dataplane.layout.bind_keyspace(workload.keyspace)

@@ -156,7 +156,7 @@ class DynamicsEmulator:
         keyspace = self.workload.keyspace
         load_stores(self.servers, self.partitioner,
                     keyspace.keys(range(self.config.num_keys)),
-                    self.workload.value_for)
+                    self.workload.values_for)
         self.switch.dataplane.layout.bind_keyspace(keyspace)
 
     # -- pieces of one step ------------------------------------------------------

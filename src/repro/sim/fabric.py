@@ -144,7 +144,7 @@ class Fabric:
     def load_workload_data(self, workload: Workload) -> None:
         load_stores(self.servers, self.partitioner,
                     workload.keyspace.keys(range(workload.spec.num_keys)),
-                    workload.value_for)
+                    workload.values_for)
 
     def warm_caches(self, workload: Workload) -> None:
         """Spine takes the globally hottest items; each leaf takes the

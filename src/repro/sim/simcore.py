@@ -29,6 +29,8 @@ Full-rack throughput at paper scale comes from the rate-equilibrium model
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 from typing import Dict, List, Optional, Tuple
 
 from repro.client.workload import Workload, WorkloadSpec
@@ -132,6 +134,22 @@ def build_rack(config: SimCoreConfig):
     return cluster, clients[0], workload
 
 
+def _frees_its_rack(run):
+    """Make *run* return only once the rack it built is freed.  A rack
+    is one web of reference cycles (the simulator and its nodes, shims
+    and their servers, scheduled callbacks), so reference counting never
+    frees it, and the cyclic collector frees it only when its next full
+    pass happens to come: a caller that runs the two engines back to back
+    would otherwise build the second rack beside the first."""
+    @functools.wraps(run)
+    def run_and_free(config: SimCoreConfig) -> Dict:
+        snapshot = run(config)
+        gc.collect()
+        return snapshot
+    return run_and_free
+
+
+@_frees_its_rack
 def run_scalar(config: SimCoreConfig) -> Dict:
     """Reference run: the per-packet event loop, verbatim."""
     cluster, client, workload = build_rack(config)
@@ -140,6 +158,7 @@ def run_scalar(config: SimCoreConfig) -> Dict:
     return counters_snapshot(cluster, client, trace)
 
 
+@_frees_its_rack
 def run_batched(config: SimCoreConfig) -> Dict:
     """Lanes-engine run of the same scenario."""
     cluster, client, _ = build_rack(config)

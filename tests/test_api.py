@@ -1,9 +1,5 @@
 """Tests for the client library against a live simulated rack."""
 
-import pytest
-
-from repro.errors import SimulationError
-
 
 class TestSyncClient:
     def test_get_cached(self, small_cluster, small_workload):

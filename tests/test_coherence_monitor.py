@@ -1,8 +1,6 @@
 """Tests for the runtime coherence monitor — and, through it, the
 write-through protocol under stress."""
 
-import pytest
-
 from repro.analysis.coherence import CoherenceMonitor
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 

@@ -1,7 +1,6 @@
 """Tests for reboot handling inside the hybrid emulation (§3)."""
 
 import numpy as np
-import pytest
 
 from repro.sim.emulation import DynamicsEmulator, EmulationConfig
 

@@ -23,7 +23,7 @@ from repro.faults.invariants import (
     PendingWriteInvariant,
 )
 from repro.net.links import Link
-from repro.net.packet import Packet, make_get
+from repro.net.packet import make_get
 from repro.net.simulator import Node, Simulator
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 

@@ -9,12 +9,9 @@ The two scenarios the paper's correctness story hinges on (§3, §4.3):
   installed and acknowledged.
 """
 
-import pytest
-
 from repro.faults import (
     ChaosConfig,
     ChaosRunner,
-    FaultSchedule,
     InvariantSuite,
     run_chaos,
 )

@@ -1,8 +1,6 @@
 """Integration: the write-through coherence protocol under adversity
 (packet loss, write bursts, concurrent cache updates)."""
 
-import pytest
-
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 
 

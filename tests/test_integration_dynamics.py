@@ -1,8 +1,6 @@
 """Integration: cache updates track workload churn end to end (the §7.4
 machinery: statistics -> heavy-hitter reports -> controller -> cache)."""
 
-import pytest
-
 from repro.sim.emulation import DynamicsEmulator, EmulationConfig
 
 

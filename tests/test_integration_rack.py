@@ -1,7 +1,6 @@
 """Integration: a full rack under load, cache vs no cache."""
 
 import numpy as np
-import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig, default_workload
 

@@ -17,12 +17,16 @@ code, be re-declared with another default further down the hierarchy,
 or sit in :data:`OPTION_ALLOWLIST`: an option with one value in use is a
 constant.
 
-And a public top-level function or class, or a public method, must be
-referenced from program code outside its own body — by name, attribute,
-import, string annotation or string attribute name — or sit in
-:data:`SYMBOL_ALLOWLIST`.  References are matched by name, so a name any
-live definition shares keeps every definition of it alive; the rule runs
-to a fixed point, so a reference from a dead body keeps nothing alive.
+And a public top-level function or class, a public method, or an
+UPPER_CASE module-level constant must be referenced from program code
+outside its own body (or value) — by name, attribute, import, string
+annotation or string attribute name — or sit in :data:`SYMBOL_ALLOWLIST`.
+References are matched by name, so a name any live definition shares
+keeps every definition of it alive; the rule runs to a fixed point, so a
+reference from a dead body keeps nothing alive.
+
+Last, no file under ``src/`` or ``tests/`` imports a name it never loads
+(package ``__init__`` re-exports and ``__future__`` imports aside).
 """
 
 import ast
@@ -89,6 +93,7 @@ SYMBOL_EXEMPT = {"repro.core.pipeline", "repro.net.wire"}
 SPEC = "repro.sketch.reference"
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+_CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
 _JOB = re.compile(r"^  ([\w-]+):\s*$", re.M)
@@ -226,8 +231,9 @@ def test_option_allowlist_names_real_options():
 
 def _definitions():
     """key -> (name, path, node) of every public top-level function or
-    class under ``src/repro`` and every public method of a top-level
-    class, outside :data:`SYMBOL_EXEMPT`."""
+    class under ``src/repro``, every public method of a top-level class
+    and every UPPER_CASE module-level constant, outside
+    :data:`SYMBOL_EXEMPT`."""
     found = {}
     for path, tree in _parsed().items():
         module = SRC in path.parents and _module_name(path)
@@ -237,6 +243,13 @@ def _definitions():
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 found[f"{module}.{node.name}"] = (node.name, path, node)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            for target in targets:
+                if (isinstance(target, ast.Name)
+                        and _CONSTANT.fullmatch(target.id)):
+                    found[f"{module}.{target.id}"] = (target.id, path, node)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
@@ -321,3 +334,42 @@ def test_symbol_allowlist_names_needed_symbols():
     its line."""
     assert len(SYMBOL_ALLOWLIST) <= 8
     assert set(SYMBOL_ALLOWLIST) <= set(_unreferenced_symbols(()))
+
+
+def _loaded_names(tree):
+    """Names *tree* loads, also inside string annotations."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield from _loaded_names(ast.parse(node.value, mode="eval"))
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text(), str(path))
+    loaded = set(_loaded_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.partition(".")[0]
+                     for alias in node.names]
+        elif (isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        yield from (f"{_where(path, node)} {name}: imported, never loaded"
+                    for name in names if name not in loaded)
+
+
+def test_every_imported_name_is_loaded():
+    paths = [path for tree in ("src", "tests")
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             if path.name != "__init__.py"]
+    assert [line for path in paths for line in _unused_imports(path)] == []

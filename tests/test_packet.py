@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.constants import MAX_VALUE_SIZE, NETCACHE_PORT
+from repro.constants import MAX_VALUE_SIZE
 from repro.errors import KeyFormatError, ValueFormatError
 from repro.net.packet import (
     Packet,

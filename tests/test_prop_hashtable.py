@@ -4,10 +4,10 @@ arbitrary operation sequences, and the store's batch read is the scalar
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.kvstore.hashtable import HashTable
+from repro.kvstore.hashtable import _FULL, HashTable
 from repro.kvstore.store import KVStore, ReadColumns
 
 keys = st.binary(min_size=1, max_size=12)
@@ -59,6 +59,110 @@ def test_load_factor_invariant(key_list):
     for key in key_list:
         table.put(key, b"v")
         assert table.load_factor <= 0.7 + 1e-9
+
+
+# -- HashTable.put_batch is the scalar put loop ------------------------------------
+
+#: enough keys to grow an 8-slot table through five doublings.
+BULK_KEYS = [b"bulk%03d" % i for i in range(160)]
+BULK_HASHES = [HashTable()._hash(key) for key in BULK_KEYS]
+bulk_ids = st.integers(0, len(BULK_KEYS) - 1)
+
+
+def table_diff(bulk, scalar):
+    """Names of the fields in which two tables differ: slot arrays,
+    capacity, size, occupancy and probe counters."""
+    fields = {
+        "capacity": lambda t: t.capacity,
+        "size": lambda t: len(t),
+        "occupied": lambda t: t._occupied,
+        "states": lambda t: t._states,
+        "keys": lambda t: t._keys,
+        "values": lambda t: t._values,
+        "hashes": lambda t: list(t._hashes),
+        "total_probes": lambda t: t.total_probes,
+        "total_lookups": lambda t: t.total_lookups,
+    }
+    return [name for name, read in fields.items()
+            if read(bulk) != read(scalar)]
+
+
+def scalar_puts(table, keys, values, hashes):
+    return sum(table.put(k, v, h) for k, v, h in zip(keys, values, hashes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.one_of(
+           st.tuples(st.just("batch"), st.lists(bulk_ids, max_size=70)),
+           st.tuples(st.just("delete"), st.lists(bulk_ids, max_size=70))),
+           max_size=12),
+       clumped=st.booleans())
+# Inserts into a table that deletes left mostly tombstones: a same-size
+# rebuild inside the batch.
+@example(steps=[("batch", list(range(80))), ("delete", list(range(70))),
+                ("batch", list(range(80, 160)))], clumped=False)
+def test_bulk_put_equals_the_scalar_put_loop(steps, clumped):
+    """Batches with repeats, overwrites of keys already present and
+    inserts into tombstones left by deletes leave the bulk-loaded table
+    slot for slot and counter for counter where ``put`` one row at a time
+    leaves its twin, across every grow and same-size rebuild.  Clumped
+    hashes (eight home slots) make long probe runs."""
+    bulk, scalar = HashTable(initial_capacity=8), HashTable(initial_capacity=8)
+    for n, (kind, ids) in enumerate(steps):
+        keys = [BULK_KEYS[i] for i in ids]
+        if kind == "delete":
+            for key in keys:
+                assert bulk.delete(key) == scalar.delete(key)
+            continue
+        values = [b"%d.%d" % (n, j) for j in range(len(ids))]
+        hashes = [i % 8 * 0x9E37 if clumped else BULK_HASHES[i]
+                  for i in ids]
+        assert (bulk.put_batch(keys, values, hashes)
+                == scalar_puts(scalar, keys, values, hashes))
+        assert table_diff(bulk, scalar) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(op_list=ops(), double=st.booleans())
+def test_rebuild_is_put_of_each_full_slot_into_a_fresh_table(op_list,
+                                                             double):
+    """``_resize`` leaves the layout that ``put`` of every FULL slot, in
+    slot order, leaves in an empty table of the new capacity, and charges
+    the statistics that fresh table's probes and lookups."""
+    table = HashTable(initial_capacity=8)
+    for kind, key, value in op_list:
+        if kind == "put":
+            table.put(key, value)
+        elif kind == "delete":
+            table.delete(key)
+    capacity = table.capacity * (2 if double else 1)
+    fresh = HashTable(initial_capacity=capacity)
+    for i, state in enumerate(table._states):
+        if state == _FULL:
+            fresh.put(table._keys[i], table._values[i], table._hashes[i])
+    before = table.total_probes, table.total_lookups
+    table._resize(capacity)
+    fresh.total_probes += before[0]
+    fresh.total_lookups += before[1]
+    assert table_diff(table, fresh) == []
+
+
+def test_presizing_the_bulk_insert_is_caught_by_the_twin():
+    """Sabotage: a bulk insert that presizes the table to the capacity
+    the scalar loop ends at skips the grow cascade, whose re-insertions
+    the probe statistics charge; the twin names the probe totals."""
+    values = [b"v"] * len(BULK_KEYS)
+    scalar = HashTable(initial_capacity=8)
+    scalar_puts(scalar, BULK_KEYS, values, BULK_HASHES)
+    honest = HashTable(initial_capacity=8)
+    honest.put_batch(BULK_KEYS, values, BULK_HASHES)
+    assert table_diff(honest, scalar) == []
+    presized = HashTable(initial_capacity=8)
+    presized._resize(scalar.capacity)
+    presized.put_batch(BULK_KEYS, values, BULK_HASHES)
+    diff = table_diff(presized, scalar)
+    assert {"total_probes", "total_lookups"} <= set(diff)
+    assert "capacity" not in diff
 
 
 # -- KVStore.get_batch is the scalar get loop ---------------------------------------

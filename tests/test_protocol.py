@@ -16,12 +16,6 @@ class TestClassification:
         for op in (Op.PUT, Op.DELETE, Op.PUT_CACHED, Op.DELETE_CACHED):
             assert is_write(op)
 
-    def test_internal_ops_not_client_visible(self):
-        from repro.net.protocol import CLIENT_OPS
-
-        assert Op.CACHE_UPDATE not in CLIENT_OPS
-        assert Op.PUT_CACHED not in CLIENT_OPS
-
 
 class TestRewrites:
     def test_cached_write_rewrite_covers_writes(self):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kvstore.server import StorageServer
+from repro.kvstore.partition import HashPartitioner
+from repro.kvstore.server import StorageServer, load_stores
 from repro.net.packet import make_get, make_put
 from repro.net.protocol import Op
 from repro.net.simulator import Node, Simulator
@@ -112,6 +113,12 @@ class TestConfig:
             StorageServer(5, gateway=1, queue_limit=0)
 
     def test_bulk_load(self):
-        server = StorageServer(5, gateway=1)
-        server.load([(KEY, b"v"), (b"fedcba9876543210", b"w")])
-        assert len(server.store) == 2
+        servers = {5: StorageServer(5, gateway=1),
+                   6: StorageServer(6, gateway=1)}
+        keys = [KEY, b"fedcba9876543210", b"0000000000000000"]
+        load_stores(servers, HashPartitioner([5, 6]), keys,
+                    lambda ids: [b"v%d" % i for i in ids.tolist()])
+        assert sum(len(s.store) for s in servers.values()) == 3
+        for i, key in enumerate(keys):
+            owner = servers[HashPartitioner([5, 6]).server_for(key)]
+            assert owner.store.get(key) == b"v%d" % i

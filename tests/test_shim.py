@@ -4,7 +4,7 @@ import pytest
 
 from repro.kvstore.shim import ServerShim
 from repro.kvstore.store import KVStore
-from repro.net.packet import Packet, make_delete, make_get, make_put
+from repro.net.packet import make_delete, make_get, make_put
 from repro.net.protocol import Op
 
 KEY = b"0123456789abcdef"

@@ -39,6 +39,20 @@ class TestApi:
         store.delete(b"k")
         assert (store.puts, store.gets, store.deletes) == (1, 1, 1)
 
+    def test_put_batch_refuses_unpaired_rows(self):
+        store = KVStore(num_cores=4)
+        with pytest.raises(ConfigurationError):
+            store.put_batch([b"a", b"b", b"c"], [b"1", b"2"])
+        with pytest.raises(ConfigurationError):
+            store.put_batch([b"a"], [b"1", b"2"])
+        assert len(store) == 0 and store.puts == 0
+
+    def test_put_batch_checks_every_value_before_storing(self):
+        store = KVStore(max_value_size=16)
+        with pytest.raises(ValueFormatError):
+            store.put_batch([b"a", b"b"], [b"v", b"v" * 17])
+        assert len(store) == 0 and store.puts == 0
+
 
 def test_peek_batch_reads_like_get_and_moves_no_counter():
     store = KVStore(num_cores=4)

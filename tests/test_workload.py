@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.client.workload import Workload, WorkloadSpec
 from repro.errors import ConfigurationError
@@ -56,6 +57,31 @@ class TestValues:
         k1, k2 = wl.keyspace.key(1), wl.keyspace.key(2)
         assert wl.value_for(k1) == wl.value_for(k1)
         assert wl.value_for(k1) != wl.value_for(k2)
+
+
+def _key(item):
+    """The keyspace key of *item*, past any key space's size too."""
+    return b"k" + str(item).zfill(15).encode()
+
+
+#: ids around the widths where a value's seedling grows a digit.
+item_ids = st.one_of(
+    st.integers(0, 10 ** 4),
+    st.integers(10 ** 10 - 40, 10 ** 10 + 40),
+    st.sampled_from([10 ** w + d for w in range(10, 15) for d in (-1, 0)]),
+    st.integers(0, 10 ** 15 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=st.lists(item_ids, max_size=60),
+       size=st.one_of(st.sampled_from([1, 11, 12, 128, 1000]),
+                      st.integers(1, 300)))
+def test_values_for_is_value_for_of_each_id(items, size):
+    """The bulk builder is the scalar value of each id byte for byte,
+    ids of eleven digits and more (a wider seedling) included."""
+    wl = workload(value_size=size)
+    got = wl.values_for(np.array(items, dtype=np.int64))
+    assert got == [wl.value_for(_key(item)) for item in items]
 
 
 class TestProbabilities:
